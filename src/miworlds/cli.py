@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .energy import certify_minimizer
-from .errors import MiwError, ParityUnsupported
+from .errors import MiwError, MiwValidation
 from .metrics import rate_rows_csv, rate_sweep
 from .solver import (
     GENERAL,
@@ -39,7 +38,7 @@ from .targets import (
 )
 from .zerobias import coupling_expectations, fixed_point_defect, gzb_density, histogram_density
 
-__all__ = ["main", "export"]
+__all__ = ["main", "export", "exit_code"]
 
 _FAMILIES = ("ground", "maxwell", "hermite-sq", "monomial")
 
@@ -61,17 +60,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _render(rows, out_format: str) -> str:
+    if out_format == "csv":
+        return "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
+    if out_format == "json":
+        return json.dumps(rows, indent=2, default=_fmt) + "\n"
+    raise ValueError(f"unknown output format {out_format!r}")
+
+
 def export(rows, out_format: str, path: Optional[str] = None) -> int:
     """Serialize rows (CSV: header tuple first) or an object (JSON).
 
     Returns the number of bytes written to ``path`` or to stdout.
     """
-    if out_format == "csv":
-        text = "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
-    elif out_format == "json":
-        text = json.dumps(rows, indent=2, default=_fmt) + "\n"
-    else:
-        raise ValueError(f"unknown output format {out_format!r}")
+    return _write(_render(rows, out_format), path)
+
+
+def _write(text: str, path: Optional[str]) -> int:
+    """Write ``text`` to ``path``, or to stdout without one; returns its byte count."""
     data = text.encode()
     if path:
         try:
@@ -107,10 +113,6 @@ def _resolve_family(args):
     raise MiwValidation(f"unknown family {fam!r}")
 
 
-class MiwValidation(Exception):
-    pass
-
-
 def _require_n(args) -> int:
     if args.n is None:
         raise MiwValidation("this subcommand requires --n")
@@ -126,13 +128,7 @@ def _solve(args):
 
 def _cmd_solve(args) -> int:
     cfg = _solve(args)
-    text = configuration_to_json(cfg) + "\n"
-    if args.out_path:
-        with open(args.out_path, "wb") as fh:
-            fh.write(text.encode())
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(configuration_to_json(cfg) + "\n", args.out_path) and 0
 
 
 def _cmd_verify(args) -> int:
@@ -189,19 +185,12 @@ def _cmd_rates(args) -> int:
     if not args.n_list:
         raise MiwValidation("rates requires --n-list")
     rows, fit = rate_sweep(MAXWELL, args.n_list)
-    csv_rows = rate_rows_csv(rows)
-    text = "\n".join(",".join(_fmt(v) for v in row) for row in csv_rows) + "\n"
+    text = _render(rate_rows_csv(rows), "csv")
     if fit is not None:
         text += "# fit " + json.dumps(
             {k: format(v, ".17g") for k, v in fit.items()}
         ) + "\n"
-    data = text.encode()
-    if args.out_path:
-        with open(args.out_path, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(text, args.out_path) and 0
 
 
 def _cmd_fixed_point(args) -> int:
@@ -251,6 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def exit_code(exc: Exception) -> int:
+    """1 for usage and validation errors, 2 for numerical failures."""
+    return 1 if isinstance(exc, (MiwValidation, ValueError)) else 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -259,12 +253,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MiwValidation, ValueError, ParityUnsupported) as exc:
-        print(f"miworlds: {exc}", file=sys.stderr)
-        return 1
-    except MiwError as exc:
-        print(f"miworlds: numerical failure: {exc}", file=sys.stderr)
-        return 2
+    except (MiwError, ValueError) as exc:
+        code = exit_code(exc)
+        kind = "" if code == 1 else "numerical failure: "
+        print(f"miworlds: {kind}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,11 @@ class MiwError(Exception):
 
 
 class NonConvergence(MiwError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature or an iterative solve exhausted its budget."""
+
+
+class RouteMismatch(MiwError):
+    """Two independent routes to the same quantity disagree."""
 
 
 class NoBracket(MiwError):
@@ -17,7 +21,11 @@ class OutOfRange(MiwError):
     """Monotone inversion target lies outside the supplied bracket."""
 
 
-class UnsupportedOrder(MiwError):
+class MiwValidation(MiwError):
+    """Input outside what the caller may ask for (CLI exit code 1)."""
+
+
+class UnsupportedOrder(MiwValidation):
     """Hermite order outside the supported range (k > 30 or k < 0)."""
 
 
@@ -29,7 +37,7 @@ class InvalidStart(MiwError):
     """Shooting iteration started from a nonpositive first point."""
 
 
-class ParityUnsupported(MiwError):
+class ParityUnsupported(MiwValidation):
     """Requested world count has the wrong parity for the family."""
 
 

@@ -2,22 +2,24 @@
 
 In one dimension d_W is the area between CDFs, which also equals the
 comonotone coupling cost E|W - W*|; both routes are kept and
-cross-validated in the tests.  The sweep solves the Maxwell recursion
-over a doubling ladder of world counts and records every distance and
-coupling term alongside the sqrt(log N / N) envelope ratio.
+cross-validated in the tests; against an eigenstate target the area is
+taken in closed form.  The sweep solves the Maxwell recursion over a
+doubling ladder of world counts and records every distance and coupling
+term alongside the sqrt(log N / N) envelope ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_adaptive
+from .errors import RouteMismatch
+from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_adaptive, newton_bracketed
 from .solver import MAXWELL, solve_configuration
-from .targets import cdf_pk, maxwell_square_baseline
+from .targets import cdf_pk, cdf_pk_integral, maxwell_square_baseline, pdf_pk
 from .zerobias import EmpiricalDist, coupling_expectations, gzb_density
 
 __all__ = [
@@ -50,13 +52,42 @@ def wasserstein1(
     return total
 
 
-def kolmogorov(F_emp: EmpiricalDist, G: Callable[[float], float]) -> float:
-    """sup |F_emp - G|, attained at the atoms against a continuous G."""
-    worst = 0.0
-    for x in F_emp.atoms:
-        gx = G(x)
-        worst = max(worst, abs(F_emp.cdf(x) - gx), abs(F_emp.cdf_left(x) - gx))
-    return worst
+def kolmogorov(F_emp: EmpiricalDist, G: Callable) -> float:
+    """sup |F_emp - G|, attained at the atoms against a continuous G.
+
+    ``G`` is called once, on the array of atoms in ascending order.
+    """
+    n = F_emp.n
+    g = np.asarray(G(np.asarray(F_emp.atoms[::-1], dtype=float)), dtype=float)
+    below = np.arange(n) / n
+    return float(max(np.max(np.abs(below + 1.0 / n - g)), np.max(np.abs(below - g))))
+
+
+def _dw_exact(points: Sequence[float], k: int, spec: QuadratureSpec) -> float:
+    """Exact d_W between the uniform law on ``points`` and p_k.
+
+    On the gap above the j-th smallest atom the empirical CDF is j/N and
+    F_k crosses that level once, at c; the area is split at c and each side
+    taken from the antiderivative A_k.  The gap pieces telescope to
+    A_k(x_1) - A_k(x_N), which one adaptive quadrature of F_k re-derives as
+    a check on the closed forms.
+    """
+    a = np.asarray(points, dtype=float)[::-1]
+    n = a.size
+    lo, hi = a[:-1], a[1:]
+    level = np.arange(1, n) / n
+    c = newton_bracketed(lambda x: cdf_pk(k, x), lambda x: pdf_pk(k, x), level, lo, hi)
+    Aa = cdf_pk_integral(k, a)
+    Ac = cdf_pk_integral(k, c)
+    gaps = (level * (c - lo) - (Ac - Aa[:-1])) + ((Aa[1:] - Ac) - level * (hi - c))
+    exact = float(Aa[-1] - Aa[0])
+    quad = integrate_adaptive(lambda x: cdf_pk(k, x), float(a[0]), float(a[-1]), spec)
+    if abs(quad - exact) > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(exact)):
+        raise RouteMismatch(
+            f"int F_{k} over [{a[0]}, {a[-1]}]: quadrature {quad!r}, closed form {exact!r}"
+        )
+    tails = Aa[0] + (Aa[-1] - a[-1])
+    return float(tails + np.sum(gaps))
 
 
 def dk_dw_relation_check(dk: float, dw: float, C: float = MAXWELL_MODE_SUP) -> bool:
@@ -80,10 +111,7 @@ class RateRow:
     ratio_dw: float
 
     def astuple(self):
-        return (
-            self.N, self.dw, self.dk, self.x1, self.e_abs, self.e_wabs,
-            self.e_inv, self.e_ratio, self.rhs_bound, self.ratio_dw,
-        )
+        return astuple(self)
 
 
 RATE_CSV_HEADER = (
@@ -92,22 +120,14 @@ RATE_CSV_HEADER = (
 )
 
 
-def _maxwell_cdf(x: float) -> float:
-    return cdf_pk(1, x)
-
-
 def measure_configuration(cfg, spec: QuadratureSpec = DEFAULT_QUAD) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
     baseline = maxwell_square_baseline()
     emp = EmpiricalDist(cfg.points)
     density = gzb_density(baseline, cfg.points)
-    report = coupling_expectations(cfg.points, density, spec)
-    lo = min(cfg.points[-1], -spec.tail_cutoff)
-    hi = max(cfg.points[0], spec.tail_cutoff)
-    dw = wasserstein1(
-        emp.cdf, _maxwell_cdf, (lo, hi), spec, jumps=cfg.points
-    )
-    dk = kolmogorov(emp, _maxwell_cdf)
+    report = coupling_expectations(cfg.points, density)
+    dw = _dw_exact(cfg.points, 1, spec)
+    dk = kolmogorov(emp, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds
     envelope = math.sqrt(math.log(n) / n) if n > 1 and math.log(n) > 0 else math.nan
     return RateRow(

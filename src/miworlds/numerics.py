@@ -1,8 +1,8 @@
-"""Foundational scalar numerics.
+"""Foundational numerics.
 
-Adaptive quadrature, bracketed root finding, monotone inversion and
-sign-preserving cube roots.  Everything here is a pure function of its
-arguments and safe for concurrent use.
+Adaptive quadrature, bracketed root finding, scalar and array monotone
+inversion and sign-preserving cube roots.  Everything here is a pure
+function of its arguments and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "integrate_adaptive",
     "find_root",
     "invert_monotone",
+    "newton_bracketed",
     "signed_cbrt",
 ]
 
@@ -149,6 +150,34 @@ def invert_monotone(
     if y >= Fhi:
         return hi
     return find_root(lambda x: F(x) - y, lo, hi, spec)
+
+
+def newton_bracketed(F, dF, y, lo, hi, spec: RootSpec = DEFAULT_ROOT) -> np.ndarray:
+    """Solve F(x) = y elementwise for increasing, array-capable F.
+
+    Roots lie in their brackets [lo, hi] (a target outside F's range there
+    converges to the nearer end); Newton steps leaving the shrinking bracket
+    become bisections.  An element is done after a step below ``x_tol``
+    times the bracket's scale, or once |F(x) - y| <= ``f_tol`` * max(1, |y|),
+    which ends it where F's rounding noise over a small F' exceeds x_tol.
+    """
+    y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
+    x_tol = spec.x_tol * np.maximum(np.abs(lo), np.abs(hi))
+    f_tol = spec.f_tol * np.maximum(1.0, np.abs(y))
+    x = 0.5 * (lo + hi)
+    for _ in range(spec.max_iter):
+        r = F(x) - y
+        fine = np.abs(r) <= f_tol
+        lo = np.where(r < 0.0, x, lo)
+        hi = np.where(r > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - r / dF(x)
+        inside = (newton >= lo) & (newton <= hi)
+        step = np.where(inside, newton, np.where(fine, x, 0.5 * (lo + hi)))
+        if np.all(fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)):
+            return step
+        x = step
+    raise NonConvergence(f"bracketed Newton did not converge in {spec.max_iter} steps")
 
 
 def signed_cbrt(y: float) -> float:

@@ -10,7 +10,7 @@ terms whose weighted sum bounds the Wasserstein distance to the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -144,41 +144,32 @@ class PiecewiseDensity:
         return rows
 
 
-def _check_symmetric_decreasing(atoms):
-    n = len(atoms)
-    for i in range(n - 1):
-        if atoms[i + 1] >= atoms[i]:
-            raise NotDecreasing("atoms must be strictly decreasing")
-    worst = max(abs(atoms[i] + atoms[n - 1 - i]) for i in range(n))
+def _check_symmetric_decreasing(x: np.ndarray):
+    if np.any(np.diff(x) >= 0.0):
+        raise NotDecreasing("atoms must be strictly decreasing")
+    worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
         raise AsymmetricInput(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
 
 
 def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
     """Generalized zero-bias density of the uniform law on the atoms."""
-    atoms = tuple(float(a) for a in atoms)
-    _check_symmetric_decreasing(atoms)
-    bvals = [float(baseline.b(a)) for a in atoms]
-    if any(b <= 0.0 for b in bvals):
+    x = np.asarray(atoms, dtype=float)
+    _check_symmetric_decreasing(x)
+    bvals = np.asarray(baseline.b(x), dtype=float)
+    if np.any(bvals <= 0.0):
         raise BaselineZero("baseline vanishes at an atom")
-    n = len(atoms)
-    partial = 0.0
-    raw = []
-    for i in range(n - 1):
-        partial += atoms[i] / bvals[i]
-        raw.append(partial)
-    if any(c < 0.0 for c in raw):
+    raw = np.cumsum(x / bvals)[:-1]
+    if np.any(raw < 0.0):
         raise AsymmetricInput("partial sums x_i/b(x_i) must stay nonnegative")
-    gaps = [
-        float(baseline.B(atoms[i])) - float(baseline.B(atoms[i + 1]))
-        for i in range(n - 1)
-    ]
-    masses = [c * g for c, g in zip(raw, gaps)]
-    total = sum(masses)
-    coeffs = tuple(c / total for c in raw)
-    masses = tuple(m / total for m in masses)
+    Bx = np.asarray(baseline.B(x), dtype=float)
+    masses = raw * (Bx[:-1] - Bx[1:])
+    total = float(np.sum(masses))
     return PiecewiseDensity(
-        baseline=baseline, breakpoints=atoms, coeffs=coeffs, masses=masses
+        baseline=baseline,
+        breakpoints=tuple(x.tolist()),
+        coeffs=tuple((raw / total).tolist()),
+        masses=tuple((masses / total).tolist()),
     )
 
 
@@ -212,129 +203,72 @@ class CouplingReport:
     rhs_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "e_abs": self.e_abs,
-            "e_wabs": self.e_wabs,
-            "e_inv": self.e_inv,
-            "e_ratio": self.e_ratio,
-            "rhs_bound": self.rhs_bound,
-        }
-
-
-def _poly_div_x(p: Polynomial):
-    """p(x)/x as a polynomial, or None when p(0) != 0."""
-    c = p.coef
-    if abs(c[0]) != 0.0:
-        return None
-    return Polynomial(c[1:])
-
-
-def _cell_integrals(atom, x0, x1, coeff, baseline, spec):
-    """(E|a-x|, E|1/a - 1/x|) contributions against coeff*b on [x0, x1]."""
-    if x1 <= x0:
-        return 0.0, 0.0
-    cuts = sorted({x0, x1} | {v for v in (0.0, atom) if x0 < v < x1})
-    bp = baseline.b_poly
-    e1 = 0.0
-    e3 = 0.0
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (p + q)
-        if bp is not None:
-            prim_b = bp.integ()
-            prim_xb = (bp * Polynomial([0.0, 1.0])).integ()
-            ib = float(prim_b(q) - prim_b(p))
-            ixb = float(prim_xb(q) - prim_xb(p))
-            e1 += abs(atom * ib - ixb) * coeff
-            bx = _poly_div_x(bp)
-            if bx is not None:
-                prim_bx = bx.integ()
-                ibx = float(prim_bx(q) - prim_bx(p))
-                e3 += abs(ib / atom - ibx) * coeff
-            else:
-                if p < 0.0 < q or mid == 0.0:
-                    e3 += math.inf
-                else:
-                    e3 += coeff * integrate_adaptive(
-                        lambda x: abs(1.0 / atom - 1.0 / x) * float(baseline.b(x)),
-                        p,
-                        q,
-                        spec,
-                    )
-        else:
-            e1 += coeff * integrate_adaptive(
-                lambda x: abs(atom - x) * float(baseline.b(x)), p, q, spec
-            )
-            if p < 0.0 < q:
-                e3 += math.inf
-            else:
-                e3 += coeff * integrate_adaptive(
-                    lambda x: abs(1.0 / atom - 1.0 / x) * float(baseline.b(x)),
-                    p,
-                    q,
-                    spec,
-                )
-    return e1, e3
+        return asdict(self)
 
 
 def coupling_expectations(
     atoms: Sequence[float],
     gzb: PiecewiseDensity,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> CouplingReport:
     """Exact expectation terms under the comonotone (quantile) coupling.
 
     W is uniform on the atoms, W* follows ``gzb``; the unit interval is
-    partitioned by both quantile functions' breakpoints and each cell is
-    integrated in closed form (polynomial baselines) or by quadrature.
+    partitioned by both quantile functions' breakpoints.  On each cell W is
+    one atom a and W* runs over [x0, x1] inside one density interval; the
+    cell is split at 0 and at a, and every piece is integrated in closed
+    form against the polynomial baseline, all cells at once.
     """
-    atoms = tuple(float(a) for a in atoms)
-    if len(atoms) != len(gzb.breakpoints) or any(
-        abs(a - b) > 1e-12 * max(1.0, abs(a))
-        for a, b in zip(atoms, gzb.breakpoints)
-    ):
+    y = np.asarray(atoms, dtype=float)
+    bps = np.asarray(gzb.breakpoints, dtype=float)
+    if y.shape != bps.shape or np.any(np.abs(y - bps) > 1e-12 * np.maximum(1.0, np.abs(y))):
         raise MismatchedBreakpoints("atoms and density breakpoints differ")
-    if any(a == 0.0 for a in atoms):
+    if np.any(y == 0.0):
         raise AtomAtZero("reciprocal terms undefined for an atom at zero")
+    baseline = gzb.baseline
+    bp = baseline.b_poly
+    if bp is None:
+        raise ValueError("coupling terms need a polynomial baseline")
 
-    n = len(atoms)
-    asc_y = np.asarray(atoms[::-1], dtype=float)
+    n = y.size
     asc_x, asc_c, asc_m = gzb._ascending()
     atom_cum = np.arange(1, n + 1) / n
     star_cum = np.cumsum(asc_m)
     star_cum[-1] = 1.0
-
-    u_breaks = np.unique(
-        np.concatenate(([0.0], atom_cum, star_cum))
-    )
-    baseline = gzb.baseline
-    Bleft = np.asarray([float(baseline.B(v)) for v in asc_x])
     star_lo = np.concatenate(([0.0], star_cum))
 
-    e_abs = e_wabs = e_inv = e_ratio = 0.0
-    for u0, u1 in zip(u_breaks[:-1], u_breaks[1:]):
-        if u1 <= u0:
-            continue
-        um = 0.5 * (u0 + u1)
-        j = min(int(np.searchsorted(atom_cum, um, side="left")), n - 1)
-        a = float(asc_y[j])
-        i = min(int(np.searchsorted(star_cum, um, side="left")), n - 2)
-        c = float(asc_c[i])
-        # invert the density CDF at the cell edges, snapping to interval
-        # endpoints where the edge coincides with a density breakpoint
-        if u0 <= star_lo[i]:
-            x0 = float(asc_x[i])
-        else:
-            x0 = float(baseline.Binv(Bleft[i] + (u0 - star_lo[i]) / c))
-        if u1 >= star_cum[i]:
-            x1 = float(asc_x[i + 1])
-        else:
-            x1 = float(baseline.Binv(Bleft[i] + (u1 - star_lo[i]) / c))
-        e1, e3 = _cell_integrals(a, x0, x1, c, baseline, spec)
-        e_abs += e1
-        e_wabs += abs(a) * e1
-        e_inv += e3
-        e_ratio += e1 / abs(a)
-
+    u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
+    u0, u1 = u[:-1], u[1:]
+    um = 0.5 * (u0 + u1)
+    a = y[::-1][np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
+    i = np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)
+    c, left, right = asc_c[i], asc_x[i], asc_x[i + 1]
+    Bleft = np.asarray(baseline.B(asc_x), dtype=float)[i]
+    # invert the density CDF at the cell edges, snapping to interval
+    # endpoints where the edge coincides with a density breakpoint
+    x0 = np.where(u0 > star_lo[i],
+                  baseline.Binv_within(Bleft + (u0 - star_lo[i]) / c, left, right), left)
+    x1 = np.where(u1 < star_cum[i],
+                  baseline.Binv_within(Bleft + (u1 - star_lo[i]) / c, left, right), right)
+    x1 = np.maximum(x1, x0)
+    # three pieces per cell, on each of which a - x and x keep their signs
+    cuts = (x0, np.clip(np.minimum(a, 0.0), x0, x1), np.clip(np.maximum(a, 0.0), x0, x1), x1)
+    x = Polynomial([0.0, 1.0])
+    b0 = float(bp.coef[0])
+    prims = (bp.integ(), (bp * x).integ(), ((bp - b0) // x).integ())
+    e1 = e3 = 0.0
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        ib, ixb, ibx = (prim(q) - prim(p) for prim in prims)
+        if b0 != 0.0:
+            # b/x = (b - b(0))/x + b(0)/x: +inf on a piece ending at 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ibx = ibx + b0 * np.log(np.abs(q) / np.abs(p))
+        e1 = e1 + c * np.abs(a * ib - ixb)
+        e3 = e3 + c * np.where(q > p, np.abs(ib / a - ibx), 0.0)
+    abs_a = np.abs(a)
+    e_abs = float(np.sum(e1))
+    e_wabs = float(np.sum(abs_a * e1))
+    e_inv = float(np.sum(e3))
+    e_ratio = float(np.sum(e1 / abs_a))
     rhs = (
         LAMBDA_1 * e_abs
         + LAMBDA_2 * e_wabs

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from miworlds.cli import main
+from miworlds import cli, errors
+from miworlds.cli import exit_code, main
 
 
 def run(capsys, *argv):
@@ -122,3 +124,68 @@ def test_csv_floats_roundtrip(tmp_path, capsys):
     for v in vals[1:]:
         x = float(v)
         assert format(x, ".17g") == v
+
+
+def test_unsupported_order_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "solve", "--family", "hermite-sq", "--k", "31", "--n", "4")
+    assert code == 1
+    assert "outside supported range" in err and "numerical failure" not in err
+
+
+_EXIT_CODES = {
+    errors.MiwError: 2,
+    errors.MiwValidation: 1,
+    errors.UnsupportedOrder: 1,
+    errors.ParityUnsupported: 1,
+    errors.NonConvergence: 2,
+    errors.RouteMismatch: 2,
+    errors.NoBracket: 2,
+    errors.OutOfRange: 2,
+    errors.KernelSingularity: 2,
+    errors.InvalidStart: 2,
+    errors.BracketFailure: 2,
+    errors.ResidualFailure: 2,
+    errors.NotDecreasing: 2,
+    errors.BaselineZero: 2,
+    errors.AsymmetricInput: 2,
+    errors.MismatchedBreakpoints: 2,
+    errors.AtomAtZero: 2,
+}
+
+
+def test_exit_code_table_covers_every_error(monkeypatch, capsys):
+    declared = {c for c in vars(errors).values()
+                if inspect.isclass(c) and issubclass(c, errors.MiwError)}
+    assert declared == set(_EXIT_CODES)
+    for cls, code in _EXIT_CODES.items():
+        assert exit_code(cls("x")) == code
+
+        def fail(k=1, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "fixed_point_defect", fail)
+        assert main(["fixed-point"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("miworlds: ") and "boom" in err
+        assert ("numerical failure" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--n", "8"),
+    ("rates", "--n-list", "8"),
+    ("density", "--family", "hermite-sq", "--k", "2", "--n", "9"),
+])
+def test_unwritable_out_path_fails_cleanly(argv, tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out-path", str(target))
+    assert code == 2
+    assert "cannot write" in err and out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [("solve", "--n", "8"), ("rates", "--n-list", "8", "16")])
+def test_out_path_bytes_equal_stdout(argv, tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out-path", str(path)]) == 0
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()

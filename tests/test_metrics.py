@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from miworlds import metrics
+from miworlds.errors import RouteMismatch
 from miworlds.metrics import (
     MAXWELL_MODE_SUP,
     RATE_CSV_HEADER,
     dk_dw_relation_check,
     kolmogorov,
+    measure_configuration,
     rate_rows_csv,
     rate_sweep,
     wasserstein1,
@@ -64,10 +67,31 @@ def test_kolmogorov_zero_against_matching_continuous_cdf():
     # the jump-probe formula is exact for continuous G; a G agreeing
     # with F at and just below the atoms yields distance 0
     e = EmpiricalDist((1.0, -1.0))
-    G = lambda x: 0.0 if x < -1.0 else (0.5 if x < 1.0 else 1.0)
+    G = lambda x: np.where(x < -1.0, 0.0, np.where(x < 1.0, 0.5, 1.0))
     assert kolmogorov(e, G) == 0.5  # G is a step too; probes see the gap
-    cont = lambda x: min(1.0, max(0.0, (x + 1.0) / 2.0))
+    cont = lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0)
     assert kolmogorov(EmpiricalDist((1.0, -1.0)), cont) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_exact_dw_matches_mpmath_reference(sweep_rows):
+    # 40-digit mpmath evaluation of d_W(P_4096, Maxwell)
+    assert sweep_rows[-1].N == 4096
+    assert sweep_rows[-1].dw == pytest.approx(5.8930877569e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 22, 64])
+def test_exact_dw_matches_quadrature_route(n, maxwell_configs):
+    pts = maxwell_configs[n].points
+    emp = EmpiricalDist(pts)
+    quad = wasserstein1(emp.cdf, lambda x: cdf_pk(1, x), (-12.0, 12.0), jumps=pts)
+    assert measure_configuration(maxwell_configs[n]).dw == pytest.approx(quad, rel=1e-9)
+
+
+def test_dw_self_check_catches_wrong_antiderivative(maxwell_configs, monkeypatch):
+    exact = metrics.cdf_pk_integral
+    monkeypatch.setattr(metrics, "cdf_pk_integral", lambda k, x: exact(k, x) * (1 + 1e-8))
+    with pytest.raises(RouteMismatch):
+        measure_configuration(maxwell_configs[8])
 
 
 def test_relation_check_contract():

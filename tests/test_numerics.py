@@ -13,6 +13,7 @@ from miworlds.numerics import (
     find_root,
     integrate_adaptive,
     invert_monotone,
+    newton_bracketed,
     signed_cbrt,
 )
 
@@ -110,6 +111,35 @@ def test_invert_monotone_roundtrip(coeffs, x0):
     y = F(x0)
     x = invert_monotone(F, y, -2.0, 2.0)
     assert abs(x - x0) <= 1e-10 * max(1.0, abs(x0)) + 1e-10
+
+
+def test_newton_bracketed_matches_scalar_inverse():
+    # the k=2 cumulative baseline, including its flat point B'(1) = 0
+    F = lambda t: t ** 5 / 10.0 - t ** 3 / 3.0 + t / 2.0
+    dF = lambda t: (t * t - 1.0) ** 2 / 2.0
+    lo = np.array([0.0, 0.5, 0.9, -2.0])
+    hi = np.array([0.5, 1.5, 1.1, 2.0])
+    y = np.array([0.1, 4.0 / 15.0, 0.267, 0.0])
+    x = newton_bracketed(F, dF, y, lo, hi)
+    assert np.all(np.abs(F(x) - y) <= 1e-13)
+    for xi, yi, l, h in zip(x, y, lo, hi):
+        assert xi == pytest.approx(invert_monotone(F, yi, l, h), abs=1e-4)
+    assert x[0] == pytest.approx(invert_monotone(F, 0.1, 0.0, 0.5), abs=1e-14)
+
+
+def test_newton_bracketed_clamps_and_flat_roots():
+    cube = lambda t: t ** 3
+    x = newton_bracketed(cube, lambda t: 3 * t * t, [5.0, -5.0, 0.0], [0.0, 0.0, -1.0],
+                         [1.0, 1.0, 1.0])
+    assert x[0] == pytest.approx(1.0, abs=1e-13)
+    assert x[1] == pytest.approx(0.0, abs=1e-13)
+    assert abs(x[2]) <= 1e-4 and abs(x[2] ** 3) <= 1e-13
+
+
+def test_newton_bracketed_budget():
+    with pytest.raises(NonConvergence):
+        newton_bracketed(lambda t: t ** 3, lambda t: 3 * t * t, 0.3, 0.0, 1.0,
+                         RootSpec(x_tol=1e-300, f_tol=1e-300, max_iter=3))
 
 
 def test_signed_cbrt_values():

@@ -9,6 +9,7 @@ from miworlds.targets import (
     SQRT_2PI,
     cdf_pk,
     cdf_pk_grid,
+    cdf_pk_integral,
     ground_baseline,
     hermite_he,
     hermite_square_baseline,
@@ -97,6 +98,54 @@ def test_cdf_monotone_and_tails(k):
     # grid pass agrees with the scalar route
     for x in (-3.0, 0.25, 2.0):
         assert abs(cdf_pk(k, x) - cdf_pk_grid(k, np.array([x]))[0]) <= 1e-11
+
+
+def _he_coefficients(k):
+    """Integer power-basis coefficients of He_k."""
+    prev, cur = [1], [0, 1]
+    for n in range(1, k):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= n * c
+        prev, cur = cur, nxt
+    return prev if k == 0 else cur
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 30])
+def test_cdf_and_integral_match_mpmath(k):
+    # A route independent of the library's: He_k^2 expanded exactly in the
+    # power basis, integrated against phi by I_n = -x^{n-1} phi + (n-1) I_{n-2}
+    # at 60 digits, where the basis' cancellation costs nothing.
+    mp = pytest.importorskip("mpmath")
+    he = _he_coefficients(k)
+    sq = [sum(he[i] * he[n - i] for i in range(max(0, n - k), min(n, k) + 1))
+          for n in range(2 * k + 1)]
+    xs = (-6.0, -1.3, 0.0, 0.7, 4.0)
+    with mp.workdps(60):
+        for x in xs:
+            x_mp = mp.mpf(x)
+            I = [mp.ncdf(x_mp), -mp.npdf(x_mp)]
+            for n in range(2, 2 * k + 2):
+                I.append(-x_mp ** (n - 1) * mp.npdf(x_mp) + (n - 1) * I[n - 2])
+            F = mp.fsum(c * I[n] for n, c in enumerate(sq)) / mp.factorial(k)
+            # int_{-inf}^x F = x F(x) - int_{-inf}^x t p(t) dt
+            A = x_mp * F - mp.fsum(c * I[n + 1] for n, c in enumerate(sq)) / mp.factorial(k)
+            assert abs(cdf_pk(k, x) - float(F)) <= 1e-13
+            assert abs(cdf_pk_integral(k, x) - float(A)) <= 1e-13
+    grid = np.asarray(xs)
+    assert np.array_equal(cdf_pk_grid(k, grid), cdf_pk(k, grid))
+    assert np.array_equal(cdf_pk_integral(k, grid), [cdf_pk_integral(k, x) for x in xs])
+
+
+def test_cdf_integral_k1_closed_form():
+    for x in (-2.0, 0.0, 1.5):
+        expect = x * normal_cdf(x) + 2.0 * float(phi(x))
+        assert cdf_pk_integral(1, x) == pytest.approx(expect, abs=1e-15)
+
+
+def test_cdf_grid_rejects_descending():
+    with pytest.raises(ValueError):
+        cdf_pk_grid(2, np.array([1.0, 0.0]))
 
 
 def test_target_density_mode():

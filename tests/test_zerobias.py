@@ -10,7 +10,9 @@ from miworlds.errors import (
     NotDecreasing,
 )
 from miworlds.metrics import wasserstein1
-from miworlds.targets import ground_baseline, maxwell_square_baseline
+from miworlds.numerics import integrate_adaptive
+from miworlds.solver import GENERAL, solve_configuration
+from miworlds.targets import ground_baseline, hermite_square_baseline, maxwell_square_baseline
 from miworlds.zerobias import (
     EmpiricalDist,
     coupling_expectations,
@@ -136,6 +138,46 @@ def test_coupling_matches_wasserstein(maxwell_configs):
     )
     rep = coupling_expectations(cfg.points, d)
     assert rep.e_abs == pytest.approx(dw, abs=1e-9)
+
+
+# (e_abs, e_wabs, e_inv, e_ratio, rhs_bound) from the earlier per-cell
+# implementation, which integrated each coupling cell on its own
+_PER_CELL = {
+    64: (0.032447488201365046, 0.06301868533557026, 0.040137423163959095,
+         0.02436302119469023, 1.894275809791631),
+    4096: (0.0008128151553317746, 0.0020525183777315775, 0.0025555849720221057,
+           0.0006310810774028538, 0.07912883277537236),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PER_CELL))
+def test_coupling_matches_per_cell_values(n, maxwell_configs):
+    pts = maxwell_configs[n].points
+    rep = coupling_expectations(pts, gzb_density(BL, pts))
+    got = (rep.e_abs, rep.e_wabs, rep.e_inv, rep.e_ratio, rep.rhs_bound)
+    assert got == pytest.approx(_PER_CELL[n], rel=1e-10)
+
+
+def test_coupling_infinite_reciprocal_term_when_b0_positive():
+    # b(0) = 1/2 for He_2^2 / 2: W* has density ~ b(0) near 0, so
+    # E|1/W - 1/W*| diverges logarithmically; the other terms stay finite
+    pts = solve_configuration(GENERAL, 82, baseline=hermite_square_baseline(2)).points
+    rep = coupling_expectations(pts, gzb_density(hermite_square_baseline(2), pts))
+    assert rep.e_inv == math.inf and rep.rhs_bound == math.inf
+    assert all(math.isfinite(v) and v > 0 for v in (rep.e_abs, rep.e_wabs, rep.e_ratio))
+
+
+def test_coupling_log_term_on_one_signed_atoms():
+    # uniform histogram on [1, 3] against atoms 3, 2, 1: the quantile
+    # coupling pairs W* = 1 + 2u with the atom a(u) = 1, 2, 3 on thirds of (0, 1)
+    rep = coupling_expectations((3.0, 2.0, 1.0), histogram_density((3.0, 2.0, 1.0)))
+    e_inv = e_abs = 0.0
+    for j, a in enumerate((1.0, 2.0, 3.0)):
+        lo, hi = j / 3.0, (j + 1) / 3.0
+        e_inv += integrate_adaptive(lambda u: abs(1.0 / a - 1.0 / (1.0 + 2.0 * u)), lo, hi)
+        e_abs += integrate_adaptive(lambda u: abs(a - 1.0 - 2.0 * u), lo, hi)
+    assert rep.e_inv == pytest.approx(e_inv, rel=1e-12)
+    assert rep.e_abs == pytest.approx(e_abs, rel=1e-12)
 
 
 @pytest.mark.parametrize(
