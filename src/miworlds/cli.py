@@ -53,6 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -62,6 +64,8 @@ def _fmt(v) -> str:
 
 def _render(rows, out_format: str) -> str:
     if out_format == "csv":
+        if isinstance(rows, dict):
+            rows = [tuple(rows), tuple(rows.values())]
         return "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
     if out_format == "json":
         return json.dumps(rows, indent=2, default=_fmt) + "\n"
@@ -71,9 +75,23 @@ def _render(rows, out_format: str) -> str:
 def export(rows, out_format: str, path: Optional[str] = None) -> int:
     """Serialize rows (CSV: header tuple first) or an object (JSON).
 
+    A flat dict renders as CSV with its keys as the header and one row of
+    values (None as an empty cell).
+
     Returns the number of bytes written to ``path`` or to stdout.
     """
     return _write(_render(rows, out_format), path)
+
+
+def _records(rows) -> list:
+    """CSV-style rows (header first) as a list of JSON objects."""
+    header, *body = rows
+    return [dict(zip(header, row)) for row in body]
+
+
+def _comment(label: str, values: dict) -> str:
+    """A trailing CSV comment line carrying 17-digit values as JSON."""
+    return f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
 
 
 def _write(text: str, path: Optional[str]) -> int:
@@ -128,14 +146,18 @@ def _solve(args):
 
 def _cmd_solve(args) -> int:
     cfg = _solve(args)
-    return _write(configuration_to_json(cfg) + "\n", args.out_path) and 0
+    if args.out_format == "json":
+        return _write(configuration_to_json(cfg) + "\n", args.out_path) and 0
+    rows = [("n", "x")] + [(i, x) for i, x in enumerate(cfg.points, start=1)]
+    text = _render(rows, "csv") + _comment("residuals", cfg.residuals)
+    return _write(text, args.out_path) and 0
 
 
 def _cmd_verify(args) -> int:
     fam, bl, _, _ = _resolve_family(args)
     cfg = solve_configuration(fam, _require_n(args), baseline=bl)
     report = validate_properties(cfg, baseline=bl)
-    return export(report, "json", args.out_path) and 0
+    return export(report, args.out_format, args.out_path) and 0
 
 
 def _cmd_energy(args) -> int:
@@ -146,7 +168,7 @@ def _cmd_energy(args) -> int:
     rep = certify_minimizer(bl, cfg.points)
     payload = {"family": args.family, "N": cfg.n_worlds}
     payload.update(rep.to_dict())
-    return export(payload, "json", args.out_path) and 0
+    return export(payload, args.out_format, args.out_path) and 0
 
 
 def _cmd_density(args) -> int:
@@ -173,36 +195,39 @@ def _cmd_coupling(args) -> int:
     rep = coupling_expectations(cfg.points, density)
     payload = {"family": args.family, "N": cfg.n_worlds}
     payload.update(rep.to_dict())
-    return export(payload, "json", args.out_path) and 0
+    return export(payload, args.out_format, args.out_path) and 0
 
 
 def _cmd_stein_check(args) -> int:
-    records = [supnorm_suite(tf) for tf in fixed_suite()]
-    return export(suite_csv_rows(records), "csv", args.out_path) and 0
+    rows = suite_csv_rows([supnorm_suite(tf) for tf in fixed_suite()])
+    if args.out_format == "json":
+        rows = _records(rows)
+    return export(rows, args.out_format, args.out_path) and 0
 
 
 def _cmd_rates(args) -> int:
     if not args.n_list:
         raise MiwValidation("rates requires --n-list")
     rows, fit = rate_sweep(MAXWELL, args.n_list)
+    if args.out_format == "json":
+        payload = {"rows": _records(rate_rows_csv(rows)), "fit": fit}
+        return export(payload, "json", args.out_path) and 0
     text = _render(rate_rows_csv(rows), "csv")
     if fit is not None:
-        text += "# fit " + json.dumps(
-            {k: format(v, ".17g") for k, v in fit.items()}
-        ) + "\n"
+        text += _comment("fit", fit)
     return _write(text, args.out_path) and 0
 
 
 def _cmd_fixed_point(args) -> int:
     defect = fixed_point_defect(k=1)
-    return export({"k": 1, "defect": defect}, "json", args.out_path) and 0
+    return export({"k": 1, "defect": defect}, args.out_format, args.out_path) and 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="miworlds", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, family=True, n=True):
+    def common(sp, family=True, n=True, out="json"):
         if family:
             sp.add_argument("--family", choices=_FAMILIES, default="maxwell")
             sp.add_argument("--k", type=int, default=None)
@@ -210,28 +235,29 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             sp.add_argument("--n", type=int, default=None)
         sp.add_argument(
-            "--out", dest="out_format", choices=("csv", "json"), default="csv"
+            "--out", dest="out_format", choices=("csv", "json"), default=out
         )
         sp.add_argument("--out-path", dest="out_path", default=None)
 
-    for name, fn in (
-        ("solve", _cmd_solve),
-        ("verify", _cmd_verify),
-        ("energy", _cmd_energy),
-        ("density", _cmd_density),
-        ("coupling", _cmd_coupling),
+    # --out defaults to each subcommand's own format
+    for name, fn, out in (
+        ("solve", _cmd_solve, "json"),
+        ("verify", _cmd_verify, "json"),
+        ("energy", _cmd_energy, "json"),
+        ("density", _cmd_density, "csv"),
+        ("coupling", _cmd_coupling, "json"),
     ):
         sp = sub.add_parser(name)
-        common(sp)
+        common(sp, out=out)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("stein-check")
-    common(sp, family=False, n=False)
+    common(sp, family=False, n=False, out="csv")
     sp.set_defaults(func=_cmd_stein_check)
 
     sp = sub.add_parser("rates")
     sp.add_argument("--n-list", type=int, nargs="+", default=None)
-    common(sp, family=False, n=False)
+    common(sp, family=False, n=False, out="csv")
     sp.set_defaults(func=_cmd_rates)
 
     sp = sub.add_parser("fixed-point")

@@ -65,5 +65,5 @@ class MismatchedBreakpoints(MiwError):
     """Empirical atoms and density breakpoints do not coincide."""
 
 
-class AtomAtZero(MiwError):
-    """An atom sits at zero, so reciprocal moments are undefined."""
+class AtomAtZero(MiwValidation):
+    """An atom sits at zero (odd N), so reciprocal moments are undefined."""

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -149,7 +150,7 @@ _EXIT_CODES = {
     errors.BaselineZero: 2,
     errors.AsymmetricInput: 2,
     errors.MismatchedBreakpoints: 2,
-    errors.AtomAtZero: 2,
+    errors.AtomAtZero: 1,
 }
 
 
@@ -189,3 +190,96 @@ def test_out_path_bytes_equal_stdout(argv, tmp_path, capsys):
     assert main([*argv, "--out-path", str(path)]) == 0
     assert main(list(argv)) == 0
     assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_coupling_odd_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "coupling", "--family", "ground", "--n", "41")
+    assert code == 1 and out == ""
+    assert "atom at zero" in err and "numerical failure" not in err
+
+
+_SMALL_ARGS = {
+    "solve": ("--family", "maxwell", "--n", "8"),
+    "verify": ("--family", "ground", "--n", "5"),
+    "energy": ("--family", "maxwell", "--n", "8"),
+    "density": ("--family", "maxwell", "--n", "8"),
+    "coupling": ("--family", "maxwell", "--n", "8"),
+    "stein-check": (),
+    "rates": ("--n-list", "8", "16"),
+    "fixed-point": (),
+}
+_DEFAULT_OUT = {"solve": "json", "verify": "json", "energy": "json", "density": "csv",
+                "coupling": "json", "stein-check": "csv", "rates": "csv", "fixed-point": "json"}
+
+
+def _csv(out):
+    """(rows without comment lines, {label: payload} of the '# label {json}' lines)."""
+    lines = out.splitlines()
+    comments = dict(l[2:].split(" ", 1) for l in lines if l.startswith("# "))
+    rows = list(csv.reader(l for l in lines if not l.startswith("#")))
+    return rows, {k: json.loads(v) for k, v in comments.items()}
+
+
+def _cell(v) -> str:
+    """A JSON value as the CSV writer formats it."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def _both(capsys, sub):
+    outs = {}
+    for fmt in ("csv", "json"):
+        code, outs[fmt], _ = run(capsys, sub, *_SMALL_ARGS[sub], "--out", fmt)
+        assert code == 0
+    return _csv(outs["csv"]), json.loads(outs["json"])
+
+
+@pytest.mark.parametrize("sub", sorted(_SMALL_ARGS))
+def test_default_out_is_the_subcommands_own_format(sub, capsys):
+    _, implicit, _ = run(capsys, sub, *_SMALL_ARGS[sub])
+    _, explicit, _ = run(capsys, sub, *_SMALL_ARGS[sub], "--out", _DEFAULT_OUT[sub])
+    assert implicit == explicit
+
+
+@pytest.mark.parametrize("sub", ["verify", "energy", "coupling", "fixed-point"])
+def test_record_subcommands_write_csv_and_json(sub, capsys):
+    (rows, comments), record = _both(capsys, sub)
+    assert not comments
+    header, values = rows
+    assert header == list(record)
+    assert values == [_cell(v) for v in record.values()]
+
+
+def test_solve_writes_csv_and_json(capsys):
+    (rows, comments), cfg = _both(capsys, "solve")
+    assert rows[0] == ["n", "x"]
+    assert [int(n) for n, _ in rows[1:]] == list(range(1, 9))
+    assert [float(x) for _, x in rows[1:]] == cfg["points"]
+    assert {k: float(v) for k, v in comments["residuals"].items()} == cfg["residuals"]
+
+
+def test_density_writes_csv_and_json(capsys):
+    (rows, _), table = _both(capsys, "density")
+    assert rows[0] == table[0] == ["kind", "x0", "x1", "value"]
+    assert len(rows) == len(table) == 1 + 7 + 400
+    assert rows[1:] == [[_cell(v) for v in row] for row in table[1:]]
+
+
+def test_stein_check_writes_csv_and_json(capsys):
+    (rows, _), records = _both(capsys, "stein-check")
+    assert len(records) == len(rows) - 1 == 4
+    assert all(list(rec) == rows[0] for rec in records)
+    assert rows[1:] == [[_cell(v) for v in rec.values()] for rec in records]
+    assert all(rec["pass"] is True for rec in records)
+
+
+def test_rates_writes_csv_and_json(capsys):
+    (rows, comments), payload = _both(capsys, "rates")
+    assert set(payload) == {"rows", "fit"}
+    assert [rec["N"] for rec in payload["rows"]] == [8, 16]
+    assert all(list(rec) == rows[0] for rec in payload["rows"])
+    assert rows[1:] == [[_cell(v) for v in rec.values()] for rec in payload["rows"]]
+    assert {k: float(v) for k, v in comments["fit"].items()} == payload["fit"]

@@ -1,7 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from miworlds.errors import InvalidStart, ParityUnsupported, ResidualFailure
 from miworlds.solver import (
@@ -15,7 +17,11 @@ from miworlds.solver import (
     solve_configuration,
     validate_properties,
 )
-from miworlds.targets import hermite_square_baseline, maxwell_square_baseline
+from miworlds.targets import (
+    hermite_square_baseline,
+    maxwell_square_baseline,
+    monomial_baseline,
+)
 
 SQRT_1_5 = math.sqrt(1.5)
 
@@ -170,9 +176,118 @@ def test_json_roundtrip(maxwell_configs):
     payload = json.loads(text)
     assert set(payload) == {"family", "N", "points", "shoot_param", "residuals"}
     back = configuration_from_json(text)
+    assert back.stats is None and cfg.stats is not None
     assert back == cfg
     assert configuration_to_json(back) == text
 
 
 def test_recursion_residual_on_exact_points():
     assert recursion_residual(GROUND, (1.0, 0.0, -1.0)) <= 1e-15
+
+
+def _scalar_residual(family, points, baseline=None, cube_factor=3.0):
+    """The recursion defect by a plain float loop, as a second route."""
+    worst = partial = 0.0
+    for x, nxt in zip(points[:-1], points[1:]):
+        if family == MAXWELL:
+            partial += 1.0 / x
+            defect = nxt ** 3 - x ** 3 + cube_factor / partial
+        elif family == GROUND:
+            partial += x
+            defect = nxt - x + 1.0 / partial
+        else:
+            partial += x / float(baseline.b(x))
+            defect = float(baseline.B(nxt)) - float(baseline.B(x)) + 1.0 / partial
+        worst = max(worst, abs(defect))
+    return worst
+
+
+def test_recursion_residual_matches_scalar_loop(maxwell_configs):
+    # bit for bit: the residual is printed by `solve`
+    for n in (8, 512, 4096):
+        pts = maxwell_configs[n].points
+        assert recursion_residual(MAXWELL, pts) == _scalar_residual(MAXWELL, pts)
+    ground = solve_configuration(GROUND, 301)
+    assert recursion_residual(GROUND, ground.points) == _scalar_residual(GROUND, ground.points)
+    bl = hermite_square_baseline(2)
+    cfg = solve_configuration(GENERAL, 41, baseline=bl)
+    assert recursion_residual(GENERAL, cfg.points, bl) == pytest.approx(
+        _scalar_residual(GENERAL, cfg.points, bl), rel=1e-12, abs=1e-15)
+
+
+def test_recursion_residual_zero_partial_sum_is_infinite():
+    assert recursion_residual(GROUND, (1.0, -1.0, 0.5)) == math.inf
+
+
+def test_maxwell_65536_shoot_param_is_pinned():
+    x1 = solve_configuration(MAXWELL, 65536).shoot_param
+    assert abs(x1 - 4.971885212422725) <= math.ulp(4.971885212422725)
+
+
+def test_maxwell_4096_refines_in_few_shots(maxwell_configs):
+    stats = maxwell_configs[4096].stats
+    assert stats.refine_method == "illinois"
+    assert stats.refine_iterations <= 25
+    assert stats.bracket_width <= 2 * math.ulp(maxwell_configs[4096].shoot_param)
+
+
+def test_hermite_k2_n82_keeps_the_spread_solution():
+    # the scan bracket holds many sign changes; Illinois there lands on
+    # another valid configuration with x1 = 3.8445, bisection keeps this one
+    cfg = solve_configuration(GENERAL, 82, baseline=hermite_square_baseline(2))
+    assert cfg.stats.refine_method == "bisection"
+    assert cfg.shoot_param == pytest.approx(3.827537630693132, abs=1e-11)
+
+
+def test_monomial_r4_n1000_shoot_param_is_pinned():
+    cfg = solve_configuration(GENERAL, 1000, baseline=monomial_baseline(4).normalized())
+    assert cfg.stats.refine_method == "illinois"
+    assert cfg.shoot_param == 4.4695408532206
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_newton_inverse_agrees_with_baseline_binv(k):
+    from miworlds.solver import _newton_inverse
+
+    bl = hermite_square_baseline(k)
+    B = bl.b_poly.integ()
+    inverse = _newton_inverse(B)
+    abs_B = Polynomial(np.abs(B.coef))
+    centres = sorted(set(bl.zeros_of_b) | {0.0})
+    ts = np.concatenate([np.linspace(z - 0.05, z + 0.05, 101) for z in centres])
+    for t in ts:
+        y = float(B(t))
+        x = float(t) + 0.25
+        got = inverse(y, x, float(B(x)), float(bl.b(x)), None)
+        B_got = float(B(got))
+        ref = bl.Binv(y)
+        # The point is found within the stopping width plus the rounding
+        # of B's own terms over the slope b (B is flat at the zeros of b);
+        # the brentq route adds its own 1e-14 tolerances.
+        eps = np.finfo(float).eps
+        noise = 4 * eps * float(abs_B(abs(got)))
+        spread = min(2 * noise / float(bl.b(got)), 1e-4)
+        width = 8 * eps * max(abs(x), abs(t))
+        assert abs(B_got - y) <= noise + float(bl.b(got)) * width
+        assert abs(got - t) <= spread + width
+        assert abs(got - ref) <= spread + width + 2e-14 * (1 + abs(ref))
+
+
+def test_newton_path_matches_closed_form_path():
+    # b = x^2 both ways: hermite-sq k=1 inverts B by Newton, the Maxwell
+    # square baseline by its closed-form cube root
+    x1 = solve_configuration(GENERAL, 40, baseline=maxwell_square_baseline()).shoot_param
+    xs, reason = shoot_sequence(GENERAL, hermite_square_baseline(1), x1, 21)
+    ys, _ = shoot_sequence(GENERAL, maxwell_square_baseline(), x1, 21)
+    assert reason == "completed"
+    assert xs == pytest.approx(ys, rel=1e-12, abs=1e-12)
+
+
+def test_solve_stats_count_every_shot():
+    cfg = solve_configuration(GENERAL, 21, baseline=hermite_square_baseline(2))
+    stats = cfg.stats
+    assert stats.shots == sum(stats.stop_reasons.values())
+    assert stats.shots >= stats.refine_iterations + 2
+    assert stats.scan_rounds == 1
+    assert stats.refine_method == "bisection"
+    assert 0.0 <= stats.bracket_width <= 2 * math.ulp(cfg.shoot_param)
