@@ -402,9 +402,25 @@ def solve_configuration(
             f"family {family!r} needs an even world count, got {n_worlds}"
         )
     reasons = Counter()
+    rounds, method, steps, a, b = 0, "none", 0, 0.0, math.inf
 
     def defect(x1):
         return _matching_defect(family, baseline, x1, n_worlds, cube_factor, reasons)
+
+    def stats():
+        return SolveStats(
+            shots=sum(reasons.values()),
+            scan_rounds=rounds,
+            refine_method=method,
+            refine_iterations=steps,
+            stop_reasons=dict(sorted(reasons.items())),
+            bracket_width=b - a,
+        )
+
+    def failure(exc):
+        # a failed solve keeps its counts; no bracket reads as infinite width
+        exc.stats = stats()
+        return exc
 
     scale = math.sqrt(math.log(n_worlds) + 1.0)
     lo, hi = 0.5 * scale, 2.0 * scale
@@ -414,7 +430,6 @@ def solve_configuration(
     # empirical law tracks the target density.  Probes are shot from the
     # right, so none left of that crossing is shot.
     bracket = None
-    rounds = 0
     for rounds in range(1, 12):
         probes = np.geomspace(lo, hi, 33).tolist()
         fb = defect(probes[-1])
@@ -437,13 +452,13 @@ def solve_configuration(
         if hi > 10.0 * scale * 2 ** 10:
             break
     if bracket is None:
-        raise BracketFailure(
+        raise failure(BracketFailure(
             f"no sign change for x1 in (0, {hi:g}] ({family}, N={n_worlds})"
-        )
+        ))
 
     a, fa, b, fb = bracket
     if a == b:
-        method, steps, x1 = "none", 0, a
+        x1 = a
     else:
         # Illinois needs a bracket with a single sign change.  Baselines
         # with zeros away from 0 put many in the scan bracket, where it
@@ -457,28 +472,28 @@ def solve_configuration(
     xs, reason = shoot_sequence(family, baseline, x1, half + 1, cube_factor)
     reasons[reason] += 1
     if len(xs) < half + 1:
-        raise ResidualFailure(
+        raise failure(ResidualFailure(
             f"solved shot collapsed after {len(xs)} points ({reason})"
-        )
+        ))
     first = xs[:half]
     if first[-1] <= 0.0:
-        raise ResidualFailure("positive half of the configuration crossed zero")
+        raise failure(ResidualFailure("positive half of the configuration crossed zero"))
     mirrored = [-v for v in reversed(first)]
     points = first + mirrored if n_worlds % 2 == 0 else first + [0.0] + mirrored
 
     if family == GENERAL:
         for x in points:
             if baseline.near_zero_of_b(x, _ZERO_OF_B_TOL):
-                raise ResidualFailure(
+                raise failure(ResidualFailure(
                     f"world location {x:g} lands on a zero of the baseline"
-                )
+                ))
 
     residual = recursion_residual(family, points, baseline, cube_factor)
     if residual > residual_tol:
-        raise ResidualFailure(
+        raise failure(ResidualFailure(
             f"recursion defect {residual:.3e} exceeds {residual_tol:g} "
             f"({family}, N={n_worlds})"
-        )
+        ))
     mean_abs = abs(sum(points)) / n_worlds
     symmetry = max(
         abs(points[n] + points[n_worlds - 1 - n]) for n in range(n_worlds)
@@ -498,14 +513,7 @@ def solve_configuration(
         points=tuple(points),
         shoot_param=x1,
         residuals=residuals,
-        stats=SolveStats(
-            shots=sum(reasons.values()),
-            scan_rounds=rounds,
-            refine_method=method,
-            refine_iterations=steps,
-            stop_reasons=dict(sorted(reasons.items())),
-            bracket_width=b - a,
-        ),
+        stats=stats(),
     )
 
 

@@ -396,21 +396,26 @@ class KernelValue(NamedTuple):
     singular: bool
 
 
-def kernel_from_baseline(
-    bl: Baseline,
-    x: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> KernelValue:
+def kernel_from_baseline(bl: Baseline, x: float) -> KernelValue:
     """Stein kernel 1 + T^{-1}b'(x) / b(x) built from the baseline.
 
-    At zeros of b the ratio is set to zero by convention and the result is
+    b is an even polynomial, so b' is odd and T^{-1}b' =
+    phi(x)^{-1} int_x^inf b' phi is exactly the polynomial P with
+    P' - xP = -b', whose coefficients follow by back-substitution from the
+    top degree.  The ratio P/b does not depend on how b is normalised.  At
+    zeros of b the ratio is set to zero by convention and the result is
     flagged singular.
     """
-    nb = bl.normalized()
+    if bl.b_poly is None:
+        raise ValueError("kernel construction needs a polynomial baseline")
     if bl.near_zero_of_b(x, tol=1e-12):
         return KernelValue(1.0, True)
-    bx = float(nb.b(x))
+    bx = float(bl.b_poly(x))
     if bx == 0.0:
         return KernelValue(1.0, True)
-    num = inverse_stein_operator(lambda u: float(nb.db(u)), x, spec)
-    return KernelValue(1.0 + num / bx, False)
+    # coefficient n of P' - xP is (n+1) p_{n+1} - p_{n-1} = -db_n
+    db = bl.b_poly.deriv().coef
+    p = [0.0] * (db.size + 1)
+    for n in range(db.size - 1, 0, -1):
+        p[n - 1] = db[n] + (n + 1) * p[n + 1]
+    return KernelValue(1.0 + float(Polynomial(p)(x)) / bx, False)

@@ -10,7 +10,9 @@ terms whose weighted sum bounds the Wasserstein distance to the target.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +80,8 @@ class PiecewiseDensity:
     ``breakpoints`` are stored in decreasing order with ``coeffs[n]`` and
     ``masses[n]`` attached to the gap below breakpoint n; houses both the
     zero-bias density p* and the flat histogram density (ground baseline).
+    ``pdf``, ``cdf`` and ``quantile`` take a float or an array; their
+    ascending tables are built on first use and kept.
     """
 
     baseline: Baseline
@@ -89,44 +93,70 @@ class PiecewiseDensity:
     def support(self):
         return (self.breakpoints[-1], self.breakpoints[0])
 
-    def _ascending(self):
-        asc_x = np.asarray(self.breakpoints[::-1], dtype=float)
-        asc_c = np.asarray(self.coeffs[::-1], dtype=float)
-        asc_m = np.asarray(self.masses[::-1], dtype=float)
-        return asc_x, asc_c, asc_m
-
-    def pdf(self, x: float) -> float:
-        asc_x, asc_c, _ = self._ascending()
-        if x <= asc_x[0] or x > asc_x[-1]:
-            return 0.0
-        i = int(np.searchsorted(asc_x, x, side="left")) - 1
-        return float(asc_c[i] * self.baseline.b(x))
-
-    def cdf(self, x: float) -> float:
-        asc_x, asc_c, asc_m = self._ascending()
-        if x <= asc_x[0]:
-            return 0.0
-        if x >= asc_x[-1]:
-            return 1.0
-        i = int(np.searchsorted(asc_x, x, side="left")) - 1
-        below = float(np.sum(asc_m[:i]))
-        partial = asc_c[i] * (
-            float(self.baseline.B(x)) - float(self.baseline.B(asc_x[i]))
-        )
-        return min(1.0, below + partial)
-
-    def quantile(self, u: float) -> float:
-        if not 0.0 < u <= 1.0:
-            raise ValueError("quantile argument must lie in (0, 1]")
-        asc_x, asc_c, asc_m = self._ascending()
-        cum = np.concatenate(([0.0], np.cumsum(asc_m)))
+    @cached_property
+    def _tables(self) -> tuple:
+        """Ascending breakpoints, the coefficient of the gap above each, the
+        mass below each breakpoint (exactly 1 at the top) and B there."""
+        x = np.asarray(self.breakpoints[::-1], dtype=float)
+        cum = np.concatenate(([0.0], np.cumsum(self.masses[::-1])))
         cum[-1] = 1.0
-        i = int(np.searchsorted(cum, u, side="left")) - 1
-        i = max(0, min(i, len(asc_c) - 1))
-        if u >= cum[i + 1]:
-            return float(asc_x[i + 1])
-        target = float(self.baseline.B(asc_x[i])) + (u - cum[i]) / asc_c[i]
-        return float(self.baseline.Binv(target))
+        tables = (x, np.asarray(self.coeffs[::-1], dtype=float), cum,
+                  np.asarray(self.baseline.B(x), dtype=float))
+        for v in tables:
+            v.flags.writeable = False
+        return tables
+
+    @cached_property
+    def _lists(self) -> tuple:
+        # the scalar paths bisect Python lists: no array set-up per call
+        return tuple(v.tolist() for v in self._tables)
+
+    def pdf(self, x):
+        if isinstance(x, (int, float)):
+            xs, cs = self._lists[:2]
+            if x <= xs[0] or x > xs[-1]:
+                return 0.0
+            return float(cs[bisect_left(xs, x) - 1] * self.baseline.b(x))
+        x = np.asarray(x, dtype=float)
+        xs, cs = self._tables[:2]
+        i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
+        inside = (x > xs[0]) & (x <= xs[-1])
+        return np.where(inside, cs[i] * np.asarray(self.baseline.b(x), dtype=float), 0.0)
+
+    def cdf(self, x):
+        if isinstance(x, (int, float)):
+            xs, cs, cum, Bx = self._lists
+            if x <= xs[0]:
+                return 0.0
+            if x >= xs[-1]:
+                return 1.0
+            i = bisect_left(xs, x) - 1
+            return min(1.0, cum[i] + cs[i] * (float(self.baseline.B(x)) - Bx[i]))
+        x = np.asarray(x, dtype=float)
+        xs, cs, cum, Bx = self._tables
+        i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
+        Bgap = np.asarray(self.baseline.B(x), dtype=float) - Bx[i]
+        inner = np.minimum(1.0, cum[i] + cs[i] * Bgap)
+        return np.where(x <= xs[0], 0.0, np.where(x >= xs[-1], 1.0, inner))
+
+    def quantile(self, u):
+        if isinstance(u, (int, float)):
+            if not 0.0 < u <= 1.0:
+                raise ValueError("quantile argument must lie in (0, 1]")
+            xs, cs, cum, Bx = self._lists
+            i = max(0, min(bisect_left(cum, u) - 1, len(cs) - 1))
+            if u >= cum[i + 1]:
+                return float(xs[i + 1])
+            return float(self.baseline.Binv(Bx[i] + (u - cum[i]) / cs[i]))
+        u = np.asarray(u, dtype=float)
+        if not np.all((u > 0.0) & (u <= 1.0)):
+            raise ValueError("quantile argument must lie in (0, 1]")
+        xs, cs, cum, Bx = self._tables
+        i = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, cs.size - 1)
+        lo, hi = xs[i], xs[i + 1]
+        inner = u < cum[i + 1]
+        target = Bx[i] + np.where(inner, u - cum[i], 0.0) / cs[i]
+        return np.where(inner, self.baseline.Binv_within(target, lo, hi), hi)
 
     def to_csv_rows(self):
         """Rows (interval_left, interval_right, coeff, mass), left < right."""
@@ -230,11 +260,9 @@ def coupling_expectations(
         raise ValueError("coupling terms need a polynomial baseline")
 
     n = y.size
-    asc_x, asc_c, asc_m = gzb._ascending()
+    asc_x, asc_c, star_lo, B_asc = gzb._tables
     atom_cum = np.arange(1, n + 1) / n
-    star_cum = np.cumsum(asc_m)
-    star_cum[-1] = 1.0
-    star_lo = np.concatenate(([0.0], star_cum))
+    star_cum = star_lo[1:]
 
     u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
     u0, u1 = u[:-1], u[1:]
@@ -242,7 +270,7 @@ def coupling_expectations(
     a = y[::-1][np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
     i = np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)
     c, left, right = asc_c[i], asc_x[i], asc_x[i + 1]
-    Bleft = np.asarray(baseline.B(asc_x), dtype=float)[i]
+    Bleft = B_asc[i]
     # invert the density CDF at the cell edges, snapping to interval
     # endpoints where the edge coincides with a density breakpoint
     x0 = np.where(u0 > star_lo[i],

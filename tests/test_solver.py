@@ -291,3 +291,22 @@ def test_solve_stats_count_every_shot():
     assert stats.scan_rounds == 1
     assert stats.refine_method == "bisection"
     assert 0.0 <= stats.bracket_width <= 2 * math.ulp(cfg.shoot_param)
+
+
+@pytest.mark.parametrize(
+    "baseline, n, method",
+    [(hermite_square_baseline(4), 200, "bisection"),
+     (monomial_baseline(8).normalized(), 1000, "illinois")],
+    ids=["hermite-sq-k4-n200", "monomial-r8-n1000"],
+)
+def test_failed_solve_keeps_its_stats(baseline, n, method):
+    # the solves the CLI reports as numerical failures; the message is unchanged
+    with pytest.raises(ResidualFailure,
+                       match=rf"recursion defect \S+ exceeds 1e-09 \(general, N={n}\)") as info:
+        solve_configuration(GENERAL, n, baseline=baseline)
+    stats = info.value.stats
+    assert stats.shots == sum(stats.stop_reasons.values())
+    assert stats.shots >= stats.refine_iterations + 2
+    assert stats.refine_method == method
+    assert stats.scan_rounds == 1
+    assert 0.0 < stats.bracket_width <= 1e-14

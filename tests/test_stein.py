@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from miworlds.numerics import DEFAULT_QUAD, QuadratureSpec
 from miworlds.stein import (
+    _g0_scalar,
+    _upper_integral_grid,
     build_bundle,
     fixed_suite,
     identity_f_check,
@@ -16,6 +19,7 @@ from miworlds.zerobias import CouplingReport
 
 SUITE = fixed_suite()
 IDENT = SUITE[0]
+DEFAULT_GRID = -8.0 + 1e-3 * np.arange(16001)
 
 
 def _square():
@@ -74,10 +78,96 @@ def test_vectorized_matches_scalar():
         b = build_bundle(tf)
         xs = np.array([-6.0, -1.0, -0.999, -1e-4, 0.0, 1e-4, 0.5, 1.0, 2.7, 7.5])
         grid = b.g0_grid(xs)
-        scalar = np.array([b.g0(float(v)) for v in xs])
+        scalar = np.array([_g0_scalar(float(v), tf.htilde, tf.kinks, DEFAULT_QUAD)
+                           for v in xs])
         assert np.max(np.abs(grid - scalar)) <= 1e-10 * np.maximum(
             1.0, np.max(np.abs(scalar))
         )
+
+
+def test_g0_identity_closed_form_on_default_grid():
+    # h(x) = x: g0 = sign(x)(x^2+2), with the x <= 0 branch at 0
+    g0 = build_bundle(IDENT).g0_grid(DEFAULT_GRID)
+    exact = np.where(DEFAULT_GRID > 0.0, 1.0, -1.0) * (DEFAULT_GRID ** 2 + 2.0)
+    assert np.all(np.abs(g0 - exact) <= 1e-12 * np.maximum(1.0, np.abs(g0)))
+
+
+@pytest.mark.parametrize("name", ["sine", "clipped_linear"])
+def test_g0_matches_mpmath(name):
+    mp = pytest.importorskip("mpmath")
+    tf = {t.name: t for t in SUITE}[name]
+    h = {"sine": mp.sin,
+         "clipped_linear": lambda u: max(mp.mpf(-1), min(mp.mpf(1), u))}[name]
+    xs = [-8.0, -1.0 - 1e-9, -1.0 + 1e-9, -1e-4, 0.0, 0.5, 1.0, 7.999]
+    got = build_bundle(tf).g0_grid(np.array(xs))
+    with mp.workdps(30):
+        # same truncation at L and the same double mean as the library
+        mean = mp.mpf(tf.mean_under_p1)
+        L = mp.mpf(DEFAULT_QUAD.tail_cutoff)
+        for x, value in zip(xs, got):
+            x = mp.mpf(x)
+            side = 1 if x > 0 else -1
+            t = abs(x)
+            cuts = [t] + [mp.mpf(1)] * (t < 1) + [L]
+            ref = float(mp.quad(
+                lambda u: u * u * (h(side * u) - mean) * mp.exp((x * x - u * u) / 2), cuts))
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_g0_grid_order_repeats_and_zero():
+    sorted_grid = np.linspace(-8.0, 8.0, 801)
+    zero = int(np.flatnonzero(sorted_grid == 0.0)[0])
+    perm = np.random.default_rng(5).permutation(sorted_grid.size)
+    shuffled = np.concatenate((sorted_grid[perm], sorted_grid[perm[:50]], [0.0, 0.0]))
+    for tf in SUITE:
+        b = build_bundle(tf)
+        ref = b.g0_grid(sorted_grid)
+        # the same distinct points give the same panels, so equal bits
+        expect = np.concatenate((ref[perm], ref[perm[:50]], ref[[zero, zero]]))
+        assert np.array_equal(b.g0_grid(shuffled), expect)
+
+
+def test_kink_one_ulp_off_a_grid_point_is_split():
+    clipped = SUITE[2]
+    kink = 1.0
+    for t in (np.nextafter(kink, 0.0), np.nextafter(kink, 2.0)):
+        seen = []
+
+        def f(u):
+            seen.append(u.copy())
+            return clipped.htilde(u)
+
+        # a kink at 1 and a grid point one ulp away: the one-ulp panel
+        # between them exists, so the kink is a panel end
+        value = _upper_integral_grid(np.array([t, 0.5, 3.0]), f, clipped.kinks, 12.0)
+        nodes = np.concatenate(seen, axis=1)
+        lo, hi = min(t, kink), max(t, kink)
+        assert np.any(np.all((nodes >= lo) & (nodes <= hi), axis=0))
+        ref = _g0_scalar(float(t), clipped.htilde, clipped.kinks, DEFAULT_QUAD)
+        assert value[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_large_tail_cutoff_stays_finite():
+    spec = QuadratureSpec(tail_cutoff=40.0)
+    grid = np.linspace(-41.0, 41.0, 1641)
+    near = np.abs(grid) <= 8.0
+    for tf in SUITE:
+        wide = build_bundle(tf, spec).g0_grid(grid)
+        assert np.all(np.isfinite(wide))
+        ref = build_bundle(tf).g0_grid(grid[near])
+        assert np.all(np.abs(wide[near] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    exact = np.where(grid > 0.0, 1.0, -1.0) * (grid ** 2 + 2.0)
+    inside = np.abs(grid) <= 30.0
+    ident = build_bundle(IDENT, spec).g0_grid(grid)
+    assert np.all(np.abs(ident[inside] - exact[inside]) <= 1e-12 * np.abs(exact[inside]))
+
+
+def test_g0_is_zero_at_and_beyond_the_cutoff():
+    L = DEFAULT_QUAD.tail_cutoff
+    xs = np.array([-13.0, -L, L, 13.0, np.inf, -np.inf])
+    for tf in SUITE:
+        assert np.all(build_bundle(tf).g0_grid(xs) == 0.0)
+        assert np.isnan(build_bundle(tf).g0_grid(np.array([np.nan, 1.0]))[0])
 
 
 def test_symmetry_parity():

@@ -261,3 +261,18 @@ def test_integration_by_parts(k, f, df):
     )
     rhs = integrate_adaptive(lambda x: x * f(x) * float(pdf_pk(k, x)), -12.0, 12.0)
     assert abs(lhs - rhs) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_exact_kernel_matches_quadrature_and_closed_form(k):
+    # the back-substituted polynomial against the quadrature route of the
+    # Gaussian inverse Stein operator and, for k <= 3, the closed-form tau_k
+    bl = maxwell_square_baseline() if k == 1 else hermite_square_baseline(k)
+    nb = bl.normalized()
+    xs = [x for x in np.linspace(-4.0, 4.0, 50) if not bl.near_zero_of_b(x, 0.05)]
+    for x in map(float, xs):
+        exact = kernel_from_baseline(bl, x).value
+        quad = 1.0 + inverse_stein_operator(lambda u: float(nb.db(u)), x) / float(nb.b(x))
+        assert abs(exact - quad) <= 1e-12 * max(1.0, abs(exact))
+        if k <= 3:
+            assert abs(exact - stein_kernel_tau(k, x)) <= 1e-12 * max(1.0, abs(exact))

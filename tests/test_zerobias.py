@@ -222,3 +222,32 @@ def test_fixed_point_defect():
     assert fixed_point_defect(k=1) <= 1e-10
     with pytest.raises(ValueError):
         fixed_point_defect(k=2)
+
+
+def test_density_tables_match_the_per_call_formulas():
+    bl = hermite_square_baseline(2)
+    cfg = solve_configuration(GENERAL, 41, baseline=bl)
+    for d in (histogram_density(cfg.points), gzb_density(bl, cfg.points)):
+        assert "_tables" not in d.__dict__  # built on first use only
+        asc_x = np.asarray(d.breakpoints[::-1])
+        asc_c = np.asarray(d.coeffs[::-1])
+        asc_m = np.asarray(d.masses[::-1])
+        xs = np.concatenate((np.linspace(asc_x[0] - 0.5, asc_x[-1] + 0.5, 1001), asc_x))
+        for x in map(float, xs):
+            # the parent's per-call formulas: a fresh sum and two B calls
+            i = int(np.searchsorted(asc_x, x, side="left")) - 1
+            inside = 0 <= i < asc_c.size
+            pdf = asc_c[i] * float(d.baseline.b(x)) if inside else 0.0
+            cdf = (min(1.0, float(np.sum(asc_m[:i])) + asc_c[i]
+                       * (float(d.baseline.B(x)) - float(d.baseline.B(asc_x[i]))))
+                   if inside and x < asc_x[-1] else float(x >= asc_x[-1]))
+            assert d.cdf(x) == pytest.approx(cdf, abs=2e-15)
+            assert d.pdf(x) == pytest.approx(pdf, rel=1e-15, abs=0.0)
+        assert np.array_equal(d.cdf(xs), [d.cdf(float(x)) for x in xs])
+        assert np.array_equal(d.pdf(xs), [d.pdf(float(x)) for x in xs])
+        us = np.concatenate((np.linspace(1e-6, 1.0, 501), np.cumsum(asc_m)[:-1]))
+        q = d.quantile(us)
+        assert np.max(np.abs(q - [d.quantile(float(u)) for u in us])) <= 1e-13
+        assert np.max(np.abs(d.cdf(q) - us)) <= 1e-13
+    with pytest.raises(ValueError):
+        d.quantile(np.array([0.5, 0.0]))
