@@ -41,10 +41,6 @@ class ParityUnsupported(MiwValidation):
     """Requested world count has the wrong parity for the family."""
 
 
-class BracketFailure(MiwError):
-    """No sign change found for the shooting parameter after expansion."""
-
-
 class ResidualFailure(MiwError):
     """Mirrored configuration violates the recursion beyond tolerance."""
 

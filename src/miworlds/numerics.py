@@ -160,11 +160,13 @@ def newton_bracketed(F, dF, y, lo, hi, spec: RootSpec = DEFAULT_ROOT) -> np.ndar
     become bisections.  An element is done after a step below ``x_tol``
     times the bracket's scale, or once |F(x) - y| <= ``f_tol`` * max(1, |y|),
     which ends it where F's rounding noise over a small F' exceeds x_tol.
+    A done element is held, so that it does not depend on its neighbours.
     """
     y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
     x_tol = spec.x_tol * np.maximum(np.abs(lo), np.abs(hi))
     f_tol = spec.f_tol * np.maximum(1.0, np.abs(y))
     x = 0.5 * (lo + hi)
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(spec.max_iter):
         r = F(x) - y
         fine = np.abs(r) <= f_tol
@@ -174,9 +176,11 @@ def newton_bracketed(F, dF, y, lo, hi, spec: RootSpec = DEFAULT_ROOT) -> np.ndar
             newton = x - r / dF(x)
         inside = (newton >= lo) & (newton <= hi)
         step = np.where(inside, newton, np.where(fine, x, 0.5 * (lo + hi)))
-        if np.all(fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)):
-            return step
-        x = step
+        stop = fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)
+        x = np.where(done, x, step)
+        done |= stop
+        if np.all(done):
+            return x
     raise NonConvergence(f"bracketed Newton did not converge in {spec.max_iter} steps")
 
 

@@ -1,31 +1,30 @@
-"""Shooting solver for the world-location recursions.
+"""Newton solver for the world-location recursions.
 
-Three families are supported: the ground recursion
-x_{n+1} = x_n - 1/(x_1+...+x_n), the Maxwell recursion
-x_{n+1}^3 = x_n^3 - 3/(1/x_1+...+1/x_n), and the general-baseline
-recursion B(x_{n+1}) = B(x_n) - 1/sum(x_i/b(x_i)).  The unique strictly
-decreasing zero-mean configuration is found by refining x_1 until the
-midpoint symmetry condition holds, then mirroring the first half.
+Every family runs the recursion B(x_{n+1}) = B(x_n) - lam / S_n with
+S_n = sum_{i<=n} x_i/b(x_i) and B' = b: the ground family has b = 1, the
+Maxwell family b = x^2 (so x_{n+1}^3 = x_n^3 - 3/(1/x_1+...+1/x_n) with
+lam = cube_factor/3) and the general family its baseline's polynomial.
+The strictly decreasing zero-mean configuration is mirrored, so only its
+positive half x_1 > ... > x_h, h = floor(N/2), is unknown.  It solves the
+h equations up to the midpoint by Newton, starting from the target
+quantiles, with a tridiagonal step; baselines with interior zeros fall
+back to starts that fill each nodal cell by its target mass.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from scipy.linalg import solve_banded
 
-from .errors import (
-    BracketFailure,
-    InvalidStart,
-    ParityUnsupported,
-    ResidualFailure,
-)
-from .targets import Baseline
+from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
+from .numerics import newton_bracketed
+from .targets import Baseline, ground_baseline, maxwell_square_baseline, normal_cdf, phi
 
 __all__ = [
     "GROUND",
@@ -47,26 +46,27 @@ GENERAL = "general"
 
 _RESIDUAL_TOL = 1e-9
 _ZERO_OF_B_TOL = 1e-8
-_INF = math.inf
-_EPS = sys.float_info.epsilon
-_NEWTON_MAX_ITER = 200
+_NEWTON_MAX_ITER = 100
+_MIN_STEP = 2.0 ** -40
+# max|G| within this many times B(x_1), its largest term, is rounding
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Deterministic counts of one solve, to explain a slow one.
+    """Newton counts of one solve, to explain a slow or failed one.
 
-    ``stop_reasons`` counts the stop reason of every shot, the final one
-    included; ``bracket_width`` is the width of the last x_1 bracket (0
-    when a shot hit the matching condition exactly).
+    ``residual_history`` is max|G| of the half-system at the start and after
+    each accepted step; ``backtracks`` counts step halvings.  ``start`` is
+    ``quantile``, ``nodal`` or ``nodal-shift``: the start that converged,
+    or the last one tried.
     """
 
-    shots: int
-    scan_rounds: int
-    refine_method: str
-    refine_iterations: int
-    stop_reasons: dict
-    bracket_width: float
+    iterations: int
+    residual_history: tuple
+    backtracks: int
+    start: str
+    starts_tried: int
 
 
 @dataclass(frozen=True)
@@ -85,197 +85,19 @@ class Configuration:
         return float(sum(x * x for x in self.points))
 
 
-# Shooting kernels.  Each returns shoot(x1, max_len) -> (xs, reason) and
-# runs the recursion of one family in a plain float loop.  They stop on the
-# same conditions, checked in the same order: a zero of b, a zero or
-# nonfinite partial sum, then a nonfinite or nondecreasing next point.
+# family -> (baseline, lam) of B(x_{n+1}) = B(x_n) - lam / S_n
+_FAMILIES = {
+    GROUND: lambda baseline, cube_factor: (ground_baseline(), 1.0),
+    MAXWELL: lambda baseline, cube_factor: (maxwell_square_baseline(), cube_factor / 3.0),
+    GENERAL: lambda baseline, cube_factor: (baseline, 1.0),
+}
 
 
-def _stop_reason(nxt: float) -> str:
-    return "nondecreasing" if math.isfinite(nxt) else "nonfinite"
-
-
-def _ground_kernel():
-    def shoot(x, max_len):
-        xs = [x]
-        append = xs.append
-        partial, inf = 0.0, _INF
-        for _ in range(1, max_len):
-            partial += x
-            if partial == 0.0 or not -inf < partial < inf:
-                return xs, "singular_partial_sum"
-            nxt = x - 1.0 / partial
-            if not -inf < nxt < x:
-                return xs, _stop_reason(nxt)
-            append(nxt)
-            x = nxt
-        return xs, "completed"
-
-    return shoot
-
-
-def _maxwell_kernel(cube_factor: float):
-    # np.cbrt, not the cheaper math.cbrt: they differ by up to 3 ulp on
-    # about half of all inputs, and numpy's is nearly always the nearer.
-    cbrt = np.cbrt
-
-    def shoot(x, max_len):
-        xs = [x]
-        append = xs.append
-        partial, inf = 0.0, _INF
-        for _ in range(1, max_len):
-            if x == 0.0:
-                return xs, "singular_partial_sum"
-            partial += 1.0 / x
-            if partial == 0.0 or not -inf < partial < inf:
-                return xs, "singular_partial_sum"
-            y = x ** 3 - cube_factor / partial
-            nxt = float(cbrt(y)) if y else 0.0
-            if not -inf < nxt < x:
-                return xs, _stop_reason(nxt)
-            append(nxt)
-            x = nxt
-        return xs, "completed"
-
-    return shoot
-
-
-def _horner(coef_high_first):
-    """Scalar Horner evaluation, bit-for-bit numpy's polyval order."""
-    lead, rest = coef_high_first[0], coef_high_first[1:]
-
-    def value(t):
-        v = lead
-        for c in rest:
-            v = v * t + c
-        return v
-
-    return value
-
-
-def _newton_inverse(B_poly):
-    """inverse(y, x, Bx, bx, w) -> t with B(t) = y, for B(x) = Bx, B'(x) = bx.
-
-    Returns x when y >= Bx.  Otherwise the bracket [x - w, x] widens by
-    doubling w (first the Newton step from x when w is None) until
-    B(x - w) <= y.  Inside it, Newton steps on B - y from the end nearer the
-    root; a step that leaves the bracket, or is longer than half the step
-    before last, becomes a bisection.  With s the larger of |x| and
-    |x - w|, a step shorter than 2 eps s is lengthened to it, so that a
-    converged iterate also closes the far side of the bracket.  The
-    iteration stops at a bracket width of 4 eps s and returns the end with
-    the smaller |B - y|.
-    """
-    coef = B_poly.coef[::-1].tolist()
-    lead, rest = coef[0], coef[1:]
-
-    def B_and_slope(t):
-        v, d = lead, 0.0
-        for c in rest:
-            d = d * t + v
-            v = v * t + c
-        return v, d
-
-    def inverse(y, x, Bx, bx, w):
-        if not y < Bx:
-            return x
-        hi, Bhi, dhi = x, Bx, bx
-        if w is None:
-            w = (Bx - y) / bx
-        lo = x - w
-        Blo, dlo = B_and_slope(lo)
-        while Blo > y:
-            hi, Bhi, dhi = lo, Blo, dlo
-            w *= 2.0
-            if w > 1e154:
-                return math.nan
-            lo = x - w
-            Blo, dlo = B_and_slope(lo)
-        if not Blo < y:
-            return lo
-        if Bhi - y < y - Blo:
-            t, Bt, slope = hi, Bhi, dhi
-        else:
-            t, Bt, slope = lo, Blo, dlo
-        f = Bt - y
-        step = hi - lo
-        half_tol = 2.0 * _EPS * max(abs(x), abs(lo))
-        for _ in range(_NEWTON_MAX_ITER):
-            if not hi - lo > 2.0 * half_tol:
-                break
-            before, step = step, (f / slope if slope > 0.0 else _INF)
-            if abs(step) < half_tol:
-                step = math.copysign(half_tol, f)
-            nt = t - step
-            if not lo < nt < hi or abs(step) > 0.5 * abs(before):
-                step = 0.5 * (hi - lo)
-                nt = lo + step
-                if not lo < nt < hi:
-                    break
-            Bt, slope = B_and_slope(nt)
-            t, f = nt, Bt - y
-            if f > 0.0:
-                hi, Bhi = t, Bt
-            elif f < 0.0:
-                lo, Blo = t, Bt
-            else:
-                return t
-        return hi if Bhi - y < y - Blo else lo
-
-    return inverse
-
-
-def _general_kernel(baseline: Baseline):
-    """B(x_{n+1}) = B(x_n) - 1/sum x_i/b(x_i), with B inverted in closed form
-    where the baseline has one, and by Newton on its exact polynomial B
-    otherwise (hermite-sq)."""
-    if baseline.eval_Binv_array is None and baseline.b_poly is not None:
-        b = _horner(baseline.b_poly.coef[::-1].tolist())
-        B_poly = baseline.b_poly.integ()
-        B = _horner(B_poly.coef[::-1].tolist())
-        inverse = _newton_inverse(B_poly)
-    else:
-        b, B, Binv = baseline.eval_b, baseline.eval_B, baseline.Binv
-
-        def inverse(y, x, Bx, bx, w):
-            return Binv(y)
-
-    zeros, tol = baseline.zeros_of_b, _ZERO_OF_B_TOL
-
-    def shoot(x, max_len):
-        xs = [x]
-        append = xs.append
-        partial, inf = 0.0, _INF
-        w = None
-        for _ in range(1, max_len):
-            for z in zeros:
-                if -tol < x - z < tol:
-                    return xs, "baseline_zero"
-            bx = float(b(x))
-            partial += x / bx
-            if partial == 0.0 or not -inf < partial < inf:
-                return xs, "singular_partial_sum"
-            Bx = B(x)
-            # the previous step length is the first guess of this one
-            nxt = float(inverse(Bx - 1.0 / partial, x, Bx, bx, w))
-            if not -inf < nxt < x:
-                return xs, _stop_reason(nxt)
-            append(nxt)
-            w = x - nxt
-            x = nxt
-        return xs, "completed"
-
-    return shoot
-
-
-def _kernel(family: str, baseline: Optional[Baseline], cube_factor: float):
-    if family == GROUND:
-        return _ground_kernel()
-    if family == MAXWELL:
-        return _maxwell_kernel(cube_factor)
-    if baseline is None:
-        raise ValueError("general family requires a baseline")
-    return _general_kernel(baseline)
+def _recursion(family: str, baseline: Optional[Baseline], cube_factor: float):
+    bl, lam = _FAMILIES[family](baseline, cube_factor)
+    if bl is None or bl.b_poly is None:
+        raise ValueError("general family requires a polynomial baseline")
+    return bl, lam
 
 
 def shoot_sequence(
@@ -285,7 +107,7 @@ def shoot_sequence(
     max_len: int,
     cube_factor: float = 3.0,
 ):
-    """Iterate the family recursion from x_1 = ``x1``.
+    """Iterate the family recursion forward from x_1 = ``x1``.
 
     Returns the emitted prefix and the reason iteration stopped:
     ``completed``, ``nondecreasing``, ``singular_partial_sum``,
@@ -293,66 +115,144 @@ def shoot_sequence(
     """
     if not (x1 > 0):
         raise InvalidStart(f"shooting start must be positive, got {x1}")
-    return _kernel(family, baseline, cube_factor)(float(x1), max_len)
+    bl, lam = _recursion(family, baseline, cube_factor)
+    x = float(x1)
+    xs, partial = [x], 0.0
+    while len(xs) < max_len:
+        if bl.near_zero_of_b(x, _ZERO_OF_B_TOL):
+            return xs, "baseline_zero"
+        partial += x / float(bl.b(x))
+        if partial == 0.0 or not math.isfinite(partial):
+            return xs, "singular_partial_sum"
+        nxt = float(bl.Binv(float(bl.B(x)) - lam / partial))
+        if not -math.inf < nxt < x:
+            return xs, "nondecreasing" if math.isfinite(nxt) else "nonfinite"
+        xs.append(nxt)
+        x = nxt
+    return xs, "completed"
 
 
-def _matching_defect(family, baseline, x1, n_worlds, cube_factor, reasons=None):
-    """Midpoint symmetry defect; -inf when the shot collapses early.
+def _half_residual(x, b, B, lam, tail):
+    """G of the half-system at x, with b(x) and the partial sums S."""
+    bx, Bx = b(x), B(x)
+    S = np.cumsum(x / bx)
+    return np.append(np.diff(Bx), -tail * Bx[-1]) + lam / S, bx, S
 
-    ``reasons``, a Counter, tallies the shot's stop reason.
+
+def _newton(x, b: Polynomial, lam: float, tail: float):
+    """Newton on the half-system from x until max|G| stops falling.
+
+    G_n = B(x_{n+1}) - B(x_n) + lam/S_n for n < h, and G_h = -tail B(x_h)
+    + lam/S_h with tail 2 for even N (x_{h+1} = -x_h) and 1 for odd N
+    (x_{h+1} = 0).  With y_n = sum_{i<=n} q'(x_i) d_i for q = x/b as
+    auxiliary unknowns interleaved with the steps d_n, the Jacobian is
+    tridiagonal.  A step is halved until the points stay strictly
+    decreasing and positive with a finite G that, before convergence, has
+    a smaller max|G|.  Converged means max|G| <= 1e-9, or at the rounding
+    floor of G's terms where that is larger.  Returns the last point, the
+    max|G| history, the number of halvings and whether it converged.
     """
-    half = n_worlds // 2
-    length = half + 1
-    xs, reason = shoot_sequence(family, baseline, x1, length, cube_factor)
-    if reasons is not None:
-        reasons[reason] += 1
-    if len(xs) < length:
-        return -math.inf
-    if n_worlds % 2 == 0:
-        return xs[half] + xs[half - 1]
-    return xs[half]
+    B, db = b.integ(), b.deriv()
+    ab = np.zeros((3, 2 * x.size))
+    ab[0, 1::2] = 1.0
+    ab[2, 1:-1:2] = -1.0
+    rhs = np.zeros(2 * x.size)
+    with np.errstate(all="ignore"):
+        G, bx, S = _half_residual(x, b, B, lam, tail)
+    history, backtracks = [float(np.max(np.abs(G)))], 0
 
+    def converged():
+        return history[-1] <= max(_RESIDUAL_TOL, _ROUNDING * float(B(x[0])))
 
-def _requires_even(family: str, baseline: Optional[Baseline]) -> bool:
-    if family == MAXWELL:
-        return True
-    if family == GENERAL and baseline is not None:
-        return baseline.near_zero_of_b(0.0, 1e-12)
-    return False
-
-
-def _refine(defect, a, fa, b, fb, illinois):
-    """Shrink a sign-changing bracket of ``defect`` down to adjacent floats.
-
-    Bisection, or with ``illinois`` the Illinois regula falsi: an end that
-    stays put twice in a row has its defect halved.  Illinois still bisects
-    while an end's defect is infinite (a collapsed shot), and after 64
-    steps, which bounds the count where the defect is noisy.
-    """
-    steps = side = 0
-    while steps < 200:
-        c = 0.5 * (a + b)
-        if illinois and steps < 64 and not (math.isinf(fa) or math.isinf(fb)):
-            secant = b - fb * ((b - a) / (fb - fa))
-            if a < secant < b:
-                c = secant
-        if not a < c < b:
+    while math.isfinite(history[-1]) and len(history) <= _NEWTON_MAX_ITER:
+        ab[1, 0::2] = (x * db(x) - bx) / (bx * bx)
+        ab[1, 1::2] = -lam / (S * S)
+        ab[0, 2::2] = bx[1:]
+        ab[2, 0::2] = -bx
+        ab[2, -2] *= tail
+        rhs[1::2] = -G
+        try:
+            step = solve_banded((1, 1), ab, rhs)[0::2]
+        except (np.linalg.LinAlgError, ValueError):
             break
-        fc = defect(c)
-        steps += 1
-        if fc == 0.0:
-            return c, c, steps
-        if (fc < 0) == (fa < 0):
-            a, fa = c, fc
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = c, fc
-            if side == 1:
-                fa *= 0.5
-            side = 1
-    return a, b, steps
+        # A converged iterate is not damped, and steps on only while that
+        # halves max|G|: below that, its steps chase rounding.
+        done = converged()
+        t = 1.0
+        while t >= _MIN_STEP:
+            new = x + t * step
+            if new[-1] > 0.0 and np.all(new[1:] < new[:-1]):
+                with np.errstate(all="ignore"):
+                    trial = _half_residual(new, b, B, lam, tail)
+                worst = float(np.max(np.abs(trial[0])))
+                if worst < history[-1] or done:
+                    break
+            t *= 0.5
+            backtracks += 1
+        if not (t >= _MIN_STEP and worst < history[-1] * (0.5 if done else 1.0)):
+            break
+        x, (G, bx, S) = new, trial
+        history.append(worst)
+    return x, history, backtracks, converged()
+
+
+def _target_cdf(b: Polynomial):
+    """CDF and density of the target b phi / m, m = E b(Z), exactly.
+
+    b = m + Q' - xQ for the odd polynomial Q found by back-substitution
+    from the top degree, ((n+1) Q_{n+1} - Q_{n-1} is coefficient n of b
+    for n >= 1), so that (Q phi)' = (b - m) phi and F = Phi + Q phi / m.
+    """
+    c = b.coef
+    Q = np.zeros(c.size + 1)
+    for n in range(c.size - 1, 0, -1):
+        Q[n - 1] = (n + 1) * Q[n + 1] - c[n]
+    m = c[0] - Q[1]
+    Q = Polynomial(Q[: max(c.size - 1, 1)])
+    return (lambda t: normal_cdf(t) + Q(t) * phi(t) / m,
+            lambda t: b(t) * phi(t) / m)
+
+
+def _starts(b: Polynomial, zeros_of_b, n_worlds: int):
+    """Yield (name, x_1 > ... > x_h) starts for Newton.
+
+    First the target quantiles at (n - 1/2)/N.  For baselines with zeros
+    z_1 < ... < z_m on the positive axis, then the nodal start: each nodal
+    cell of b holds round(N P(cell)) worlds, the central one the rest, at
+    the cell's conditional quantiles; then every start that moves one
+    mirrored pair of its worlds to a neighbouring cell.  Points are placed
+    on the negative axis, where F has no cancellation, and negated.
+    """
+    F, dF = _target_cdf(b)
+    h = n_worlds // 2
+    u = (np.arange(1, h + 1) - 0.5) / n_worlds
+    L = 2.0
+    while F(-L) > u[0]:
+        L *= 2.0
+    yield "quantile", -newton_bracketed(F, dF, u, -L, 0.0)
+
+    zeros = sorted(z for z in zeros_of_b if z > 1e-12)
+    if not zeros:
+        return
+    edges = np.array([-L] + [-z for z in reversed(zeros)] + [0.0])
+    Fe = np.append(F(edges[:-1]), 0.5)
+    mass = np.diff(Fe)
+    base = np.rint(n_worlds * mass).astype(int)
+    base[-1] = h - base[:-1].sum()
+    move = np.eye(base.size, dtype=int)
+    occupancies = [("nodal", base)] + [
+        ("nodal-shift", base - move[j] + move[j + d])
+        for j in range(base.size) for d in (-1, 1) if 0 <= j + d < base.size
+    ]
+    for name, counts in occupancies:
+        if np.any(counts < 0):
+            continue
+        # for odd N the world at 0 takes half a slot on each side of the central cell
+        slots = counts + np.append(np.zeros(counts.size - 1), 0.5 * (n_worlds % 2))
+        cell = np.repeat(np.arange(counts.size), counts)
+        rank = np.arange(h) - np.repeat(np.cumsum(counts) - counts, counts)
+        target = Fe[cell] + (rank + 0.5) / slots[cell] * mass[cell]
+        yield name, -newton_bracketed(F, dF, target, edges[cell], edges[cell + 1])
 
 
 def recursion_residual(
@@ -394,99 +294,46 @@ def solve_configuration(
     cube_factor: float = 3.0,
     residual_tol: float = _RESIDUAL_TOL,
 ) -> Configuration:
-    """Solve for the unique strictly decreasing zero-mean configuration."""
+    """Solve for the strictly decreasing zero-mean configuration.
+
+    Raises :class:`NonConvergence` when Newton converges from no start and
+    :class:`ResidualFailure` when the mirrored configuration misses the
+    recursion by more than ``residual_tol``; either carries the
+    :class:`SolveStats` as ``exc.stats``.
+    """
     if n_worlds < 2:
         raise ValueError("need at least two worlds")
-    if _requires_even(family, baseline) and n_worlds % 2 == 1:
+    bl, lam = _recursion(family, baseline, cube_factor)
+    if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
         raise ParityUnsupported(
             f"family {family!r} needs an even world count, got {n_worlds}"
         )
-    reasons = Counter()
-    rounds, method, steps, a, b = 0, "none", 0, 0.0, math.inf
-
-    def defect(x1):
-        return _matching_defect(family, baseline, x1, n_worlds, cube_factor, reasons)
-
-    def stats():
-        return SolveStats(
-            shots=sum(reasons.values()),
-            scan_rounds=rounds,
-            refine_method=method,
-            refine_iterations=steps,
-            stop_reasons=dict(sorted(reasons.items())),
-            bracket_width=b - a,
-        )
 
     def failure(exc):
-        # a failed solve keeps its counts; no bracket reads as infinite width
-        exc.stats = stats()
+        exc.stats = stats
         return exc
 
-    scale = math.sqrt(math.log(n_worlds) + 1.0)
-    lo, hi = 0.5 * scale, 2.0 * scale
-
-    # Rightmost crossing: baselines with interior zeros admit spurious
-    # squeezed solutions at smaller x1; the spread solution is the one whose
-    # empirical law tracks the target density.  Probes are shot from the
-    # right, so none left of that crossing is shot.
-    bracket = None
-    for rounds in range(1, 12):
-        probes = np.geomspace(lo, hi, 33).tolist()
-        fb = defect(probes[-1])
-        for i in range(len(probes) - 2, -1, -1):
-            if fb == 0.0:
-                bracket = (probes[i + 1], fb, probes[i + 1], fb)
-                break
-            fa = defect(probes[i])
-            if fa == 0.0:
-                bracket = (probes[i], fa, probes[i], fa)
-                break
-            if (fa < 0) != (fb < 0):
-                bracket = (probes[i], fa, probes[i + 1], fb)
-                break
-            fb = fa
-        if bracket is not None:
+    # float coefficients: high orders of hermite-sq carry exact integers
+    b = Polynomial(np.asarray(bl.b_poly.coef, dtype=float))
+    tail = 2.0 if n_worlds % 2 == 0 else 1.0
+    for tried, (start, x0) in enumerate(_starts(b, bl.zeros_of_b, n_worlds), start=1):
+        first, history, backtracks, converged = _newton(x0, b, lam, tail)
+        stats = SolveStats(len(history) - 1, tuple(history), backtracks, start, tried)
+        if converged:
             break
-        lo /= 2.0
-        hi *= 2.0
-        if hi > 10.0 * scale * 2 ** 10:
-            break
-    if bracket is None:
-        raise failure(BracketFailure(
-            f"no sign change for x1 in (0, {hi:g}] ({family}, N={n_worlds})"
-        ))
-
-    a, fa, b, fb = bracket
-    if a == b:
-        x1 = a
     else:
-        # Illinois needs a bracket with a single sign change.  Baselines
-        # with zeros away from 0 put many in the scan bracket, where it
-        # converges to a different valid configuration than bisection.
-        single_root = family != GENERAL or all(z == 0.0 for z in baseline.zeros_of_b)
-        method = "illinois" if single_root else "bisection"
-        a, b, steps = _refine(defect, a, fa, b, fb, single_root)
-        x1 = 0.5 * (a + b)
-
-    half = n_worlds // 2
-    xs, reason = shoot_sequence(family, baseline, x1, half + 1, cube_factor)
-    reasons[reason] += 1
-    if len(xs) < half + 1:
-        raise failure(ResidualFailure(
-            f"solved shot collapsed after {len(xs)} points ({reason})"
+        raise failure(NonConvergence(
+            f"Newton converged from none of {tried} starts ({family}, N={n_worlds})"
         ))
-    first = xs[:half]
-    if first[-1] <= 0.0:
-        raise failure(ResidualFailure("positive half of the configuration crossed zero"))
+
+    first = first.tolist()
     mirrored = [-v for v in reversed(first)]
     points = first + mirrored if n_worlds % 2 == 0 else first + [0.0] + mirrored
-
-    if family == GENERAL:
-        for x in points:
-            if baseline.near_zero_of_b(x, _ZERO_OF_B_TOL):
-                raise failure(ResidualFailure(
-                    f"world location {x:g} lands on a zero of the baseline"
-                ))
+    for x in first:
+        if bl.near_zero_of_b(x, _ZERO_OF_B_TOL):
+            raise failure(ResidualFailure(
+                f"world location {x:g} lands on a zero of the baseline"
+            ))
 
     residual = recursion_residual(family, points, baseline, cube_factor)
     if residual > residual_tol:
@@ -511,9 +358,9 @@ def solve_configuration(
         family=family,
         n_worlds=n_worlds,
         points=tuple(points),
-        shoot_param=x1,
+        shoot_param=points[0],
         residuals=residuals,
-        stats=stats(),
+        stats=stats,
     )
 
 
@@ -528,7 +375,7 @@ def validate_properties(
     report = {
         "p1_zero_mean_defect": abs(sum(pts)),
         "p2_variance_defect": (
-            abs(sum(x * x for x in pts) - 3.0 * (n - 1))
+            abs(sum(x * x for x in pts) - cube_factor * (n - 1))
             if cfg.family == MAXWELL
             else None
         ),

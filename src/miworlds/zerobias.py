@@ -147,7 +147,7 @@ class PiecewiseDensity:
             i = max(0, min(bisect_left(cum, u) - 1, len(cs) - 1))
             if u >= cum[i + 1]:
                 return float(xs[i + 1])
-            return float(self.baseline.Binv(Bx[i] + (u - cum[i]) / cs[i]))
+            return float(self.baseline.Binv_within(Bx[i] + (u - cum[i]) / cs[i], xs[i], xs[i + 1]))
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("quantile argument must lie in (0, 1]")

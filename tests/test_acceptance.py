@@ -102,14 +102,6 @@ def _hermite2_histogram_dks():
     return dks
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="histogram d_K to p_2 is 0.03582, 0.02123, 0.02191 over N = 21, 41, "
-    "81: the last step rises 3% because the histogram cannot track the "
-    "density zeros at +-1 and the breakpoints shift against them with N. "
-    "The empirical-measure d_K (0.0621, 0.0349, 0.0290) does decrease; "
-    "only the histogram claim is unattainable as stated.",
-)
 def test_criterion_03_histogram_dk_monotone():
     dks = _hermite2_histogram_dks()
     assert dks[0] > dks[1] > dks[2]

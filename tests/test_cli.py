@@ -2,6 +2,9 @@ import csv
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,7 +147,6 @@ _EXIT_CODES = {
     errors.OutOfRange: 2,
     errors.KernelSingularity: 2,
     errors.InvalidStart: 2,
-    errors.BracketFailure: 2,
     errors.ResidualFailure: 2,
     errors.NotDecreasing: 2,
     errors.BaselineZero: 2,
@@ -283,3 +285,16 @@ def test_rates_writes_csv_and_json(capsys):
     assert all(list(rec) == rows[0] for rec in payload["rows"])
     assert rows[1:] == [[_cell(v) for v in rec.values()] for rec in payload["rows"]]
     assert {k: float(v) for k, v in comments["fit"].items()} == payload["fit"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about a third of a second to every CLI start-up
+    import miworlds
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(miworlds.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, miworlds.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

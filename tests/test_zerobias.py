@@ -251,3 +251,14 @@ def test_density_tables_match_the_per_call_formulas():
         assert np.max(np.abs(d.cdf(q) - us)) <= 1e-13
     with pytest.raises(ValueError):
         d.quantile(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("k, n", [(2, 41), (3, 40), (4, 30)])
+def test_scalar_and_array_quantiles_agree_near_zeros_of_b(k, n):
+    # both paths invert B on the cell by Baseline.Binv_within; B is flat at
+    # the zeros of b, where two different inverses part most
+    bl = hermite_square_baseline(k)
+    d = gzb_density(bl, solve_configuration(GENERAL, n, baseline=bl).points)
+    xs = np.concatenate([z + np.linspace(-0.05, 0.05, 41) for z in bl.zeros_of_b])
+    us = d.cdf(xs)
+    assert np.array_equal(d.quantile(us), [d.quantile(float(u)) for u in us])
