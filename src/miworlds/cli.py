@@ -33,7 +33,6 @@ from .targets import (
     hermite_square_baseline,
     maxwell_square_baseline,
     monomial_baseline,
-    pdf_pk,
     phi,
 )
 from .zerobias import coupling_expectations, fixed_point_defect, gzb_density, histogram_density
@@ -109,25 +108,22 @@ def _write(text: str, path: Optional[str]) -> int:
 
 
 def _resolve_family(args):
-    """(solver family, baseline or None, target pdf callable, label)."""
+    """(solver family, baseline) of the --family options."""
     fam = args.family
     if fam == "ground":
-        return GROUND, None, lambda x: float(phi(x)), "ground"
+        return GROUND, ground_baseline()
     if fam == "maxwell":
         if args.n is not None and args.n % 2 == 1:
             raise MiwValidation("maxwell requires an even --n")
-        return MAXWELL, None, lambda x: float(pdf_pk(1, x)), "maxwell"
+        return MAXWELL, maxwell_square_baseline()
     if fam == "hermite-sq":
         if args.k is None:
             raise MiwValidation("hermite-sq requires --k")
-        bl = hermite_square_baseline(args.k)
-        k = args.k
-        return GENERAL, bl, lambda x: float(pdf_pk(k, x)), f"hermite-sq(k={k})"
+        return GENERAL, hermite_square_baseline(args.k)
     if fam == "monomial":
         if args.r is None or args.r < 0 or args.r % 2 == 1:
             raise MiwValidation("monomial requires an even nonnegative --r")
-        bl = monomial_baseline(args.r).normalized()
-        return GENERAL, bl, lambda x: float(bl.b(x) * phi(x)), f"monomial(r={args.r})"
+        return GENERAL, monomial_baseline(args.r).normalized()
     raise MiwValidation(f"unknown family {fam!r}")
 
 
@@ -140,12 +136,13 @@ def _require_n(args) -> int:
 
 
 def _solve(args):
-    fam, bl, _, _ = _resolve_family(args)
-    return solve_configuration(fam, _require_n(args), baseline=bl)
+    """(baseline, solved configuration) of the --family and --n options."""
+    fam, bl = _resolve_family(args)
+    return bl, solve_configuration(fam, _require_n(args), baseline=bl)
 
 
 def _cmd_solve(args) -> int:
-    cfg = _solve(args)
+    cfg = _solve(args)[1]
     if args.out_format == "json":
         return _write(configuration_to_json(cfg) + "\n", args.out_path) and 0
     rows = [("n", "x")] + [(i, x) for i, x in enumerate(cfg.points, start=1)]
@@ -154,17 +151,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fam, bl, _, _ = _resolve_family(args)
-    cfg = solve_configuration(fam, _require_n(args), baseline=bl)
+    bl, cfg = _solve(args)
     report = validate_properties(cfg, baseline=bl)
     return export(report, args.out_format, args.out_path) and 0
 
 
 def _cmd_energy(args) -> int:
-    fam, bl, _, _ = _resolve_family(args)
-    cfg = solve_configuration(fam, _require_n(args), baseline=bl)
-    if bl is None:
-        bl = ground_baseline() if fam == GROUND else maxwell_square_baseline()
+    bl, cfg = _solve(args)
     rep = certify_minimizer(bl, cfg.points)
     payload = {"family": args.family, "N": cfg.n_worlds}
     payload.update(rep.to_dict())
@@ -172,8 +165,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    fam, bl, target_pdf, _ = _resolve_family(args)
-    cfg = solve_configuration(fam, _require_n(args), baseline=bl)
+    bl, cfg = _solve(args)
     hist = histogram_density(cfg.points)
     rows = [("kind", "x0", "x1", "value")]
     for left, right, coeff, mass in hist.to_csv_rows():
@@ -182,15 +174,12 @@ def _cmd_density(args) -> int:
     lo = cfg.points[-1] - 0.05 * span
     hi = cfg.points[0] + 0.05 * span
     for x in np.linspace(lo, hi, 400):
-        rows.append(("target", float(x), float(x), target_pdf(float(x))))
+        rows.append(("target", float(x), float(x), float(bl.b(x) * phi(x))))
     return export(rows, args.out_format, args.out_path) and 0
 
 
 def _cmd_coupling(args) -> int:
-    fam, bl, _, _ = _resolve_family(args)
-    cfg = solve_configuration(fam, _require_n(args), baseline=bl)
-    if bl is None:
-        bl = ground_baseline() if fam == GROUND else maxwell_square_baseline()
+    bl, cfg = _solve(args)
     density = gzb_density(bl, cfg.points)
     rep = coupling_expectations(cfg.points, density)
     payload = {"family": args.family, "N": cfg.n_worlds}

@@ -8,9 +8,10 @@ a Cauchy-Schwarz lower bound that is attained at the solved minimizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import BaselineZero, NotDecreasing
 from .targets import Baseline
@@ -45,23 +46,19 @@ def potential_V(points: Sequence[float]) -> float:
 
 def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:
     """Interworld potential from reciprocal cumulative-baseline gaps."""
-    n = len(points)
-    for i in range(n - 1):
-        if points[i + 1] >= points[i]:
-            raise NotDecreasing(f"points not strictly decreasing at index {i}")
-    bvals = [float(baseline.b(x)) for x in points]
-    if any(b <= 0.0 for b in bvals):
+    x = np.asarray(points, dtype=float)
+    rising = np.flatnonzero(x[1:] >= x[:-1])
+    if rising.size:
+        raise NotDecreasing(f"points not strictly decreasing at index {rising[0]}")
+    b = baseline.b(x)
+    if np.any(b <= 0.0):
         raise BaselineZero("baseline vanishes at a world location")
-    Bvals = [float(baseline.B(x)) for x in points]
-    # reciprocal of the gap below world n (B(x_{n+1}) - B(x_n)), zero at the
-    # boundary since B(x_0) = +inf and B(x_{N+1}) = -inf
-    recip_below = [1.0 / (Bvals[i + 1] - Bvals[i]) for i in range(n - 1)] + [0.0]
-    recip_above = [0.0] + [1.0 / (Bvals[i] - Bvals[i - 1]) for i in range(1, n)]
-    total = 0.0
-    for i in range(n):
-        d = recip_below[i] - recip_above[i]
-        total += d * d * bvals[i] * bvals[i]
-    return total
+    # reciprocal of the gap below world n (B(x_{n+1}) - B(x_n)) less that of
+    # the gap above it, each zero at the boundary since B(x_0) = +inf and
+    # B(x_{N+1}) = -inf
+    recip = 1.0 / np.diff(baseline.B(x))
+    d = np.append(recip, 0.0) - np.insert(recip, 0, 0.0)
+    return float(np.sum(d * d * b * b))
 
 
 _BOUND_CONSTANTS = {

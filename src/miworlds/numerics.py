@@ -1,13 +1,12 @@
 """Foundational numerics.
 
-Adaptive quadrature, bracketed root finding, scalar and array monotone
-inversion and sign-preserving cube roots.  Everything here is a pure
-function of its arguments and safe for concurrent use.
+Adaptive quadrature, bracketed root finding and scalar and array
+monotone inversion.  Everything here is a pure function of its arguments
+and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +24,6 @@ __all__ = [
     "find_root",
     "invert_monotone",
     "newton_bracketed",
-    "signed_cbrt",
 ]
 
 _EPS = np.finfo(float).eps
@@ -182,12 +180,3 @@ def newton_bracketed(F, dF, y, lo, hi, spec: RootSpec = DEFAULT_ROOT) -> np.ndar
         if np.all(done):
             return x
     raise NonConvergence(f"bracketed Newton did not converge in {spec.max_iter} steps")
-
-
-def signed_cbrt(y: float) -> float:
-    """Sign-preserving cube root, exact at zero."""
-    if y == 0.0:
-        return 0.0
-    if math.isinf(y):
-        return y
-    return float(np.cbrt(y))

@@ -1,9 +1,10 @@
 """Newton solver for the world-location recursions.
 
-Every family runs the recursion B(x_{n+1}) = B(x_n) - lam / S_n with
+Every family runs the recursion B(x_{n+1}) = B(x_n) - 1 / S_n with
 S_n = sum_{i<=n} x_i/b(x_i) and B' = b: the ground family has b = 1, the
-Maxwell family b = x^2 (so x_{n+1}^3 = x_n^3 - 3/(1/x_1+...+1/x_n) with
-lam = cube_factor/3) and the general family its baseline's polynomial.
+Maxwell family b = x^2 (so x_{n+1}^3 = x_n^3 - 3/(1/x_1+...+1/x_n)) and
+the general family its baseline's polynomial.  Scaling b leaves the
+recursion unchanged.
 The strictly decreasing zero-mean configuration is mirrored, so only its
 positive half x_1 > ... > x_h, h = floor(N/2), is unknown.  It solves the
 h equations up to the midpoint by Newton, starting from the target
@@ -85,19 +86,16 @@ class Configuration:
         return float(sum(x * x for x in self.points))
 
 
-# family -> (baseline, lam) of B(x_{n+1}) = B(x_n) - lam / S_n
-_FAMILIES = {
-    GROUND: lambda baseline, cube_factor: (ground_baseline(), 1.0),
-    MAXWELL: lambda baseline, cube_factor: (maxwell_square_baseline(), cube_factor / 3.0),
-    GENERAL: lambda baseline, cube_factor: (baseline, 1.0),
-}
+_BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
 
 
-def _recursion(family: str, baseline: Optional[Baseline], cube_factor: float):
-    bl, lam = _FAMILIES[family](baseline, cube_factor)
-    if bl is None or bl.b_poly is None:
-        raise ValueError("general family requires a polynomial baseline")
-    return bl, lam
+def _baseline(family: str, baseline: Optional[Baseline]) -> Baseline:
+    """The family's own baseline, or for the general family the given one."""
+    if family != GENERAL:
+        return _BASELINES[family]()
+    if baseline is None:
+        raise ValueError("general family requires a baseline")
+    return baseline
 
 
 def shoot_sequence(
@@ -105,7 +103,6 @@ def shoot_sequence(
     baseline: Optional[Baseline],
     x1: float,
     max_len: int,
-    cube_factor: float = 3.0,
 ):
     """Iterate the family recursion forward from x_1 = ``x1``.
 
@@ -115,7 +112,7 @@ def shoot_sequence(
     """
     if not (x1 > 0):
         raise InvalidStart(f"shooting start must be positive, got {x1}")
-    bl, lam = _recursion(family, baseline, cube_factor)
+    bl = _baseline(family, baseline)
     x = float(x1)
     xs, partial = [x], 0.0
     while len(xs) < max_len:
@@ -124,7 +121,7 @@ def shoot_sequence(
         partial += x / float(bl.b(x))
         if partial == 0.0 or not math.isfinite(partial):
             return xs, "singular_partial_sum"
-        nxt = float(bl.Binv(float(bl.B(x)) - lam / partial))
+        nxt = bl.Binv(float(bl.B(x)) - 1.0 / partial)
         if not -math.inf < nxt < x:
             return xs, "nondecreasing" if math.isfinite(nxt) else "nonfinite"
         xs.append(nxt)
@@ -132,18 +129,18 @@ def shoot_sequence(
     return xs, "completed"
 
 
-def _half_residual(x, b, B, lam, tail):
+def _half_residual(x, bl: Baseline, tail):
     """G of the half-system at x, with b(x) and the partial sums S."""
-    bx, Bx = b(x), B(x)
+    bx, Bx = bl.b(x), bl.B(x)
     S = np.cumsum(x / bx)
-    return np.append(np.diff(Bx), -tail * Bx[-1]) + lam / S, bx, S
+    return np.append(np.diff(Bx), -tail * Bx[-1]) + 1.0 / S, bx, S
 
 
-def _newton(x, b: Polynomial, lam: float, tail: float):
+def _newton(x, bl: Baseline, tail: float):
     """Newton on the half-system from x until max|G| stops falling.
 
-    G_n = B(x_{n+1}) - B(x_n) + lam/S_n for n < h, and G_h = -tail B(x_h)
-    + lam/S_h with tail 2 for even N (x_{h+1} = -x_h) and 1 for odd N
+    G_n = B(x_{n+1}) - B(x_n) + 1/S_n for n < h, and G_h = -tail B(x_h)
+    + 1/S_h with tail 2 for even N (x_{h+1} = -x_h) and 1 for odd N
     (x_{h+1} = 0).  With y_n = sum_{i<=n} q'(x_i) d_i for q = x/b as
     auxiliary unknowns interleaved with the steps d_n, the Jacobian is
     tridiagonal.  A step is halved until the points stay strictly
@@ -152,21 +149,20 @@ def _newton(x, b: Polynomial, lam: float, tail: float):
     floor of G's terms where that is larger.  Returns the last point, the
     max|G| history, the number of halvings and whether it converged.
     """
-    B, db = b.integ(), b.deriv()
     ab = np.zeros((3, 2 * x.size))
     ab[0, 1::2] = 1.0
     ab[2, 1:-1:2] = -1.0
     rhs = np.zeros(2 * x.size)
     with np.errstate(all="ignore"):
-        G, bx, S = _half_residual(x, b, B, lam, tail)
+        G, bx, S = _half_residual(x, bl, tail)
     history, backtracks = [float(np.max(np.abs(G)))], 0
 
     def converged():
-        return history[-1] <= max(_RESIDUAL_TOL, _ROUNDING * float(B(x[0])))
+        return history[-1] <= max(_RESIDUAL_TOL, _ROUNDING * float(bl.B(x[0])))
 
     while math.isfinite(history[-1]) and len(history) <= _NEWTON_MAX_ITER:
-        ab[1, 0::2] = (x * db(x) - bx) / (bx * bx)
-        ab[1, 1::2] = -lam / (S * S)
+        ab[1, 0::2] = (x * bl.db(x) - bx) / (bx * bx)
+        ab[1, 1::2] = -1.0 / (S * S)
         ab[0, 2::2] = bx[1:]
         ab[2, 0::2] = -bx
         ab[2, -2] *= tail
@@ -183,7 +179,7 @@ def _newton(x, b: Polynomial, lam: float, tail: float):
             new = x + t * step
             if new[-1] > 0.0 and np.all(new[1:] < new[:-1]):
                 with np.errstate(all="ignore"):
-                    trial = _half_residual(new, b, B, lam, tail)
+                    trial = _half_residual(new, bl, tail)
                 worst = float(np.max(np.abs(trial[0])))
                 if worst < history[-1] or done:
                     break
@@ -196,24 +192,24 @@ def _newton(x, b: Polynomial, lam: float, tail: float):
     return x, history, backtracks, converged()
 
 
-def _target_cdf(b: Polynomial):
+def _target_cdf(bl: Baseline):
     """CDF and density of the target b phi / m, m = E b(Z), exactly.
 
     b = m + Q' - xQ for the odd polynomial Q found by back-substitution
     from the top degree, ((n+1) Q_{n+1} - Q_{n-1} is coefficient n of b
     for n >= 1), so that (Q phi)' = (b - m) phi and F = Phi + Q phi / m.
     """
-    c = b.coef
+    c = bl.b_poly.coef
     Q = np.zeros(c.size + 1)
     for n in range(c.size - 1, 0, -1):
         Q[n - 1] = (n + 1) * Q[n + 1] - c[n]
     m = c[0] - Q[1]
     Q = Polynomial(Q[: max(c.size - 1, 1)])
     return (lambda t: normal_cdf(t) + Q(t) * phi(t) / m,
-            lambda t: b(t) * phi(t) / m)
+            lambda t: bl.b(t) * phi(t) / m)
 
 
-def _starts(b: Polynomial, zeros_of_b, n_worlds: int):
+def _starts(bl: Baseline, n_worlds: int):
     """Yield (name, x_1 > ... > x_h) starts for Newton.
 
     First the target quantiles at (n - 1/2)/N.  For baselines with zeros
@@ -223,7 +219,7 @@ def _starts(b: Polynomial, zeros_of_b, n_worlds: int):
     mirrored pair of its worlds to a neighbouring cell.  Points are placed
     on the negative axis, where F has no cancellation, and negated.
     """
-    F, dF = _target_cdf(b)
+    F, dF = _target_cdf(bl)
     h = n_worlds // 2
     u = (np.arange(1, h + 1) - 0.5) / n_worlds
     L = 2.0
@@ -231,7 +227,7 @@ def _starts(b: Polynomial, zeros_of_b, n_worlds: int):
         L *= 2.0
     yield "quantile", -newton_bracketed(F, dF, u, -L, 0.0)
 
-    zeros = sorted(z for z in zeros_of_b if z > 1e-12)
+    zeros = sorted(z for z in bl.zeros_of_b if z > 1e-12)
     if not zeros:
         return
     edges = np.array([-L] + [-z for z in reversed(zeros)] + [0.0])
@@ -259,7 +255,6 @@ def recursion_residual(
     family: str,
     points: Sequence[float],
     baseline: Optional[Baseline] = None,
-    cube_factor: float = 3.0,
 ) -> float:
     """Max defect of the defining recursion over the full sequence."""
     x = np.asarray(points, dtype=float)
@@ -282,7 +277,7 @@ def recursion_residual(
             jump = Bx[1:] - Bx[:-1]
         if np.any(partial == 0.0):
             return math.inf
-        drop = (cube_factor if family == MAXWELL else 1.0) / partial
+        drop = (3.0 if family == MAXWELL else 1.0) / partial
         worst = float(np.max(np.abs(jump + drop)))
     return worst if math.isfinite(worst) else math.inf
 
@@ -291,7 +286,6 @@ def solve_configuration(
     family: str,
     n_worlds: int,
     baseline: Optional[Baseline] = None,
-    cube_factor: float = 3.0,
     residual_tol: float = _RESIDUAL_TOL,
 ) -> Configuration:
     """Solve for the strictly decreasing zero-mean configuration.
@@ -303,7 +297,7 @@ def solve_configuration(
     """
     if n_worlds < 2:
         raise ValueError("need at least two worlds")
-    bl, lam = _recursion(family, baseline, cube_factor)
+    bl = _baseline(family, baseline)
     if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
         raise ParityUnsupported(
             f"family {family!r} needs an even world count, got {n_worlds}"
@@ -313,11 +307,9 @@ def solve_configuration(
         exc.stats = stats
         return exc
 
-    # float coefficients: high orders of hermite-sq carry exact integers
-    b = Polynomial(np.asarray(bl.b_poly.coef, dtype=float))
     tail = 2.0 if n_worlds % 2 == 0 else 1.0
-    for tried, (start, x0) in enumerate(_starts(b, bl.zeros_of_b, n_worlds), start=1):
-        first, history, backtracks, converged = _newton(x0, b, lam, tail)
+    for tried, (start, x0) in enumerate(_starts(bl, n_worlds), start=1):
+        first, history, backtracks, converged = _newton(x0, bl, tail)
         stats = SolveStats(len(history) - 1, tuple(history), backtracks, start, tried)
         if converged:
             break
@@ -335,7 +327,7 @@ def solve_configuration(
                 f"world location {x:g} lands on a zero of the baseline"
             ))
 
-    residual = recursion_residual(family, points, baseline, cube_factor)
+    residual = recursion_residual(family, points, baseline)
     if residual > residual_tol:
         raise failure(ResidualFailure(
             f"recursion defect {residual:.3e} exceeds {residual_tol:g} "
@@ -352,7 +344,7 @@ def solve_configuration(
     }
     if family == MAXWELL:
         residuals["variance_defect"] = abs(
-            sum(x * x for x in points) - cube_factor * (n_worlds - 1)
+            sum(x * x for x in points) - 3.0 * (n_worlds - 1)
         )
     return Configuration(
         family=family,
@@ -367,7 +359,6 @@ def solve_configuration(
 def validate_properties(
     cfg: Configuration,
     baseline: Optional[Baseline] = None,
-    cube_factor: float = 3.0,
 ) -> dict:
     """Report the four structural defects plus growth diagnostics."""
     pts = cfg.points
@@ -375,7 +366,7 @@ def validate_properties(
     report = {
         "p1_zero_mean_defect": abs(sum(pts)),
         "p2_variance_defect": (
-            abs(sum(x * x for x in pts) - cube_factor * (n - 1))
+            abs(sum(x * x for x in pts) - 3.0 * (n - 1))
             if cfg.family == MAXWELL
             else None
         ),
@@ -384,9 +375,7 @@ def validate_properties(
             (pts[i + 1] - pts[i] for i in range(n - 1)), default=-math.inf
         )
         > 0,
-        "recursion_residual": recursion_residual(
-            cfg.family, pts, baseline, cube_factor
-        ),
+        "recursion_residual": recursion_residual(cfg.family, pts, baseline),
         "x1_over_sqrt_log_n": (
             pts[0] / math.sqrt(math.log(n)) if n >= 8 else None
         ),

@@ -256,8 +256,6 @@ def coupling_expectations(
         raise AtomAtZero("reciprocal terms undefined for an atom at zero")
     baseline = gzb.baseline
     bp = baseline.b_poly
-    if bp is None:
-        raise ValueError("coupling terms need a polynomial baseline")
 
     n = y.size
     asc_x, asc_c, star_lo, B_asc = gzb._tables

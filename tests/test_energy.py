@@ -32,6 +32,23 @@ def test_interworld_maxwell_n2():
     assert u == pytest.approx(3.0, abs=1e-12)
 
 
+def _looped_U(baseline, points):
+    """The interworld potential by a per-point float loop, as a second route."""
+    b = [float(baseline.b(x)) for x in points]
+    B = [float(baseline.B(x)) for x in points]
+    n = len(points)
+    below = [1.0 / (B[i + 1] - B[i]) for i in range(n - 1)] + [0.0]
+    above = [0.0] + [1.0 / (B[i] - B[i - 1]) for i in range(1, n)]
+    return sum(((below[i] - above[i]) * b[i]) ** 2 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [22, 4096])
+def test_interworld_matches_per_point_loop(maxwell_configs, n):
+    bl = maxwell_square_baseline()
+    pts = maxwell_configs[n].points
+    assert interworld_U(bl, pts) == pytest.approx(_looped_U(bl, pts), rel=1e-12)
+
+
 def test_interworld_input_guards():
     bl = maxwell_square_baseline()
     with pytest.raises(NotDecreasing):

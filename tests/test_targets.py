@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from miworlds.errors import KernelSingularity, UnsupportedOrder
-from miworlds.numerics import integrate_adaptive
+from miworlds.numerics import integrate_adaptive, newton_bracketed
 from miworlds.targets import (
     SQRT_2PI,
     cdf_pk,
@@ -22,7 +22,6 @@ from miworlds.targets import (
     phi,
     stein_kernel_tau,
     stein_kernel_times_pdf,
-    target_density,
 )
 
 
@@ -148,13 +147,6 @@ def test_cdf_grid_rejects_descending():
         cdf_pk_grid(2, np.array([1.0, 0.0]))
 
 
-def test_target_density_mode():
-    td = target_density(1)
-    assert td.mode_sup == pytest.approx(2.0 * math.exp(-1.0) / SQRT_2PI, abs=1e-14)
-    assert td.mode_sup == pytest.approx(0.2936268, abs=2e-4)
-    assert td.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
-
-
 def test_baseline_shapes():
     g = ground_baseline()
     m = maxwell_square_baseline()
@@ -169,16 +161,32 @@ def test_baseline_shapes():
     assert h2.zeros_of_b == pytest.approx((-1.0, 1.0), abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "bl",
-    [
-        ground_baseline(),
-        maxwell_square_baseline(),
-        monomial_baseline(4),
-        hermite_square_baseline(2),
-        hermite_square_baseline(3),
-    ],
-)
+_SHIPPED = [
+    ground_baseline(),
+    maxwell_square_baseline(),
+    monomial_baseline(4),
+    hermite_square_baseline(2),
+    hermite_square_baseline(3),
+    monomial_baseline(8),
+    monomial_baseline(4).normalized(),
+    monomial_baseline(8).normalized(),
+    hermite_square_baseline(0),
+    hermite_square_baseline(4),
+]
+
+
+@pytest.mark.parametrize("bl", _SHIPPED + [hermite_square_baseline(30)])
+def test_baseline_evaluates_its_polynomial(bl):
+    # b, b' and B are the polynomial, its derivative and its integral, bit
+    # for bit on floats and arrays; a constant b keeps an array's shape
+    xs = np.linspace(-3.0, 3.0, 31)
+    for f, p in ((bl.b, bl.b_poly), (bl.db, bl.b_poly.deriv()), (bl.B, bl.b_poly.integ())):
+        assert np.array_equal(f(xs), p(xs))
+        assert all(f(float(x)) == p(float(x)) for x in xs)
+        assert np.shape(f(np.zeros((2, 3)))) == (2, 3)
+
+
+@pytest.mark.parametrize("bl", _SHIPPED)
 def test_baseline_parity_and_inverse(bl):
     xs = np.linspace(-3.0, 3.0, 31)
     for x in xs:
@@ -191,11 +199,33 @@ def test_baseline_parity_and_inverse(bl):
 
 
 def test_monomial_normalization():
-    bl = monomial_baseline(4)
-    assert bl.phi_integral == pytest.approx(3.0, abs=1e-10)  # E[Z^4]
-    nb = bl.normalized()
-    mass = integrate_adaptive(lambda x: float(nb.b(x) * phi(x)), -12.0, 12.0)
-    assert abs(mass - 1.0) <= 1e-10
+    for r, moment in ((4, 3.0), (8, 105.0)):  # E[Z^r] = (r-1)!!
+        bl = monomial_baseline(r)
+        assert bl.phi_integral == pytest.approx(moment, abs=1e-10)
+        nb = bl.normalized()
+        assert np.array_equal(nb.b_poly.coef, bl.b_poly.coef / moment)
+        assert nb.normalized() is nb
+        mass = integrate_adaptive(lambda x: float(nb.b(x) * phi(x)), -12.0, 12.0)
+        assert abs(mass - 1.0) <= 1e-10
+        for x in (-2.0, -0.7, 0.4, 1.9):
+            assert nb.Binv(float(nb.B(x))) == pytest.approx(x, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "bl",
+    [maxwell_square_baseline(), monomial_baseline(4).normalized(),
+     monomial_baseline(8).normalized()],
+    ids=["maxwell", "x4-normalized", "x8-normalized"],
+)
+def test_closed_form_inverse_matches_newton(bl):
+    # a one-term b inverts B in closed form; bracketed Newton on the same B
+    # is the second route (away from 0, where B is too flat for its f_tol)
+    x = np.concatenate((-np.geomspace(3.0, 0.5, 20), np.geomspace(0.5, 3.0, 20)))
+    lo, hi = np.minimum(0.75 * x, 1.5 * x), np.maximum(0.75 * x, 1.5 * x)
+    y = bl.B(x)
+    closed = bl.Binv_within(y, lo, hi)
+    assert np.all(np.abs(closed - newton_bracketed(bl.B, bl.b, y, lo, hi))
+                  <= 4 * np.spacing(np.abs(x)))
 
 
 def test_tau_closed_forms():
