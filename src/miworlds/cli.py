@@ -197,7 +197,7 @@ def _cmd_stein_check(args) -> int:
 def _cmd_rates(args) -> int:
     if not args.n_list:
         raise MiwValidation("rates requires --n-list")
-    rows, fit = rate_sweep(MAXWELL, args.n_list)
+    rows, fit = rate_sweep(args.n_list)
     if args.out_format == "json":
         payload = {"rows": _records(rate_rows_csv(rows)), "fit": fit}
         return export(payload, "json", args.out_path) and 0
@@ -208,7 +208,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
-    defect = fixed_point_defect(k=1)
+    defect = fixed_point_defect()
     return export({"k": 1, "defect": defect}, args.out_format, args.out_path) and 0
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import RouteMismatch
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_adaptive, newton_bracketed
+from .numerics import QUAD_ABS_TOL, QUAD_REL_TOL, integrate_adaptive, newton_bracketed
 from .solver import MAXWELL, solve_configuration
 from .targets import cdf_pk, cdf_pk_integral, maxwell_square_baseline, pdf_pk
 from .zerobias import EmpiricalDist, coupling_expectations, gzb_density
@@ -28,6 +28,7 @@ __all__ = [
     "dk_dw_relation_check",
     "MAXWELL_MODE_SUP",
     "RateRow",
+    "measure_configuration",
     "rate_sweep",
     "rate_rows_csv",
 ]
@@ -40,7 +41,6 @@ def wasserstein1(
     F: Callable[[float], float],
     G: Callable[[float], float],
     support,
-    spec: QuadratureSpec = DEFAULT_QUAD,
     jumps: Sequence[float] = (),
 ) -> float:
     """d_W = int_a^b |F - G| with quadrature panels split at F's jumps."""
@@ -48,7 +48,7 @@ def wasserstein1(
     cuts = sorted({a, b} | {float(j) for j in jumps if a < float(j) < b})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate_adaptive(lambda x: abs(F(x) - G(x)), lo, hi, spec)
+        total += integrate_adaptive(lambda x: abs(F(x) - G(x)), lo, hi)
     return total
 
 
@@ -63,7 +63,7 @@ def kolmogorov(F_emp: EmpiricalDist, G: Callable) -> float:
     return float(max(np.max(np.abs(below + 1.0 / n - g)), np.max(np.abs(below - g))))
 
 
-def _dw_exact(points: Sequence[float], k: int, spec: QuadratureSpec) -> float:
+def _dw_exact(points: Sequence[float], k: int) -> float:
     """Exact d_W between the uniform law on ``points`` and p_k.
 
     On the gap above the j-th smallest atom the empirical CDF is j/N and
@@ -81,8 +81,8 @@ def _dw_exact(points: Sequence[float], k: int, spec: QuadratureSpec) -> float:
     Ac = cdf_pk_integral(k, c)
     gaps = (level * (c - lo) - (Ac - Aa[:-1])) + ((Aa[1:] - Ac) - level * (hi - c))
     exact = float(Aa[-1] - Aa[0])
-    quad = integrate_adaptive(lambda x: cdf_pk(k, x), float(a[0]), float(a[-1]), spec)
-    if abs(quad - exact) > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(exact)):
+    quad = integrate_adaptive(lambda x: cdf_pk(k, x), float(a[0]), float(a[-1]))
+    if abs(quad - exact) > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(exact)):
         raise RouteMismatch(
             f"int F_{k} over [{a[0]}, {a[-1]}]: quadrature {quad!r}, closed form {exact!r}"
         )
@@ -120,13 +120,13 @@ RATE_CSV_HEADER = (
 )
 
 
-def measure_configuration(cfg, spec: QuadratureSpec = DEFAULT_QUAD) -> RateRow:
+def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
     baseline = maxwell_square_baseline()
     emp = EmpiricalDist(cfg.points)
     density = gzb_density(baseline, cfg.points)
     report = coupling_expectations(cfg.points, density)
-    dw = _dw_exact(cfg.points, 1, spec)
+    dw = _dw_exact(cfg.points, 1)
     dk = kolmogorov(emp, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds
     envelope = math.sqrt(math.log(n) / n) if n > 1 and math.log(n) > 0 else math.nan
@@ -144,12 +144,8 @@ def measure_configuration(cfg, spec: QuadratureSpec = DEFAULT_QUAD) -> RateRow:
     )
 
 
-def rate_sweep(
-    family: str,
-    n_list: Sequence[int],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-):
-    """Solve each N, measure it, and fit log(dw) against log(N).
+def rate_sweep(n_list: Sequence[int]):
+    """Solve each Maxwell N, measure it, and fit log(dw) against log(N).
 
     Returns (rows, fit) where fit is None for fewer than two rows and
     otherwise a dict with slope (log dw against log N), ratio_slope
@@ -158,14 +154,12 @@ def rate_sweep(
     solved configurations are quantile-like and dw itself decays faster
     than the envelope, so the two slopes differ materially.
     """
-    if family != MAXWELL:
-        raise ValueError("rate sweeps are defined for the maxwell family")
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ValueError("N list must be strictly ascending")
     rows = []
     for n in n_list:
         cfg = solve_configuration(MAXWELL, int(n))
-        rows.append(measure_configuration(cfg, spec))
+        rows.append(measure_configuration(cfg))
     fit: Optional[dict] = None
     if len(rows) >= 2:
         logs_n = np.log([r.N for r in rows])

@@ -7,7 +7,6 @@ and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,10 +15,9 @@ from scipy import integrate, optimize
 from .errors import NoBracket, NonConvergence, OutOfRange
 
 __all__ = [
-    "QuadratureSpec",
-    "RootSpec",
-    "DEFAULT_QUAD",
-    "DEFAULT_ROOT",
+    "QUAD_ABS_TOL",
+    "QUAD_REL_TOL",
+    "TAIL_CUTOFF",
     "integrate_adaptive",
     "find_root",
     "invert_monotone",
@@ -28,54 +26,23 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
+# Adaptive quadrature meets max(QUAD_ABS_TOL, QUAD_REL_TOL |I|) within
+# _QUAD_MAX_SUBDIVISIONS panels.  Integrals against the Gaussian weight are
+# truncated to [-TAIL_CUTOFF, TAIL_CUTOFF]; the tail mass beyond 12 is below
+# 2e-33, far under QUAD_ABS_TOL.
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-10
+_QUAD_MAX_SUBDIVISIONS = 10_000
+TAIL_CUTOFF = 12.0
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for adaptive quadrature.
-
-    ``tail_cutoff`` is the half-width L used to truncate integrals against
-    the Gaussian weight to [-L, L]; the default L = 12 leaves tail mass
-    below 2e-33, far under ``abs_tol``.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 10_000
-    tail_cutoff: float = 12.0
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not self.tail_cutoff > 0:
-            raise ValueError("tail_cutoff must be positive")
+# Root finding: relative x tolerance, F tolerance and step budget.
+_ROOT_X_TOL = 1e-14
+_ROOT_F_TOL = 1e-13
+_ROOT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class RootSpec:
-    """Tolerances for bracketed root finding (x_tol is relative)."""
-
-    x_tol: float = 1e-14
-    f_tol: float = 1e-13
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.x_tol > 0 and self.f_tol > 0 and self.max_iter > 0):
-            raise ValueError("all root tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-DEFAULT_ROOT = RootSpec()
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Integrate ``f`` over [a, b] to within max(abs_tol, rel_tol*|I|).
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate ``f`` over [a, b] to within max(QUAD_ABS_TOL, QUAD_REL_TOL*|I|).
 
     Backed by QUADPACK's globally adaptive Gauss-Kronrod scheme; results
     are deterministic for fixed inputs.  Raises :class:`NonConvergence`
@@ -87,16 +54,16 @@ def integrate_adaptive(
         f,
         a,
         b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        epsabs=QUAD_ABS_TOL,
+        epsrel=QUAD_REL_TOL,
+        limit=_QUAD_MAX_SUBDIVISIONS,
         full_output=1,
     )
     if len(out) > 3:
         value, abserr = out[0], out[1]
         # QUADPACK flags roundoff-limited panels even when the achieved
         # error is acceptable; only escalate genuine tolerance failures.
-        if not (abserr <= max(spec.abs_tol, spec.rel_tol * abs(value)) * 10):
+        if not (abserr <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)) * 10):
             raise NonConvergence(
                 f"quadrature failed on [{a}, {b}]: {out[3]} (abserr={abserr:g})"
             )
@@ -104,12 +71,7 @@ def integrate_adaptive(
     return out[0]
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: RootSpec = DEFAULT_ROOT,
-) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Locate a root of ``f`` on a sign-changing bracket [lo, hi]."""
     flo = f(lo)
     if flo == 0.0:
@@ -124,48 +86,42 @@ def find_root(
             f,
             lo,
             hi,
-            xtol=spec.x_tol,
-            rtol=max(spec.x_tol, 4 * _EPS),
-            maxiter=spec.max_iter,
+            xtol=_ROOT_X_TOL,
+            rtol=max(_ROOT_X_TOL, 4 * _EPS),
+            maxiter=_ROOT_MAX_ITER,
         )
     )
 
 
-def invert_monotone(
-    F: Callable[[float], float],
-    y: float,
-    lo: float,
-    hi: float,
-    spec: RootSpec = DEFAULT_ROOT,
-) -> float:
+def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float) -> float:
     """Solve F(x) = y for strictly increasing F on [lo, hi]."""
     Flo, Fhi = F(lo), F(hi)
-    slack = spec.f_tol * max(1.0, abs(Flo), abs(Fhi))
+    slack = _ROOT_F_TOL * max(1.0, abs(Flo), abs(Fhi))
     if y < Flo - slack or y > Fhi + slack:
         raise OutOfRange(f"target {y:g} outside [F(lo), F(hi)] = [{Flo:g}, {Fhi:g}]")
     if y <= Flo:
         return lo
     if y >= Fhi:
         return hi
-    return find_root(lambda x: F(x) - y, lo, hi, spec)
+    return find_root(lambda x: F(x) - y, lo, hi)
 
 
-def newton_bracketed(F, dF, y, lo, hi, spec: RootSpec = DEFAULT_ROOT) -> np.ndarray:
+def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
     """Solve F(x) = y elementwise for increasing, array-capable F.
 
     Roots lie in their brackets [lo, hi] (a target outside F's range there
     converges to the nearer end); Newton steps leaving the shrinking bracket
-    become bisections.  An element is done after a step below ``x_tol``
-    times the bracket's scale, or once |F(x) - y| <= ``f_tol`` * max(1, |y|),
-    which ends it where F's rounding noise over a small F' exceeds x_tol.
+    become bisections.  An element is done after a step below ``_ROOT_X_TOL``
+    times the bracket's scale, or once |F(x) - y| <= ``_ROOT_F_TOL`` * max(1, |y|),
+    which ends it where F's rounding noise over a small F' exceeds the x tolerance.
     A done element is held, so that it does not depend on its neighbours.
     """
     y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
-    x_tol = spec.x_tol * np.maximum(np.abs(lo), np.abs(hi))
-    f_tol = spec.f_tol * np.maximum(1.0, np.abs(y))
+    x_tol = _ROOT_X_TOL * np.maximum(np.abs(lo), np.abs(hi))
+    f_tol = _ROOT_F_TOL * np.maximum(1.0, np.abs(y))
     x = 0.5 * (lo + hi)
     done = np.zeros(x.shape, dtype=bool)
-    for _ in range(spec.max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         r = F(x) - y
         fine = np.abs(r) <= f_tol
         lo = np.where(r < 0.0, x, lo)
@@ -179,4 +135,4 @@ def newton_bracketed(F, dF, y, lo, hi, spec: RootSpec = DEFAULT_ROOT) -> np.ndar
         done |= stop
         if np.all(done):
             return x
-    raise NonConvergence(f"bracketed Newton did not converge in {spec.max_iter} steps")
+    raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")

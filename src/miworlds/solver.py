@@ -282,6 +282,10 @@ def recursion_residual(
     return worst if math.isfinite(worst) else math.inf
 
 
+def _symmetry_defect(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x + x[::-1])))
+
+
 def solve_configuration(
     family: str,
     n_worlds: int,
@@ -318,14 +322,14 @@ def solve_configuration(
             f"Newton converged from none of {tried} starts ({family}, N={n_worlds})"
         ))
 
-    first = first.tolist()
-    mirrored = [-v for v in reversed(first)]
-    points = first + mirrored if n_worlds % 2 == 0 else first + [0.0] + mirrored
-    for x in first:
-        if bl.near_zero_of_b(x, _ZERO_OF_B_TOL):
-            raise failure(ResidualFailure(
-                f"world location {x:g} lands on a zero of the baseline"
-            ))
+    gap = np.abs(first[:, None] - np.array(bl.zeros_of_b))
+    on_zero = np.any(gap < _ZERO_OF_B_TOL, axis=1)
+    if on_zero.any():
+        raise failure(ResidualFailure(
+            f"world location {first[on_zero.argmax()]:g} lands on a zero of the baseline"
+        ))
+    x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
+    points = x.tolist()
 
     residual = recursion_residual(family, points, baseline)
     if residual > residual_tol:
@@ -333,14 +337,10 @@ def solve_configuration(
             f"recursion defect {residual:.3e} exceeds {residual_tol:g} "
             f"({family}, N={n_worlds})"
         ))
-    mean_abs = abs(sum(points)) / n_worlds
-    symmetry = max(
-        abs(points[n] + points[n_worlds - 1 - n]) for n in range(n_worlds)
-    )
     residuals = {
         "max_recursion_residual": residual,
-        "mean_abs": mean_abs,
-        "symmetry_defect": symmetry,
+        "mean_abs": abs(sum(points)) / n_worlds,
+        "symmetry_defect": _symmetry_defect(x),
     }
     if family == MAXWELL:
         residuals["variance_defect"] = abs(
@@ -363,6 +363,7 @@ def validate_properties(
     """Report the four structural defects plus growth diagnostics."""
     pts = cfg.points
     n = cfg.n_worlds
+    x = np.asarray(pts, dtype=float)
     report = {
         "p1_zero_mean_defect": abs(sum(pts)),
         "p2_variance_defect": (
@@ -370,11 +371,8 @@ def validate_properties(
             if cfg.family == MAXWELL
             else None
         ),
-        "p3_symmetry_defect": max(abs(pts[i] + pts[n - 1 - i]) for i in range(n)),
-        "p4_decreasing_violation": max(
-            (pts[i + 1] - pts[i] for i in range(n - 1)), default=-math.inf
-        )
-        > 0,
+        "p3_symmetry_defect": _symmetry_defect(x),
+        "p4_decreasing_violation": bool(np.any(np.diff(x) > 0.0)),
         "recursion_residual": recursion_residual(cfg.family, pts, baseline),
         "x1_over_sqrt_log_n": (
             pts[0] / math.sqrt(math.log(n)) if n >= 8 else None

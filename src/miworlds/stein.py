@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partialmethod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_adaptive
+from .numerics import TAIL_CUTOFF, integrate_adaptive
 from .zerobias import CouplingReport
 
 __all__ = [
     "TestFunction",
-    "SteinSolutionBundle",
     "make_test_function",
-    "build_bundle",
+    "stein_solution",
     "supnorm_suite",
     "suite_csv_rows",
     "theorem_check",
@@ -82,21 +80,19 @@ def make_test_function(
     dh: Callable,
     c: float,
     kinks: Sequence[float] = (),
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> TestFunction:
-    """Build a TestFunction, computing the mean under p_1 by quadrature."""
-    L = spec.tail_cutoff
-    cuts = sorted({-L, 0.0, L} | {float(k) for k in kinks if -L < float(k) < L})
-    mean = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mean += integrate_adaptive(
-            lambda u: float(h(u)) * u * u * math.exp(-0.5 * u * u), a, b, spec
-        )
-    mean /= math.sqrt(2.0 * math.pi)
-    return TestFunction(
-        name=name, h=h, dh=dh, c=float(c), mean_under_p1=mean,
-        kinks=tuple(float(k) for k in kinks),
-    )
+    """Build a TestFunction, computing the mean under p_1 by the cumulative pass.
+
+    The mean is int u^2 h(u) phi(u) du over [-TAIL_CUTOFF, TAIL_CUTOFF]: the
+    pass at t = 0 on h for the upper half, and on h(-u) with mirrored kinks
+    for the lower.
+    """
+    kinks = tuple(float(k) for k in kinks)
+    zero = np.zeros(1)
+    upper = _upper_integral_grid(zero, h, kinks, TAIL_CUTOFF)[0]
+    lower = _upper_integral_grid(zero, lambda u: h(-u), [-k for k in kinks], TAIL_CUTOFF)[0]
+    mean = float(upper + lower) / math.sqrt(2.0 * math.pi)
+    return TestFunction(name=name, h=h, dh=dh, c=float(c), mean_under_p1=mean, kinks=kinks)
 
 
 def _upper_integral_grid(ts, f, kinks, L):
@@ -139,9 +135,9 @@ def _upper_integral_grid(ts, f, kinks, L):
     return out
 
 
-def _g0_scalar(x, htilde, kinks, spec):
+def _g0_scalar(x, htilde, kinks):
     """Adaptive-quadrature g0, the slow reference path."""
-    L = spec.tail_cutoff
+    L = TAIL_CUTOFF
     if x > 0:
         cuts = sorted({x, L} | {k for k in kinks if x < k < L})
     else:
@@ -149,98 +145,67 @@ def _g0_scalar(x, htilde, kinks, spec):
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         total += integrate_adaptive(
-            lambda u: u * u * float(htilde(u)) * math.exp(0.5 * (x * x - u * u)),
-            a,
-            b,
-            spec,
+            lambda u: u * u * float(htilde(u)) * math.exp(0.5 * (x * x - u * u)), a, b
         )
     return total
 
 
-@dataclass(frozen=True)
-class SteinSolutionBundle:
-    """Evaluators for g0, g = g0/(x^2+2), chi = g'/x and derivatives.
+def _g0(test: TestFunction, xs) -> np.ndarray:
+    """g0 on a grid from one cumulative pass per branch."""
+    xs = np.asarray(xs, dtype=float)
+    ht, kinks = test.htilde, test.kinks
+    out = np.empty_like(xs)
+    pos = xs > 0.0
+    out[pos] = _upper_integral_grid(xs[pos], ht, kinks, TAIL_CUTOFF)
+    # lower branch via u -> -u: the same pass at |x| on the reflected integrand
+    mirrored = [-k for k in kinks]
+    out[~pos] = _upper_integral_grid(-xs[~pos], lambda u: ht(-u), mirrored, TAIL_CUTOFF)
+    return out
 
-    ``grids`` evaluates all six from one cumulative quadrature pass over
-    the grid; the scalar evaluators are one-element views of it.  All
-    derivatives come from the branch identity
-    g0' = x g0 - sign(x) x^2 (h - mean).
+
+def stein_solution(test: TestFunction, xs) -> dict:
+    """g0, g = g0/(x^2+2), chi = g'/x and their derivatives on a grid.
+
+    All six come from one g0 pass; every derivative follows from the branch
+    identity g0' = x g0 - sign(x) x^2 (h - mean).
     """
-
-    test: TestFunction
-    spec: QuadratureSpec
-
-    def _at(self, x: float, key: str) -> float:
-        return float(self.grids(np.array([float(x)]))[key][0])
-
-    g0 = partialmethod(_at, key="g0")
-    dg0 = partialmethod(_at, key="dg0")
-    g = partialmethod(_at, key="g")
-    dg = partialmethod(_at, key="dg")
-    chi = partialmethod(_at, key="chi")
-    dchi = partialmethod(_at, key="dchi")
-
-    def g0_grid(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ht, kinks, L = self.test.htilde, self.test.kinks, self.spec.tail_cutoff
-        out = np.empty_like(xs)
-        pos = xs > 0.0
-        out[pos] = _upper_integral_grid(xs[pos], ht, kinks, L)
-        # lower branch via u -> -u: the same pass at |x| on the reflected integrand
-        mirrored = [-k for k in kinks]
-        out[~pos] = _upper_integral_grid(-xs[~pos], lambda u: ht(-u), mirrored, L)
-        return out
-
-    def grids(self, xs) -> dict:
-        """All six evaluators on a grid from one g0 pass."""
-        xs = np.asarray(xs, dtype=float)
-        g0 = self.g0_grid(xs)
-        s = np.sign(xs)
-        ht = np.asarray(self.test.htilde(xs), dtype=float)
-        dh = np.asarray(self.test.dh(xs), dtype=float)
-        D = xs * xs + 2.0
-        dg0 = xs * g0 - s * xs * xs * ht
-        g = g0 / D
-        dg = dg0 / D - 2.0 * xs * g0 / (D * D)
-        # chi = g'/x in the 0/0-free arrangement, exact for every x
-        chi = (1.0 - 2.0 / D) * g0 / D - np.abs(xs) * ht / D
-        A = 1.0 / D - 2.0 / (D * D)
-        dA = 2.0 * xs * (2.0 - xs * xs) / D ** 3
-        dchi = (
-            dA * g0
-            + A * dg0
-            - s * ht / D
-            - np.abs(xs) * dh / D
-            + 2.0 * xs * np.abs(xs) * ht / (D * D)
-        )
-        return {
-            "x": xs, "g0": g0, "dg0": dg0, "g": g, "dg": dg,
-            "chi": chi, "dchi": dchi,
-        }
+    xs = np.asarray(xs, dtype=float)
+    g0 = _g0(test, xs)
+    s = np.sign(xs)
+    ht = np.asarray(test.htilde(xs), dtype=float)
+    dh = np.asarray(test.dh(xs), dtype=float)
+    D = xs * xs + 2.0
+    dg0 = xs * g0 - s * xs * xs * ht
+    g = g0 / D
+    dg = dg0 / D - 2.0 * xs * g0 / (D * D)
+    # chi = g'/x in the 0/0-free arrangement, exact for every x
+    chi = (1.0 - 2.0 / D) * g0 / D - np.abs(xs) * ht / D
+    A = 1.0 / D - 2.0 / (D * D)
+    dA = 2.0 * xs * (2.0 - xs * xs) / D ** 3
+    dchi = (
+        dA * g0
+        + A * dg0
+        - s * ht / D
+        - np.abs(xs) * dh / D
+        + 2.0 * xs * np.abs(xs) * ht / (D * D)
+    )
+    return {
+        "x": xs, "g0": g0, "dg0": dg0, "g": g, "dg": dg,
+        "chi": chi, "dchi": dchi,
+    }
 
 
-def build_bundle(
-    test: TestFunction, spec: QuadratureSpec = DEFAULT_QUAD
-) -> SteinSolutionBundle:
-    return SteinSolutionBundle(test=test, spec=spec)
+# The sup-norm grid: -8 to 8 in steps of 1e-3.
+_SUP_GRID = -8.0 + 1e-3 * np.arange(16001)
+# The identity grid: 0.05 to 6 in steps of 0.05 on each side, clear of the
+# origin, where dividing by x^2 loses the identity.
+_HALF = np.arange(0.05, 6.0 + 1e-12, 0.05)
+_IDENTITY_GRID = np.concatenate((-_HALF[::-1], _HALF))
 
 
-_DEFAULT_GRID_LO = -8.0
-_DEFAULT_GRID_HI = 8.0
-_DEFAULT_GRID_STEP = 1e-3
-
-
-def supnorm_suite(
-    test: TestFunction,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    grid: Optional[np.ndarray] = None,
-) -> dict:
+def supnorm_suite(test: TestFunction) -> dict:
     """Grid suprema of |g|, |g'|, |chi|, |chi'| against the c-multiples."""
-    if grid is None:
-        n = int(round((_DEFAULT_GRID_HI - _DEFAULT_GRID_LO) / _DEFAULT_GRID_STEP))
-        grid = _DEFAULT_GRID_LO + _DEFAULT_GRID_STEP * np.arange(n + 1)
-    bundle = build_bundle(test, spec)
-    vals = bundle.grids(grid)
+    vals = stein_solution(test, _SUP_GRID)
     sup_g = float(np.max(np.abs(vals["g"])))
     sup_dg = float(np.max(np.abs(vals["dg"])))
     sup_chi = float(np.max(np.abs(vals["chi"])))
@@ -293,11 +258,7 @@ def theorem_check(cfg, report: CouplingReport, dw: float) -> dict:
     }
 
 
-def identity_f_check(
-    test: TestFunction,
-    grid: Optional[np.ndarray] = None,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def identity_f_check(test: TestFunction) -> float:
     """Max residual of the rewritten Stein identity with f = b tau g = g0.
 
     For b = x^2 and the Maxwell kernel tau_1, f collapses to g0 and the
@@ -305,44 +266,33 @@ def identity_f_check(
     the sign flips across branches).  Returns the worst grid value of
     ||f' - x f| / x^2 - |h - mean||.
     """
-    if grid is None:
-        half = np.arange(0.05, 6.0 + 1e-12, 0.05)
-        grid = np.concatenate((-half[::-1], half))
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid) < 0.05):
-        raise ValueError("identity grid must exclude |x| < 0.05")
-    bundle = build_bundle(test, spec)
-    vals = bundle.grids(grid)
+    grid = _IDENTITY_GRID
+    vals = stein_solution(test, grid)
     lhs = np.abs(vals["dg0"] - grid * vals["g0"]) / np.square(grid)
     rhs = np.abs(np.asarray(test.htilde(grid), dtype=float))
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def fixed_suite(spec: QuadratureSpec = DEFAULT_QUAD):
+def fixed_suite():
     """The certified test-function suite: odd/even mix, kinked and smooth."""
     ident = make_test_function(
         "identity",
         lambda x: np.asarray(x, dtype=float) + 0.0,
         lambda x: np.ones_like(np.asarray(x, dtype=float)),
         c=1.0,
-        spec=spec,
     )
-    sine = make_test_function(
-        "sine", np.sin, np.cos, c=1.0, spec=spec
-    )
+    sine = make_test_function("sine", np.sin, np.cos, c=1.0)
     clipped = make_test_function(
         "clipped_linear",
         lambda x: np.clip(x, -1.0, 1.0),
         lambda x: np.where(np.abs(np.asarray(x, dtype=float)) < 1.0, 1.0, 0.0),
         c=1.0,
         kinks=(-1.0, 1.0),
-        spec=spec,
     )
     taper = make_test_function(
         "gauss_taper",
         lambda x: x * np.exp(-0.25 * np.square(x)),
         lambda x: (1.0 - 0.5 * np.square(x)) * np.exp(-0.25 * np.square(x)),
         c=1.0,
-        spec=spec,
     )
     return (ident, sine, clipped, taper)

@@ -19,12 +19,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial import hermite_e as herme
 
 from .errors import KernelSingularity, UnsupportedOrder
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    integrate_adaptive,
-    newton_bracketed,
-)
+from .numerics import TAIL_CUTOFF, integrate_adaptive, newton_bracketed
 
 __all__ = [
     "SQRT_2PI",
@@ -267,22 +262,17 @@ def stein_kernel_times_pdf(k: int, x) -> float:
     return _TAU_NUMERATORS[k](x) * phi(x) / math.factorial(k)
 
 
-def inverse_stein_operator(
-    h: Callable[[float], float],
-    x: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:
     """Gaussian inverse Stein operator phi(x)^{-1} int_x^inf h(u) phi(u) du.
 
     Computed in the cancellation-friendly factored form
     int_x^L h(u) exp((x^2 - u^2)/2) du; accurate for moderate |x| (the
     intrinsic conditioning degrades like exp(x^2/2) far into the left tail).
     """
-    L = spec.tail_cutoff
-    if x >= L:
+    if x >= TAIL_CUTOFF:
         return 0.0
     return integrate_adaptive(
-        lambda u: h(u) * math.exp(0.5 * (x * x - u * u)), x, L, spec
+        lambda u: h(u) * math.exp(0.5 * (x * x - u * u)), x, TAIL_CUTOFF
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     MismatchedBreakpoints,
     NotDecreasing,
 )
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_adaptive
+from .numerics import TAIL_CUTOFF, integrate_adaptive
 from .targets import Baseline, ground_baseline
 
 __all__ = [
@@ -306,21 +306,17 @@ def coupling_expectations(
     )
 
 
-def fixed_point_defect(k: int = 1, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def fixed_point_defect() -> float:
     """Sup-grid defect of the fixed-point identity p* = p for the target.
 
     For the two-sided Maxwell target (k = 1) this checks
     b(x) * int_x^inf t phi(t) dt = p_1(x) on x in {-4, -3.9, ..., 4}.
     """
-    if k != 1:
-        raise ValueError("fixed-point check implemented for k = 1 only")
     from .targets import pdf_pk, phi
 
     worst = 0.0
     for i in range(-40, 41):
         x = i / 10.0
-        inner = integrate_adaptive(
-            lambda t: t * float(phi(t)), x, spec.tail_cutoff, spec
-        )
+        inner = integrate_adaptive(lambda t: t * float(phi(t)), x, TAIL_CUTOFF)
         worst = max(worst, abs(x * x * inner - float(pdf_pk(1, x))))
     return worst

@@ -25,8 +25,8 @@ from miworlds.solver import (
     validate_properties,
 )
 from miworlds.stein import (
-    build_bundle,
     fixed_suite,
+    stein_solution,
     supnorm_suite,
     theorem_check,
 )
@@ -125,7 +125,7 @@ def test_criterion_04_stein_kernels():
 
 
 def test_criterion_05_fixed_point():
-    assert fixed_point_defect(k=1) <= 1e-10
+    assert fixed_point_defect() <= 1e-10
 
 
 def test_criterion_06_prop45_bounds():
@@ -137,9 +137,8 @@ def test_criterion_06_prop45_bounds():
         assert rec["sup_dchi"] <= 7.0 * tf.c
         # Stein-equation residual in magnitude form (the branch-wise
         # construction flips the sign of h - mean across the origin)
-        b = build_bundle(tf)
         xs = np.concatenate((np.arange(-6.0, -1e-3, 0.01), np.arange(1e-3, 6.0, 0.01)))
-        vals = b.grids(xs)
+        vals = stein_solution(tf, xs)
         tau = (xs * xs + 2.0) / (xs * xs)
         resid = np.abs(
             np.abs(tau * vals["dg"] - xs * vals["g"])

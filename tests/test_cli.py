@@ -163,7 +163,7 @@ def test_exit_code_table_covers_every_error(monkeypatch, capsys):
     for cls, code in _EXIT_CODES.items():
         assert exit_code(cls("x")) == code
 
-        def fail(k=1, cls=cls):
+        def fail(cls=cls):
             raise cls("boom")
 
         monkeypatch.setattr(cli, "fixed_point_defect", fail)

@@ -15,7 +15,6 @@ from miworlds.metrics import (
     rate_sweep,
     wasserstein1,
 )
-from miworlds.solver import MAXWELL
 from miworlds.targets import cdf_pk
 from miworlds.zerobias import EmpiricalDist
 
@@ -123,20 +122,18 @@ def test_dw_nonincreasing_with_band(sweep_rows):
 
 
 def test_sweep_fit_and_columns(sweep_rows):
-    rows, fit = rate_sweep(MAXWELL, [8, 16, 32])
+    rows, fit = rate_sweep([8, 16, 32])
     assert fit is not None and {"slope", "ratio_slope", "intercept", "max_ratio"} <= set(fit)
     assert np.isfinite(fit["max_ratio"])
     # single row: fit absent
-    rows1, fit1 = rate_sweep(MAXWELL, [8])
+    rows1, fit1 = rate_sweep([8])
     assert fit1 is None and len(rows1) == 1
     assert rows1[0].astuple()[0] == 8
 
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        rate_sweep(MAXWELL, [32, 8])
-    with pytest.raises(ValueError):
-        rate_sweep("ground", [8, 16])
+        rate_sweep([32, 8])
 
 
 def test_rate_csv_serialization(sweep_rows):

@@ -219,9 +219,7 @@ def test_rate_orders(sweep_rows):
 
 
 def test_fixed_point_defect():
-    assert fixed_point_defect(k=1) <= 1e-10
-    with pytest.raises(ValueError):
-        fixed_point_defect(k=2)
+    assert fixed_point_defect() <= 1e-10
 
 
 def test_density_tables_match_the_per_call_formulas():
