@@ -9,6 +9,7 @@ a Cauchy-Schwarz lower bound that is attained at the solved minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,8 +41,8 @@ class EnergyReport:
 
 
 def potential_V(points: Sequence[float]) -> float:
-    """Parabolic-trap potential sum(x_n^2)."""
-    return float(sum(x * x for x in points))
+    """Parabolic-trap potential sum(x_n^2), summed left to right."""
+    return float(sum(map(mul, points, points)))
 
 
 def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:

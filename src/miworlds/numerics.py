@@ -114,13 +114,14 @@ def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
     become bisections.  An element is done after a step below ``_ROOT_X_TOL``
     times the bracket's scale, or once |F(x) - y| <= ``_ROOT_F_TOL`` * max(1, |y|),
     which ends it where F's rounding noise over a small F' exceeds the x tolerance.
-    A done element is held, so that it does not depend on its neighbours.
+    Each element's steps depend on it alone, so F and dF are evaluated only
+    on the elements not yet done; done ones are set aside in the result.
     """
     y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
     x_tol = _ROOT_X_TOL * np.maximum(np.abs(lo), np.abs(hi))
     f_tol = _ROOT_F_TOL * np.maximum(1.0, np.abs(y))
     x = 0.5 * (lo + hi)
-    done = np.zeros(x.shape, dtype=bool)
+    out, where = np.empty(y.shape), np.arange(y.size).reshape(y.shape)
     for _ in range(_ROOT_MAX_ITER):
         r = F(x) - y
         fine = np.abs(r) <= f_tol
@@ -131,8 +132,13 @@ def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
         inside = (newton >= lo) & (newton <= hi)
         step = np.where(inside, newton, np.where(fine, x, 0.5 * (lo + hi)))
         stop = fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)
-        x = np.where(done, x, step)
-        done |= stop
-        if np.all(done):
-            return x
+        x = step
+        if np.any(stop):
+            out.flat[where[stop]] = x[stop]
+            if np.all(stop):
+                return out
+            keep = ~stop
+            x, y, lo, hi, x_tol, f_tol, where = (
+                v[keep] for v in (x, y, lo, hi, x_tol, f_tol, where)
+            )
     raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")

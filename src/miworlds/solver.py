@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
+from .energy import potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from .numerics import newton_bracketed
 from .targets import Baseline, ground_baseline, maxwell_square_baseline, normal_cdf, phi
@@ -83,7 +85,7 @@ class Configuration:
 
     @property
     def variance_sum(self) -> float:
-        return float(sum(x * x for x in self.points))
+        return potential_V(self.points)
 
 
 _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
@@ -269,7 +271,10 @@ def recursion_residual(
             partial = np.cumsum(1.0 / head)
             # Python's pow: numpy's vector power differs from it in the last
             # bit on about 3% of inputs, and is then the less accurate one.
-            cubes = np.fromiter((v ** 3 for v in map(float, points)), float, x.size)
+            # pow(-v, 3) is -pow(v, 3), so a mirror cubes its first half only.
+            h = x.size // 2 if _is_positive_mirror(x) else 0
+            cubes = np.fromiter(map(math.pow, x[: x.size - h].tolist(), repeat(3.0)), float)
+            cubes = np.concatenate((cubes, -cubes[:h][::-1]))
             jump = cubes[1:] - cubes[:-1]
         else:
             partial = np.cumsum(head / np.asarray(baseline.b(head), dtype=float))
@@ -280,6 +285,13 @@ def recursion_residual(
         drop = (3.0 if family == MAXWELL else 1.0) / partial
         worst = float(np.max(np.abs(jump + drop)))
     return worst if math.isfinite(worst) else math.inf
+
+
+def _is_positive_mirror(x: np.ndarray) -> bool:
+    """x_{N+1-i} = -x_i exactly, with a positive finite first half."""
+    half = x[: x.size // 2]
+    return bool(half.size and np.all((half > 0.0) & (half < math.inf))
+                and np.array_equal(x[::-1][: half.size], -half))
 
 
 def _symmetry_defect(x: np.ndarray) -> float:
@@ -331,7 +343,7 @@ def solve_configuration(
     x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
     points = x.tolist()
 
-    residual = recursion_residual(family, points, baseline)
+    residual = recursion_residual(family, x, baseline)
     if residual > residual_tol:
         raise failure(ResidualFailure(
             f"recursion defect {residual:.3e} exceeds {residual_tol:g} "
@@ -343,9 +355,7 @@ def solve_configuration(
         "symmetry_defect": _symmetry_defect(x),
     }
     if family == MAXWELL:
-        residuals["variance_defect"] = abs(
-            sum(x * x for x in points) - 3.0 * (n_worlds - 1)
-        )
+        residuals["variance_defect"] = abs(potential_V(points) - 3.0 * (n_worlds - 1))
     return Configuration(
         family=family,
         n_worlds=n_worlds,
@@ -367,13 +377,11 @@ def validate_properties(
     report = {
         "p1_zero_mean_defect": abs(sum(pts)),
         "p2_variance_defect": (
-            abs(sum(x * x for x in pts) - 3.0 * (n - 1))
-            if cfg.family == MAXWELL
-            else None
+            abs(potential_V(pts) - 3.0 * (n - 1)) if cfg.family == MAXWELL else None
         ),
         "p3_symmetry_defect": _symmetry_defect(x),
         "p4_decreasing_violation": bool(np.any(np.diff(x) > 0.0)),
-        "recursion_residual": recursion_residual(cfg.family, pts, baseline),
+        "recursion_residual": recursion_residual(cfg.family, x, baseline),
         "x1_over_sqrt_log_n": (
             pts[0] / math.sqrt(math.log(n)) if n >= 8 else None
         ),
@@ -382,14 +390,21 @@ def validate_properties(
 
 
 def configuration_to_json(cfg: Configuration) -> str:
-    payload = {
-        "family": cfg.family,
-        "N": cfg.n_worlds,
-        "points": list(cfg.points),
-        "shoot_param": cfg.shoot_param,
-        "residuals": cfg.residuals,
-    }
-    return json.dumps(payload)
+    """The configuration as ``json.dumps`` writes it.
+
+    A positive mirror of floats, with 0.0 at the centre for odd N, formats
+    its first half once: repr(-x) is "-" + repr(x) for x > 0.
+    """
+    pts, h = cfg.points, len(cfg.points) // 2
+    head = {"family": cfg.family, "N": cfg.n_worlds}
+    tail = {"shoot_param": cfg.shoot_param, "residuals": cfg.residuals}
+    centre = list(map(repr, pts[h : len(pts) - h]))
+    if ({*map(type, pts)} != {float} or centre not in ([], ["0.0"])
+            or not _is_positive_mirror(np.array(pts))):
+        return json.dumps({**head, "points": list(pts), **tail})
+    half = list(map(repr, pts[:h]))
+    points = ", ".join(half + centre) + ", -" + ", -".join(reversed(half))
+    return json.dumps(head)[:-1] + f', "points": [{points}], ' + json.dumps(tail)[1:]
 
 
 def configuration_from_json(text: str) -> Configuration:

@@ -124,10 +124,80 @@ def test_newton_bracketed_clamps_and_flat_roots():
     assert abs(x[2]) <= 1e-4 and abs(x[2] ** 3) <= 1e-13
 
 
+def _newton_bracketed_every_element(F, dF, y, lo, hi):
+    """Reference: the same steps, with F and dF on every element every time."""
+    y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
+    x_tol = 1e-14 * np.maximum(np.abs(lo), np.abs(hi))
+    f_tol = 1e-13 * np.maximum(1.0, np.abs(y))
+    x = 0.5 * (lo + hi)
+    done = np.zeros(x.shape, dtype=bool)
+    while True:
+        r = F(x) - y
+        fine = np.abs(r) <= f_tol
+        lo = np.where(r < 0.0, x, lo)
+        hi = np.where(r > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - r / dF(x)
+        inside = (newton >= lo) & (newton <= hi)
+        step = np.where(inside, newton, np.where(fine, x, 0.5 * (lo + hi)))
+        stop = fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)
+        x = np.where(done, x, step)
+        done |= stop
+        if np.all(done):
+            return x
+
+
+def _assert_same_bits(a, b):
+    assert type(a) is type(b) and a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+_K2_B = (lambda t: t ** 5 / 10.0 - t ** 3 / 3.0 + t / 2.0, lambda t: (t * t - 1.0) ** 2 / 2.0)
+_CUBE = (lambda t: t ** 3, lambda t: 3 * t * t)
+
+
+@pytest.mark.parametrize("F, dF", [_K2_B, _CUBE], ids=["k2-B", "cube"])
+def test_newton_bracketed_active_elements_are_bit_identical(F, dF):
+    # each element steps on its own, so evaluating only the unfinished ones
+    # changes no bit
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-2.0, 1.0, 2000)
+    hi = lo + rng.uniform(1e-6, 2.0, lo.size)
+    y = F(rng.uniform(lo - 0.1, hi + 0.1))
+    cases = [
+        (y, lo, hi),  # random 1-D brackets, some targets outside them
+        (0.3, 0.0, 1.0),  # 0-d scalar target
+        (rng.uniform(-1.0, 1.0, (7, 1)), -2.0, np.array([0.5, 1.5, 2.0])),  # broadcast 2-D
+        ([5.0, -5.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]),  # clamped ends, flat root
+    ]
+    for case in cases:
+        _assert_same_bits(newton_bracketed(F, dF, *case),
+                          _newton_bracketed_every_element(F, dF, *case))
+
+
 def test_newton_bracketed_budget(monkeypatch):
     monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="in 3 steps"):
         newton_bracketed(lambda t: t ** 3, lambda t: 3 * t * t, 0.3, 0.0, 1.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="newton_bracketed ends an element at an absolute |F - y| <= 1e-13 when "
+    "|y| < 1, so where B is flat it stops short of the root: for normalized "
+    "b = x^8/105, y = B(0.05) on [0.0375, 0.075] it returns 0.052165 (4.3% off "
+    "the closed form's 0.05); for hermite-sq k=2 at x = 1.0001 on [0.75x, 1.5x] "
+    "it is 1.5e-8 off, 2.6 times the width over which B(x) moves by 2 ulp.",
+)
+def test_newton_bracketed_reaches_flat_roots():
+    from miworlds.targets import hermite_square_baseline, monomial_baseline
+
+    for bl, x0 in ((monomial_baseline(8).normalized(), 0.05),
+                   (hermite_square_baseline(2), 1.0001)):
+        y = float(bl.B(x0))
+        x = float(newton_bracketed(bl.B, bl.b, y, 0.75 * x0, 1.5 * x0))
+        # within 4 ulp of x0, or where B's own rounding (2 ulp of y) hides the root
+        assert abs(x - x0) <= max(4 * math.ulp(x0), 2 * math.ulp(y) / float(bl.b(x0)))
 
 
 def test_nonconvergence_message_has_interval():

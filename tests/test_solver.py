@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from miworlds import solver
 from miworlds.errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from miworlds.solver import (
     GENERAL,
@@ -182,6 +183,45 @@ def test_json_roundtrip(maxwell_configs):
     assert back.stats is None and cfg.stats is not None
     assert back == cfg
     assert configuration_to_json(back) == text
+
+
+def test_json_writes_what_json_dumps_writes(maxwell_configs):
+    # a mirror formats its first half once; every byte stays json.dumps'
+    mirrored = [maxwell_configs[n] for n in (2, 22, 4096)]
+    mirrored.append(solve_configuration(GROUND, 1001))  # odd: 0.0 at the centre
+    assert all(solver._is_positive_mirror(np.array(cfg.points)) for cfg in mirrored)
+    payload = json.loads(configuration_to_json(maxwell_configs[22]))
+    payload["points"][3] += 1e-3
+    edited = configuration_from_json(json.dumps(payload))
+    assert not solver._is_positive_mirror(np.array(edited.points))
+    # mirrored by value, but json.dumps writes the ints as 2 and the floats as -2.0
+    ints = configuration_from_json(json.dumps(dict(payload, N=4, points=[2, 1, -1.0, -2.0])))
+    for cfg in mirrored + [edited, ints]:
+        text = configuration_to_json(cfg)
+        assert text == json.dumps({"family": cfg.family, "N": cfg.n_worlds,
+                                   "points": list(cfg.points),
+                                   "shoot_param": cfg.shoot_param, "residuals": cfg.residuals})
+        assert configuration_from_json(text) == cfg
+
+
+def _maxwell_residual_by_power(points):
+    """The Maxwell defect with every cube taken as v ** 3."""
+    x = np.asarray(points, dtype=float)
+    cubes = np.array([v ** 3 for v in map(float, points)])
+    return float(np.max(np.abs(np.diff(cubes) + 3.0 / np.cumsum(1.0 / x[:-1]))))
+
+
+def test_maxwell_residual_cubes_half_a_mirror(maxwell_configs):
+    # pow(-v, 3) == -pow(v, 3): cubing the first half and negating it for
+    # the mirrored second half changes no bit of the cubes or the residual
+    pts = maxwell_configs[4096].points
+    half = [math.pow(v, 3.0) for v in pts[:2048]]
+    assert [-c for c in reversed(half)] == [v ** 3 for v in pts[2048:]]
+    perturbed = list(pts)
+    perturbed[3000] *= 1.0 + 1e-9
+    assert not solver._is_positive_mirror(np.array(perturbed))
+    for case in (pts, perturbed):
+        assert recursion_residual(MAXWELL, case) == _maxwell_residual_by_power(case)
 
 
 def test_recursion_residual_on_exact_points():
@@ -362,8 +402,6 @@ def test_hermite_k4_n100_residual_gate():
 
 def test_nonconvergence_keeps_its_stats(monkeypatch):
     # a failed Newton from every start raises a typed error with its counts
-    from miworlds import solver
-
     monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 0)
     with pytest.raises(NonConvergence, match=r"from none of 4 starts \(general, N=12\)") as info:
         solve_configuration(GENERAL, 12, baseline=hermite_square_baseline(2))
