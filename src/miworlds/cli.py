@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -173,8 +174,8 @@ def _cmd_density(args) -> int:
     span = cfg.points[0] - cfg.points[-1]
     lo = cfg.points[-1] - 0.05 * span
     hi = cfg.points[0] + 0.05 * span
-    for x in np.linspace(lo, hi, 400):
-        rows.append(("target", float(x), float(x), float(bl.b(x) * phi(x))))
+    xs = np.linspace(lo, hi, 400)
+    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), (bl.b(xs) * phi(xs)).tolist()))
     return export(rows, args.out_format, args.out_path) and 0
 
 
@@ -260,10 +261,15 @@ def exit_code(exc: Exception) -> int:
     return 1 if isinstance(exc, (MiwValidation, ValueError)) else 2
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

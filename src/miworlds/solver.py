@@ -21,13 +21,12 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from .energy import potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from .numerics import newton_bracketed
-from .targets import Baseline, ground_baseline, maxwell_square_baseline, normal_cdf, phi
+from .targets import Baseline, _horner, ground_baseline, maxwell_square_baseline, normal_cdf, phi
 
 __all__ = [
     "GROUND",
@@ -206,7 +205,7 @@ def _target_cdf(bl: Baseline):
     for n in range(c.size - 1, 0, -1):
         Q[n - 1] = (n + 1) * Q[n + 1] - c[n]
     m = c[0] - Q[1]
-    Q = Polynomial(Q[: max(c.size - 1, 1)])
+    Q = _horner(Q[: max(c.size - 1, 1)])
     return (lambda t: normal_cdf(t) + Q(t) * phi(t) / m,
             lambda t: bl.b(t) * phi(t) / m)
 

@@ -48,6 +48,8 @@ MAX_ORDER = 30
 
 def phi(x):
     """Standard normal density (scalar or array)."""
+    if isinstance(x, float):  # x * x is np.square's product, without its set-up
+        return np.exp(-0.5 * (x * x)) / SQRT_2PI
     return np.exp(-0.5 * np.square(x)) / SQRT_2PI
 
 
@@ -66,6 +68,12 @@ def _check_order(k: int) -> None:
 def hermite_he(k: int, x):
     """Probabilist's Hermite polynomial He_k by the three-term recurrence."""
     _check_order(k)
+    if isinstance(x, (float, int)):  # the same recurrence in Python floats
+        x = float(x)
+        prev, cur = 1.0, x
+        for j in range(1, k):
+            prev, cur = cur, x * cur - j * prev
+        return cur if k else prev
     prev = np.ones_like(np.asarray(x, dtype=float))
     if k == 0:
         return prev if np.ndim(x) else float(prev)
@@ -118,8 +126,15 @@ class Baseline:
         put = object.__setattr__  # derived attributes of a frozen dataclass
         coef = [float(c) for c in self.b_poly.coef]
         put(self, "b", _horner(coef))
-        put(self, "db", _horner(self.b_poly.deriv().coef))
+        db = self.b_poly.deriv().coef
+        put(self, "db", _horner(db))
         put(self, "B", _horner(self.b_poly.integ().coef))
+        # P with P' - xP = -b' for kernel_from_baseline: coefficient n of
+        # P' - xP is (n+1) p_{n+1} - p_{n-1} = -db_n, solved from the top degree
+        p = [0.0] * (db.size + 1)
+        for n in range(db.size - 1, 0, -1):
+            p[n - 1] = db[n] + (n + 1) * p[n + 1]
+        put(self, "_P", _horner(p))
         # b = c x^r: B = c x^(r+1) / (r+1) inverts as sign(y) |(r+1) y / c|^(1/(r+1))
         terms = [r for r, c in enumerate(coef) if c != 0.0]
         r = terms[0]
@@ -239,9 +254,9 @@ def cdf_pk_grid(k: int, xs) -> np.ndarray:
 
 
 _TAU_NUMERATORS = {
-    1: Polynomial([2.0, 0.0, 1.0]),
-    2: Polynomial([5.0, 0.0, 2.0, 0.0, 1.0]),
-    3: Polynomial([18.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0]),
+    1: _horner([2.0, 0.0, 1.0]),
+    2: _horner([5.0, 0.0, 2.0, 0.0, 1.0]),
+    3: _horner([18.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0]),
 }
 
 
@@ -286,19 +301,14 @@ def kernel_from_baseline(bl: Baseline, x: float) -> KernelValue:
 
     b is an even polynomial, so b' is odd and T^{-1}b' =
     phi(x)^{-1} int_x^inf b' phi is exactly the polynomial P with
-    P' - xP = -b', whose coefficients follow by back-substitution from the
-    top degree.  The ratio P/b does not depend on how b is normalised.  At
-    zeros of b the ratio is set to zero by convention and the result is
-    flagged singular.
+    P' - xP = -b', whose coefficients the baseline finds once by
+    back-substitution from the top degree.  The ratio P/b does not depend
+    on how b is normalised.  At zeros of b the ratio is set to zero by
+    convention and the result is flagged singular.
     """
     if bl.near_zero_of_b(x, tol=1e-12):
         return KernelValue(1.0, True)
     bx = float(bl.b(x))
     if bx == 0.0:
         return KernelValue(1.0, True)
-    # coefficient n of P' - xP is (n+1) p_{n+1} - p_{n-1} = -db_n
-    db = bl.b_poly.deriv().coef
-    p = [0.0] * (db.size + 1)
-    for n in range(db.size - 1, 0, -1):
-        p[n - 1] = db[n] + (n + 1) * p[n + 1]
-    return KernelValue(1.0 + float(Polynomial(p)(x)) / bx, False)
+    return KernelValue(1.0 + float(bl._P(x)) / bx, False)

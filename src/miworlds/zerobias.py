@@ -53,11 +53,10 @@ class EmpiricalDist:
 
     def __init__(self, atoms: Sequence[float]):
         atoms = tuple(float(a) for a in atoms)
-        for i in range(len(atoms) - 1):
-            if atoms[i + 1] >= atoms[i]:
-                raise NotDecreasing("atoms must be strictly decreasing")
+        x = np.asarray(atoms, dtype=float)
+        _check_decreasing(x)
         self.atoms = atoms
-        self._asc = np.asarray(atoms[::-1], dtype=float)
+        self._asc = x[::-1].copy()
         self.n = len(atoms)
 
     def cdf(self, x: float) -> float:
@@ -174,9 +173,14 @@ class PiecewiseDensity:
         return rows
 
 
-def _check_symmetric_decreasing(x: np.ndarray):
-    if np.any(np.diff(x) >= 0.0):
+def _check_decreasing(x: np.ndarray):
+    # compare neighbours, not np.diff: a repeated infinity differs by nan
+    if np.any(x[1:] >= x[:-1]):
         raise NotDecreasing("atoms must be strictly decreasing")
+
+
+def _check_symmetric_decreasing(x: np.ndarray):
+    _check_decreasing(x)
     worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
         raise AsymmetricInput(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
@@ -206,18 +210,14 @@ def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
 def histogram_density(atoms: Sequence[float]) -> PiecewiseDensity:
     """Flat density with mass 1/(N-1) on each gap between atoms."""
     atoms = tuple(float(a) for a in atoms)
+    x = np.asarray(atoms, dtype=float)
+    _check_decreasing(x)
     n = len(atoms)
-    for i in range(n - 1):
-        if atoms[i + 1] >= atoms[i]:
-            raise NotDecreasing("atoms must be strictly decreasing")
     mass = 1.0 / (n - 1)
-    coeffs = tuple(
-        mass / (atoms[i] - atoms[i + 1]) for i in range(n - 1)
-    )
     return PiecewiseDensity(
         baseline=ground_baseline(),
         breakpoints=atoms,
-        coeffs=coeffs,
+        coeffs=tuple((mass / (x[:-1] - x[1:])).tolist()),
         masses=(mass,) * (n - 1),
     )
 
@@ -317,6 +317,6 @@ def fixed_point_defect() -> float:
     worst = 0.0
     for i in range(-40, 41):
         x = i / 10.0
-        inner = integrate_adaptive(lambda t: t * float(phi(t)), x, TAIL_CUTOFF)
+        inner = integrate_adaptive(lambda t: t * phi(t), x, TAIL_CUTOFF)
         worst = max(worst, abs(x * x * inner - float(pdf_pk(1, x))))
     return worst

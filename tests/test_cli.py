@@ -298,3 +298,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_one_parser_answers_as_a_fresh_one(monkeypatch, capsys):
+    # main reuses one parser per process: after usage errors, each call must
+    # print and return what a freshly built parser gives
+    monkeypatch.setattr(cli, "fixed_point_defect", lambda: 0.125)
+    argvs = (["solve", "--n", "x"], ["solve", "--family", "maxwell", "--n", "22"],
+             ["bogus"], ["stein-check", "--out", "json"], ["fixed-point"])
+    reused = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in argvs]
+    assert [r[0] for r in reused] == [1, 0, 1, 0, 0]
+    assert reused == fresh
+    assert json.loads(reused[-1][1]) == {"k": 1, "defect": 0.125}

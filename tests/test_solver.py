@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from miworlds import solver
 from miworlds.errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
@@ -19,10 +20,13 @@ from miworlds.solver import (
     validate_properties,
 )
 from miworlds.targets import (
+    SQRT_2PI,
     cdf_pk,
+    ground_baseline,
     hermite_square_baseline,
     maxwell_square_baseline,
     monomial_baseline,
+    normal_cdf,
 )
 
 SQRT_1_5 = math.sqrt(1.5)
@@ -408,3 +412,26 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
     assert info.value.stats.starts_tried == 4
     assert info.value.stats.iterations == 0
 
+
+
+def _target_cdf_reference(bl):
+    """solver._target_cdf's F with Q a Polynomial and phi through np.square."""
+    c = bl.b_poly.coef
+    Q = np.zeros(c.size + 1)
+    for n in range(c.size - 1, 0, -1):
+        Q[n - 1] = (n + 1) * Q[n + 1] - c[n]
+    m = c[0] - Q[1]
+    Q = Polynomial(Q[: max(c.size - 1, 1)])
+    return lambda t: normal_cdf(t) + Q(t) * (np.exp(-0.5 * np.square(t)) / SQRT_2PI) / m
+
+
+@pytest.mark.parametrize("bl", [ground_baseline(), maxwell_square_baseline()]
+                         + [hermite_square_baseline(k) for k in range(1, 7)]
+                         + [monomial_baseline(r).normalized() for r in (4, 6, 8)],
+                         ids=lambda bl: f"{bl.family}-{bl.param}")
+def test_target_cdf_is_bit_identical_to_a_polynomial_Q(bl):
+    F, ref = solver._target_cdf(bl)[0], _target_cdf_reference(bl)
+    xs = np.concatenate((np.linspace(-9.0, 9.0, 361),
+                         np.random.default_rng(12).uniform(-9.0, 9.0, 400)))
+    assert F(xs).tobytes() == ref(xs).tobytes()
+    assert np.array([F(x) for x in xs.tolist()]).tobytes() == ref(xs).tobytes()

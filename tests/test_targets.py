@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from miworlds.errors import KernelSingularity, UnsupportedOrder
 from miworlds.numerics import integrate_adaptive, newton_bracketed
 from miworlds.targets import (
+    MAX_ORDER,
     SQRT_2PI,
+    KernelValue,
     cdf_pk,
     cdf_pk_grid,
     cdf_pk_integral,
@@ -306,3 +309,78 @@ def test_exact_kernel_matches_quadrature_and_closed_form(k):
         assert abs(exact - quad) <= 1e-12 * max(1.0, abs(exact))
         if k <= 3:
             assert abs(exact - stein_kernel_tau(k, x)) <= 1e-12 * max(1.0, abs(exact))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+_RNG_XS = np.random.default_rng(10).uniform(-9.0, 9.0, 400).tolist()
+
+
+@pytest.mark.parametrize("k", range(MAX_ORDER + 1))
+def test_hermite_float_path_is_bit_identical(k):
+    # Python floats, ints and numpy float64 against the 0-d array route
+    xs = _RNG_XS + [0.0, -0.0, 1e-300, 1e200, math.inf, -math.inf, math.nan]
+    with np.errstate(all="ignore"):  # inf - inf in the array route
+        for x in xs + list(range(-4, 5)) + [np.float64(x) for x in xs[:50]]:
+            he = hermite_he(k, x)
+            assert type(he) is float
+            assert _bits(he) == _bits(hermite_he(k, np.asarray(x, dtype=float)))
+
+
+def test_phi_float_path_is_bit_identical():
+    xs = np.concatenate((np.random.default_rng(11).uniform(-40.0, 40.0, 100_000),
+                         [0.0, -0.0, 5e-324, 1e200, math.inf, -math.inf, math.nan]))
+    with np.errstate(over="ignore"):
+        assert _bits([phi(x) for x in xs.tolist()]) == _bits(phi(xs))
+    assert _bits([phi(x) for x in xs[:100]]) == _bits(phi(xs[:100]))  # np.float64
+
+
+# tau_k = N_k / He_k^2 with these closed-form numerators N_k
+_TAU_NUMERATOR_COEFS = {
+    1: [2.0, 0.0, 1.0],
+    2: [5.0, 0.0, 2.0, 0.0, 1.0],
+    3: [18.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tau_float_paths_are_bit_identical(k):
+    # the numerators against Polynomial.__call__, He_k against its array route
+    num = Polynomial(_TAU_NUMERATOR_COEFS[k])
+    xs = np.array(_RNG_XS + [0.5, -2.0, 3])
+    for x in xs.tolist():
+        he = float(hermite_he(k, np.asarray(x)))
+        assert _bits(stein_kernel_tau(k, x)) == _bits(float(num(x)) / (he * he))
+        ref = num(x) * (np.exp(-0.5 * np.square(x)) / SQRT_2PI) / math.factorial(k)
+        assert _bits(stein_kernel_times_pdf(k, x)) == _bits(ref)
+    assert _bits(stein_kernel_times_pdf(k, xs)) == _bits(
+        num(xs) * phi(xs) / math.factorial(k))
+
+
+def _kernel_reference(bl, x):
+    """kernel_from_baseline with P back-substituted and evaluated per call."""
+    if bl.near_zero_of_b(x, tol=1e-12):
+        return KernelValue(1.0, True)
+    bx = float(bl.b(x))
+    if bx == 0.0:
+        return KernelValue(1.0, True)
+    db = bl.b_poly.deriv().coef
+    p = [0.0] * (db.size + 1)
+    for n in range(db.size - 1, 0, -1):
+        p[n - 1] = db[n] + (n + 1) * p[n + 1]
+    return KernelValue(1.0 + float(Polynomial(p)(x)) / bx, False)
+
+
+@pytest.mark.parametrize("bl", [maxwell_square_baseline(), ground_baseline()]
+                         + [hermite_square_baseline(k) for k in range(1, 7)]
+                         + [monomial_baseline(r) for r in (2, 4, 6, 8)]
+                         + [monomial_baseline(r).normalized() for r in (2, 4, 6, 8)],
+                         ids=lambda bl: f"{bl.family}-{bl.param}-{bl.phi_integral:.3g}")
+def test_kernel_from_baseline_is_bit_identical_to_per_call_P(bl):
+    xs = np.concatenate((np.linspace(-5.0, 5.0, 201), _RNG_XS, bl.zeros_of_b)).tolist()
+    for x in xs:
+        kv, ref = kernel_from_baseline(bl, x), _kernel_reference(bl, x)
+        assert kv.singular == ref.singular
+        assert _bits(kv.value) == _bits(ref.value)

@@ -260,3 +260,38 @@ def test_scalar_and_array_quantiles_agree_near_zeros_of_b(k, n):
     xs = np.concatenate([z + np.linspace(-0.05, 0.05, 41) for z in bl.zeros_of_b])
     us = d.cdf(xs)
     assert np.array_equal(d.quantile(us), [d.quantile(float(u)) for u in us])
+
+
+def _loop_says_decreasing(atoms):
+    """The per-pair ordering check the array comparison replaced."""
+    return all(not atoms[i + 1] >= atoms[i] for i in range(len(atoms) - 1))
+
+
+@pytest.mark.parametrize("atoms", [
+    (1.0, 0.0, -1.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0, 0.0), (2.0, 1.0, 1.5),
+    (1.0, math.nan, -1.0), (math.nan, math.nan), (math.nan, 1.0, 2.0),
+    (math.inf, math.inf), (math.inf, 0.0, -math.inf), (-math.inf, math.inf),
+    (0.0, -0.0), (5e-324, 0.0), (0.0, 5e-324), (1.0,), (),
+])
+def test_ordering_check_matches_the_per_pair_loop(atoms):
+    for build in (EmpiricalDist, histogram_density):
+        if build is histogram_density and len(atoms) < 2:
+            continue
+        if _loop_says_decreasing(atoms):
+            with np.errstate(over="ignore"):  # 1/(N-1) over a subnormal gap
+                build(atoms)
+        else:
+            with pytest.raises(NotDecreasing):
+                build(atoms)
+
+
+def test_histogram_coefficients_are_bit_identical_to_the_per_gap_loop():
+    rng = np.random.default_rng(13)
+    cfg = solve_configuration(GENERAL, 81, baseline=hermite_square_baseline(2))
+    for atoms in (cfg.points, tuple(np.sort(rng.normal(size=500))[::-1].tolist()),
+                  (1.0, 0.0, -1.0), (3, 2, -7)):
+        mass = 1.0 / (len(atoms) - 1)
+        loop = [mass / (float(atoms[i]) - float(atoms[i + 1])) for i in range(len(atoms) - 1)]
+        h = histogram_density(atoms)
+        assert np.array(h.coeffs).tobytes() == np.array(loop).tobytes()
+        assert all(type(c) is float for c in h.coeffs)
