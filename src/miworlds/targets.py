@@ -48,9 +48,7 @@ MAX_ORDER = 30
 
 def phi(x):
     """Standard normal density (scalar or array)."""
-    if isinstance(x, float):  # x * x is np.square's product, without its set-up
-        return np.exp(-0.5 * (x * x)) / SQRT_2PI
-    return np.exp(-0.5 * np.square(x)) / SQRT_2PI
+    return np.exp(-0.5 * (x * x)) / SQRT_2PI
 
 
 def normal_cdf(x):

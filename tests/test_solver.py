@@ -413,7 +413,6 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
     assert info.value.stats.iterations == 0
 
 
-
 def _target_cdf_reference(bl):
     """solver._target_cdf's F with Q a Polynomial and phi through np.square."""
     c = bl.b_poly.coef
