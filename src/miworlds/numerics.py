@@ -2,7 +2,9 @@
 
 Adaptive quadrature, bracketed root finding and scalar and array
 monotone inversion.  Everything here is a pure function of its arguments
-and safe for concurrent use.
+and safe for concurrent use.  SciPy's quadrature and root finder load on
+first use, so a process that never integrates or brackets a root does
+not import them.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NoBracket, NonConvergence, OutOfRange
 
@@ -50,6 +51,8 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float
     """
     if a == b:
         return 0.0
+    from scipy import integrate
+
     out = integrate.quad(
         f,
         a,
@@ -81,6 +84,8 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         return hi
     if flo * fhi > 0:
         raise NoBracket(f"f({lo})={flo:g} and f({hi})={fhi:g} share a sign")
+    from scipy import optimize
+
     return float(
         optimize.brentq(
             f,

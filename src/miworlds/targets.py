@@ -53,7 +53,7 @@ def phi(x):
 
 def normal_cdf(x):
     """Standard normal CDF (scalar or array)."""
-    from scipy.special import ndtr  # already loaded by .numerics' scipy.integrate
+    from scipy.special import ndtr  # loaded on first use, not when miworlds starts
 
     return ndtr(x) if np.ndim(x) else float(ndtr(x))
 

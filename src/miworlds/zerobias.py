@@ -23,6 +23,7 @@ from .errors import (
     AtomAtZero,
     BaselineZero,
     MismatchedBreakpoints,
+    MiwValidation,
     NotDecreasing,
 )
 from .numerics import TAIL_CUTOFF, integrate_adaptive
@@ -173,7 +174,9 @@ class PiecewiseDensity:
         return rows
 
 
-def _check_decreasing(x: np.ndarray):
+def _check_decreasing(x: np.ndarray, at_least: int = 1):
+    if x.size < at_least:
+        raise MiwValidation(f"{at_least} or more atoms needed, got {x.size}")
     # compare neighbours, not np.diff: a repeated infinity differs by nan
     if np.any(x[1:] >= x[:-1]):
         raise NotDecreasing("atoms must be strictly decreasing")
@@ -211,7 +214,7 @@ def histogram_density(atoms: Sequence[float]) -> PiecewiseDensity:
     """Flat density with mass 1/(N-1) on each gap between atoms."""
     atoms = tuple(float(a) for a in atoms)
     x = np.asarray(atoms, dtype=float)
-    _check_decreasing(x)
+    _check_decreasing(x, 2)
     n = len(atoms)
     mass = 1.0 / (n - 1)
     return PiecewiseDensity(

@@ -287,17 +287,52 @@ def test_rates_writes_csv_and_json(capsys):
     assert {k: float(v) for k, v in comments["fit"].items()} == payload["fit"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about a third of a second to every CLI start-up
+def _fresh_python(code):
+    """Standard output of ``code`` run by a new interpreter on this package."""
     import miworlds
 
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(miworlds.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, miworlds.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about a third of a second to every CLI start-up
+    code = "import sys, miworlds.cli; print('scipy.stats' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+QUADPACK_FREE = [
+    ["solve", "--n", "64"], ["solve", "--family", "ground", "--n", "64"],
+    ["solve", "--family", "hermite-sq", "--k", "2", "--n", "81"],
+    ["solve", "--family", "monomial", "--r", "4", "--n", "100"],
+    ["verify", "--n", "64"], ["energy", "--n", "64"],
+    ["coupling", "--family", "hermite-sq", "--k", "2", "--n", "82"],
+    ["density", "--family", "hermite-sq", "--k", "2", "--n", "81"], ["stein-check"],
+]
+
+
+def test_subcommands_load_quadpack_and_brentq_only_when_they_integrate():
+    # scipy.integrate and scipy.optimize add about 0.08 s to a cold start, so
+    # numerics imports them on first use; of the subcommands run here only
+    # fixed-point integrates, and it must still find them
+    code = f"""
+import contextlib, io, sys
+import miworlds.cli as cli
+lazy = ("scipy.integrate", "scipy.optimize")
+print([m for m in lazy if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {QUADPACK_FREE!r}]
+print(codes, [m for m in lazy if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["fixed-point"])
+print(code, "scipy.integrate" in sys.modules)
+"""
+    lines = _fresh_python(code).splitlines()
+    assert lines == ["[]", f"{[0] * len(QUADPACK_FREE)} []", "0 True"]
 
 
 def test_one_parser_answers_as_a_fresh_one(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from miworlds.errors import (
     AsymmetricInput,
     AtomAtZero,
     MismatchedBreakpoints,
+    MiwValidation,
     NotDecreasing,
 )
 from miworlds.metrics import wasserstein1
@@ -37,6 +38,13 @@ def test_empirical_dist_basics():
         assert e.quantile(e.cdf(a)) == a
     with pytest.raises(NotDecreasing):
         EmpiricalDist((0.0, 1.0))
+
+
+def test_empirical_dist_without_atoms_is_a_typed_error():
+    # rejected when built, not with a ZeroDivisionError on the first cdf call
+    with pytest.raises(MiwValidation, match="1 or more atoms needed, got 0"):
+        EmpiricalDist(())
+    assert EmpiricalDist((0.5,)).cdf(0.5) == 1.0
 
 
 def test_gzb_single_interval_maxwell():
@@ -87,6 +95,13 @@ def test_histogram_density_masses():
     assert h.masses == pytest.approx((0.5, 0.5), abs=1e-15)
     assert h.pdf(0.5) == pytest.approx(0.5, abs=1e-15)
     assert h.cdf(0.5) == pytest.approx(0.75, abs=1e-14)
+
+
+@pytest.mark.parametrize("atoms", [(), (1.0,)])
+def test_histogram_density_needs_two_atoms(atoms):
+    # one atom leaves no gap to spread the mass over: 1/(N-1) divided by zero
+    with pytest.raises(MiwValidation, match=f"2 or more atoms needed, got {len(atoms)}"):
+        histogram_density(atoms)
 
 
 def test_coupling_identical_marginals_zero():
@@ -276,8 +291,10 @@ def _loop_says_decreasing(atoms):
     (math.inf, math.inf, -math.inf, -math.inf),
 ])
 def test_ordering_check_matches_the_per_pair_loop(atoms):
-    builders = [EmpiricalDist]
-    if len(atoms) >= 2:  # fewer atoms fail the later mass and symmetry checks
+    # fewer atoms than a builder needs fail its count check before the ordering
+    # one (tested on its own above); gzb also needs two to pass its symmetry check
+    builders = [EmpiricalDist] if atoms else []
+    if len(atoms) >= 2:
         builders += [histogram_density, partial(gzb_density, ground_baseline())]
     for build in builders:
         if _loop_says_decreasing(atoms):
