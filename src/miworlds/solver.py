@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +25,8 @@ from scipy.linalg import solve_banded
 from .energy import potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from .numerics import newton_bracketed
-from .targets import Baseline, _horner, ground_baseline, maxwell_square_baseline, normal_cdf, phi
+from .targets import (Baseline, _horner, _inverse_stein_poly, ground_baseline,
+                      maxwell_square_baseline, normal_cdf, phi)
 
 __all__ = [
     "GROUND",
@@ -91,7 +91,8 @@ _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
 
 
 def _baseline(family: str, baseline: Optional[Baseline]) -> Baseline:
-    """The family's own baseline, or for the general family the given one."""
+    """The family's own baseline, or for the general family the given one: the one
+    lookup that solve_configuration and validate_properties share."""
     if family != GENERAL:
         return _BASELINES[family]()
     if baseline is None:
@@ -99,13 +100,8 @@ def _baseline(family: str, baseline: Optional[Baseline]) -> Baseline:
     return baseline
 
 
-def shoot_sequence(
-    family: str,
-    baseline: Optional[Baseline],
-    x1: float,
-    max_len: int,
-):
-    """Iterate the family recursion forward from x_1 = ``x1``.
+def shoot_sequence(bl: Baseline, x1: float, max_len: int):
+    """Iterate the recursion of baseline ``bl`` forward from x_1 = ``x1``.
 
     Returns the emitted prefix and the reason iteration stopped:
     ``completed``, ``nondecreasing``, ``singular_partial_sum``,
@@ -113,7 +109,6 @@ def shoot_sequence(
     """
     if not (x1 > 0):
         raise InvalidStart(f"shooting start must be positive, got {x1}")
-    bl = _baseline(family, baseline)
     x = float(x1)
     xs, partial = [x], 0.0
     while len(xs) < max_len:
@@ -196,14 +191,11 @@ def _newton(x, bl: Baseline, tail: float):
 def _target_cdf(bl: Baseline):
     """CDF and density of the target b phi / m, m = E b(Z), exactly.
 
-    b = m + Q' - xQ for the odd polynomial Q found by back-substitution
-    from the top degree, ((n+1) Q_{n+1} - Q_{n-1} is coefficient n of b
-    for n >= 1), so that (Q phi)' = (b - m) phi and F = Phi + Q phi / m.
+    b = m + Q' - xQ for the odd polynomial Q with Q' - xQ = b - m, so
+    that (Q phi)' = (b - m) phi and F = Phi + Q phi / m.
     """
     c = bl.b_poly.coef
-    Q = np.zeros(c.size + 1)
-    for n in range(c.size - 1, 0, -1):
-        Q[n - 1] = (n + 1) * Q[n + 1] - c[n]
+    Q = _inverse_stein_poly(c)
     m = c[0] - Q[1]
     Q = _horner(Q[: max(c.size - 1, 1)])
     return (lambda t: normal_cdf(t) + Q(t) * phi(t) / m,
@@ -252,37 +244,14 @@ def _starts(bl: Baseline, n_worlds: int):
         yield name, -newton_bracketed(F, dF, target, edges[cell], edges[cell + 1])
 
 
-def recursion_residual(
-    family: str,
-    points: Sequence[float],
-    baseline: Optional[Baseline] = None,
-) -> float:
-    """Max defect of the defining recursion over the full sequence."""
+def recursion_residual(bl: Baseline, points: Sequence[float]) -> float:
+    """Max defect |B(x_{n+1}) - B(x_n) + 1/S_n| of the recursion over the sequence."""
     x = np.asarray(points, dtype=float)
     if x.size < 2:
         return 0.0
-    head = x[:-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family == GROUND:
-            partial = np.cumsum(head)
-            jump = x[1:] - head
-        elif family == MAXWELL:
-            partial = np.cumsum(1.0 / head)
-            # Python's pow: numpy's vector power differs from it in the last
-            # bit on about 3% of inputs, and is then the less accurate one.
-            # pow(-v, 3) is -pow(v, 3), so a mirror cubes its first half only.
-            h = x.size // 2 if _is_positive_mirror(x) else 0
-            cubes = np.fromiter(map(math.pow, x[: x.size - h].tolist(), repeat(3.0)), float)
-            cubes = np.concatenate((cubes, -cubes[:h][::-1]))
-            jump = cubes[1:] - cubes[:-1]
-        else:
-            partial = np.cumsum(head / np.asarray(baseline.b(head), dtype=float))
-            Bx = np.asarray(baseline.B(x), dtype=float)
-            jump = Bx[1:] - Bx[:-1]
-        if np.any(partial == 0.0):
-            return math.inf
-        drop = (3.0 if family == MAXWELL else 1.0) / partial
-        worst = float(np.max(np.abs(jump + drop)))
+    with np.errstate(all="ignore"):
+        S = np.cumsum(x[:-1] / bl.b(x[:-1]))
+        worst = float(np.max(np.abs(np.diff(bl.B(x)) + 1.0 / S)))
     return worst if math.isfinite(worst) else math.inf
 
 
@@ -295,6 +264,11 @@ def _is_positive_mirror(x: np.ndarray) -> bool:
 
 def _symmetry_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x + x[::-1])))
+
+
+def _variance_defect(family: str, points, n_worlds: int) -> Optional[float]:
+    """|sum x^2 - 3(N-1)|: Maxwell configurations have variance 3(N-1)/N."""
+    return abs(potential_V(points) - 3.0 * (n_worlds - 1)) if family == MAXWELL else None
 
 
 def solve_configuration(
@@ -342,7 +316,7 @@ def solve_configuration(
     x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
     points = x.tolist()
 
-    residual = recursion_residual(family, x, baseline)
+    residual = recursion_residual(bl, x)
     if residual > residual_tol:
         raise failure(ResidualFailure(
             f"recursion defect {residual:.3e} exceeds {residual_tol:g} "
@@ -353,8 +327,9 @@ def solve_configuration(
         "mean_abs": abs(sum(points)) / n_worlds,
         "symmetry_defect": _symmetry_defect(x),
     }
-    if family == MAXWELL:
-        residuals["variance_defect"] = abs(potential_V(points) - 3.0 * (n_worlds - 1))
+    variance = _variance_defect(family, points, n_worlds)
+    if variance is not None:
+        residuals["variance_defect"] = variance
     return Configuration(
         family=family,
         n_worlds=n_worlds,
@@ -365,27 +340,21 @@ def solve_configuration(
     )
 
 
-def validate_properties(
-    cfg: Configuration,
-    baseline: Optional[Baseline] = None,
-) -> dict:
-    """Report the four structural defects plus growth diagnostics."""
-    pts = cfg.points
-    n = cfg.n_worlds
+def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None) -> dict:
+    """Report the four structural defects plus growth diagnostics.
+
+    ``baseline`` is needed, and read, for the general family only.
+    """
+    pts, n = cfg.points, cfg.n_worlds
     x = np.asarray(pts, dtype=float)
-    report = {
+    return {
         "p1_zero_mean_defect": abs(sum(pts)),
-        "p2_variance_defect": (
-            abs(potential_V(pts) - 3.0 * (n - 1)) if cfg.family == MAXWELL else None
-        ),
+        "p2_variance_defect": _variance_defect(cfg.family, pts, n),
         "p3_symmetry_defect": _symmetry_defect(x),
         "p4_decreasing_violation": bool(np.any(np.diff(x) > 0.0)),
-        "recursion_residual": recursion_residual(cfg.family, x, baseline),
-        "x1_over_sqrt_log_n": (
-            pts[0] / math.sqrt(math.log(n)) if n >= 8 else None
-        ),
+        "recursion_residual": recursion_residual(_baseline(cfg.family, baseline), x),
+        "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
     }
-    return report
 
 
 def configuration_to_json(cfg: Configuration) -> str:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import TAIL_CUTOFF, integrate_adaptive
+from .numerics import TAIL_CUTOFF
 from .zerobias import CouplingReport
 
 __all__ = [
@@ -133,21 +133,6 @@ def _upper_integral_grid(ts, f, kinks, L):
     out = np.where(ts >= L, 0.0, np.nan)  # NaN stays NaN
     out[inside] = S[first[knot_of[:np.count_nonzero(inside)]]]
     return out
-
-
-def _g0_scalar(x, htilde, kinks):
-    """Adaptive-quadrature g0, the slow reference path."""
-    L = TAIL_CUTOFF
-    if x > 0:
-        cuts = sorted({x, L} | {k for k in kinks if x < k < L})
-    else:
-        cuts = sorted({-L, x} | {k for k in kinks if -L < k < x})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += integrate_adaptive(
-            lambda u: u * u * float(htilde(u)) * math.exp(0.5 * (x * x - u * u)), a, b
-        )
-    return total
 
 
 def _g0(test: TestFunction, xs) -> np.ndarray:

@@ -4,22 +4,22 @@ A baseline is the even nonnegative polynomial factor b of a density
 b(x)*phi(x); its derivative, the cumulative B(x) = int_0^x b and the
 monotone inverse of B all derive from its coefficients.  Eigenstate
 densities p_k = He_k(x)^2 phi(x) / k! come with exact CDFs, and the Stein
-kernels tau_k of p_k are exposed both in closed form and through the
-Gaussian inverse Stein operator.
+kernels tau_k of p_k are exposed in closed form and built exactly from a
+baseline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import hermite_e as herme
 
 from .errors import KernelSingularity, UnsupportedOrder
-from .numerics import TAIL_CUTOFF, integrate_adaptive, newton_bracketed
+from .numerics import newton_bracketed
 
 __all__ = [
     "SQRT_2PI",
@@ -37,7 +37,6 @@ __all__ = [
     "cdf_pk_grid",
     "stein_kernel_tau",
     "stein_kernel_times_pdf",
-    "inverse_stein_operator",
     "KernelValue",
     "kernel_from_baseline",
 ]
@@ -104,6 +103,19 @@ def _horner(coef) -> Callable:
     return value
 
 
+def _inverse_stein_poly(f) -> np.ndarray:
+    """Coefficients of R with R' - xR = f (the Gaussian Stein operator) in degrees >= 1.
+
+    Coefficient n of R' - xR is (n+1) R_{n+1} - R_{n-1}, so R follows by
+    back-substitution from the top degree.  Degree 0 asks R_1 = f_0, which
+    is left to the caller.
+    """
+    R = np.zeros(len(f) + 1)
+    for n in range(len(f) - 1, 0, -1):
+        R[n - 1] = (n + 1) * R[n + 1] - f[n]
+    return R
+
+
 @dataclass(frozen=True)
 class Baseline:
     """Even nonnegative polynomial baseline b of a target density b(x) phi(x).
@@ -118,7 +130,6 @@ class Baseline:
     family: str
     b_poly: Polynomial
     zeros_of_b: tuple = ()
-    param: Optional[int] = None
 
     def __post_init__(self):
         put = object.__setattr__  # derived attributes of a frozen dataclass
@@ -127,12 +138,7 @@ class Baseline:
         db = self.b_poly.deriv().coef
         put(self, "db", _horner(db))
         put(self, "B", _horner(self.b_poly.integ().coef))
-        # P with P' - xP = -b' for kernel_from_baseline: coefficient n of
-        # P' - xP is (n+1) p_{n+1} - p_{n-1} = -db_n, solved from the top degree
-        p = [0.0] * (db.size + 1)
-        for n in range(db.size - 1, 0, -1):
-            p[n - 1] = db[n] + (n + 1) * p[n + 1]
-        put(self, "_P", _horner(p))
+        put(self, "_P", _horner(_inverse_stein_poly(-db)))  # P' - xP = -b', for the kernel
         # b = c x^r: B = c x^(r+1) / (r+1) inverts as sign(y) |(r+1) y / c|^(1/(r+1))
         terms = [r for r, c in enumerate(coef) if c != 0.0]
         r = terms[0]
@@ -190,8 +196,7 @@ def monomial_baseline(r: int) -> Baseline:
         raise ValueError("monomial exponent must be an even nonnegative integer")
     if r == 0:
         return ground_baseline()
-    return Baseline(family="monomial", b_poly=Polynomial([0.0] * r + [1.0]),
-                    zeros_of_b=(0.0,), param=r)
+    return Baseline(family="monomial", b_poly=Polynomial([0.0] * r + [1.0]), zeros_of_b=(0.0,))
 
 
 def hermite_square_baseline(k: int) -> Baseline:
@@ -199,8 +204,7 @@ def hermite_square_baseline(k: int) -> Baseline:
     _check_order(k)
     he = _he_poly(k)
     roots = tuple(sorted(float(z) for z in herme.hermeroots([0.0] * k + [1.0])))
-    return Baseline(family="hermite_square", b_poly=he * he / math.factorial(k),
-                    zeros_of_b=roots, param=k)
+    return Baseline(family="hermite_square", b_poly=he * he / math.factorial(k), zeros_of_b=roots)
 
 
 def pdf_pk(k: int, x):
@@ -273,20 +277,6 @@ def stein_kernel_times_pdf(k: int, x) -> float:
     if k not in _TAU_NUMERATORS:
         raise UnsupportedOrder(f"closed-form kernel available only for k in 1..3, got {k}")
     return _TAU_NUMERATORS[k](x) * phi(x) / math.factorial(k)
-
-
-def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:
-    """Gaussian inverse Stein operator phi(x)^{-1} int_x^inf h(u) phi(u) du.
-
-    Computed in the cancellation-friendly factored form
-    int_x^L h(u) exp((x^2 - u^2)/2) du; accurate for moderate |x| (the
-    intrinsic conditioning degrades like exp(x^2/2) far into the left tail).
-    """
-    if x >= TAIL_CUTOFF:
-        return 0.0
-    return integrate_adaptive(
-        lambda u: h(u) * math.exp(0.5 * (x * x - u * u)), x, TAIL_CUTOFF
-    )
 
 
 class KernelValue(NamedTuple):

@@ -21,6 +21,7 @@ from miworlds.solver import (
 )
 from miworlds.targets import (
     SQRT_2PI,
+    Baseline,
     cdf_pk,
     ground_baseline,
     hermite_square_baseline,
@@ -33,32 +34,34 @@ SQRT_1_5 = math.sqrt(1.5)
 
 
 def test_shoot_ground_hand_iteration():
-    xs, reason = shoot_sequence(GROUND, None, 1.0, 3)
+    xs, reason = shoot_sequence(ground_baseline(), 1.0, 3)
     assert reason == "completed"
     assert xs == pytest.approx([1.0, 0.0, -1.0], abs=1e-15)
 
 
 def test_shoot_maxwell_n2():
-    xs, reason = shoot_sequence(MAXWELL, None, SQRT_1_5, 2)
+    xs, reason = shoot_sequence(maxwell_square_baseline(), SQRT_1_5, 2)
     assert reason == "completed"
     assert xs == pytest.approx([SQRT_1_5, -SQRT_1_5], abs=1e-14)
 
 
 def test_shoot_general_matches_maxwell():
-    bl = maxwell_square_baseline()
-    xs, _ = shoot_sequence(GENERAL, bl, SQRT_1_5, 2)
-    ys, _ = shoot_sequence(MAXWELL, None, SQRT_1_5, 2)
-    assert xs == pytest.approx(ys, abs=1e-12)
+    # scaling b leaves the recursion unchanged: b = 3x^2 shoots as b = x^2
+    scaled = Baseline("scaled", Polynomial([0.0, 0.0, 3.0]), (0.0,))
+    xs, _ = shoot_sequence(scaled, 1.7, 8)
+    ys, _ = shoot_sequence(maxwell_square_baseline(), 1.7, 8)
+    assert len(xs) == len(ys) >= 2
+    assert xs == pytest.approx(ys, rel=1e-12)
 
 
 def test_shoot_invalid_start():
     with pytest.raises(InvalidStart):
-        shoot_sequence(GROUND, None, -1.0, 4)
+        shoot_sequence(ground_baseline(), -1.0, 4)
 
 
 def test_shoot_stop_reason_nondecreasing():
     # a tiny start collapses immediately for the ground recursion
-    xs, reason = shoot_sequence(GROUND, None, 0.1, 10)
+    xs, reason = shoot_sequence(ground_baseline(), 0.1, 10)
     assert reason in {"nondecreasing", "singular_partial_sum"}
     assert len(xs) < 10
 
@@ -118,6 +121,14 @@ def test_lemma1_properties(maxwell_configs):
         assert rep["recursion_residual"] <= 1e-9
 
 
+def test_validate_general_without_baseline_raises():
+    # the same lookup as solve_configuration, and the same message
+    cfg = solve_configuration(GENERAL, 21, baseline=hermite_square_baseline(2))
+    with pytest.raises(ValueError, match="general family requires a baseline"):
+        validate_properties(cfg)
+    assert validate_properties(cfg, hermite_square_baseline(2))["recursion_residual"] <= 1e-9
+
+
 def test_validate_reports_increasing_violation():
     from miworlds.solver import Configuration
 
@@ -141,7 +152,7 @@ def test_uniqueness_probe(maxwell_configs):
     # shots from either side of the solved x_1 miss the midpoint condition
     # x_12 = -x_11 with opposite signs (a shot that collapses early misses low)
     def defect(x1):
-        xs, _ = shoot_sequence(MAXWELL, None, x1, 12)
+        xs, _ = shoot_sequence(maxwell_square_baseline(), x1, 12)
         return xs[11] + xs[10] if len(xs) == 12 else -math.inf
 
     cfg = maxwell_configs[22]
@@ -152,8 +163,12 @@ def test_rescaled_recursion(maxwell_configs):
     # the Maxwell points divided by sqrt(3) solve the factor-1 recursion
     # x_{n+1}^3 = x_n^3 - 1/S_n, to the rounding of n partial sums
     for n in (16, 512):
-        pts = tuple(v / math.sqrt(3.0) for v in maxwell_configs[n].points)
-        assert _scalar_residual(MAXWELL, pts, cube_factor=1.0) <= 4 * n * np.finfo(float).eps
+        pts = [v / math.sqrt(3.0) for v in maxwell_configs[n].points]
+        worst = partial = 0.0
+        for x, nxt in zip(pts[:-1], pts[1:]):
+            partial += 1.0 / x
+            worst = max(worst, abs(nxt ** 3 - x ** 3 + 1.0 / partial))
+        assert worst <= 4 * n * np.finfo(float).eps
 
 
 def test_telescoping_variance_identity(maxwell_configs):
@@ -208,62 +223,34 @@ def test_json_writes_what_json_dumps_writes(maxwell_configs):
         assert configuration_from_json(text) == cfg
 
 
-def _maxwell_residual_by_power(points):
-    """The Maxwell defect with every cube taken as v ** 3."""
-    x = np.asarray(points, dtype=float)
-    cubes = np.array([v ** 3 for v in map(float, points)])
-    return float(np.max(np.abs(np.diff(cubes) + 3.0 / np.cumsum(1.0 / x[:-1]))))
-
-
-def test_maxwell_residual_cubes_half_a_mirror(maxwell_configs):
-    # pow(-v, 3) == -pow(v, 3): cubing the first half and negating it for
-    # the mirrored second half changes no bit of the cubes or the residual
-    pts = maxwell_configs[4096].points
-    half = [math.pow(v, 3.0) for v in pts[:2048]]
-    assert [-c for c in reversed(half)] == [v ** 3 for v in pts[2048:]]
-    perturbed = list(pts)
-    perturbed[3000] *= 1.0 + 1e-9
-    assert not solver._is_positive_mirror(np.array(perturbed))
-    for case in (pts, perturbed):
-        assert recursion_residual(MAXWELL, case) == _maxwell_residual_by_power(case)
-
-
 def test_recursion_residual_on_exact_points():
-    assert recursion_residual(GROUND, (1.0, 0.0, -1.0)) <= 1e-15
+    assert recursion_residual(ground_baseline(), (1.0, 0.0, -1.0)) <= 1e-15
 
 
-def _scalar_residual(family, points, baseline=None, cube_factor=3.0):
-    """The recursion defect by a plain float loop, as a second route."""
+def _scalar_residual(bl, points):
+    """The recursion defect by a plain float loop over b and B, as a second route."""
     worst = partial = 0.0
     for x, nxt in zip(points[:-1], points[1:]):
-        if family == MAXWELL:
-            partial += 1.0 / x
-            defect = nxt ** 3 - x ** 3 + cube_factor / partial
-        elif family == GROUND:
-            partial += x
-            defect = nxt - x + 1.0 / partial
-        else:
-            partial += x / float(baseline.b(x))
-            defect = float(baseline.B(nxt)) - float(baseline.B(x)) + 1.0 / partial
-        worst = max(worst, abs(defect))
+        partial += x / float(bl.b(x))
+        worst = max(worst, abs(float(bl.B(nxt)) - float(bl.B(x)) + 1.0 / partial))
     return worst
 
 
 def test_recursion_residual_matches_scalar_loop(maxwell_configs):
     # bit for bit: the residual is printed by `solve`
-    for n in (8, 512, 4096):
-        pts = maxwell_configs[n].points
-        assert recursion_residual(MAXWELL, pts) == _scalar_residual(MAXWELL, pts)
-    ground = solve_configuration(GROUND, 301)
-    assert recursion_residual(GROUND, ground.points) == _scalar_residual(GROUND, ground.points)
-    bl = hermite_square_baseline(2)
-    cfg = solve_configuration(GENERAL, 41, baseline=bl)
-    assert recursion_residual(GENERAL, cfg.points, bl) == pytest.approx(
-        _scalar_residual(GENERAL, cfg.points, bl), rel=1e-12, abs=1e-15)
+    maxwell = maxwell_square_baseline()
+    cases = [(maxwell, maxwell_configs[n]) for n in (8, 512, 4096)]
+    cases.append((maxwell, solve_configuration(MAXWELL, 65536)))
+    cases.append((ground_baseline(), solve_configuration(GROUND, 301)))
+    for bl, n in [(hermite_square_baseline(2), 41), (hermite_square_baseline(3), 40),
+                  (monomial_baseline(4).normalized(), 1000)]:
+        cases.append((bl, solve_configuration(GENERAL, n, baseline=bl)))
+    for bl, cfg in cases:
+        assert recursion_residual(bl, cfg.points) == _scalar_residual(bl, cfg.points)
 
 
 def test_recursion_residual_zero_partial_sum_is_infinite():
-    assert recursion_residual(GROUND, (1.0, -1.0, 0.5)) == math.inf
+    assert recursion_residual(ground_baseline(), (1.0, -1.0, 0.5)) == math.inf
 
 
 def test_maxwell_65536_shoot_param_is_pinned():
@@ -357,8 +344,8 @@ def test_newton_path_matches_closed_form_path():
     x1 = solve_configuration(GENERAL, 40, baseline=maxwell_square_baseline()).shoot_param
     newton = hermite_square_baseline(1)
     object.__setattr__(newton, "_root", None)
-    xs, reason = shoot_sequence(GENERAL, newton, x1, 21)
-    ys, _ = shoot_sequence(GENERAL, maxwell_square_baseline(), x1, 21)
+    xs, reason = shoot_sequence(newton, x1, 21)
+    ys, _ = shoot_sequence(maxwell_square_baseline(), x1, 21)
     assert reason == "completed"
     assert xs == pytest.approx(ys, rel=1e-12, abs=1e-12)
 
@@ -424,10 +411,12 @@ def _target_cdf_reference(bl):
     return lambda t: normal_cdf(t) + Q(t) * (np.exp(-0.5 * np.square(t)) / SQRT_2PI) / m
 
 
-@pytest.mark.parametrize("bl", [ground_baseline(), maxwell_square_baseline()]
-                         + [hermite_square_baseline(k) for k in range(1, 7)]
-                         + [monomial_baseline(r).normalized() for r in (4, 6, 8)],
-                         ids=lambda bl: f"{bl.family}-{bl.param}")
+@pytest.mark.parametrize("bl", [pytest.param(ground_baseline(), id="ground-None"),
+                                pytest.param(maxwell_square_baseline(), id="maxwell_square-None")]
+                         + [pytest.param(hermite_square_baseline(k), id=f"hermite_square-{k}")
+                            for k in range(1, 7)]
+                         + [pytest.param(monomial_baseline(r).normalized(), id=f"monomial-{r}")
+                            for r in (4, 6, 8)])
 def test_target_cdf_is_bit_identical_to_a_polynomial_Q(bl):
     F, ref = solver._target_cdf(bl)[0], _target_cdf_reference(bl)
     xs = np.concatenate((np.linspace(-9.0, 9.0, 361),

@@ -7,7 +7,6 @@ from miworlds import stein
 from miworlds.numerics import TAIL_CUTOFF
 from miworlds.stein import (
     _g0,
-    _g0_scalar,
     _upper_integral_grid,
     fixed_suite,
     identity_f_check,
@@ -18,6 +17,7 @@ from miworlds.stein import (
     theorem_check,
 )
 from miworlds.zerobias import CouplingReport
+from reference import g0_scalar
 
 SUITE = fixed_suite()
 IDENT = SUITE[0]
@@ -85,7 +85,7 @@ def test_vectorized_matches_scalar():
     for tf in SUITE + (_square(),):
         xs = np.array([-6.0, -1.0, -0.999, -1e-4, 0.0, 1e-4, 0.5, 1.0, 2.7, 7.5])
         grid = _g0(tf, xs)
-        scalar = np.array([_g0_scalar(float(v), tf.htilde, tf.kinks) for v in xs])
+        scalar = np.array([g0_scalar(float(v), tf.htilde, tf.kinks) for v in xs])
         assert np.max(np.abs(grid - scalar)) <= 1e-10 * np.maximum(
             1.0, np.max(np.abs(scalar))
         )
@@ -148,7 +148,7 @@ def test_kink_one_ulp_off_a_grid_point_is_split():
         nodes = np.concatenate(seen, axis=1)
         lo, hi = min(t, kink), max(t, kink)
         assert np.any(np.all((nodes >= lo) & (nodes <= hi), axis=0))
-        ref = _g0_scalar(float(t), clipped.htilde, clipped.kinks)
+        ref = g0_scalar(float(t), clipped.htilde, clipped.kinks)
         assert value[0] == pytest.approx(ref, rel=1e-12)
 
 

@@ -10,13 +10,13 @@ from miworlds.targets import (
     MAX_ORDER,
     SQRT_2PI,
     KernelValue,
+    _inverse_stein_poly,
     cdf_pk,
     cdf_pk_grid,
     cdf_pk_integral,
     ground_baseline,
     hermite_he,
     hermite_square_baseline,
-    inverse_stein_operator,
     kernel_from_baseline,
     maxwell_square_baseline,
     monomial_baseline,
@@ -26,6 +26,7 @@ from miworlds.targets import (
     stein_kernel_tau,
     stein_kernel_times_pdf,
 )
+from reference import inverse_stein_operator
 
 
 def test_hermite_values():
@@ -385,14 +386,35 @@ def _kernel_reference(bl, x):
     return KernelValue(1.0 + float(Polynomial(p)(x)) / bx, False)
 
 
-@pytest.mark.parametrize("bl", [maxwell_square_baseline(), ground_baseline()]
-                         + [hermite_square_baseline(k) for k in range(1, 7)]
-                         + [monomial_baseline(r) for r in (2, 4, 6, 8)]
-                         + [monomial_baseline(r).normalized() for r in (2, 4, 6, 8)],
-                         ids=lambda bl: f"{bl.family}-{bl.param}-{bl.phi_integral:.3g}")
+def _case(bl, order=None):
+    return pytest.param(bl, id=f"{bl.family}-{order}-{bl.phi_integral:.3g}")
+
+
+@pytest.mark.parametrize("bl", [_case(maxwell_square_baseline()), _case(ground_baseline())]
+                         + [_case(hermite_square_baseline(k), k) for k in range(1, 7)]
+                         + [_case(monomial_baseline(r), r) for r in (2, 4, 6, 8)]
+                         + [_case(monomial_baseline(r).normalized(), r) for r in (2, 4, 6, 8)])
 def test_kernel_from_baseline_is_bit_identical_to_per_call_P(bl):
     xs = np.concatenate((np.linspace(-5.0, 5.0, 201), _RNG_XS, bl.zeros_of_b)).tolist()
     for x in xs:
         kv, ref = kernel_from_baseline(bl, x), _kernel_reference(bl, x)
         assert kv.singular == ref.singular
         assert _bits(kv.value) == _bits(ref.value)
+
+
+def test_inverse_stein_poly_is_both_back_substitutions():
+    # R' - xR = f as the target CDF solved it for Q (f = b - m) and the
+    # baseline for P (f = -b'), each by its own loop
+    for bl in ([ground_baseline(), maxwell_square_baseline()]
+               + [hermite_square_baseline(k) for k in range(1, 9)]
+               + [monomial_baseline(r).normalized() for r in (2, 4, 6, 8)]):
+        c = bl.b_poly.coef
+        Q = np.zeros(c.size + 1)
+        for n in range(c.size - 1, 0, -1):
+            Q[n - 1] = (n + 1) * Q[n + 1] - c[n]
+        assert _bits(_inverse_stein_poly(c)) == _bits(Q)
+        db = bl.b_poly.deriv().coef
+        p = [0.0] * (db.size + 1)
+        for n in range(db.size - 1, 0, -1):
+            p[n - 1] = db[n] + (n + 1) * p[n + 1]
+        assert _bits(_inverse_stein_poly(-db)) == _bits(p)
