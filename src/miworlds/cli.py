@@ -157,12 +157,15 @@ def _cmd_verify(args) -> int:
     return export(report, args.out_format, args.out_path) and 0
 
 
+def _export_report(args, cfg, report) -> int:
+    """Export a report's fields after the family label and the world count."""
+    payload = {"family": args.family, "N": cfg.n_worlds, **report.to_dict()}
+    return export(payload, args.out_format, args.out_path) and 0
+
+
 def _cmd_energy(args) -> int:
     bl, cfg = _solve(args)
-    rep = certify_minimizer(bl, cfg.points)
-    payload = {"family": args.family, "N": cfg.n_worlds}
-    payload.update(rep.to_dict())
-    return export(payload, args.out_format, args.out_path) and 0
+    return _export_report(args, cfg, certify_minimizer(bl, cfg.points))
 
 
 def _cmd_density(args) -> int:
@@ -182,10 +185,7 @@ def _cmd_density(args) -> int:
 def _cmd_coupling(args) -> int:
     bl, cfg = _solve(args)
     density = gzb_density(bl, cfg.points)
-    rep = coupling_expectations(cfg.points, density)
-    payload = {"family": args.family, "N": cfg.n_worlds}
-    payload.update(rep.to_dict())
-    return export(payload, args.out_format, args.out_path) and 0
+    return _export_report(args, cfg, coupling_expectations(cfg.points, density))
 
 
 def _cmd_stein_check(args) -> int:

@@ -8,7 +8,7 @@ a Cauchy-Schwarz lower bound that is attained at the solved minimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import mul
 from typing import Optional, Sequence
 
@@ -31,13 +31,7 @@ class EnergyReport:
     lower_bound: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "V": self.V,
-            "U": self.U,
-            "H": self.H,
-            "cauchy_schwarz_gap": self.cauchy_schwarz_gap,
-            "lower_bound": self.lower_bound,
-        }
+        return asdict(self)
 
 
 def potential_V(points: Sequence[float]) -> float:

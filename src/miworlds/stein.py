@@ -188,47 +188,24 @@ _HALF = np.arange(0.05, 6.0 + 1e-12, 0.05)
 _IDENTITY_GRID = np.concatenate((-_HALF[::-1], _HALF))
 
 
-def supnorm_suite(test: TestFunction) -> dict:
-    """Grid suprema of |g|, |g'|, |chi|, |chi'| against the c-multiples."""
-    vals = stein_solution(test, _SUP_GRID)
-    sup_g = float(np.max(np.abs(vals["g"])))
-    sup_dg = float(np.max(np.abs(vals["dg"])))
-    sup_chi = float(np.max(np.abs(vals["chi"])))
-    sup_dchi = float(np.max(np.abs(vals["dchi"])))
-    c = test.c
-    ok = (
-        sup_g <= BOUND_G * c
-        and sup_dg <= BOUND_DG * c
-        and sup_chi <= BOUND_CHI * c
-        and sup_dchi <= BOUND_DCHI * c
-    )
-    return {
-        "h_name": test.name,
-        "c": c,
-        "sup_g": sup_g,
-        "sup_dg": sup_dg,
-        "sup_chi": sup_chi,
-        "sup_dchi": sup_dchi,
-        "bound_3c": BOUND_G * c,
-        "bound_4c": BOUND_DG * c,
-        "bound_6c": BOUND_CHI * c,
-        "bound_7c": BOUND_DCHI * c,
-        "pass": ok,
-    }
-
-
 _SUITE_FIELDS = (
     "h_name", "c", "sup_g", "sup_dg", "sup_chi", "sup_dchi",
     "bound_3c", "bound_4c", "bound_6c", "bound_7c", "pass",
 )
 
 
+def supnorm_suite(test: TestFunction) -> dict:
+    """Grid suprema of |g|, |g'|, |chi|, |chi'| against the c-multiples."""
+    vals = stein_solution(test, _SUP_GRID)
+    sups = [float(np.max(np.abs(vals[key]))) for key in ("g", "dg", "chi", "dchi")]
+    bounds = [m * test.c for m in (BOUND_G, BOUND_DG, BOUND_CHI, BOUND_DCHI)]
+    ok = all(s <= b for s, b in zip(sups, bounds))
+    return dict(zip(_SUITE_FIELDS, (test.name, test.c, *sups, *bounds, ok)))
+
+
 def suite_csv_rows(records: Sequence[dict]):
     """Header plus one tuple per supnorm record, in the published order."""
-    rows = [_SUITE_FIELDS]
-    for rec in records:
-        rows.append(tuple(rec[f] for f in _SUITE_FIELDS))
-    return rows
+    return [_SUITE_FIELDS] + [tuple(rec[f] for f in _SUITE_FIELDS) for rec in records]
 
 
 def theorem_check(cfg, report: CouplingReport, dw: float) -> dict:

@@ -65,19 +65,12 @@ def _check_order(k: int) -> None:
 def hermite_he(k: int, x):
     """Probabilist's Hermite polynomial He_k by the three-term recurrence."""
     _check_order(k)
-    if isinstance(x, (float, int)):  # the same recurrence in Python floats
-        x = float(x)
-        prev, cur = 1.0, x
-        for j in range(1, k):
-            prev, cur = cur, x * cur - j * prev
-        return cur if k else prev
-    prev = np.ones_like(np.asarray(x, dtype=float))
-    if k == 0:
-        return prev if np.ndim(x) else float(prev)
-    cur = np.asarray(x, dtype=float).copy()
+    scalar = isinstance(x, (float, int)) or not np.ndim(x)  # a float for 0-d input
+    x = float(x) if scalar else np.array(x, dtype=float)  # a copy: He_1 is not the input
+    prev, cur = (1.0 if scalar else np.ones_like(x)), x
     for j in range(1, k):
         prev, cur = cur, x * cur - j * prev
-    return cur if np.ndim(x) else float(cur)
+    return cur if k else prev
 
 
 def _he_poly(k: int) -> Polynomial:

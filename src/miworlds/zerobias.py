@@ -108,20 +108,16 @@ class PiecewiseDensity:
 
     @cached_property
     def _lists(self) -> tuple:
-        # the scalar paths bisect Python lists: no array set-up per call
+        # the scalar cdf bisects Python lists: no array set-up per call
         return tuple(v.tolist() for v in self._tables)
 
     def pdf(self, x):
-        if isinstance(x, (int, float)):
-            xs, cs = self._lists[:2]
-            if x <= xs[0] or x > xs[-1]:
-                return 0.0
-            return float(cs[bisect_left(xs, x) - 1] * self.baseline.b(x))
         x = np.asarray(x, dtype=float)
         xs, cs = self._tables[:2]
         i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
         inside = (x > xs[0]) & (x <= xs[-1])
-        return np.where(inside, cs[i] * np.asarray(self.baseline.b(x), dtype=float), 0.0)
+        out = np.where(inside, cs[i] * np.asarray(self.baseline.b(x), dtype=float), 0.0)
+        return out if out.ndim else float(out)  # a float for 0-d input
 
     def cdf(self, x):
         if isinstance(x, (int, float)):
@@ -137,17 +133,10 @@ class PiecewiseDensity:
         i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
         Bgap = np.asarray(self.baseline.B(x), dtype=float) - Bx[i]
         inner = np.minimum(1.0, cum[i] + cs[i] * Bgap)
-        return np.where(x <= xs[0], 0.0, np.where(x >= xs[-1], 1.0, inner))
+        out = np.where(x <= xs[0], 0.0, np.where(x >= xs[-1], 1.0, inner))
+        return out if out.ndim else float(out)
 
     def quantile(self, u):
-        if isinstance(u, (int, float)):
-            if not 0.0 < u <= 1.0:
-                raise ValueError("quantile argument must lie in (0, 1]")
-            xs, cs, cum, Bx = self._lists
-            i = max(0, min(bisect_left(cum, u) - 1, len(cs) - 1))
-            if u >= cum[i + 1]:
-                return float(xs[i + 1])
-            return float(self.baseline.Binv_within(Bx[i] + (u - cum[i]) / cs[i], xs[i], xs[i + 1]))
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("quantile argument must lie in (0, 1]")
@@ -156,22 +145,12 @@ class PiecewiseDensity:
         lo, hi = xs[i], xs[i + 1]
         inner = u < cum[i + 1]
         target = Bx[i] + np.where(inner, u - cum[i], 0.0) / cs[i]
-        return np.where(inner, self.baseline.Binv_within(target, lo, hi), hi)
+        out = np.where(inner, self.baseline.Binv_within(target, lo, hi), hi)
+        return out if out.ndim else float(out)
 
     def to_csv_rows(self):
         """Rows (interval_left, interval_right, coeff, mass), left < right."""
-        rows = []
-        n = len(self.breakpoints)
-        for i in range(n - 1):
-            rows.append(
-                (
-                    self.breakpoints[i + 1],
-                    self.breakpoints[i],
-                    self.coeffs[i],
-                    self.masses[i],
-                )
-            )
-        return rows
+        return list(zip(self.breakpoints[1:], self.breakpoints, self.coeffs, self.masses))
 
 
 def _check_decreasing(x: np.ndarray, at_least: int = 1):

@@ -1,7 +1,6 @@
 """Acceptance suite: one test (one pass/fail line under pytest -v) per
 criterion, each asserting the stated tolerances end to end."""
 
-import json
 import math
 import time
 
@@ -9,13 +8,7 @@ import numpy as np
 import pytest
 
 from miworlds.energy import certify_minimizer
-from miworlds.metrics import (
-    dk_dw_relation_check,
-    kolmogorov,
-    measure_configuration,
-    rate_sweep,
-    wasserstein1,
-)
+from miworlds.metrics import dk_dw_relation_check, measure_configuration
 from miworlds.solver import (
     GENERAL,
     MAXWELL,
@@ -46,7 +39,6 @@ from miworlds.zerobias import (
     gzb_density,
     histogram_density,
 )
-from miworlds.zerobias import EmpiricalDist
 
 SQRT_1_5 = math.sqrt(1.5)
 MAXWELL_BL = maxwell_square_baseline()

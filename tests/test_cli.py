@@ -1,7 +1,6 @@
 import csv
 import inspect
 import json
-import math
 import os
 import subprocess
 import sys
@@ -51,6 +50,8 @@ def test_verify_and_energy(capsys):
     assert code == 0
     energy = json.loads(out)
     assert energy["H"] == pytest.approx(42.0, abs=1e-5)
+    # EnergyReport's fields, in its order, after the labels
+    assert list(energy) == ["family", "N", "V", "U", "H", "cauchy_schwarz_gap", "lower_bound"]
 
 
 def test_density_csv(capsys):
@@ -74,6 +75,7 @@ def test_coupling_json(capsys):
     code, out, _ = run(capsys, "coupling", "--family", "maxwell", "--n", "8", "--out", "json")
     assert code == 0
     rep = json.loads(out)
+    assert list(rep) == ["family", "N", "e_abs", "e_wabs", "e_inv", "e_ratio", "rhs_bound"]
     assert rep["rhs_bound"] == pytest.approx(
         6 * rep["e_abs"] + 7 * rep["e_wabs"] + 18 * rep["e_inv"] + 22 * rep["e_ratio"],
         rel=1e-12,
@@ -84,7 +86,8 @@ def test_stein_check_csv(capsys):
     code, out, _ = run(capsys, "stein-check")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0].startswith("h_name,c,sup_g")
+    assert lines[0] == ("h_name,c,sup_g,sup_dg,sup_chi,sup_dchi,"
+                        "bound_3c,bound_4c,bound_6c,bound_7c,pass")
     assert len(lines) == 5
     assert all(l.endswith(",true") for l in lines[1:])
 
@@ -93,7 +96,7 @@ def test_rates_csv_with_fit(capsys):
     code, out, _ = run(capsys, "rates", "--n-list", "8", "16", "32")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0].startswith("N,dw,dk,x1")
+    assert lines[0] == "N,dw,dk,x1,e_abs,e_wabs,e_inv,e_ratio,rhs_bound,ratio_dw"
     assert len([l for l in lines if not l.startswith("#")]) == 4
     assert lines[-1].startswith("# fit ")
 

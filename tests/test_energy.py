@@ -5,7 +5,7 @@ import pytest
 
 from miworlds.energy import certify_minimizer, interworld_U, potential_V
 from miworlds.errors import BaselineZero, NotDecreasing
-from miworlds.solver import MAXWELL, solve_configuration
+from miworlds.solver import solve_configuration
 from miworlds.targets import ground_baseline, hermite_square_baseline, maxwell_square_baseline
 
 

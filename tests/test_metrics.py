@@ -131,6 +131,15 @@ def test_sweep_fit_and_columns(sweep_rows):
     assert rows1[0].astuple()[0] == 8
 
 
+def test_two_world_sweep_has_finite_ratios_and_fit():
+    # the smallest sweep the solver accepts: the envelope sqrt(log N / N) is
+    # positive from N = 2, so no row needs a NaN ratio
+    rows, fit = rate_sweep([2, 4])
+    assert [r.N for r in rows] == [2, 4]
+    assert all(math.isfinite(r.ratio_dw) and r.ratio_dw > 0.0 for r in rows)
+    assert all(math.isfinite(v) for v in fit.values())
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         rate_sweep([32, 8])

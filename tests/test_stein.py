@@ -269,5 +269,7 @@ def test_theorem_check_contract():
 def test_suite_csv_rows():
     recs = [supnorm_suite(IDENT)]
     rows = suite_csv_rows(recs)
-    assert rows[0][0] == "h_name"
+    assert rows[0] == ("h_name", "c", "sup_g", "sup_dg", "sup_chi", "sup_dchi",
+                       "bound_3c", "bound_4c", "bound_6c", "bound_7c", "pass")
+    assert tuple(recs[0]) == rows[0]
     assert len(rows) == 2 and len(rows[1]) == len(rows[0])

@@ -333,13 +333,27 @@ _RNG_XS = np.random.default_rng(10).uniform(-9.0, 9.0, 400).tolist()
 
 @pytest.mark.parametrize("k", range(MAX_ORDER + 1))
 def test_hermite_float_path_is_bit_identical(k):
-    # Python floats, ints and numpy float64 against the 0-d array route
+    # Python floats, ints, numpy float64 and 0-d arrays against the array route;
+    # a 0-d array equals a float under ==, so the type is checked on its own
     xs = _RNG_XS + [0.0, -0.0, 1e-300, 1e200, math.inf, -math.inf, math.nan]
+    scalars = (xs + list(range(-4, 5)) + [np.float64(x) for x in xs[:50]]
+               + [np.asarray(x) for x in xs[:50]])
     with np.errstate(all="ignore"):  # inf - inf in the array route
-        for x in xs + list(range(-4, 5)) + [np.float64(x) for x in xs[:50]]:
+        for x in scalars:
             he = hermite_he(k, x)
             assert type(he) is float
-            assert _bits(he) == _bits(hermite_he(k, np.asarray(x, dtype=float)))
+            row = hermite_he(k, np.array([x], dtype=float))
+            assert type(row) is np.ndarray and row.shape == (1,)
+            assert _bits(he) == _bits(row[0])
+
+
+def test_hermite_array_result_is_a_new_array():
+    arr = np.array([0.5, -1.5, 2.0])
+    for k in (0, 1, 2):
+        he = hermite_he(k, arr)
+        assert type(he) is np.ndarray and he.shape == arr.shape
+        assert not np.shares_memory(he, arr)
+    assert type(hermite_he(2, [0.5, 1.0])) is np.ndarray
 
 
 def test_phi_float_path_is_bit_identical():

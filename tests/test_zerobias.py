@@ -263,6 +263,13 @@ def test_density_tables_match_the_per_call_formulas():
         q = d.quantile(us)
         assert np.max(np.abs(q - [d.quantile(float(u)) for u in us])) <= 1e-13
         assert np.max(np.abs(d.cdf(q) - us)) <= 1e-13
+        # a 0-d array equals a float under ==, so the types are checked too
+        for method in (d.pdf, d.cdf, d.quantile):
+            row = method(np.array([0.3, 1.0]))
+            assert type(row) is np.ndarray and row.shape == (2,)
+            for x, want in ((0.3, row[0]), (np.float64(0.3), row[0]),
+                            (np.asarray(0.3), row[0]), (1, row[1])):
+                assert type(method(x)) is float and method(x) == want, (method, x)
     with pytest.raises(ValueError):
         d.quantile(np.array([0.5, 0.0]))
 
