@@ -4,7 +4,7 @@ Every acceptance check is reachable through one subcommand; outputs are
 deterministic (byte-identical across runs for a fixed invocation) with
 17-significant-digit floats so CSV values round-trip exactly.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/usage error, 2 numerical or memory failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from typing import Optional, Sequence
 
@@ -38,7 +39,7 @@ from .targets import (
 )
 from .zerobias import coupling_expectations, fixed_point_defect, gzb_density, histogram_density
 
-__all__ = ["main", "export", "exit_code"]
+__all__ = ["main", "exit_code"]
 
 _FAMILIES = ("ground", "maxwell", "hermite-sq", "monomial")
 
@@ -63,6 +64,8 @@ def _fmt(v) -> str:
 
 
 def _render(rows, out_format: str) -> str:
+    """CSV of rows (header tuple first; a flat dict gives its keys and one
+    row of values, None as an empty cell) or JSON of any object."""
     if out_format == "csv":
         if isinstance(rows, dict):
             rows = [tuple(rows), tuple(rows.values())]
@@ -70,17 +73,6 @@ def _render(rows, out_format: str) -> str:
     if out_format == "json":
         return json.dumps(rows, indent=2, default=_fmt) + "\n"
     raise ValueError(f"unknown output format {out_format!r}")
-
-
-def export(rows, out_format: str, path: Optional[str] = None) -> int:
-    """Serialize rows (CSV: header tuple first) or an object (JSON).
-
-    A flat dict renders as CSV with its keys as the header and one row of
-    values (None as an empty cell).
-
-    Returns the number of bytes written to ``path`` or to stdout.
-    """
-    return _write(_render(rows, out_format), path)
 
 
 def _records(rows) -> list:
@@ -94,18 +86,16 @@ def _comment(label: str, values: dict) -> str:
     return f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
 
 
-def _write(text: str, path: Optional[str]) -> int:
-    """Write ``text`` to ``path``, or to stdout without one; returns its byte count."""
-    data = text.encode()
+def _write(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to ``path``, or to stdout without one."""
     if path:
         try:
             with open(path, "wb") as fh:
-                fh.write(data)
+                fh.write(text.encode())
         except OSError as exc:
             raise MiwError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return len(data)
 
 
 def _resolve_family(args):
@@ -142,33 +132,31 @@ def _solve(args):
     return bl, solve_configuration(fam, _require_n(args), baseline=bl)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
     cfg = _solve(args)[1]
     if args.out_format == "json":
-        return _write(configuration_to_json(cfg) + "\n", args.out_path) and 0
+        return configuration_to_json(cfg) + "\n"
     rows = [("n", "x")] + [(i, x) for i, x in enumerate(cfg.points, start=1)]
-    text = _render(rows, "csv") + _comment("residuals", cfg.residuals)
-    return _write(text, args.out_path) and 0
+    return _render(rows, "csv") + _comment("residuals", cfg.residuals)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str:
     bl, cfg = _solve(args)
-    report = validate_properties(cfg, baseline=bl)
-    return export(report, args.out_format, args.out_path) and 0
+    return _render(validate_properties(cfg, baseline=bl), args.out_format)
 
 
-def _export_report(args, cfg, report) -> int:
-    """Export a report's fields after the family label and the world count."""
-    payload = {"family": args.family, "N": cfg.n_worlds, **report.to_dict()}
-    return export(payload, args.out_format, args.out_path) and 0
+def _report(args, cfg, report) -> str:
+    """A report's fields after the family label and the world count."""
+    payload = {"family": args.family, "N": cfg.n_worlds, **asdict(report)}
+    return _render(payload, args.out_format)
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args) -> str:
     bl, cfg = _solve(args)
-    return _export_report(args, cfg, certify_minimizer(bl, cfg.points))
+    return _report(args, cfg, certify_minimizer(bl, cfg.points))
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> str:
     bl, cfg = _solve(args)
     hist = histogram_density(cfg.points)
     rows = [("kind", "x0", "x1", "value")]
@@ -179,38 +167,34 @@ def _cmd_density(args) -> int:
     hi = cfg.points[0] + 0.05 * span
     xs = np.linspace(lo, hi, 400)
     rows += (("target", x, x, v) for x, v in zip(xs.tolist(), (bl.b(xs) * phi(xs)).tolist()))
-    return export(rows, args.out_format, args.out_path) and 0
+    return _render(rows, args.out_format)
 
 
-def _cmd_coupling(args) -> int:
+def _cmd_coupling(args) -> str:
     bl, cfg = _solve(args)
     density = gzb_density(bl, cfg.points)
-    return _export_report(args, cfg, coupling_expectations(cfg.points, density))
+    return _report(args, cfg, coupling_expectations(cfg.points, density))
 
 
-def _cmd_stein_check(args) -> int:
+def _cmd_stein_check(args) -> str:
     rows = suite_csv_rows([supnorm_suite(tf) for tf in fixed_suite()])
     if args.out_format == "json":
         rows = _records(rows)
-    return export(rows, args.out_format, args.out_path) and 0
+    return _render(rows, args.out_format)
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> str:
     if not args.n_list:
         raise MiwValidation("rates requires --n-list")
     rows, fit = rate_sweep(args.n_list)
     if args.out_format == "json":
-        payload = {"rows": _records(rate_rows_csv(rows)), "fit": fit}
-        return export(payload, "json", args.out_path) and 0
+        return _render({"rows": _records(rate_rows_csv(rows)), "fit": fit}, "json")
     text = _render(rate_rows_csv(rows), "csv")
-    if fit is not None:
-        text += _comment("fit", fit)
-    return _write(text, args.out_path) and 0
+    return text + (_comment("fit", fit) if fit is not None else "")
 
 
-def _cmd_fixed_point(args) -> int:
-    defect = fixed_point_defect()
-    return export({"k": 1, "defect": defect}, args.out_format, args.out_path) and 0
+def _cmd_fixed_point(args) -> str:
+    return _render({"k": 1, "defect": fixed_point_defect()}, args.out_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code(exc: Exception) -> int:
-    """1 for usage and validation errors, 2 for numerical failures."""
+    """1 for usage and validation errors, 2 for numerical and memory failures."""
     return 1 if isinstance(exc, (MiwValidation, ValueError)) else 2
 
 
@@ -273,12 +257,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (MiwError, ValueError) as exc:
+        _write(args.func(args), args.out_path)
+    except (MiwError, ValueError, MemoryError) as exc:
         code = exit_code(exc)
-        kind = "" if code == 1 else "numerical failure: "
+        kind = "numerical failure: " if code == 2 and isinstance(exc, MiwError) else ""
         print(f"miworlds: {kind}{exc}", file=sys.stderr)
         return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ a Cauchy-Schwarz lower bound that is attained at the solved minimizer.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
@@ -29,9 +29,6 @@ class EnergyReport:
     H: float
     cauchy_schwarz_gap: Optional[float]
     lower_bound: Optional[float]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def potential_V(points: Sequence[float]) -> float:

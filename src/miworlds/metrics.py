@@ -11,7 +11,7 @@ term alongside the sqrt(log N / N) envelope ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -110,9 +110,6 @@ class RateRow:
     rhs_bound: float
     ratio_dw: float
 
-    def astuple(self):
-        return astuple(self)
-
 
 RATE_CSV_HEADER = tuple(f.name for f in fields(RateRow))
 
@@ -127,7 +124,7 @@ def measure_configuration(cfg) -> RateRow:
     dk = kolmogorov(emp, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds  # at least 2: the solver and gzb_density reject fewer atoms
     envelope = math.sqrt(math.log(n) / n)
-    return RateRow(N=n, dw=dw, dk=dk, x1=cfg.points[0], **report.to_dict(),
+    return RateRow(N=n, dw=dw, dk=dk, x1=cfg.points[0], **asdict(report),
                    ratio_dw=dw / envelope)
 
 
@@ -164,4 +161,4 @@ def rate_sweep(n_list: Sequence[int]):
 
 def rate_rows_csv(rows: Sequence[RateRow]):
     """Header tuple followed by value tuples, ready for the CSV writer."""
-    return [RATE_CSV_HEADER] + [r.astuple() for r in rows]
+    return [RATE_CSV_HEADER] + [astuple(r) for r in rows]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -88,10 +88,6 @@ class PiecewiseDensity:
     breakpoints: tuple
     coeffs: tuple
     masses: tuple
-
-    @property
-    def support(self):
-        return (self.breakpoints[-1], self.breakpoints[0])
 
     @cached_property
     def _tables(self) -> tuple:
@@ -214,9 +210,6 @@ class CouplingReport:
     e_ratio: float
     rhs_bound: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def coupling_expectations(
     atoms: Sequence[float],
@@ -236,27 +229,21 @@ def coupling_expectations(
         raise MismatchedBreakpoints("atoms and density breakpoints differ")
     if np.any(y == 0.0):
         raise AtomAtZero("reciprocal terms undefined for an atom at zero")
-    baseline = gzb.baseline
-    bp = baseline.b_poly
+    bp = gzb.baseline.b_poly
 
     n = y.size
-    asc_x, asc_c, star_lo, B_asc = gzb._tables
+    asc_x, asc_c, star_lo, _ = gzb._tables
     atom_cum = np.arange(1, n + 1) / n
     star_cum = star_lo[1:]
 
     u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
-    u0, u1 = u[:-1], u[1:]
-    um = 0.5 * (u0 + u1)
+    um = 0.5 * (u[:-1] + u[1:])
     a = y[::-1][np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
-    i = np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)
-    c, left, right = asc_c[i], asc_x[i], asc_x[i + 1]
-    Bleft = B_asc[i]
-    # invert the density CDF at the cell edges, snapping to interval
-    # endpoints where the edge coincides with a density breakpoint
-    x0 = np.where(u0 > star_lo[i],
-                  baseline.Binv_within(Bleft + (u0 - star_lo[i]) / c, left, right), left)
-    x1 = np.where(u1 < star_cum[i],
-                  baseline.Binv_within(Bleft + (u1 - star_lo[i]) / c, left, right), right)
+    c = asc_c[np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)]
+    # the density quantile at the cell edges; the cells are contiguous, so
+    # each starts where the one below it ends
+    x1 = gzb.quantile(u[1:])
+    x0 = np.append(asc_x[0], x1[:-1])
     x1 = np.maximum(x1, x0)
     # three pieces per cell, on each of which a - x and x keep their signs
     cuts = (x0, np.clip(np.minimum(a, 0.0), x0, x1), np.clip(np.maximum(a, 0.0), x0, x1), x1)

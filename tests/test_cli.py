@@ -176,33 +176,6 @@ def test_exit_code_table_covers_every_error(monkeypatch, capsys):
         assert ("numerical failure" in err) == (code == 2)
 
 
-@pytest.mark.parametrize("argv", [
-    ("solve", "--n", "8"),
-    ("rates", "--n-list", "8"),
-    ("density", "--family", "hermite-sq", "--k", "2", "--n", "9"),
-])
-def test_unwritable_out_path_fails_cleanly(argv, tmp_path, capsys):
-    target = tmp_path / "missing-dir" / "out.txt"
-    code, out, err = run(capsys, *argv, "--out-path", str(target))
-    assert code == 2
-    assert "cannot write" in err and out == ""
-    assert not target.exists()
-
-
-@pytest.mark.parametrize("argv", [("solve", "--n", "8"), ("rates", "--n-list", "8", "16")])
-def test_out_path_bytes_equal_stdout(argv, tmp_path, capsys):
-    path = tmp_path / "out.txt"
-    assert main([*argv, "--out-path", str(path)]) == 0
-    assert main(list(argv)) == 0
-    assert capsys.readouterr().out.encode() == path.read_bytes()
-
-
-def test_coupling_odd_n_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "coupling", "--family", "ground", "--n", "41")
-    assert code == 1 and out == ""
-    assert "atom at zero" in err and "numerical failure" not in err
-
-
 _SMALL_ARGS = {
     "solve": ("--family", "maxwell", "--n", "8"),
     "verify": ("--family", "ground", "--n", "5"),
@@ -213,6 +186,56 @@ _SMALL_ARGS = {
     "rates": ("--n-list", "8", "16"),
     "fixed-point": (),
 }
+# every subcommand in both output formats
+_SMALL_ARGVS = [(sub, *args, "--out", fmt) for sub, args in _SMALL_ARGS.items()
+                for fmt in ("csv", "json")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--n", "8"),
+    ("rates", "--n-list", "8"),
+    ("density", "--family", "hermite-sq", "--k", "2", "--n", "9"),
+    *_SMALL_ARGVS,
+])
+def test_unwritable_out_path_fails_cleanly(argv, tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out-path", str(target))
+    assert code == 2
+    assert "cannot write" in err and out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [("solve", "--n", "8"), ("rates", "--n-list", "8", "16"),
+                                  *_SMALL_ARGVS])
+def test_out_path_bytes_equal_stdout(argv, tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out-path", str(path)]) == 0
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_out_of_memory_exits_two():
+    # numpy refuses the 36 TiB array of a 1e13-world solve at once; the cap
+    # on the address space keeps that so under any overcommit policy
+    script = """
+import contextlib, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 33, 1 << 33))
+import miworlds.cli as cli
+with contextlib.redirect_stderr(sys.stdout):
+    code = cli.main(["solve", "--n", "10000000000000"])
+print(code)
+"""
+    err, code = _fresh_python(script).splitlines()
+    assert code == "2" and exit_code(MemoryError()) == 2
+    assert err.startswith("miworlds: Unable to allocate") and "numerical failure" not in err
+
+
+def test_coupling_odd_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "coupling", "--family", "ground", "--n", "41")
+    assert code == 1 and out == ""
+    assert "atom at zero" in err and "numerical failure" not in err
+
+
 _DEFAULT_OUT = {"solve": "json", "verify": "json", "energy": "json", "density": "csv",
                 "coupling": "json", "stein-check": "csv", "rates": "csv", "fixed-point": "json"}
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -127,5 +128,5 @@ def test_other_baselines_report_no_bound():
 
 def test_report_serialization(maxwell_configs):
     rep = certify_minimizer(maxwell_square_baseline(), maxwell_configs[8].points)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {"V", "U", "H", "cauchy_schwarz_gap", "lower_bound"}

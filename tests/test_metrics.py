@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_sweep_fit_and_columns(sweep_rows):
     # single row: fit absent
     rows1, fit1 = rate_sweep([8])
     assert fit1 is None and len(rows1) == 1
-    assert rows1[0].astuple()[0] == 8
+    assert astuple(rows1[0])[0] == 8
 
 
 def test_two_world_sweep_has_finite_ratios_and_fit():

@@ -14,7 +14,12 @@ from miworlds.errors import (
 from miworlds.metrics import wasserstein1
 from miworlds.numerics import integrate_adaptive
 from miworlds.solver import GENERAL, solve_configuration
-from miworlds.targets import ground_baseline, hermite_square_baseline, maxwell_square_baseline
+from miworlds.targets import (
+    ground_baseline,
+    hermite_square_baseline,
+    maxwell_square_baseline,
+    monomial_baseline,
+)
 from miworlds.zerobias import (
     EmpiricalDist,
     coupling_expectations,
@@ -22,6 +27,7 @@ from miworlds.zerobias import (
     gzb_density,
     histogram_density,
 )
+from reference import coupling_two_sided
 
 BL = maxwell_square_baseline()
 
@@ -172,6 +178,25 @@ def test_coupling_matches_per_cell_values(n, maxwell_configs):
     rep = coupling_expectations(pts, gzb_density(BL, pts))
     got = (rep.e_abs, rep.e_wabs, rep.e_inv, rep.e_ratio, rep.rhs_bound)
     assert got == pytest.approx(_PER_CELL[n], rel=1e-10)
+
+
+@pytest.mark.parametrize("family, k, n", [
+    ("maxwell", None, 2), ("maxwell", None, 8), ("maxwell", None, 64), ("maxwell", None, 4096),
+    ("hermite-sq", 2, 82), ("hermite-sq", 3, 40), ("hermite-sq", 4, 100), ("monomial", 4, 100),
+])
+def test_coupling_equals_the_two_sided_inversion(family, k, n, maxwell_configs):
+    # the cells are contiguous, so one density quantile per cell edge gives,
+    # bit for bit, the cells that inverting both edges of each cell gave
+    if family == "maxwell":
+        bl, pts = BL, maxwell_configs[n].points
+    else:
+        bl = (hermite_square_baseline(k) if family == "hermite-sq"
+              else monomial_baseline(k).normalized())
+        # k=4 N=100 misses the 1e-9 residual gate by the residual's
+        # cancellation, not by its points (test_hermite_k4_n100_residual_gate)
+        pts = solve_configuration(GENERAL, n, baseline=bl, residual_tol=1e-7).points
+    density = gzb_density(bl, pts)
+    assert coupling_expectations(pts, density) == coupling_two_sided(pts, density)
 
 
 def test_coupling_infinite_reciprocal_term_when_b0_positive():

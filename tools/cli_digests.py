@@ -1,0 +1,129 @@
+"""Digests of the CLI's outputs, for checking that a change keeps them byte-identical.
+
+For every operation of the benchmark workloads (``benchmarks/workloads.build``
+at seeds 0 and 7) and for a fixed list of further calls, including the error
+exits, prints one line:
+
+    <label> <TAB> <exit code> <TAB> sha256(stdout) <TAB> sha256(stderr)
+
+The calls run in this process, through ``miworlds.cli.main`` (or the
+operation's own library call), on the sources of the checkout that holds this
+script.  With ``--out-path``, the stdout digest covers what was printed
+followed by the bytes of the file written.  A call that raises instead of
+returning shows the exception's class name in place of the exit code.
+Unwritable paths are shown as ``<missing>/out.txt`` in stderr, so the lines
+do not depend on where the temporary directory is.
+
+    python3 tools/cli_digests.py > after.txt
+    # the same at the other commit, then: diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import workloads  # noqa: E402
+from miworlds import cli  # noqa: E402
+
+SEEDS = (0, 7)
+
+_SMALL = {
+    "solve": ("--family", "maxwell", "--n", "8"),
+    "verify": ("--family", "ground", "--n", "5"),
+    "energy": ("--family", "maxwell", "--n", "8"),
+    "density": ("--family", "maxwell", "--n", "8"),
+    "coupling": ("--family", "maxwell", "--n", "8"),
+    "stein-check": (),
+    "rates": ("--n-list", "8", "16"),
+    "fixed-point": (),
+}
+
+EXTRA = [
+    *([sub, *args, "--out", fmt] for sub, args in _SMALL.items() for fmt in ("csv", "json")),
+    ["energy", "--family", "ground", "--n", "64", "--out", "csv"],
+    ["coupling", "--family", "ground", "--n", "64", "--out", "csv"],
+    ["coupling", "--family", "hermite-sq", "--k", "3", "--n", "40"],
+    ["coupling", "--family", "monomial", "--r", "4", "--n", "100"],
+    ["density", "--n", "22", "--out", "json"],
+    ["rates", "--n-list", "8", "16", "32", "--out", "json"],
+    # error exits
+    ["solve", "--n", "1"],
+    ["solve", "--family", "maxwell", "--n", "21"],
+    ["solve", "--family", "hermite-sq", "--n", "41"],
+    ["solve", "--family", "hermite-sq", "--k", "31", "--n", "4"],
+    ["solve", "--family", "monomial", "--r", "3", "--n", "10"],
+    ["solve", "--n", "x"],
+    ["solve", "--n", "10000000000000"],
+    ["rates", "--n-list", "4", "2"],
+    ["rates"],
+    ["coupling", "--family", "ground", "--n", "41"],
+    ["bogus"],
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(call, out_file=None):
+    """(exit code or exception class name, stdout bytes, stderr text) of ``call``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except Exception as exc:  # a traceback at one commit is a difference to show
+            code = type(exc).__name__
+    data = out.getvalue().encode()
+    if out_file is not None and out_file.exists():
+        data += out_file.read_bytes()
+        out_file.unlink()
+    return code, data, err.getvalue()
+
+
+def _op_call(op):
+    if op.argv is not None:
+        return lambda: cli.main(list(op.argv))
+
+    def call():
+        sys.stdout.write(op.call())
+        return 0
+
+    return call
+
+
+def lines(tmp: Path):
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            ops, _ = workloads.build(workload, seed)
+            for op in ops:
+                code, out, err = _run(_op_call(op))
+                yield f"{workload}/{seed} {op.name}", code, out, err.encode()
+    written, missing = tmp / "out.txt", tmp / "missing" / "out.txt"
+    for argv in EXTRA:
+        code, out, err = _run(lambda: cli.main(argv))
+        yield " ".join(argv), code, out, err.encode()
+        if argv[-2:-1] == ["--out"]:
+            for path, shown in ((written, "<file>"), (missing, "<missing>/out.txt")):
+                code, out, err = _run(lambda: cli.main([*argv, "--out-path", str(path)]),
+                                      written)
+                err = err.replace(str(missing), "<missing>/out.txt")
+                yield f"{' '.join(argv)} --out-path {shown}", code, out, err.encode()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, code, out, err in lines(Path(tmp)):
+            print(f"{label}\t{code}\t{_digest(out)}\t{_digest(err)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
