@@ -75,12 +75,6 @@ def _render(rows, out_format: str) -> str:
     raise ValueError(f"unknown output format {out_format!r}")
 
 
-def _records(rows) -> list:
-    """CSV-style rows (header first) as a list of JSON objects."""
-    header, *body = rows
-    return [dict(zip(header, row)) for row in body]
-
-
 def _comment(label: str, values: dict) -> str:
     """A trailing CSV comment line carrying 17-digit values as JSON."""
     return f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
@@ -172,15 +166,14 @@ def _cmd_density(args) -> str:
 
 def _cmd_coupling(args) -> str:
     bl, cfg = _solve(args)
-    density = gzb_density(bl, cfg.points)
-    return _report(args, cfg, coupling_expectations(cfg.points, density))
+    return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.points)))
 
 
 def _cmd_stein_check(args) -> str:
-    rows = suite_csv_rows([supnorm_suite(tf) for tf in fixed_suite()])
+    records = [supnorm_suite(tf) for tf in fixed_suite()]
     if args.out_format == "json":
-        rows = _records(rows)
-    return _render(rows, args.out_format)
+        return _render(records, "json")
+    return _render(suite_csv_rows(records), "csv")
 
 
 def _cmd_rates(args) -> str:
@@ -188,7 +181,7 @@ def _cmd_rates(args) -> str:
         raise MiwValidation("rates requires --n-list")
     rows, fit = rate_sweep(args.n_list)
     if args.out_format == "json":
-        return _render({"rows": _records(rate_rows_csv(rows)), "fit": fit}, "json")
+        return _render({"rows": [asdict(r) for r in rows], "fit": fit}, "json")
     text = _render(rate_rows_csv(rows), "csv")
     return text + (_comment("fit", fit) if fit is not None else "")
 

@@ -2,8 +2,8 @@
 
 The interworld potential is built from reciprocal gaps of the cumulative
 baseline, with the boundary reciprocals (B at +-infinity) taken as exact
-zeros.  For the ground and Maxwell-square baselines the product U*V obeys
-a Cauchy-Schwarz lower bound that is attained at the solved minimizer.
+zeros.  For b = 1 and b = x^2 the product U*V obeys a Cauchy-Schwarz lower
+bound that is attained at the solved minimizer.
 """
 
 from __future__ import annotations
@@ -53,24 +53,27 @@ def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:
     return float(np.sum(d * d * b * b))
 
 
+# b = x^2 in the power basis; its configurations also have sum x^2 = 3(N-1)
+X_SQUARED = (0.0, 0.0, 1.0)
+
 _BOUND_CONSTANTS = {
-    # family -> (product lower-bound coefficient on (N-1)^2, H lower-bound
-    # coefficient on (N-1))
-    "ground": (1.0, 2.0),
-    "maxwell_square": (9.0, 6.0),
+    # b's power-basis coefficients -> (product lower-bound coefficient on
+    # (N-1)^2, H lower-bound coefficient on (N-1))
+    (1.0,): (1.0, 2.0),
+    X_SQUARED: (9.0, 6.0),
 }
 
 
 def certify_minimizer(baseline: Baseline, points: Sequence[float]) -> EnergyReport:
-    """Energy report with the family's Cauchy-Schwarz product gap.
+    """Energy report with the baseline's Cauchy-Schwarz product gap.
 
-    The gap and lower bound are only asserted for the ground and
-    Maxwell-square baselines; other baselines report them as unavailable.
+    The gap and lower bound are only asserted for b = 1 and b = x^2; other
+    baselines report them as unavailable.
     """
     V = potential_V(points)
     U = interworld_U(baseline, points)
     H = V + U
-    consts = _BOUND_CONSTANTS.get(baseline.family)
+    consts = _BOUND_CONSTANTS.get(tuple(baseline.b_poly.coef.tolist()))
     if consts is None:
         gap = None
         lower = None

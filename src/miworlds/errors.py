@@ -57,9 +57,5 @@ class AsymmetricInput(MiwError):
     """Atoms fail the x_n = -x_{N+1-n} symmetry requirement."""
 
 
-class MismatchedBreakpoints(MiwError):
-    """Empirical atoms and density breakpoints do not coincide."""
-
-
 class AtomAtZero(MiwValidation):
     """An atom sits at zero (odd N), so reciprocal moments are undefined."""

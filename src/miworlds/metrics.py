@@ -116,10 +116,8 @@ RATE_CSV_HEADER = tuple(f.name for f in fields(RateRow))
 
 def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
-    baseline = maxwell_square_baseline()
     emp = EmpiricalDist(cfg.points)
-    density = gzb_density(baseline, cfg.points)
-    report = coupling_expectations(cfg.points, density)
+    report = coupling_expectations(gzb_density(maxwell_square_baseline(), cfg.points))
     dw = _dw_exact(cfg.points, 1)
     dk = kolmogorov(emp, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds  # at least 2: the solver and gzb_density reject fewer atoms

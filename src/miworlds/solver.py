@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .energy import potential_V
+from .energy import X_SQUARED, potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from .numerics import newton_bracketed
 from .targets import (Baseline, _horner, _inverse_stein_poly, ground_baseline,
@@ -266,9 +266,11 @@ def _symmetry_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x + x[::-1])))
 
 
-def _variance_defect(family: str, points, n_worlds: int) -> Optional[float]:
-    """|sum x^2 - 3(N-1)|: Maxwell configurations have variance 3(N-1)/N."""
-    return abs(potential_V(points) - 3.0 * (n_worlds - 1)) if family == MAXWELL else None
+def _variance_defect(bl: Baseline, points) -> Optional[float]:
+    """|sum x^2 - 3(N-1)|: b = x^2 configurations have variance 3(N-1)/N."""
+    if tuple(bl.b_poly.coef.tolist()) != X_SQUARED:
+        return None
+    return abs(potential_V(points) - 3.0 * (len(points) - 1))
 
 
 def solve_configuration(
@@ -327,7 +329,7 @@ def solve_configuration(
         "mean_abs": abs(sum(points)) / n_worlds,
         "symmetry_defect": _symmetry_defect(x),
     }
-    variance = _variance_defect(family, points, n_worlds)
+    variance = _variance_defect(bl, points)
     if variance is not None:
         residuals["variance_defect"] = variance
     return Configuration(
@@ -347,12 +349,13 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
     """
     pts, n = cfg.points, cfg.n_worlds
     x = np.asarray(pts, dtype=float)
+    bl = _baseline(cfg.family, baseline)
     return {
         "p1_zero_mean_defect": abs(sum(pts)),
-        "p2_variance_defect": _variance_defect(cfg.family, pts, n),
+        "p2_variance_defect": _variance_defect(bl, pts),
         "p3_symmetry_defect": _symmetry_defect(x),
         "p4_decreasing_violation": bool(np.any(np.diff(x) > 0.0)),
-        "recursion_residual": recursion_residual(_baseline(cfg.family, baseline), x),
+        "recursion_residual": recursion_residual(bl, x),
         "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
     }
 

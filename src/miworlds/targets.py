@@ -120,7 +120,6 @@ class Baseline:
     Newton otherwise.
     """
 
-    family: str
     b_poly: Polynomial
     zeros_of_b: tuple = ()
 
@@ -176,11 +175,11 @@ def _poly_phi_integral(p: Polynomial) -> float:
 
 
 def ground_baseline() -> Baseline:
-    return Baseline(family="ground", b_poly=Polynomial([1.0]))
+    return Baseline(Polynomial([1.0]))
 
 
 def maxwell_square_baseline() -> Baseline:
-    return Baseline(family="maxwell_square", b_poly=Polynomial([0.0, 0.0, 1.0]), zeros_of_b=(0.0,))
+    return Baseline(Polynomial([0.0, 0.0, 1.0]), zeros_of_b=(0.0,))
 
 
 def monomial_baseline(r: int) -> Baseline:
@@ -189,7 +188,7 @@ def monomial_baseline(r: int) -> Baseline:
         raise ValueError("monomial exponent must be an even nonnegative integer")
     if r == 0:
         return ground_baseline()
-    return Baseline(family="monomial", b_poly=Polynomial([0.0] * r + [1.0]), zeros_of_b=(0.0,))
+    return Baseline(Polynomial([0.0] * r + [1.0]), zeros_of_b=(0.0,))
 
 
 def hermite_square_baseline(k: int) -> Baseline:
@@ -197,7 +196,7 @@ def hermite_square_baseline(k: int) -> Baseline:
     _check_order(k)
     he = _he_poly(k)
     roots = tuple(sorted(float(z) for z in herme.hermeroots([0.0] * k + [1.0])))
-    return Baseline(family="hermite_square", b_poly=he * he / math.factorial(k), zeros_of_b=roots)
+    return Baseline(he * he / math.factorial(k), zeros_of_b=roots)
 
 
 def pdf_pk(k: int, x):

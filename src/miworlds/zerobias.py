@@ -22,12 +22,11 @@ from .errors import (
     AsymmetricInput,
     AtomAtZero,
     BaselineZero,
-    MismatchedBreakpoints,
     MiwValidation,
     NotDecreasing,
 )
 from .numerics import TAIL_CUTOFF, integrate_adaptive
-from .targets import Baseline, ground_baseline
+from .targets import Baseline, ground_baseline, pdf_pk, phi
 
 __all__ = [
     "EmpiricalDist",
@@ -73,43 +72,30 @@ class EmpiricalDist:
         return float(self._asc[min(j, self.n - 1)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseDensity:
-    """Density c_n * b(x) on each gap (x_{n+1}, x_n] of the breakpoints.
+    """Density c[i] * b(x) on each gap (x[i], x[i+1]] of ascending breakpoints.
 
-    ``breakpoints`` are stored in decreasing order with ``coeffs[n]`` and
-    ``masses[n]`` attached to the gap below breakpoint n; houses both the
-    zero-bias density p* and the flat histogram density (ground baseline).
-    ``pdf``, ``cdf`` and ``quantile`` take a float or an array; their
-    ascending tables are built on first use and kept.
+    ``cum[i]`` is the mass below ``x[i]`` (exactly 1 at the top) and ``Bx``
+    is B(x); all four arrays are read-only.  Houses both the zero-bias
+    density p* and the flat histogram density (ground baseline).  ``pdf``,
+    ``cdf`` and ``quantile`` take a float or an array.
     """
 
     baseline: Baseline
-    breakpoints: tuple
-    coeffs: tuple
-    masses: tuple
-
-    @cached_property
-    def _tables(self) -> tuple:
-        """Ascending breakpoints, the coefficient of the gap above each, the
-        mass below each breakpoint (exactly 1 at the top) and B there."""
-        x = np.asarray(self.breakpoints[::-1], dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(self.masses[::-1])))
-        cum[-1] = 1.0
-        tables = (x, np.asarray(self.coeffs[::-1], dtype=float), cum,
-                  np.asarray(self.baseline.B(x), dtype=float))
-        for v in tables:
-            v.flags.writeable = False
-        return tables
+    x: np.ndarray
+    c: np.ndarray
+    cum: np.ndarray
+    Bx: np.ndarray
 
     @cached_property
     def _lists(self) -> tuple:
         # the scalar cdf bisects Python lists: no array set-up per call
-        return tuple(v.tolist() for v in self._tables)
+        return tuple(v.tolist() for v in (self.x, self.c, self.cum, self.Bx))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        xs, cs = self._tables[:2]
+        xs, cs = self.x, self.c
         i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
         inside = (x > xs[0]) & (x <= xs[-1])
         out = np.where(inside, cs[i] * np.asarray(self.baseline.b(x), dtype=float), 0.0)
@@ -125,7 +111,7 @@ class PiecewiseDensity:
             i = bisect_left(xs, x) - 1
             return min(1.0, cum[i] + cs[i] * (float(self.baseline.B(x)) - Bx[i]))
         x = np.asarray(x, dtype=float)
-        xs, cs, cum, Bx = self._tables
+        xs, cs, cum, Bx = self.x, self.c, self.cum, self.Bx
         i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
         Bgap = np.asarray(self.baseline.B(x), dtype=float) - Bx[i]
         inner = np.minimum(1.0, cum[i] + cs[i] * Bgap)
@@ -136,7 +122,7 @@ class PiecewiseDensity:
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("quantile argument must lie in (0, 1]")
-        xs, cs, cum, Bx = self._tables
+        xs, cs, cum, Bx = self.x, self.c, self.cum, self.Bx
         i = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, cs.size - 1)
         lo, hi = xs[i], xs[i + 1]
         inner = u < cum[i + 1]
@@ -145,8 +131,10 @@ class PiecewiseDensity:
         return out if out.ndim else float(out)
 
     def to_csv_rows(self):
-        """Rows (interval_left, interval_right, coeff, mass), left < right."""
-        return list(zip(self.breakpoints[1:], self.breakpoints, self.coeffs, self.masses))
+        """Rows (interval_left, interval_right, coeff, mass), left < right,
+        from the top gap down."""
+        cols = (self.x[:-1], self.x[1:], self.c, np.diff(self.cum))
+        return list(zip(*(v[::-1].tolist() for v in cols)))
 
 
 def _check_decreasing(x: np.ndarray, at_least: int = 1):
@@ -158,7 +146,7 @@ def _check_decreasing(x: np.ndarray, at_least: int = 1):
 
 
 def _check_symmetric_decreasing(x: np.ndarray):
-    _check_decreasing(x)
+    _check_decreasing(x, 2)
     worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
         raise AsymmetricInput(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
@@ -177,27 +165,27 @@ def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
     Bx = np.asarray(baseline.B(x), dtype=float)
     masses = raw * (Bx[:-1] - Bx[1:])
     total = float(np.sum(masses))
-    return PiecewiseDensity(
-        baseline=baseline,
-        breakpoints=tuple(x.tolist()),
-        coeffs=tuple((raw / total).tolist()),
-        masses=tuple((masses / total).tolist()),
-    )
+    return _density(baseline, x, raw / total, masses / total, Bx)
 
 
 def histogram_density(atoms: Sequence[float]) -> PiecewiseDensity:
     """Flat density with mass 1/(N-1) on each gap between atoms."""
-    atoms = tuple(float(a) for a in atoms)
     x = np.asarray(atoms, dtype=float)
     _check_decreasing(x, 2)
-    n = len(atoms)
-    mass = 1.0 / (n - 1)
-    return PiecewiseDensity(
-        baseline=ground_baseline(),
-        breakpoints=atoms,
-        coeffs=tuple((mass / (x[:-1] - x[1:])).tolist()),
-        masses=(mass,) * (n - 1),
-    )
+    bl = ground_baseline()
+    mass = np.full(x.size - 1, 1.0 / (x.size - 1))
+    return _density(bl, x, mass / (x[:-1] - x[1:]), mass, bl.B(x))
+
+
+def _density(baseline, x, coeffs, masses, Bx) -> PiecewiseDensity:
+    """The density of decreasing breakpoints ``x`` with the coefficient and
+    mass of the gap below each and ``Bx`` = B(x), in ascending order."""
+    cum = np.concatenate(([0.0], np.cumsum(masses[::-1])))
+    cum[-1] = 1.0
+    arrays = (x[::-1].copy(), coeffs[::-1].copy(), cum, Bx[::-1].copy())
+    for v in arrays:
+        v.flags.writeable = False
+    return PiecewiseDensity(baseline, *arrays)
 
 
 @dataclass(frozen=True)
@@ -211,39 +199,33 @@ class CouplingReport:
     rhs_bound: float
 
 
-def coupling_expectations(
-    atoms: Sequence[float],
-    gzb: PiecewiseDensity,
-) -> CouplingReport:
+def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     """Exact expectation terms under the comonotone (quantile) coupling.
 
-    W is uniform on the atoms, W* follows ``gzb``; the unit interval is
-    partitioned by both quantile functions' breakpoints.  On each cell W is
-    one atom a and W* runs over [x0, x1] inside one density interval; the
-    cell is split at 0 and at a, and every piece is integrated in closed
-    form against the polynomial baseline, all cells at once.
+    W is uniform on the density's breakpoints, the atoms, and W* follows
+    ``density``; the unit interval is partitioned by both quantile
+    functions' breakpoints.  On each cell W is one atom a and W* runs over
+    [x0, x1] inside one density interval; the cell is split at 0 and at a,
+    and every piece is integrated in closed form against the polynomial
+    baseline, all cells at once.
     """
-    y = np.asarray(atoms, dtype=float)
-    bps = np.asarray(gzb.breakpoints, dtype=float)
-    if y.shape != bps.shape or np.any(np.abs(y - bps) > 1e-12 * np.maximum(1.0, np.abs(y))):
-        raise MismatchedBreakpoints("atoms and density breakpoints differ")
-    if np.any(y == 0.0):
+    atoms = density.x
+    if np.any(atoms == 0.0):
         raise AtomAtZero("reciprocal terms undefined for an atom at zero")
-    bp = gzb.baseline.b_poly
+    bp = density.baseline.b_poly
 
-    n = y.size
-    asc_x, asc_c, star_lo, _ = gzb._tables
+    n = atoms.size
     atom_cum = np.arange(1, n + 1) / n
-    star_cum = star_lo[1:]
+    star_cum = density.cum[1:]
 
     u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
     um = 0.5 * (u[:-1] + u[1:])
-    a = y[::-1][np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
-    c = asc_c[np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)]
+    a = atoms[np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
+    c = density.c[np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)]
     # the density quantile at the cell edges; the cells are contiguous, so
     # each starts where the one below it ends
-    x1 = gzb.quantile(u[1:])
-    x0 = np.append(asc_x[0], x1[:-1])
+    x1 = density.quantile(u[1:])
+    x0 = np.append(atoms[0], x1[:-1])
     x1 = np.maximum(x1, x0)
     # three pieces per cell, on each of which a - x and x keep their signs
     cuts = (x0, np.clip(np.minimum(a, 0.0), x0, x1), np.clip(np.maximum(a, 0.0), x0, x1), x1)
@@ -281,8 +263,6 @@ def fixed_point_defect() -> float:
     For the two-sided Maxwell target (k = 1) this checks
     b(x) * int_x^inf t phi(t) dt = p_1(x) on x in {-4, -3.9, ..., 4}.
     """
-    from .targets import pdf_pk, phi
-
     worst = 0.0
     for i in range(-40, 41):
         x = i / 10.0

@@ -48,21 +48,20 @@ def g0_scalar(x, htilde, kinks):
     return total
 
 
-def coupling_two_sided(atoms, gzb) -> CouplingReport:
+def coupling_two_sided(density) -> CouplingReport:
     """``miworlds.zerobias.coupling_expectations`` with each cell's two edges
     inverted on their own: B^{-1} on both edges of a cell, each snapped to
     its density interval's end where it meets a density breakpoint."""
-    y = np.asarray(atoms, dtype=float)
-    baseline = gzb.baseline
+    baseline = density.baseline
     bp = baseline.b_poly
-    n = y.size
-    asc_x, asc_c, star_lo, B_asc = gzb._tables
+    asc_x, asc_c, star_lo, B_asc = density.x, density.c, density.cum, density.Bx
+    n = asc_x.size
     atom_cum = np.arange(1, n + 1) / n
     star_cum = star_lo[1:]
     u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
     u0, u1 = u[:-1], u[1:]
     um = 0.5 * (u0 + u1)
-    a = y[::-1][np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
+    a = asc_x[np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
     i = np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)
     c, left, right = asc_c[i], asc_x[i], asc_x[i + 1]
     Bleft = B_asc[i]

@@ -145,7 +145,7 @@ def test_criterion_06_prop45_bounds():
 def test_criterion_07_theorem_end_to_end(n, maxwell_configs):
     cfg = maxwell_configs[n]
     row = measure_configuration(cfg)
-    report = coupling_expectations(cfg.points, gzb_density(MAXWELL_BL, cfg.points))
+    report = coupling_expectations(gzb_density(MAXWELL_BL, cfg.points))
     check = theorem_check(cfg, report, row.dw)
     assert check["holds"]
     assert report.e_abs <= 2.0 * cfg.points[0] / (n - 1)

@@ -6,8 +6,13 @@ import pytest
 
 from miworlds.energy import certify_minimizer, interworld_U, potential_V
 from miworlds.errors import BaselineZero, NotDecreasing
-from miworlds.solver import solve_configuration
-from miworlds.targets import ground_baseline, hermite_square_baseline, maxwell_square_baseline
+from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration
+from miworlds.targets import (
+    ground_baseline,
+    hermite_square_baseline,
+    maxwell_square_baseline,
+    monomial_baseline,
+)
 
 
 def test_potential_values(maxwell_configs):
@@ -124,6 +129,22 @@ def test_other_baselines_report_no_bound():
     rep = certify_minimizer(bl, cfg.points)
     assert rep.cauchy_schwarz_gap is None and rep.lower_bound is None
     assert rep.H == rep.V + rep.U
+
+
+@pytest.mark.parametrize("bl, family, ref", [
+    (monomial_baseline(2).normalized(), MAXWELL, maxwell_square_baseline()),
+    (hermite_square_baseline(1), MAXWELL, maxwell_square_baseline()),
+    (hermite_square_baseline(0), GROUND, ground_baseline()),
+], ids=["monomial-2", "hermite-sq-1", "hermite-sq-0"])
+def test_bound_follows_the_polynomial_not_the_constructor(bl, family, ref):
+    # b = x^2 and b = 1 built under other names: the same points and the same
+    # report, Cauchy-Schwarz gap and lower bound included
+    cfg = solve_configuration(GENERAL, 22, baseline=bl)
+    assert cfg.points == solve_configuration(family, 22).points
+    rep = certify_minimizer(bl, cfg.points)
+    assert rep == certify_minimizer(ref, cfg.points)
+    assert abs(rep.cauchy_schwarz_gap) <= 1e-4
+    assert rep.lower_bound == (126.0 if family == MAXWELL else 42.0)
 
 
 def test_report_serialization(maxwell_configs):

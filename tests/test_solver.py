@@ -47,7 +47,7 @@ def test_shoot_maxwell_n2():
 
 def test_shoot_general_matches_maxwell():
     # scaling b leaves the recursion unchanged: b = 3x^2 shoots as b = x^2
-    scaled = Baseline("scaled", Polynomial([0.0, 0.0, 3.0]), (0.0,))
+    scaled = Baseline(Polynomial([0.0, 0.0, 3.0]), (0.0,))
     xs, _ = shoot_sequence(scaled, 1.7, 8)
     ys, _ = shoot_sequence(maxwell_square_baseline(), 1.7, 8)
     assert len(xs) == len(ys) >= 2
@@ -119,6 +119,22 @@ def test_lemma1_properties(maxwell_configs):
         assert rep["p3_symmetry_defect"] <= 1e-9
         assert not rep["p4_decreasing_violation"]
         assert rep["recursion_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("bl", [monomial_baseline(2).normalized(), hermite_square_baseline(1)],
+                         ids=["monomial-2", "hermite-sq-1"])
+def test_variance_identity_follows_the_polynomial(bl, maxwell_configs):
+    # b = x^2 under another constructor solves as the general family and
+    # still reports the Maxwell variance defect, in solve and in verify
+    cfg = solve_configuration(GENERAL, 22, baseline=bl)
+    ref = maxwell_configs[22]
+    assert cfg.residuals == ref.residuals
+    assert cfg.residuals["variance_defect"] <= 1e-7 * 22
+    assert validate_properties(cfg, bl) == validate_properties(ref)
+    assert validate_properties(cfg, bl)["p2_variance_defect"] is not None
+    other = solve_configuration(GENERAL, 22, baseline=hermite_square_baseline(2))
+    assert "variance_defect" not in other.residuals
+    assert validate_properties(other, hermite_square_baseline(2))["p2_variance_defect"] is None
 
 
 def test_validate_general_without_baseline_raises():

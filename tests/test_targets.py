@@ -400,14 +400,17 @@ def _kernel_reference(bl, x):
     return KernelValue(1.0 + float(Polynomial(p)(x)) / bx, False)
 
 
-def _case(bl, order=None):
-    return pytest.param(bl, id=f"{bl.family}-{order}-{bl.phi_integral:.3g}")
+def _case(name, bl, order=None):
+    return pytest.param(bl, id=f"{name}-{order}-{bl.phi_integral:.3g}")
 
 
-@pytest.mark.parametrize("bl", [_case(maxwell_square_baseline()), _case(ground_baseline())]
-                         + [_case(hermite_square_baseline(k), k) for k in range(1, 7)]
-                         + [_case(monomial_baseline(r), r) for r in (2, 4, 6, 8)]
-                         + [_case(monomial_baseline(r).normalized(), r) for r in (2, 4, 6, 8)])
+@pytest.mark.parametrize("bl", [_case("maxwell_square", maxwell_square_baseline()),
+                                _case("ground", ground_baseline())]
+                         + [_case("hermite_square", hermite_square_baseline(k), k)
+                            for k in range(1, 7)]
+                         + [_case("monomial", monomial_baseline(r), r) for r in (2, 4, 6, 8)]
+                         + [_case("monomial", monomial_baseline(r).normalized(), r)
+                            for r in (2, 4, 6, 8)])
 def test_kernel_from_baseline_is_bit_identical_to_per_call_P(bl):
     xs = np.concatenate((np.linspace(-5.0, 5.0, 201), _RNG_XS, bl.zeros_of_b)).tolist()
     for x in xs:

@@ -7,7 +7,6 @@ import pytest
 from miworlds.errors import (
     AsymmetricInput,
     AtomAtZero,
-    MismatchedBreakpoints,
     MiwValidation,
     NotDecreasing,
 )
@@ -55,8 +54,8 @@ def test_empirical_dist_without_atoms_is_a_typed_error():
 
 def test_gzb_single_interval_maxwell():
     d = gzb_density(BL, (1.0, -1.0))
-    assert d.coeffs == pytest.approx((1.5,), abs=1e-14)
-    assert d.masses == pytest.approx((1.0,), abs=1e-14)
+    assert d.c.tolist() == pytest.approx([1.5], abs=1e-14)
+    assert np.diff(d.cum).tolist() == pytest.approx([1.0], abs=1e-14)
     assert d.pdf(0.5) == pytest.approx(1.5 * 0.25, abs=1e-14)
     assert d.pdf(1.5) == 0.0
     assert d.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
@@ -70,7 +69,7 @@ def test_gzb_single_interval_ground():
 
 def test_gzb_mass_per_interval(maxwell_configs):
     d = gzb_density(BL, maxwell_configs[22].points)
-    assert max(abs(m - 1.0 / 21.0) for m in d.masses) <= 1e-10
+    assert max(abs(m - 1.0 / 21.0) for m in np.diff(d.cum)) <= 1e-10
 
 
 def test_gzb_guards():
@@ -98,16 +97,18 @@ def test_gzb_csv_rows(maxwell_configs):
 
 def test_histogram_density_masses():
     h = histogram_density((1.0, 0.0, -1.0))
-    assert h.masses == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert np.diff(h.cum).tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
     assert h.pdf(0.5) == pytest.approx(0.5, abs=1e-15)
     assert h.cdf(0.5) == pytest.approx(0.75, abs=1e-14)
 
 
-@pytest.mark.parametrize("atoms", [(), (1.0,)])
+@pytest.mark.parametrize("atoms", [(), (1.0,), (0.0,)])
 def test_histogram_density_needs_two_atoms(atoms):
-    # one atom leaves no gap to spread the mass over: 1/(N-1) divided by zero
-    with pytest.raises(MiwValidation, match=f"2 or more atoms needed, got {len(atoms)}"):
-        histogram_density(atoms)
+    # one atom leaves no gap to spread the mass over: the histogram would
+    # divide 1/(N-1) by zero, and the zero-bias density would be empty
+    for build in (histogram_density, partial(gzb_density, ground_baseline())):
+        with pytest.raises(MiwValidation, match=f"2 or more atoms needed, got {len(atoms)}"):
+            build(atoms)
 
 
 def test_coupling_identical_marginals_zero():
@@ -117,7 +118,7 @@ def test_coupling_identical_marginals_zero():
     d = gzb_density(BL, atoms)
     # shrink the density onto the atoms by comparing against itself via
     # the wasserstein oracle instead: e_abs equals d_W(emp, gzb)
-    rep = coupling_expectations(atoms, d)
+    rep = coupling_expectations(d)
     emp = EmpiricalDist(atoms)
     dw = wasserstein1(emp.cdf, d.cdf, (-1.5, 1.5), jumps=atoms)
     assert rep.e_abs == pytest.approx(dw, abs=1e-9)
@@ -126,7 +127,7 @@ def test_coupling_identical_marginals_zero():
 def test_coupling_n2_closed_forms(maxwell_configs):
     cfg = maxwell_configs[2]
     a = cfg.points[0]
-    rep = coupling_expectations(cfg.points, gzb_density(BL, cfg.points))
+    rep = coupling_expectations(gzb_density(BL, cfg.points))
     assert rep.e_abs == pytest.approx(a / 4.0, abs=1e-12)
     assert rep.e_wabs == pytest.approx(a * a / 4.0, abs=1e-12)
     assert rep.e_ratio == pytest.approx(0.25, abs=1e-12)
@@ -138,17 +139,14 @@ def test_coupling_n2_closed_forms(maxwell_configs):
 @pytest.mark.parametrize("n", [8, 32, 128])
 def test_coupling_b1_bound(n, maxwell_configs):
     cfg = maxwell_configs[n]
-    rep = coupling_expectations(cfg.points, gzb_density(BL, cfg.points))
+    rep = coupling_expectations(gzb_density(BL, cfg.points))
     assert rep.e_abs <= 2.0 * cfg.points[0] / (n - 1)
 
 
-def test_coupling_guards(maxwell_configs):
-    d = gzb_density(BL, maxwell_configs[8].points)
-    with pytest.raises(MismatchedBreakpoints):
-        coupling_expectations(maxwell_configs[2].points, d)
+def test_coupling_guards():
     hist = histogram_density((1.0, 0.0, -1.0))
     with pytest.raises(AtomAtZero):
-        coupling_expectations((1.0, 0.0, -1.0), hist)
+        coupling_expectations(hist)
 
 
 def test_coupling_matches_wasserstein(maxwell_configs):
@@ -158,7 +156,7 @@ def test_coupling_matches_wasserstein(maxwell_configs):
     dw = wasserstein1(
         emp.cdf, d.cdf, (cfg.points[-1] - 0.1, cfg.points[0] + 0.1), jumps=cfg.points
     )
-    rep = coupling_expectations(cfg.points, d)
+    rep = coupling_expectations(d)
     assert rep.e_abs == pytest.approx(dw, abs=1e-9)
 
 
@@ -175,7 +173,7 @@ _PER_CELL = {
 @pytest.mark.parametrize("n", sorted(_PER_CELL))
 def test_coupling_matches_per_cell_values(n, maxwell_configs):
     pts = maxwell_configs[n].points
-    rep = coupling_expectations(pts, gzb_density(BL, pts))
+    rep = coupling_expectations(gzb_density(BL, pts))
     got = (rep.e_abs, rep.e_wabs, rep.e_inv, rep.e_ratio, rep.rhs_bound)
     assert got == pytest.approx(_PER_CELL[n], rel=1e-10)
 
@@ -196,14 +194,14 @@ def test_coupling_equals_the_two_sided_inversion(family, k, n, maxwell_configs):
         # cancellation, not by its points (test_hermite_k4_n100_residual_gate)
         pts = solve_configuration(GENERAL, n, baseline=bl, residual_tol=1e-7).points
     density = gzb_density(bl, pts)
-    assert coupling_expectations(pts, density) == coupling_two_sided(pts, density)
+    assert coupling_expectations(density) == coupling_two_sided(density)
 
 
 def test_coupling_infinite_reciprocal_term_when_b0_positive():
     # b(0) = 1/2 for He_2^2 / 2: W* has density ~ b(0) near 0, so
     # E|1/W - 1/W*| diverges logarithmically; the other terms stay finite
     pts = solve_configuration(GENERAL, 82, baseline=hermite_square_baseline(2)).points
-    rep = coupling_expectations(pts, gzb_density(hermite_square_baseline(2), pts))
+    rep = coupling_expectations(gzb_density(hermite_square_baseline(2), pts))
     assert rep.e_inv == math.inf and rep.rhs_bound == math.inf
     assert all(math.isfinite(v) and v > 0 for v in (rep.e_abs, rep.e_wabs, rep.e_ratio))
 
@@ -211,7 +209,7 @@ def test_coupling_infinite_reciprocal_term_when_b0_positive():
 def test_coupling_log_term_on_one_signed_atoms():
     # uniform histogram on [1, 3] against atoms 3, 2, 1: the quantile
     # coupling pairs W* = 1 + 2u with the atom a(u) = 1, 2, 3 on thirds of (0, 1)
-    rep = coupling_expectations((3.0, 2.0, 1.0), histogram_density((3.0, 2.0, 1.0)))
+    rep = coupling_expectations(histogram_density((3.0, 2.0, 1.0)))
     e_inv = e_abs = 0.0
     for j, a in enumerate((1.0, 2.0, 3.0)):
         lo, hi = j / 3.0, (j + 1) / 3.0
@@ -267,10 +265,7 @@ def test_density_tables_match_the_per_call_formulas():
     bl = hermite_square_baseline(2)
     cfg = solve_configuration(GENERAL, 41, baseline=bl)
     for d in (histogram_density(cfg.points), gzb_density(bl, cfg.points)):
-        assert "_tables" not in d.__dict__  # built on first use only
-        asc_x = np.asarray(d.breakpoints[::-1])
-        asc_c = np.asarray(d.coeffs[::-1])
-        asc_m = np.asarray(d.masses[::-1])
+        asc_x, asc_c, asc_m = d.x, d.c, np.diff(d.cum)
         xs = np.concatenate((np.linspace(asc_x[0] - 0.5, asc_x[-1] + 0.5, 1001), asc_x))
         for x in map(float, xs):
             # the parent's per-call formulas: a fresh sum and two B calls
@@ -297,6 +292,20 @@ def test_density_tables_match_the_per_call_formulas():
                 assert type(method(x)) is float and method(x) == want, (method, x)
     with pytest.raises(ValueError):
         d.quantile(np.array([0.5, 0.0]))
+
+
+def test_density_arrays_are_read_only():
+    atoms = np.array([2.0, 0.5, -0.5, -2.0])
+    for d in (gzb_density(BL, atoms), histogram_density(atoms)):
+        for v in (d.x, d.c, d.cum, d.Bx):
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 7.0
+        with pytest.raises(AttributeError):
+            d.x = atoms
+    # the breakpoints are a copy: the caller's array stays its own
+    atoms[0] = 3.0
+    assert d.x[-1] == 2.0 and atoms.flags.writeable
 
 
 @pytest.mark.parametrize("k, n", [(2, 41), (3, 40), (4, 30)])
@@ -345,5 +354,4 @@ def test_histogram_coefficients_are_bit_identical_to_the_per_gap_loop():
         mass = 1.0 / (len(atoms) - 1)
         loop = [mass / (float(atoms[i]) - float(atoms[i + 1])) for i in range(len(atoms) - 1)]
         h = histogram_density(atoms)
-        assert np.array(h.coeffs).tobytes() == np.array(loop).tobytes()
-        assert all(type(c) is float for c in h.coeffs)
+        assert h.c[::-1].tobytes() == np.array(loop).tobytes()

@@ -54,6 +54,11 @@ EXTRA = [
     ["coupling", "--family", "monomial", "--r", "4", "--n", "100"],
     ["density", "--n", "22", "--out", "json"],
     ["rates", "--n-list", "8", "16", "32", "--out", "json"],
+    # b = x^2 under other family names
+    ["energy", "--family", "monomial", "--r", "2", "--n", "22"],
+    ["energy", "--family", "hermite-sq", "--k", "1", "--n", "22"],
+    ["verify", "--family", "hermite-sq", "--k", "1", "--n", "22"],
+    ["solve", "--family", "monomial", "--r", "2", "--n", "22"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
