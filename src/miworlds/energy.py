@@ -2,8 +2,10 @@
 
 The interworld potential is built from reciprocal gaps of the cumulative
 baseline, with the boundary reciprocals (B at +-infinity) taken as exact
-zeros.  For b = 1 and b = x^2 the product U*V obeys a Cauchy-Schwarz lower
-bound that is attained at the solved minimizer.
+zeros.  At a solved configuration 1/(B(x_{n+1}) - B(x_n)) = -S_n, so
+U = sum x^2 = V for every baseline.  For one term b = c x^r the product
+U*V also obeys the Cauchy-Schwarz lower bound ((r+1)(N-1))^2, so that
+H >= 2(r+1)(N-1), both attained at the solved minimizer.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ __all__ = ["EnergyReport", "potential_V", "interworld_U", "certify_minimizer"]
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy decomposition with the Cauchy-Schwarz certificate."""
+    """Energy decomposition with the U = V and Cauchy-Schwarz certificates."""
 
     V: float
     U: float
     H: float
     cauchy_schwarz_gap: Optional[float]
     lower_bound: Optional[float]
+    uv_defect: float
 
 
 def potential_V(points: Sequence[float]) -> float:
@@ -53,33 +56,19 @@ def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:
     return float(np.sum(d * d * b * b))
 
 
-# b = x^2 in the power basis; its configurations also have sum x^2 = 3(N-1)
-X_SQUARED = (0.0, 0.0, 1.0)
-
-_BOUND_CONSTANTS = {
-    # b's power-basis coefficients -> (product lower-bound coefficient on
-    # (N-1)^2, H lower-bound coefficient on (N-1))
-    (1.0,): (1.0, 2.0),
-    X_SQUARED: (9.0, 6.0),
-}
-
-
 def certify_minimizer(baseline: Baseline, points: Sequence[float]) -> EnergyReport:
-    """Energy report with the baseline's Cauchy-Schwarz product gap.
+    """Energy report with |U - V| and the baseline's Cauchy-Schwarz product gap.
 
-    The gap and lower bound are only asserted for b = 1 and b = x^2; other
+    The gap and lower bound are only asserted for one-term b = c x^r; other
     baselines report them as unavailable.
     """
     V = potential_V(points)
     U = interworld_U(baseline, points)
-    H = V + U
-    consts = _BOUND_CONSTANTS.get(tuple(baseline.b_poly.coef.tolist()))
-    if consts is None:
-        gap = None
-        lower = None
-    else:
-        prod_coeff, h_coeff = consts
-        n1 = len(points) - 1
-        gap = U * V - prod_coeff * n1 * n1
-        lower = h_coeff * n1
-    return EnergyReport(V=V, U=U, H=H, cauchy_schwarz_gap=gap, lower_bound=lower)
+    r = baseline.exponent
+    gap = lower = None
+    if r is not None:
+        bound = (r + 1) * (len(points) - 1)  # sqrt of U*V's bound, half of H's
+        gap = U * V - bound * bound
+        lower = 2.0 * bound
+    return EnergyReport(V=V, U=U, H=V + U, cauchy_schwarz_gap=gap, lower_bound=lower,
+                        uv_defect=abs(U - V))

@@ -1,10 +1,11 @@
 """Foundational numerics.
 
-Adaptive quadrature, bracketed root finding and scalar and array
-monotone inversion.  Everything here is a pure function of its arguments
-and safe for concurrent use.  SciPy's quadrature and root finder load on
-first use, so a process that never integrates or brackets a root does
-not import them.
+Adaptive quadrature, one cumulative Gauss-Legendre pass for integrals
+against the Gaussian weight up to a grid of lower limits, bracketed root
+finding and scalar and array monotone inversion.  Everything here is a
+pure function of its arguments and safe for concurrent use.  SciPy's
+quadrature and root finder load on first use, so a process that never
+integrates or brackets a root does not import them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 _QUAD_MAX_SUBDIVISIONS = 10_000
 TAIL_CUTOFF = 12.0
+
+# The cumulative pass integrates every panel with one 4-node Gauss-Legendre
+# rule on [0, 1].  A panel is at most _PANEL wide, and at most
+# _PANEL_DECAY / u where the weight e^{-u^2/2} falls faster; the rule's
+# relative error, about w^8 |f^(8) / f| / 1.8e9, then stays near 1e-16.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+_GL_T = 0.5 * (_GL_X + 1.0)
+_GL_W = 0.5 * _GL_W
+_PANEL = 0.05
+_PANEL_DECAY = 0.15
+# Panels whose exponents a^2/2 lie within one span share a shift, so no
+# partial weight e^{+-(a^2/2 - shift)} leaves double range for any cutoff.
+_SHIFT_SPAN = 64.0
 
 # Root finding: relative x tolerance, F tolerance and step budget.
 _ROOT_X_TOL = 1e-14
@@ -147,3 +161,43 @@ def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
                 v[keep] for v in (x, y, lo, hi, x_tol, f_tol, where)
             )
     raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")
+
+
+def _upper_integral_grid(ts, f, kinks, L):
+    """int_t^L u^2 f(u) e^{(t^2-u^2)/2} du for every t >= 0 in ``ts``.
+
+    One cumulative pass: panels run between the distinct t, the kinks of f
+    and L.  Panel j on [a_j, a_{j+1}] gives J_j against the weight
+    e^{(a_j^2-u^2)/2}, and the integral from a_j is the tail sum
+    S_j = sum_{k>=j} J_k e^{(a_j^2-a_k^2)/2}, a reversed cumulative sum per
+    block of shared shift.  ``ts`` may be unsorted and repeat points;
+    points at or beyond L give 0.
+    """
+    ts = np.asarray(ts, dtype=float)
+    inside = ts < L
+    knots, knot_of = np.unique(np.concatenate(
+        (ts[inside], [k for k in kinks if 0.0 < k < L], [L])
+    ), return_inverse=True)
+    gap = np.diff(knots)
+    m = np.ceil(gap / np.minimum(_PANEL, _PANEL_DECAY / knots[1:])).astype(int)
+    first = np.cumsum(m) - m  # the panel starting at each knot below L
+    step = np.arange(m.sum()) - np.repeat(first, m)
+    a = np.repeat(knots[:-1], m) + step * np.repeat(gap / m, m)
+    w = np.append(a[1:], L) - a
+    # nodes run along axis 0; u^2 - a^2 = d (2a + d) with d = u - a
+    d = _GL_T[:, None] * w
+    u = a + d
+    vals = u * u * f(u) * np.exp(-d * (a + 0.5 * d))
+    J = w * np.sum(_GL_W[:, None] * vals, axis=0)
+    c = 0.5 * a * a
+    S = np.empty_like(J)
+    starts = np.flatnonzero(np.diff(np.floor(c / _SHIFT_SPAN), prepend=-1.0))
+    tail, c_tail = 0.0, 0.5 * L * L
+    for lo, hi in zip(starts[::-1], np.append(starts[1:], J.size)[::-1]):
+        r, cb = c[lo], c[lo:hi]
+        part = np.cumsum((J[lo:hi] * np.exp(r - cb))[::-1])[::-1]
+        S[lo:hi] = part * np.exp(cb - r) + tail * np.exp(cb - c_tail)
+        tail, c_tail = S[lo], r
+    out = np.where(ts >= L, 0.0, np.nan)  # NaN stays NaN
+    out[inside] = S[first[knot_of[:np.count_nonzero(inside)]]]
+    return out

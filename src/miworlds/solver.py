@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .energy import X_SQUARED, potential_V
+from .energy import potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from .numerics import newton_bracketed
 from .targets import (Baseline, _horner, _inverse_stein_poly, ground_baseline,
@@ -267,10 +267,11 @@ def _symmetry_defect(x: np.ndarray) -> float:
 
 
 def _variance_defect(bl: Baseline, points) -> Optional[float]:
-    """|sum x^2 - 3(N-1)|: b = x^2 configurations have variance 3(N-1)/N."""
-    if tuple(bl.b_poly.coef.tolist()) != X_SQUARED:
+    """|sum x^2 - (r+1)(N-1)|: b = c x^r configurations have variance
+    (r+1)(N-1)/N; None for a baseline of more than one term."""
+    if bl.exponent is None:
         return None
-    return abs(potential_V(points) - 3.0 * (len(points) - 1))
+    return abs(potential_V(points) - (bl.exponent + 1) * (len(points) - 1))
 
 
 def solve_configuration(

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import TAIL_CUTOFF
+from .numerics import TAIL_CUTOFF, _upper_integral_grid
 from .zerobias import CouplingReport
 
 __all__ = [
@@ -40,19 +40,6 @@ BOUND_G = 3.0
 BOUND_DG = 4.0
 BOUND_CHI = 6.0
 BOUND_DCHI = 7.0
-
-# The cumulative pass integrates every panel with one 4-node Gauss-Legendre
-# rule on [0, 1].  A panel is at most _PANEL wide, and at most
-# _PANEL_DECAY / u where the weight e^{-u^2/2} falls faster; the rule's
-# relative error, about w^8 |f^(8) / f| / 1.8e9, then stays near 1e-16.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-_GL_T = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
-_PANEL = 0.05
-_PANEL_DECAY = 0.15
-# Panels whose exponents a^2/2 lie within one span share a shift, so no
-# partial weight e^{+-(a^2/2 - shift)} leaves double range for any cutoff.
-_SHIFT_SPAN = 64.0
 
 
 @dataclass(frozen=True)
@@ -93,46 +80,6 @@ def make_test_function(
     lower = _upper_integral_grid(zero, lambda u: h(-u), [-k for k in kinks], TAIL_CUTOFF)[0]
     mean = float(upper + lower) / math.sqrt(2.0 * math.pi)
     return TestFunction(name=name, h=h, dh=dh, c=float(c), mean_under_p1=mean, kinks=kinks)
-
-
-def _upper_integral_grid(ts, f, kinks, L):
-    """int_t^L u^2 f(u) e^{(t^2-u^2)/2} du for every t >= 0 in ``ts``.
-
-    One cumulative pass: panels run between the distinct t, the kinks of f
-    and L.  Panel j on [a_j, a_{j+1}] gives J_j against the weight
-    e^{(a_j^2-u^2)/2}, and the integral from a_j is the tail sum
-    S_j = sum_{k>=j} J_k e^{(a_j^2-a_k^2)/2}, a reversed cumulative sum per
-    block of shared shift.  ``ts`` may be unsorted and repeat points;
-    points at or beyond L give 0.
-    """
-    ts = np.asarray(ts, dtype=float)
-    inside = ts < L
-    knots, knot_of = np.unique(np.concatenate(
-        (ts[inside], [k for k in kinks if 0.0 < k < L], [L])
-    ), return_inverse=True)
-    gap = np.diff(knots)
-    m = np.ceil(gap / np.minimum(_PANEL, _PANEL_DECAY / knots[1:])).astype(int)
-    first = np.cumsum(m) - m  # the panel starting at each knot below L
-    step = np.arange(m.sum()) - np.repeat(first, m)
-    a = np.repeat(knots[:-1], m) + step * np.repeat(gap / m, m)
-    w = np.append(a[1:], L) - a
-    # nodes run along axis 0; u^2 - a^2 = d (2a + d) with d = u - a
-    d = _GL_T[:, None] * w
-    u = a + d
-    vals = u * u * f(u) * np.exp(-d * (a + 0.5 * d))
-    J = w * np.sum(_GL_W[:, None] * vals, axis=0)
-    c = 0.5 * a * a
-    S = np.empty_like(J)
-    starts = np.flatnonzero(np.diff(np.floor(c / _SHIFT_SPAN), prepend=-1.0))
-    tail, c_tail = 0.0, 0.5 * L * L
-    for lo, hi in zip(starts[::-1], np.append(starts[1:], J.size)[::-1]):
-        r, cb = c[lo], c[lo:hi]
-        part = np.cumsum((J[lo:hi] * np.exp(r - cb))[::-1])[::-1]
-        S[lo:hi] = part * np.exp(cb - r) + tail * np.exp(cb - c_tail)
-        tail, c_tail = S[lo], r
-    out = np.where(ts >= L, 0.0, np.nan)  # NaN stays NaN
-    out[inside] = S[first[knot_of[:np.count_nonzero(inside)]]]
-    return out
 
 
 def _g0(test: TestFunction, xs) -> np.ndarray:

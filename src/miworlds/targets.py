@@ -116,8 +116,8 @@ class Baseline:
     ``b_poly`` is b in the power basis.  ``b``, ``db`` and ``B`` evaluate b,
     b' and the cumulative B(x) = int_0^x b, which is odd and strictly
     increasing, on a float or an array; they are built from ``b_poly`` once.
-    B is inverted in closed form when b is one term c x^r, and by bracketed
-    Newton otherwise.
+    ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
+    inverted in closed form on one term, and by bracketed Newton otherwise.
     """
 
     b_poly: Polynomial
@@ -133,8 +133,9 @@ class Baseline:
         put(self, "_P", _horner(_inverse_stein_poly(-db)))  # P' - xP = -b', for the kernel
         # b = c x^r: B = c x^(r+1) / (r+1) inverts as sign(y) |(r+1) y / c|^(1/(r+1))
         terms = [r for r, c in enumerate(coef) if c != 0.0]
-        r = terms[0]
-        put(self, "_root", ((r + 1) / coef[r], 1.0 / (r + 1)) if len(terms) == 1 else None)
+        r = terms[0] if len(terms) == 1 else None
+        put(self, "exponent", r)
+        put(self, "_root", None if r is None else ((r + 1) / coef[r], 1.0 / (r + 1)))
 
     @property
     def phi_integral(self) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     MiwValidation,
     NotDecreasing,
 )
-from .numerics import TAIL_CUTOFF, integrate_adaptive
+from .numerics import TAIL_CUTOFF, _upper_integral_grid
 from .targets import Baseline, ground_baseline, pdf_pk, phi
 
 __all__ = [
@@ -261,11 +261,10 @@ def fixed_point_defect() -> float:
     """Sup-grid defect of the fixed-point identity p* = p for the target.
 
     For the two-sided Maxwell target (k = 1) this checks
-    b(x) * int_x^inf t phi(t) dt = p_1(x) on x in {-4, -3.9, ..., 4}.
+    b(x) * int_x^inf t phi(t) dt = p_1(x) on x in {-4, -3.9, ..., 4}.  The
+    integrand is odd, so the integral from x is the one from |x|, taken for
+    the whole grid in one cumulative pass.
     """
-    worst = 0.0
-    for i in range(-40, 41):
-        x = i / 10.0
-        inner = integrate_adaptive(lambda t: t * phi(t), x, TAIL_CUTOFF)
-        worst = max(worst, abs(x * x * inner - float(pdf_pk(1, x))))
-    return worst
+    x = np.arange(-40, 41) / 10.0
+    inner = _upper_integral_grid(np.abs(x), lambda u: 1.0 / u, (), TAIL_CUTOFF) * phi(x)
+    return float(np.max(np.abs(x * x * inner - pdf_pk(1, x))))

@@ -39,6 +39,23 @@ def test_x_squared_baselines_report_as_maxwell(capsys, family):
         assert code == 0 and got == want and None not in got.values()
 
 
+@pytest.mark.parametrize("family, r", [(("ground",), 0), (("monomial", "--r", "4"), 4)],
+                         ids=["ground", "monomial-4"])
+def test_one_term_baselines_report_every_certificate(capsys, family, r):
+    # b = c x^r: sum x^2 = (r+1)(N-1) in solve and verify, and the
+    # Cauchy-Schwarz gap and bound in energy
+    n = 64
+    bound = (r + 1) * (n - 1)
+    reps = [json.loads(run(capsys, sub, "--family", *family, "--n", str(n), "--out", "json")[1])
+            for sub in ("solve", "verify", "energy")]
+    solve, verify, energy = reps
+    assert solve["residuals"]["variance_defect"] <= 1e-14 * bound
+    assert verify["p2_variance_defect"] == solve["residuals"]["variance_defect"]
+    assert abs(energy["cauchy_schwarz_gap"]) <= 1e-14 * bound * bound
+    assert energy["lower_bound"] == 2.0 * bound
+    assert energy["uv_defect"] <= 1e-14 * energy["V"]
+
+
 def test_solve_parity_exit_one(capsys):
     code, _, err = run(capsys, "solve", "--family", "maxwell", "--n", "21")
     assert code == 1
@@ -65,7 +82,8 @@ def test_verify_and_energy(capsys):
     energy = json.loads(out)
     assert energy["H"] == pytest.approx(42.0, abs=1e-5)
     # EnergyReport's fields, in its order, after the labels
-    assert list(energy) == ["family", "N", "V", "U", "H", "cauchy_schwarz_gap", "lower_bound"]
+    assert list(energy) == ["family", "N", "V", "U", "H", "cauchy_schwarz_gap", "lower_bound",
+                            "uv_defect"]
 
 
 def test_density_csv(capsys):
@@ -351,13 +369,15 @@ QUADPACK_FREE = [
     ["verify", "--n", "64"], ["energy", "--n", "64"],
     ["coupling", "--family", "hermite-sq", "--k", "2", "--n", "82"],
     ["density", "--family", "hermite-sq", "--k", "2", "--n", "81"], ["stein-check"],
+    ["fixed-point"],
 ]
 
 
 def test_subcommands_load_quadpack_and_brentq_only_when_they_integrate():
     # scipy.integrate and scipy.optimize add about 0.08 s to a cold start, so
     # numerics imports them on first use; of the subcommands run here only
-    # fixed-point integrates, and it must still find them
+    # rates integrates (metrics._dw_exact checks its closed form by
+    # quadrature), and it must still find them
     code = f"""
 import contextlib, io, sys
 import miworlds.cli as cli
@@ -367,7 +387,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in {QUADPACK_FREE!r}]
 print(codes, [m for m in lazy if m in sys.modules])
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["fixed-point"])
+    code = cli.main(["rates", "--n-list", "8", "16"])
 print(code, "scipy.integrate" in sys.modules)
 """
     lines = _fresh_python(code).splitlines()

@@ -3,11 +3,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from miworlds.energy import certify_minimizer, interworld_U, potential_V
 from miworlds.errors import BaselineZero, NotDecreasing
-from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration
+from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration, validate_properties
 from miworlds.targets import (
+    Baseline,
     ground_baseline,
     hermite_square_baseline,
     maxwell_square_baseline,
@@ -85,22 +87,42 @@ def test_perturbed_configuration_has_higher_energy(maxwell_configs):
     pts = list(maxwell_configs[8].points)
     pts[0] += 0.01
     pts[-1] -= 0.01  # keep the perturbation symmetric
-    h = certify_minimizer(bl, tuple(sorted(pts, reverse=True))).H
-    assert h > 42.0 + 1e-5
+    rep = certify_minimizer(bl, tuple(sorted(pts, reverse=True)))
+    assert rep.H > 42.0 + 1e-5
+    assert rep.uv_defect > 1e-3  # U = V only at the solution
 
 
 def test_lower_bound_on_random_symmetric_configurations():
-    rng = np.random.default_rng(20260823)
-    bl = maxwell_square_baseline()
-    for _ in range(100):
-        n = int(rng.integers(2, 24)) * 2
-        half = np.sort(rng.uniform(0.05, 3.0, size=n // 2))[::-1]
-        scale = math.sqrt(rng.uniform(1.0, 10.0 * n) / (2.0 * np.sum(half ** 2)))
-        half = half * scale
-        pts = tuple(half) + tuple(-half[::-1])
-        rep = certify_minimizer(bl, pts)
-        assert rep.H >= 6.0 * (n - 1) - 1e-8
-        assert rep.cauchy_schwarz_gap >= -1e-8
+    for r in (2, 4):
+        rng = np.random.default_rng(20260823)
+        bl = monomial_baseline(r)
+        for _ in range(100):
+            n = int(rng.integers(2, 24)) * 2
+            half = np.sort(rng.uniform(0.05, 3.0, size=n // 2))[::-1]
+            scale = math.sqrt(rng.uniform(1.0, 10.0 * n) / (2.0 * np.sum(half ** 2)))
+            half = half * scale
+            pts = tuple(half) + tuple(-half[::-1])
+            rep = certify_minimizer(bl, pts)
+            assert rep.H >= 2.0 * (r + 1) * (n - 1) - 1e-8
+            assert rep.cauchy_schwarz_gap >= -1e-8
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0])
+@pytest.mark.parametrize("r", [0, 2, 4, 6])
+def test_certificates_follow_the_exponent(r, c):
+    # b = c x^r, the rescaled b = 3 x^2 included: sum x^2 = (r+1)(N-1),
+    # U = V and U*V = ((r+1)(N-1))^2 at the solved configuration
+    bl = Baseline(Polynomial([0.0] * r + [c]), (0.0,) if r else ())
+    assert bl.exponent == r
+    for n in (22, 100):
+        cfg = solve_configuration(GENERAL, n, baseline=bl)
+        rep = certify_minimizer(bl, cfg.points)
+        bound = (r + 1) * (n - 1)
+        assert cfg.residuals["variance_defect"] <= 1e-14 * bound
+        assert validate_properties(cfg, bl)["p2_variance_defect"] <= 1e-14 * bound
+        assert abs(rep.cauchy_schwarz_gap) <= 1e-14 * bound * bound
+        assert rep.lower_bound == 2.0 * bound
+        assert rep.uv_defect <= 1e-14 * rep.V
 
 
 def test_equality_proportionality(maxwell_configs):
@@ -125,10 +147,20 @@ def test_ground_scaling():
 
 def test_other_baselines_report_no_bound():
     bl = hermite_square_baseline(2)
+    assert bl.exponent is None
     cfg = solve_configuration("general", 8, baseline=bl)
     rep = certify_minimizer(bl, cfg.points)
     assert rep.cauchy_schwarz_gap is None and rep.lower_bound is None
     assert rep.H == rep.V + rep.U
+
+
+@pytest.mark.parametrize("k, n", [(2, 82), (3, 40), (4, 40)])
+def test_uv_defect_for_multi_term_baselines(k, n):
+    # 1/(B(x_{n+1}) - B(x_n)) = -S_n at a solution, so U = sum x^2 = V for any b
+    bl = hermite_square_baseline(k)
+    rep = certify_minimizer(bl, solve_configuration(GENERAL, n, baseline=bl).points)
+    assert rep.uv_defect == abs(rep.U - rep.V)
+    assert rep.uv_defect <= 1e-13 * rep.V
 
 
 @pytest.mark.parametrize("bl, family, ref", [
@@ -150,4 +182,4 @@ def test_bound_follows_the_polynomial_not_the_constructor(bl, family, ref):
 def test_report_serialization(maxwell_configs):
     rep = certify_minimizer(maxwell_square_baseline(), maxwell_configs[8].points)
     d = asdict(rep)
-    assert set(d) == {"V", "U", "H", "cauchy_schwarz_gap", "lower_bound"}
+    assert set(d) == {"V", "U", "H", "cauchy_schwarz_gap", "lower_bound", "uv_defect"}

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from miworlds import numerics
 from miworlds.errors import NoBracket, NonConvergence, OutOfRange
 from miworlds.numerics import (
+    TAIL_CUTOFF,
+    _upper_integral_grid,
     find_root,
     integrate_adaptive,
     invert_monotone,
     newton_bracketed,
 )
+from miworlds.targets import phi
 
 
 def test_integrate_polynomial():
@@ -23,6 +26,13 @@ def test_integrate_gaussian_mass():
     phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
     assert abs(integrate_adaptive(phi, -12.0, 12.0) - 1.0) <= 1e-12
     assert abs(integrate_adaptive(lambda x: x * x * phi(x), -12.0, 12.0) - 1.0) <= 1e-12
+
+
+def test_upper_integral_grid_of_t_phi():
+    # int_t^12 u phi(u) du = phi(t) - phi(12) in closed form
+    t = np.arange(0, 41) / 10.0
+    got = _upper_integral_grid(t, lambda u: 1.0 / u, (), TAIL_CUTOFF) * phi(t)
+    assert np.all(np.abs(got - (phi(t) - phi(TAIL_CUTOFF))) <= 1e-15 * phi(t))
 
 
 def test_integrate_empty_interval():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from miworlds import stein
-from miworlds.numerics import TAIL_CUTOFF
+from miworlds.numerics import TAIL_CUTOFF, _upper_integral_grid
 from miworlds.stein import (
     _g0,
-    _upper_integral_grid,
     fixed_suite,
     identity_f_check,
     make_test_function,

@@ -9,6 +9,7 @@ from miworlds.numerics import integrate_adaptive, newton_bracketed
 from miworlds.targets import (
     MAX_ORDER,
     SQRT_2PI,
+    Baseline,
     KernelValue,
     _inverse_stein_poly,
     cdf_pk,
@@ -188,6 +189,16 @@ def test_baseline_evaluates_its_polynomial(bl):
         assert np.array_equal(f(xs), p(xs))
         assert all(f(float(x)) == p(float(x)) for x in xs)
         assert np.shape(f(np.zeros((2, 3)))) == (2, 3)
+
+
+def test_exponent_is_the_single_terms_power():
+    # r for b = c x^r, whatever the constructor or the scale; None for more terms
+    ones = [ground_baseline(), hermite_square_baseline(0), maxwell_square_baseline(),
+            hermite_square_baseline(1), monomial_baseline(4).normalized(), monomial_baseline(8)]
+    assert [bl.exponent for bl in ones] == [0, 0, 2, 2, 4, 8]
+    assert Baseline(Polynomial([0.0, 0.0, 3.0]), (0.0,)).exponent == 2
+    assert hermite_square_baseline(2).exponent is None
+    assert Baseline(Polynomial([1.0, 0.0, 1.0])).exponent is None
 
 
 @pytest.mark.parametrize("bl", _SHIPPED)

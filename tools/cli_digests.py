@@ -59,6 +59,11 @@ EXTRA = [
     ["energy", "--family", "hermite-sq", "--k", "1", "--n", "22"],
     ["verify", "--family", "hermite-sq", "--k", "1", "--n", "22"],
     ["solve", "--family", "monomial", "--r", "2", "--n", "22"],
+    # certificates from the exponent of a single-term b, and U = V for any b
+    ["energy", "--family", "monomial", "--r", "4", "--n", "100"],
+    ["verify", "--family", "monomial", "--r", "4", "--n", "100"],
+    ["energy", "--family", "hermite-sq", "--k", "2", "--n", "82"],
+    ["solve", "--family", "ground", "--n", "64"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
