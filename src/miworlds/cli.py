@@ -98,8 +98,6 @@ def _resolve_family(args):
     if fam == "ground":
         return GROUND, ground_baseline()
     if fam == "maxwell":
-        if args.n is not None and args.n % 2 == 1:
-            raise MiwValidation("maxwell requires an even --n")
         return MAXWELL, maxwell_square_baseline()
     if fam == "hermite-sq":
         if args.k is None:
@@ -153,9 +151,9 @@ def _cmd_energy(args) -> str:
 def _cmd_density(args) -> str:
     bl, cfg = _solve(args)
     hist = histogram_density(cfg.points)
-    rows = [("kind", "x0", "x1", "value")]
-    for left, right, coeff, mass in hist.to_csv_rows():
-        rows.append(("hist", left, right, coeff))
+    # one row per gap, from the top gap down: left end, right end, coefficient
+    gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
+    rows = [("kind", "x0", "x1", "value")] + [("hist", *gap) for gap in gaps]
     span = cfg.points[0] - cfg.points[-1]
     lo = cfg.points[-1] - 0.05 * span
     hi = cfg.points[0] + 0.05 * span

@@ -13,10 +13,6 @@ class RouteMismatch(MiwError):
     """Two independent routes to the same quantity disagree."""
 
 
-class NoBracket(MiwError):
-    """Root finder was given an interval without a sign change."""
-
-
 class OutOfRange(MiwError):
     """Monotone inversion target lies outside the supplied bracket."""
 

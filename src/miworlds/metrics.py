@@ -20,7 +20,7 @@ from .errors import RouteMismatch
 from .numerics import QUAD_ABS_TOL, QUAD_REL_TOL, integrate_adaptive, newton_bracketed
 from .solver import MAXWELL, solve_configuration
 from .targets import cdf_pk, cdf_pk_integral, maxwell_square_baseline, pdf_pk
-from .zerobias import EmpiricalDist, coupling_expectations, gzb_density
+from .zerobias import _check_decreasing, coupling_expectations, gzb_density
 
 __all__ = [
     "wasserstein1",
@@ -52,13 +52,16 @@ def wasserstein1(
     return total
 
 
-def kolmogorov(F_emp: EmpiricalDist, G: Callable) -> float:
-    """sup |F_emp - G|, attained at the atoms against a continuous G.
+def kolmogorov(points: Sequence[float], G: Callable) -> float:
+    """sup |F_emp - G| for the uniform law F_emp on strictly decreasing
+    ``points``, attained at the atoms against a continuous G.
 
     ``G`` is called once, on the array of atoms in ascending order.
     """
-    n = F_emp.n
-    g = np.asarray(G(np.asarray(F_emp.atoms[::-1], dtype=float)), dtype=float)
+    x = np.asarray(points, dtype=float)
+    _check_decreasing(x)
+    n = x.size
+    g = np.asarray(G(x[::-1]), dtype=float)
     below = np.arange(n) / n
     return float(max(np.max(np.abs(below + 1.0 / n - g)), np.max(np.abs(below - g))))
 
@@ -116,10 +119,9 @@ RATE_CSV_HEADER = tuple(f.name for f in fields(RateRow))
 
 def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
-    emp = EmpiricalDist(cfg.points)
     report = coupling_expectations(gzb_density(maxwell_square_baseline(), cfg.points))
     dw = _dw_exact(cfg.points, 1)
-    dk = kolmogorov(emp, lambda x: cdf_pk(1, x))
+    dk = kolmogorov(cfg.points, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds  # at least 2: the solver and gzb_density reject fewer atoms
     envelope = math.sqrt(math.log(n) / n)
     return RateRow(N=n, dw=dw, dk=dk, x1=cfg.points[0], **asdict(report),

@@ -1,11 +1,11 @@
 """Foundational numerics.
 
 Adaptive quadrature, one cumulative Gauss-Legendre pass for integrals
-against the Gaussian weight up to a grid of lower limits, bracketed root
-finding and scalar and array monotone inversion.  Everything here is a
-pure function of its arguments and safe for concurrent use.  SciPy's
-quadrature and root finder load on first use, so a process that never
-integrates or brackets a root does not import them.
+against the Gaussian weight up to a grid of lower limits, and scalar and
+array monotone inversion.  Everything here is a pure function of its
+arguments and safe for concurrent use.  SciPy's quadrature and root finder
+load on first use, so a process that never integrates or inverts a scalar
+function does not import them.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoBracket, NonConvergence, OutOfRange
+from .errors import NonConvergence, OutOfRange
 
 __all__ = [
     "QUAD_ABS_TOL",
     "QUAD_REL_TOL",
     "TAIL_CUTOFF",
     "integrate_adaptive",
-    "find_root",
     "invert_monotone",
     "newton_bracketed",
 ]
@@ -88,30 +87,6 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float
     return out[0]
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Locate a root of ``f`` on a sign-changing bracket [lo, hi]."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoBracket(f"f({lo})={flo:g} and f({hi})={fhi:g} share a sign")
-    from scipy import optimize
-
-    return float(
-        optimize.brentq(
-            f,
-            lo,
-            hi,
-            xtol=_ROOT_X_TOL,
-            rtol=max(_ROOT_X_TOL, 4 * _EPS),
-            maxiter=_ROOT_MAX_ITER,
-        )
-    )
-
-
 def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float) -> float:
     """Solve F(x) = y for strictly increasing F on [lo, hi]."""
     Flo, Fhi = F(lo), F(hi)
@@ -122,7 +97,11 @@ def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float)
         return lo
     if y >= Fhi:
         return hi
-    return find_root(lambda x: F(x) - y, lo, hi)
+    from scipy import optimize
+
+    # y lies strictly between F(lo) and F(hi), so the bracket changes sign
+    return float(optimize.brentq(lambda x: F(x) - y, lo, hi, xtol=_ROOT_X_TOL,
+                                 rtol=max(_ROOT_X_TOL, 4 * _EPS), maxiter=_ROOT_MAX_ITER))
 
 
 def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:

@@ -82,10 +82,6 @@ class Configuration:
     residuals: dict
     stats: Optional[SolveStats] = field(default=None, compare=False)
 
-    @property
-    def variance_sum(self) -> float:
-        return potential_V(self.points)
-
 
 _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
 

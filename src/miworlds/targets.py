@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import hermite_e as herme
 
-from .errors import KernelSingularity, UnsupportedOrder
+from .errors import KernelSingularity, MiwValidation, UnsupportedOrder
 from .numerics import newton_bracketed
 
 __all__ = [
@@ -115,7 +115,8 @@ class Baseline:
 
     ``b_poly`` is b in the power basis.  ``b``, ``db`` and ``B`` evaluate b,
     b' and the cumulative B(x) = int_0^x b, which is odd and strictly
-    increasing, on a float or an array; they are built from ``b_poly`` once.
+    increasing, on a float or an array; they are built from ``b_poly`` once,
+    as is ``phi_integral`` = int b(x) phi(x) dx.
     ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
     inverted in closed form on one term, and by bracketed Newton otherwise.
     """
@@ -125,6 +126,8 @@ class Baseline:
 
     def __post_init__(self):
         put = object.__setattr__  # derived attributes of a frozen dataclass
+        # first: a degree whose Gaussian moment overflows is rejected here
+        put(self, "phi_integral", _poly_phi_integral(self.b_poly))
         coef = [float(c) for c in self.b_poly.coef]
         put(self, "b", _horner(coef))
         db = self.b_poly.deriv().coef
@@ -136,11 +139,6 @@ class Baseline:
         r = terms[0] if len(terms) == 1 else None
         put(self, "exponent", r)
         put(self, "_root", None if r is None else ((r + 1) / coef[r], 1.0 / (r + 1)))
-
-    @property
-    def phi_integral(self) -> float:
-        """int b(x) phi(x) dx over the real line."""
-        return _poly_phi_integral(self.b_poly)
 
     def Binv(self, y: float) -> float:
         """B^{-1}(y) on the real line: B is unbounded, so doubling brackets y."""
@@ -171,8 +169,13 @@ class Baseline:
 
 def _poly_phi_integral(p: Polynomial) -> float:
     """E p(Z) for standard normal Z: sum of c_n E[Z^n], E[Z^n] = (n-1)!! for even n."""
-    return float(sum(c * math.prod(range(n - 1, 0, -2))
-                     for n, c in enumerate(p.coef) if n % 2 == 0))
+    try:
+        return float(sum(c * math.prod(range(n - 1, 0, -2))
+                         for n, c in enumerate(p.coef) if n % 2 == 0))
+    except OverflowError:  # (n-1)!! exceeds a float from n = 302 on
+        top = p.degree() // 2 * 2
+        raise MiwValidation(f"E[Z^{top}] = {top - 1}!! overflows a float: "
+                            f"exponent {top} is too large") from None
 
 
 def ground_baseline() -> Baseline:

@@ -1,15 +1,17 @@
-"""Empirical distributions, generalized zero-bias densities and couplings.
+"""Generalized zero-bias densities and couplings.
 
 The b-generalized-zero-bias density of the uniform law on symmetric atoms
 x_1 > ... > x_N has shape c_n * b(x) on each gap (x_{n+1}, x_n] with
 c_n proportional to sum_{i<=n} x_i / b(x_i).  The comonotone (quantile)
 coupling of the empirical law W with W* ~ p* yields the four expectation
 terms whose weighted sum bounds the Wasserstein distance to the target.
+
+The ordering check shared with ``metrics.kolmogorov`` also lives here:
+atoms must be strictly decreasing, and at least one atom is needed.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +31,6 @@ from .numerics import TAIL_CUTOFF, _upper_integral_grid
 from .targets import Baseline, ground_baseline, pdf_pk, phi
 
 __all__ = [
-    "EmpiricalDist",
     "PiecewiseDensity",
     "CouplingReport",
     "gzb_density",
@@ -46,30 +47,6 @@ LAMBDA_1 = 6.0
 LAMBDA_2 = 7.0
 LAMBDA_3 = 18.0
 LAMBDA_4 = 22.0
-
-
-class EmpiricalDist:
-    """Uniform distribution on strictly decreasing atoms."""
-
-    def __init__(self, atoms: Sequence[float]):
-        atoms = tuple(float(a) for a in atoms)
-        x = np.asarray(atoms, dtype=float)
-        _check_decreasing(x)
-        self.atoms = atoms
-        self._asc = x[::-1].copy()
-        self.n = len(atoms)
-
-    def cdf(self, x: float) -> float:
-        return float(np.searchsorted(self._asc, x, side="right")) / self.n
-
-    def cdf_left(self, x: float) -> float:
-        return float(np.searchsorted(self._asc, x, side="left")) / self.n
-
-    def quantile(self, u: float) -> float:
-        if not 0.0 < u <= 1.0:
-            raise ValueError("quantile argument must lie in (0, 1]")
-        j = int(math.ceil(u * self.n)) - 1
-        return float(self._asc[min(j, self.n - 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +106,6 @@ class PiecewiseDensity:
         target = Bx[i] + np.where(inner, u - cum[i], 0.0) / cs[i]
         out = np.where(inner, self.baseline.Binv_within(target, lo, hi), hi)
         return out if out.ndim else float(out)
-
-    def to_csv_rows(self):
-        """Rows (interval_left, interval_right, coeff, mass), left < right,
-        from the top gap down."""
-        cols = (self.x[:-1], self.x[1:], self.c, np.diff(self.cum))
-        return list(zip(*(v[::-1].tolist() for v in cols)))
 
 
 def _check_decreasing(x: np.ndarray, at_least: int = 1):

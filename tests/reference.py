@@ -5,7 +5,8 @@ functions here integrate the defining formulas directly by adaptive
 quadrature, as an independent second route.  ``coupling_two_sided``
 inverts the density CDF at both edges of each coupling cell on its own, a
 second route to the cells that ``coupling_expectations`` takes from one
-``PiecewiseDensity.quantile`` call.
+``PiecewiseDensity.quantile`` call.  ``step_cdf`` is the CDF of the uniform
+law on a set of atoms, for the quadrature route to d_W.
 """
 
 import math
@@ -16,6 +17,14 @@ from numpy.polynomial import Polynomial
 
 from miworlds.numerics import TAIL_CUTOFF, integrate_adaptive
 from miworlds.zerobias import LAMBDA_1, LAMBDA_2, LAMBDA_3, LAMBDA_4, CouplingReport
+
+
+def step_cdf(atoms, left=False) -> Callable[[float], float]:
+    """CDF of the uniform law on distinct ``atoms``: P(W <= x), or with
+    ``left`` its left limit P(W < x)."""
+    asc = np.sort(np.asarray(atoms, dtype=float))
+    side = "left" if left else "right"
+    return lambda x: float(np.searchsorted(asc, x, side=side)) / asc.size
 
 
 def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from miworlds.energy import certify_minimizer
+from miworlds.energy import certify_minimizer, potential_V
 from miworlds.metrics import dk_dw_relation_check, measure_configuration
 from miworlds.solver import (
     GENERAL,
@@ -48,7 +48,7 @@ def test_criterion_01_maxwell_n2_closed_form(maxwell_configs):
     cfg = maxwell_configs[2]
     assert abs(cfg.points[0] - SQRT_1_5) <= 1e-12
     assert abs(cfg.points[1] + SQRT_1_5) <= 1e-12
-    assert abs(cfg.variance_sum - 3.0) <= 1e-12
+    assert abs(potential_V(cfg.points) - 3.0) <= 1e-12
 
 
 def test_criterion_02_figure1_energies(maxwell_configs):

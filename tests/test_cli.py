@@ -62,6 +62,28 @@ def test_solve_parity_exit_one(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("sub", ["density", "coupling"])
+def test_density_and_coupling_parity_exit_one(sub, capsys):
+    code, out, err = run(capsys, sub, "--family", "maxwell", "--n", "21")
+    assert code == 1 and out == ""
+    assert "even" in err and "numerical failure" not in err
+
+
+def test_n_below_two_names_the_bound(capsys):
+    # the world count is checked before the family's parity
+    code, out, err = run(capsys, "solve", "--n", "1")
+    assert (code, out, err) == (1, "", "miworlds: --n must be at least 2\n")
+
+
+@pytest.mark.parametrize("r", [302, 400])
+def test_monomial_exponent_beyond_float_moments_is_a_usage_error(r, capsys):
+    # (r-1)!! = E[Z^r] no longer fits a float from r = 302 on
+    code, out, err = run(capsys, "solve", "--family", "monomial", "--r", str(r), "--n", "50")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("miworlds: ")
+    assert f"exponent {r}" in err and "numerical failure" not in err
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 1
@@ -178,7 +200,6 @@ _EXIT_CODES = {
     errors.ParityUnsupported: 1,
     errors.NonConvergence: 2,
     errors.RouteMismatch: 2,
-    errors.NoBracket: 2,
     errors.OutOfRange: 2,
     errors.KernelSingularity: 2,
     errors.InvalidStart: 2,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from miworlds import metrics
-from miworlds.errors import RouteMismatch
+from miworlds.errors import MiwValidation, NotDecreasing, RouteMismatch
 from miworlds.metrics import (
     MAXWELL_MODE_SUP,
     RATE_CSV_HEADER,
@@ -17,11 +17,11 @@ from miworlds.metrics import (
     wasserstein1,
 )
 from miworlds.targets import cdf_pk
-from miworlds.zerobias import EmpiricalDist
+from reference import step_cdf
 
 
 def test_wasserstein_identical():
-    F = EmpiricalDist((1.0, -1.0)).cdf
+    F = step_cdf((1.0, -1.0))
     assert wasserstein1(F, F, (-2, 2), jumps=(-1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -33,21 +33,51 @@ def test_wasserstein_point_masses():
 
 def test_wasserstein_two_atom_pairs():
     a, b = 0.7, 1.3
-    Fa = EmpiricalDist((a, -a)).cdf
-    Fb = EmpiricalDist((b, -b)).cdf
+    Fa = step_cdf((a, -a))
+    Fb = step_cdf((b, -b))
     d = wasserstein1(Fa, Fb, (-2, 2), jumps=(-b, -a, a, b))
     assert d == pytest.approx(b - a, abs=1e-10)
 
 
 def test_kolmogorov_n2_enumeration(maxwell_configs):
     cfg = maxwell_configs[2]
-    emp = EmpiricalDist(cfg.points)
     G = lambda x: cdf_pk(1, x)
-    dk = kolmogorov(emp, G)
+    dk = kolmogorov(cfg.points, G)
+    F, F_left = step_cdf(cfg.points), step_cdf(cfg.points, left=True)
     gaps = []
     for x in cfg.points:
-        gaps += [abs(emp.cdf(x) - G(x)), abs(emp.cdf_left(x) - G(x))]
+        gaps += [abs(F(x) - G(x)), abs(F_left(x) - G(x))]
     assert dk == pytest.approx(max(gaps), abs=1e-14)
+
+
+def _kolmogorov_on_a_tuple(points, G):
+    """The parent route: atoms kept as a tuple of floats, reversed as a tuple
+    and converted to the ascending array that G is called on."""
+    atoms = tuple(float(a) for a in points)
+    n = len(atoms)
+    g = np.asarray(G(np.asarray(atoms[::-1], dtype=float)), dtype=float)
+    below = np.arange(n) / n
+    return float(max(np.max(np.abs(below + 1.0 / n - g)), np.max(np.abs(below - g))))
+
+
+@pytest.mark.parametrize("n", [2, 22, 64, 4096])
+def test_kolmogorov_on_points_equals_the_tuple_route(n, maxwell_configs):
+    pts = maxwell_configs[n].points
+    G = lambda x: cdf_pk(1, x)
+    assert kolmogorov(pts, G) == _kolmogorov_on_a_tuple(pts, G)
+    assert kolmogorov(np.asarray(pts), G) == _kolmogorov_on_a_tuple(pts, G)
+
+
+def test_kolmogorov_rejects_unordered_atoms():
+    with pytest.raises(NotDecreasing):
+        kolmogorov((0.0, 1.0), lambda x: x)
+
+
+def test_kolmogorov_without_atoms_is_a_typed_error():
+    # rejected before G is called, not with a ZeroDivisionError or an empty max
+    with pytest.raises(MiwValidation, match="1 or more atoms needed, got 0"):
+        kolmogorov((), lambda x: x)
+    assert kolmogorov((0.5,), lambda x: np.full_like(x, 0.5)) == 0.5
 
 
 def test_kolmogorov_quantile_discretization():
@@ -59,18 +89,18 @@ def test_kolmogorov_quantile_discretization():
         invert_monotone(lambda x: cdf_pk(1, x), (j - 0.5) / n, -8.0, 8.0)
         for j in range(n, 0, -1)
     ]
-    dk = kolmogorov(EmpiricalDist(atoms), lambda x: cdf_pk(1, x))
+    dk = kolmogorov(atoms, lambda x: cdf_pk(1, x))
     assert dk <= 1.0 / n + 1e-9
 
 
 def test_kolmogorov_zero_against_matching_continuous_cdf():
     # the jump-probe formula is exact for continuous G; a G agreeing
     # with F at and just below the atoms yields distance 0
-    e = EmpiricalDist((1.0, -1.0))
+    atoms = (1.0, -1.0)
     G = lambda x: np.where(x < -1.0, 0.0, np.where(x < 1.0, 0.5, 1.0))
-    assert kolmogorov(e, G) == 0.5  # G is a step too; probes see the gap
+    assert kolmogorov(atoms, G) == 0.5  # G is a step too; probes see the gap
     cont = lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0)
-    assert kolmogorov(EmpiricalDist((1.0, -1.0)), cont) == pytest.approx(0.5, abs=1e-12)
+    assert kolmogorov(atoms, cont) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_dw_matches_mpmath_reference(sweep_rows):
@@ -82,8 +112,7 @@ def test_exact_dw_matches_mpmath_reference(sweep_rows):
 @pytest.mark.parametrize("n", [2, 22, 64])
 def test_exact_dw_matches_quadrature_route(n, maxwell_configs):
     pts = maxwell_configs[n].points
-    emp = EmpiricalDist(pts)
-    quad = wasserstein1(emp.cdf, lambda x: cdf_pk(1, x), (-12.0, 12.0), jumps=pts)
+    quad = wasserstein1(step_cdf(pts), lambda x: cdf_pk(1, x), (-12.0, 12.0), jumps=pts)
     assert measure_configuration(maxwell_configs[n]).dw == pytest.approx(quad, rel=1e-9)
 
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miworlds import numerics
-from miworlds.errors import NoBracket, NonConvergence, OutOfRange
+from miworlds.errors import NonConvergence, OutOfRange
 from miworlds.numerics import (
     TAIL_CUTOFF,
     _upper_integral_grid,
-    find_root,
     integrate_adaptive,
     invert_monotone,
     newton_bracketed,
@@ -56,23 +55,21 @@ def test_integrate_linearity(c1, c2, a, b):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-def test_find_root_sqrt2():
-    assert abs(find_root(lambda x: x * x - 2.0, 1.0, 2.0) - math.sqrt(2)) <= 1e-13
+def test_invert_monotone_sqrt2():
+    assert abs(invert_monotone(lambda x: x * x, 2.0, 1.0, 2.0) - math.sqrt(2)) <= 1e-13
 
 
-def test_find_root_maxwell_symmetry():
+def test_invert_monotone_maxwell_symmetry():
     # the N=2 Maxwell shooting equation 2x^2 = 3
-    r = find_root(lambda x: 2 * x * x - 3.0, 1.0, 2.0)
+    r = invert_monotone(lambda x: 2 * x * x, 3.0, 1.0, 2.0)
     assert abs(r - math.sqrt(1.5)) <= 1e-13
 
 
-def test_find_root_endpoint_zero():
-    assert find_root(lambda x: x, -1.0, 2.0) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_find_root_no_bracket():
-    with pytest.raises(NoBracket):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+def test_invert_monotone_exact_endpoints():
+    # a target at F(lo) or F(hi) returns that end itself, not a brentq estimate
+    assert invert_monotone(lambda x: x, -1.0, -1.0, 2.0) == -1.0
+    assert invert_monotone(lambda x: x, 2.0, -1.0, 2.0) == 2.0
+    assert invert_monotone(lambda x: x, 0.0, -1.0, 2.0) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_invert_monotone_cubic():

@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from miworlds import solver
+from miworlds.energy import potential_V
 from miworlds.errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from miworlds.solver import (
     GENERAL,
@@ -69,18 +70,18 @@ def test_shoot_stop_reason_nondecreasing():
 def test_solve_maxwell_n2_closed_form(maxwell_configs):
     cfg = maxwell_configs[2]
     assert cfg.points == pytest.approx((SQRT_1_5, -SQRT_1_5), abs=1e-12)
-    assert cfg.variance_sum == pytest.approx(3.0, abs=1e-12)
+    assert potential_V(cfg.points) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_solve_ground_n3():
     cfg = solve_configuration(GROUND, 3)
     assert cfg.points == pytest.approx((1.0, 0.0, -1.0), abs=1e-9)
-    assert cfg.variance_sum == pytest.approx(2.0, abs=1e-9)
+    assert potential_V(cfg.points) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_solve_maxwell_n22(maxwell_configs):
     cfg = maxwell_configs[22]
-    assert abs(cfg.variance_sum - 63.0) <= 1e-7
+    assert abs(potential_V(cfg.points) - 63.0) <= 1e-7
     assert cfg.points[10] >= math.sqrt(3.0 / 22.0)
     assert cfg.residuals["max_recursion_residual"] <= 1e-9
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from miworlds.errors import KernelSingularity, UnsupportedOrder
+from miworlds.errors import KernelSingularity, MiwValidation, UnsupportedOrder
 from miworlds.numerics import integrate_adaptive, newton_bracketed
 from miworlds.targets import (
     MAX_ORDER,
@@ -224,6 +224,13 @@ def test_monomial_normalization():
         assert abs(mass - 1.0) <= 1e-10
         for x in (-2.0, -0.7, 0.4, 1.9):
             assert nb.Binv(float(nb.B(x))) == pytest.approx(x, rel=1e-14)
+
+
+def test_monomial_moment_overflow_is_a_typed_error():
+    # E[Z^300] = 299!! is the last even moment below the float maximum
+    assert math.isfinite(monomial_baseline(300).phi_integral)
+    with pytest.raises(MiwValidation, match="exponent 302"):
+        monomial_baseline(302).normalized()
 
 
 @pytest.mark.xfail(

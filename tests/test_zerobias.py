@@ -10,7 +10,7 @@ from miworlds.errors import (
     MiwValidation,
     NotDecreasing,
 )
-from miworlds.metrics import wasserstein1
+from miworlds.metrics import kolmogorov, wasserstein1
 from miworlds.numerics import integrate_adaptive
 from miworlds.solver import GENERAL, solve_configuration
 from miworlds.targets import (
@@ -20,36 +20,14 @@ from miworlds.targets import (
     monomial_baseline,
 )
 from miworlds.zerobias import (
-    EmpiricalDist,
     coupling_expectations,
     fixed_point_defect,
     gzb_density,
     histogram_density,
 )
-from reference import coupling_two_sided
+from reference import coupling_two_sided, step_cdf
 
 BL = maxwell_square_baseline()
-
-
-def test_empirical_dist_basics():
-    e = EmpiricalDist((1.0, -1.0))
-    assert e.cdf(1.0) == 1.0
-    assert e.cdf(0.0) == 0.5
-    assert e.cdf_left(-1.0) == 0.0
-    assert e.quantile(0.5) == -1.0
-    assert e.quantile(1.0) == 1.0
-    # quantile(cdf(atom)) fixes atoms
-    for a in e.atoms:
-        assert e.quantile(e.cdf(a)) == a
-    with pytest.raises(NotDecreasing):
-        EmpiricalDist((0.0, 1.0))
-
-
-def test_empirical_dist_without_atoms_is_a_typed_error():
-    # rejected when built, not with a ZeroDivisionError on the first cdf call
-    with pytest.raises(MiwValidation, match="1 or more atoms needed, got 0"):
-        EmpiricalDist(())
-    assert EmpiricalDist((0.5,)).cdf(0.5) == 1.0
 
 
 def test_gzb_single_interval_maxwell():
@@ -88,11 +66,10 @@ def test_gzb_quantile_inverts_cdf(maxwell_configs):
 
 def test_gzb_csv_rows(maxwell_configs):
     d = gzb_density(BL, maxwell_configs[8].points)
-    rows = d.to_csv_rows()
-    assert len(rows) == 7
-    for left, right, coeff, mass in rows:
-        assert left < right and coeff > 0 and mass > 0
-    assert sum(r[3] for r in rows) == pytest.approx(1.0, abs=1e-12)
+    masses = np.diff(d.cum)
+    assert d.x.size == 8 and d.c.size == masses.size == 7
+    assert np.all(d.x[:-1] < d.x[1:]) and np.all(d.c > 0) and np.all(masses > 0)
+    assert np.sum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_histogram_density_masses():
@@ -119,8 +96,7 @@ def test_coupling_identical_marginals_zero():
     # shrink the density onto the atoms by comparing against itself via
     # the wasserstein oracle instead: e_abs equals d_W(emp, gzb)
     rep = coupling_expectations(d)
-    emp = EmpiricalDist(atoms)
-    dw = wasserstein1(emp.cdf, d.cdf, (-1.5, 1.5), jumps=atoms)
+    dw = wasserstein1(step_cdf(atoms), d.cdf, (-1.5, 1.5), jumps=atoms)
     assert rep.e_abs == pytest.approx(dw, abs=1e-9)
 
 
@@ -152,9 +128,8 @@ def test_coupling_guards():
 def test_coupling_matches_wasserstein(maxwell_configs):
     cfg = maxwell_configs[22]
     d = gzb_density(BL, cfg.points)
-    emp = EmpiricalDist(cfg.points)
     dw = wasserstein1(
-        emp.cdf, d.cdf, (cfg.points[-1] - 0.1, cfg.points[0] + 0.1), jumps=cfg.points
+        step_cdf(cfg.points), d.cdf, (cfg.points[-1] - 0.1, cfg.points[0] + 0.1), jumps=cfg.points
     )
     rep = coupling_expectations(d)
     assert rep.e_abs == pytest.approx(dw, abs=1e-9)
@@ -240,7 +215,7 @@ def test_definition_identity(f, df, maxwell_configs):
     lhs = 0.0
     from miworlds.numerics import integrate_adaptive
 
-    for (left, right, coeff, _mass) in d.to_csv_rows():
+    for left, right, coeff in zip(d.x[:-1], d.x[1:], d.c):
         lhs += coeff * integrate_adaptive(lambda x: df(x), left, right)
     rhs = sum(x * f(x) / float(BL.b(x)) for x in cfg.points) / n
     assert abs(sigma2 * lhs - rhs) <= 1e-7
@@ -334,7 +309,7 @@ def _loop_says_decreasing(atoms):
 def test_ordering_check_matches_the_per_pair_loop(atoms):
     # fewer atoms than a builder needs fail its count check before the ordering
     # one (tested on its own above); gzb also needs two to pass its symmetry check
-    builders = [EmpiricalDist] if atoms else []
+    builders = [partial(kolmogorov, G=np.zeros_like)] if atoms else []
     if len(atoms) >= 2:
         builders += [histogram_density, partial(gzb_density, ground_baseline())]
     for build in builders:

@@ -67,6 +67,9 @@ EXTRA = [
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
+    ["density", "--family", "maxwell", "--n", "21"],
+    ["coupling", "--family", "maxwell", "--n", "21"],
+    ["solve", "--family", "monomial", "--r", "302", "--n", "50"],
     ["solve", "--family", "hermite-sq", "--n", "41"],
     ["solve", "--family", "hermite-sq", "--k", "31", "--n", "4"],
     ["solve", "--family", "monomial", "--r", "3", "--n", "10"],
