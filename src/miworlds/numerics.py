@@ -60,31 +60,19 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float
 
     Backed by QUADPACK's globally adaptive Gauss-Kronrod scheme; results
     are deterministic for fixed inputs.  Raises :class:`NonConvergence`
-    when the subdivision budget is exhausted before the tolerance is met.
+    when QUADPACK's error estimate exceeds ten times that tolerance.
     """
     if a == b:
         return 0.0
     from scipy import integrate
 
-    out = integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL,
-        limit=_QUAD_MAX_SUBDIVISIONS,
-        full_output=1,
-    )
-    if len(out) > 3:
-        value, abserr = out[0], out[1]
-        # QUADPACK flags roundoff-limited panels even when the achieved
-        # error is acceptable; only escalate genuine tolerance failures.
-        if not (abserr <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)) * 10):
-            raise NonConvergence(
-                f"quadrature failed on [{a}, {b}]: {out[3]} (abserr={abserr:g})"
-            )
-        return value
-    return out[0]
+    value, abserr, *info = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+                                          limit=_QUAD_MAX_SUBDIVISIONS, full_output=1)
+    # ier = 0 already means abserr met the tolerance, and QUADPACK also flags
+    # roundoff-limited panels whose error is acceptable: judge abserr alone.
+    if not abserr <= 10 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
+        raise NonConvergence(f"quadrature failed on [{a}, {b}]: {info[-1]} (abserr={abserr:g})")
+    return value
 
 
 def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float) -> float:

@@ -25,8 +25,7 @@ from scipy.linalg import solve_banded
 from .energy import potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
 from .numerics import newton_bracketed
-from .targets import (Baseline, _horner, _inverse_stein_poly, ground_baseline,
-                      maxwell_square_baseline, normal_cdf, phi)
+from .targets import Baseline, ground_baseline, maxwell_square_baseline
 
 __all__ = [
     "GROUND",
@@ -47,7 +46,6 @@ MAXWELL = "maxwell"
 GENERAL = "general"
 
 _RESIDUAL_TOL = 1e-9
-_ZERO_OF_B_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
 # max|G| within this many times B(x_1), its largest term, is rounding
@@ -108,7 +106,7 @@ def shoot_sequence(bl: Baseline, x1: float, max_len: int):
     x = float(x1)
     xs, partial = [x], 0.0
     while len(xs) < max_len:
-        if bl.near_zero_of_b(x, _ZERO_OF_B_TOL):
+        if bl.near_zero_of_b(x):
             return xs, "baseline_zero"
         partial += x / float(bl.b(x))
         if partial == 0.0 or not math.isfinite(partial):
@@ -184,20 +182,6 @@ def _newton(x, bl: Baseline, tail: float):
     return x, history, backtracks, converged()
 
 
-def _target_cdf(bl: Baseline):
-    """CDF and density of the target b phi / m, m = E b(Z), exactly.
-
-    b = m + Q' - xQ for the odd polynomial Q with Q' - xQ = b - m, so
-    that (Q phi)' = (b - m) phi and F = Phi + Q phi / m.
-    """
-    c = bl.b_poly.coef
-    Q = _inverse_stein_poly(c)
-    m = c[0] - Q[1]
-    Q = _horner(Q[: max(c.size - 1, 1)])
-    return (lambda t: normal_cdf(t) + Q(t) * phi(t) / m,
-            lambda t: bl.b(t) * phi(t) / m)
-
-
 def _starts(bl: Baseline, n_worlds: int):
     """Yield (name, x_1 > ... > x_h) starts for Newton.
 
@@ -208,7 +192,7 @@ def _starts(bl: Baseline, n_worlds: int):
     mirrored pair of its worlds to a neighbouring cell.  Points are placed
     on the negative axis, where F has no cancellation, and negated.
     """
-    F, dF = _target_cdf(bl)
+    F, dF = bl.target_cdf, bl.target_pdf
     h = n_worlds // 2
     u = (np.arange(1, h + 1) - 0.5) / n_worlds
     L = 2.0
@@ -287,9 +271,7 @@ def solve_configuration(
         raise ValueError("need at least two worlds")
     bl = _baseline(family, baseline)
     if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
-        raise ParityUnsupported(
-            f"family {family!r} needs an even world count, got {n_worlds}"
-        )
+        raise ParityUnsupported(f"b(0) = 0 needs an even world count, got {n_worlds}")
 
     def failure(exc):
         exc.stats = stats
@@ -306,8 +288,7 @@ def solve_configuration(
             f"Newton converged from none of {tried} starts ({family}, N={n_worlds})"
         ))
 
-    gap = np.abs(first[:, None] - np.array(bl.zeros_of_b))
-    on_zero = np.any(gap < _ZERO_OF_B_TOL, axis=1)
+    on_zero = bl.near_zero_of_b(first)
     if on_zero.any():
         raise failure(ResidualFailure(
             f"world location {first[on_zero.argmax()]:g} lands on a zero of the baseline"

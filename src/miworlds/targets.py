@@ -116,7 +116,8 @@ class Baseline:
     ``b_poly`` is b in the power basis.  ``b``, ``db`` and ``B`` evaluate b,
     b' and the cumulative B(x) = int_0^x b, which is odd and strictly
     increasing, on a float or an array; they are built from ``b_poly`` once,
-    as is ``phi_integral`` = int b(x) phi(x) dx.
+    as is ``phi_integral`` = m = E b(Z), the normaliser of the target law
+    b(x) phi(x) / m (``target_cdf``, ``target_pdf``).
     ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
     inverted in closed form on one term, and by bracketed Newton otherwise.
     """
@@ -126,9 +127,19 @@ class Baseline:
 
     def __post_init__(self):
         put = object.__setattr__  # derived attributes of a frozen dataclass
-        # first: a degree whose Gaussian moment overflows is rejected here
-        put(self, "phi_integral", _poly_phi_integral(self.b_poly))
-        coef = [float(c) for c in self.b_poly.coef]
+        # b = m + Q' - xQ for the odd polynomial Q with Q' - xQ = b - m, so
+        # (Q phi)' = (b - m) phi and m = E b(Z) = c_0 - Q_1
+        c = self.b_poly.coef
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = _inverse_stein_poly(c)
+            m = float(c[0] - Q[1])
+        if not math.isfinite(m):  # first: (r-1)!! exceeds a float from r = 302 on
+            top = self.b_poly.degree() // 2 * 2
+            raise MiwValidation(f"E[Z^{top}] = {top - 1}!! overflows a float: "
+                                f"exponent {top} is too large")
+        put(self, "phi_integral", m)
+        put(self, "_Q", _horner(Q[: max(c.size - 1, 1)]))
+        coef = [float(v) for v in c]
         put(self, "b", _horner(coef))
         db = self.b_poly.deriv().coef
         put(self, "db", _horner(db))
@@ -156,8 +167,17 @@ class Baseline:
         scale, power = self._root
         return np.clip(np.sign(y) * np.abs(scale * y) ** power, lo, hi)
 
-    def near_zero_of_b(self, x: float, tol: float = 1e-8) -> bool:
-        return any(abs(x - z) < tol for z in self.zeros_of_b)
+    def near_zero_of_b(self, x, tol: float = 1e-8):
+        """Whether x (a float, or elementwise an array) lies within tol of a zero of b."""
+        return np.any(np.abs(np.subtract.outer(x, self.zeros_of_b)) < tol, axis=-1)
+
+    def target_cdf(self, t):
+        """CDF Phi + Q phi / m of the target law b phi / m, exactly."""
+        return normal_cdf(t) + self._Q(t) * phi(t) / self.phi_integral
+
+    def target_pdf(self, t):
+        """Density b phi / m of the target law."""
+        return self.b(t) * phi(t) / self.phi_integral
 
     def normalized(self) -> "Baseline":
         """Rescale so that int b(x) phi(x) dx = 1."""
@@ -165,17 +185,6 @@ class Baseline:
         if abs(s - 1.0) <= 1e-12:
             return self
         return replace(self, b_poly=self.b_poly / s)
-
-
-def _poly_phi_integral(p: Polynomial) -> float:
-    """E p(Z) for standard normal Z: sum of c_n E[Z^n], E[Z^n] = (n-1)!! for even n."""
-    try:
-        return float(sum(c * math.prod(range(n - 1, 0, -2))
-                         for n, c in enumerate(p.coef) if n % 2 == 0))
-    except OverflowError:  # (n-1)!! exceeds a float from n = 302 on
-        top = p.degree() // 2 * 2
-        raise MiwValidation(f"E[Z^{top}] = {top - 1}!! overflows a float: "
-                            f"exponent {top} is too large") from None
 
 
 def ground_baseline() -> Baseline:

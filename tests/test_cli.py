@@ -69,6 +69,15 @@ def test_density_and_coupling_parity_exit_one(sub, capsys):
     assert "even" in err and "numerical failure" not in err
 
 
+@pytest.mark.parametrize("family", [("hermite-sq", "--k", "3"), ("monomial", "--r", "4")],
+                         ids=["hermite-sq-3", "monomial-4"])
+def test_parity_error_says_why_not_the_solver_label(family, capsys):
+    # b(0) = 0 leaves no world for the centre; the solver's "general" label says nothing
+    code, out, err = run(capsys, "solve", "--family", *family, "--n", "21")
+    assert code == 1 and out == ""
+    assert "even" in err and "general" not in err
+
+
 def test_n_below_two_names_the_bound(capsys):
     # the world count is checked before the family's parity
     code, out, err = run(capsys, "solve", "--n", "1")

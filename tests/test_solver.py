@@ -418,7 +418,7 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
 
 
 def _target_cdf_reference(bl):
-    """solver._target_cdf's F with Q a Polynomial and phi through np.square."""
+    """Baseline.target_cdf with Q a Polynomial and phi through np.square."""
     c = bl.b_poly.coef
     Q = np.zeros(c.size + 1)
     for n in range(c.size - 1, 0, -1):
@@ -435,7 +435,7 @@ def _target_cdf_reference(bl):
                          + [pytest.param(monomial_baseline(r).normalized(), id=f"monomial-{r}")
                             for r in (4, 6, 8)])
 def test_target_cdf_is_bit_identical_to_a_polynomial_Q(bl):
-    F, ref = solver._target_cdf(bl)[0], _target_cdf_reference(bl)
+    F, ref = bl.target_cdf, _target_cdf_reference(bl)
     xs = np.concatenate((np.linspace(-9.0, 9.0, 361),
                          np.random.default_rng(12).uniform(-9.0, 9.0, 400)))
     assert F(xs).tobytes() == ref(xs).tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,16 +228,67 @@ def test_monomial_normalization():
 
 
 def test_monomial_moment_overflow_is_a_typed_error():
-    # E[Z^300] = 299!! is the last even moment below the float maximum
-    assert math.isfinite(monomial_baseline(300).phi_integral)
-    with pytest.raises(MiwValidation, match="exponent 302"):
-        monomial_baseline(302).normalized()
+    # E[Z^300] = 299!! is the last even moment below the float maximum; beyond
+    # it the back-substitution overflows quietly and the check names the exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(monomial_baseline(300).phi_integral)
+        for r in (302, 400):
+            with pytest.raises(MiwValidation, match=f"exponent {r}"):
+                monomial_baseline(r).normalized()
+
+
+@pytest.mark.parametrize("bl", [hermite_square_baseline(k) for k in range(9)]
+                         + [monomial_baseline(r) for r in range(0, 13, 2)],
+                         ids=[f"hermite_square-{k}" for k in range(9)]
+                         + [f"monomial-{r}" for r in range(0, 13, 2)])
+def test_phi_integral_matches_mpmath(bl):
+    # E b(Z) over the same float coefficients by 40-digit quadrature; the
+    # back-substitution's error stays within eps * sum |c_n| (n-1)!!
+    mp = pytest.importorskip("mpmath")
+    c = bl.b_poly.coef
+    with mp.workdps(40):
+        coef = [mp.mpf(float(v)) for v in c[::-1]]
+        exact = mp.quad(lambda x: mp.polyval(coef, x) * mp.npdf(x), [-mp.inf, 0, mp.inf])
+    scale = sum(abs(v) * math.prod(range(n - 1, 0, -2)) for n, v in enumerate(c) if n % 2 == 0)
+    assert abs(bl.phi_integral - float(exact)) <= np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("bl", [ground_baseline(), maxwell_square_baseline()]
+                         + [hermite_square_baseline(k) for k in (2, 3, 4)]
+                         + [monomial_baseline(r) for r in (4, 8)],
+                         ids=["ground", "maxwell_square"]
+                         + [f"hermite_square-{k}" for k in (2, 3, 4)]
+                         + [f"monomial-{r}" for r in (4, 8)])
+def test_target_pdf_is_the_derivative_of_target_cdf(bl):
+    xs = np.linspace(-5.0, 5.0, 201)
+    h = 1e-5
+    slope = (bl.target_cdf(xs + h) - bl.target_cdf(xs - h)) / (2 * h)
+    pdf = bl.target_pdf(xs)
+    # truncation h^2 |F'''| / 6 and rounding eps / h, both far below 1e-9 of the peak
+    assert np.max(np.abs(slope - pdf)) <= 1e-9 * np.max(pdf)
+    assert bl.target_cdf(-12.0) < 1e-25 and abs(bl.target_cdf(12.0) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("bl", [ground_baseline(), maxwell_square_baseline(),
+                                hermite_square_baseline(3), hermite_square_baseline(4)],
+                         ids=["ground", "maxwell_square", "hermite_square-3",
+                              "hermite_square-4"])
+def test_near_zero_of_b_on_an_array_is_the_float_test(bl):
+    z = np.array(bl.zeros_of_b)
+    xs = np.concatenate((np.linspace(-3.0, 3.0, 61), z, z + 5e-9, z - 2e-8, z + 0.01))
+    for tol in (1e-8, 1e-3, 0.05):
+        on_zero = bl.near_zero_of_b(xs, tol)
+        assert on_zero.shape == xs.shape
+        per_x = [bool(bl.near_zero_of_b(x, tol)) for x in xs.tolist()]
+        assert on_zero.tolist() == per_x
+        assert per_x == [any(abs(x - v) < tol for v in bl.zeros_of_b) for x in xs.tolist()]
 
 
 @pytest.mark.xfail(
     strict=True,
-    reason="E[He_k(Z)^2]/k! is exactly 1, but _poly_phi_integral reads 1 + 3.48e-5 "
-    "at k=30 (1 - 7.5e-9 at k=20). Summing c_n (n-1)!! in exact fractions over "
+    reason="E[He_k(Z)^2]/k! is exactly 1, but phi_integral, m = c_0 - Q_1 by the "
+    "back-substitution, reads 1 + 2.82e-4 at k=30 (1 - 2.2e-9 at k=20). Summing c_n (n-1)!! in exact fractions over "
     "the same float coefficients still reads 1 + 3.74e-5 at k=30 and 1 - 7.1e-9 "
     "at k=20: the error sits in the float power-basis coefficients of He_k^2/k!, "
     "not in the summation.",

@@ -64,9 +64,15 @@ EXTRA = [
     ["verify", "--family", "monomial", "--r", "4", "--n", "100"],
     ["energy", "--family", "hermite-sq", "--k", "2", "--n", "82"],
     ["solve", "--family", "ground", "--n", "64"],
+    # the target law and its normaliser from a multi-term baseline
+    ["verify", "--family", "hermite-sq", "--k", "3", "--n", "40"],
+    ["density", "--family", "hermite-sq", "--k", "4", "--n", "40"],
+    ["solve", "--family", "monomial", "--r", "300", "--n", "50"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
+    ["solve", "--family", "hermite-sq", "--k", "3", "--n", "21"],
+    ["solve", "--family", "monomial", "--r", "4", "--n", "21"],
     ["density", "--family", "maxwell", "--n", "21"],
     ["coupling", "--family", "maxwell", "--n", "21"],
     ["solve", "--family", "monomial", "--r", "302", "--n", "50"],
