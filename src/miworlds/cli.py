@@ -35,13 +35,19 @@ from .targets import (
     hermite_square_baseline,
     maxwell_square_baseline,
     monomial_baseline,
-    phi,
 )
 from .zerobias import coupling_expectations, fixed_point_defect, gzb_density, histogram_density
 
 __all__ = ["main", "exit_code"]
 
-_FAMILIES = ("ground", "maxwell", "hermite-sq", "monomial")
+# --family: (solver family, the option its baseline reads, baseline builder);
+# a builder of an option looks its function up per call, so wrappers apply
+_FAMILIES = {
+    "ground": (GROUND, None, ground_baseline),
+    "maxwell": (MAXWELL, None, maxwell_square_baseline),
+    "hermite-sq": (GENERAL, "k", lambda k: hermite_square_baseline(k)),
+    "monomial": (GENERAL, "r", lambda r: monomial_baseline(r).normalized()),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,9 +76,7 @@ def _render(rows, out_format: str) -> str:
         if isinstance(rows, dict):
             rows = [tuple(rows), tuple(rows.values())]
         return "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
-    if out_format == "json":
-        return json.dumps(rows, indent=2, default=_fmt) + "\n"
-    raise ValueError(f"unknown output format {out_format!r}")
+    return json.dumps(rows, indent=2, default=_fmt) + "\n"
 
 
 def _comment(label: str, values: dict) -> str:
@@ -93,35 +97,25 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _resolve_family(args):
-    """(solver family, baseline) of the --family options."""
-    fam = args.family
-    if fam == "ground":
-        return GROUND, ground_baseline()
-    if fam == "maxwell":
-        return MAXWELL, maxwell_square_baseline()
-    if fam == "hermite-sq":
-        if args.k is None:
-            raise MiwValidation("hermite-sq requires --k")
-        return GENERAL, hermite_square_baseline(args.k)
-    if fam == "monomial":
-        if args.r is None or args.r < 0 or args.r % 2 == 1:
-            raise MiwValidation("monomial requires an even nonnegative --r")
-        return GENERAL, monomial_baseline(args.r).normalized()
-    raise MiwValidation(f"unknown family {fam!r}")
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise MiwValidation("this subcommand requires --n")
-    if args.n < 2:
-        raise MiwValidation("--n must be at least 2")
-    return args.n
+    """(solver family, baseline) of the --family options; --k and --r are
+    read by the one family that takes each, and refused by the others."""
+    fam, reads, build = _FAMILIES[args.family]
+    for opt in ("k", "r"):
+        if opt != reads and getattr(args, opt) is not None:
+            raise MiwValidation(f"--{opt} does not apply to --family {args.family}")
+    if reads is None:
+        return fam, build()
+    if getattr(args, reads) is None:
+        raise MiwValidation(f"{args.family} requires --{reads}")
+    return fam, build(getattr(args, reads))
 
 
 def _solve(args):
     """(baseline, solved configuration) of the --family and --n options."""
     fam, bl = _resolve_family(args)
-    return bl, solve_configuration(fam, _require_n(args), baseline=bl)
+    if args.n < 2:
+        raise MiwValidation("--n must be at least 2")
+    return bl, solve_configuration(fam, args.n, baseline=bl)
 
 
 def _cmd_solve(args) -> str:
@@ -158,7 +152,7 @@ def _cmd_density(args) -> str:
     lo = cfg.points[-1] - 0.05 * span
     hi = cfg.points[0] + 0.05 * span
     xs = np.linspace(lo, hi, 400)
-    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), (bl.b(xs) * phi(xs)).tolist()))
+    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_pdf(xs).tolist()))
     return _render(rows, args.out_format)
 
 
@@ -175,8 +169,6 @@ def _cmd_stein_check(args) -> str:
 
 
 def _cmd_rates(args) -> str:
-    if not args.n_list:
-        raise MiwValidation("rates requires --n-list")
     rows, fit = rate_sweep(args.n_list)
     if args.out_format == "json":
         return _render({"rows": [asdict(r) for r in rows], "fit": fit}, "json")
@@ -188,46 +180,34 @@ def _cmd_fixed_point(args) -> str:
     return _render({"k": 1, "defect": fixed_point_defect()}, args.out_format)
 
 
+# subcommand: (function, default --out, whether it solves --family at --n)
+_SUBCOMMANDS = {
+    "solve": (_cmd_solve, "json", True),
+    "verify": (_cmd_verify, "json", True),
+    "energy": (_cmd_energy, "json", True),
+    "density": (_cmd_density, "csv", True),
+    "coupling": (_cmd_coupling, "json", True),
+    "stein-check": (_cmd_stein_check, "csv", False),
+    "rates": (_cmd_rates, "csv", False),
+    "fixed-point": (_cmd_fixed_point, "json", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="miworlds", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, family=True, n=True, out="json"):
-        if family:
-            sp.add_argument("--family", choices=_FAMILIES, default="maxwell")
-            sp.add_argument("--k", type=int, default=None)
-            sp.add_argument("--r", type=int, default=None)
-        if n:
-            sp.add_argument("--n", type=int, default=None)
-        sp.add_argument(
-            "--out", dest="out_format", choices=("csv", "json"), default=out
-        )
-        sp.add_argument("--out-path", dest="out_path", default=None)
-
-    # --out defaults to each subcommand's own format
-    for name, fn, out in (
-        ("solve", _cmd_solve, "json"),
-        ("verify", _cmd_verify, "json"),
-        ("energy", _cmd_energy, "json"),
-        ("density", _cmd_density, "csv"),
-        ("coupling", _cmd_coupling, "json"),
-    ):
+    for name, (func, out, solves) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp, out=out)
-        sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("stein-check")
-    common(sp, family=False, n=False, out="csv")
-    sp.set_defaults(func=_cmd_stein_check)
-
-    sp = sub.add_parser("rates")
-    sp.add_argument("--n-list", type=int, nargs="+", default=None)
-    common(sp, family=False, n=False, out="csv")
-    sp.set_defaults(func=_cmd_rates)
-
-    sp = sub.add_parser("fixed-point")
-    common(sp, family=False, n=False)
-    sp.set_defaults(func=_cmd_fixed_point)
+        if solves:
+            sp.add_argument("--family", choices=_FAMILIES, default="maxwell")
+            sp.add_argument("--k", type=int)
+            sp.add_argument("--r", type=int)
+            sp.add_argument("--n", type=int, required=True)
+        if name == "rates":
+            sp.add_argument("--n-list", type=int, nargs="+", required=True)
+        sp.add_argument("--out", dest="out_format", choices=("csv", "json"), default=out)
+        sp.add_argument("--out-path", dest="out_path")
+        sp.set_defaults(func=func)
     return p
 
 

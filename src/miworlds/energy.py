@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BaselineZero, NotDecreasing
+from .errors import BaselineZero
 from .targets import Baseline
+from .zerobias import _check_decreasing
 
 __all__ = ["EnergyReport", "potential_V", "interworld_U", "certify_minimizer"]
 
@@ -42,9 +43,7 @@ def potential_V(points: Sequence[float]) -> float:
 def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:
     """Interworld potential from reciprocal cumulative-baseline gaps."""
     x = np.asarray(points, dtype=float)
-    rising = np.flatnonzero(x[1:] >= x[:-1])
-    if rising.size:
-        raise NotDecreasing(f"points not strictly decreasing at index {rising[0]}")
+    _check_decreasing(x, 0)
     b = baseline.b(x)
     if np.any(b <= 0.0):
         raise BaselineZero("baseline vanishes at a world location")

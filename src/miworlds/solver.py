@@ -332,7 +332,7 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
         "p1_zero_mean_defect": abs(sum(pts)),
         "p2_variance_defect": _variance_defect(bl, pts),
         "p3_symmetry_defect": _symmetry_defect(x),
-        "p4_decreasing_violation": bool(np.any(np.diff(x) > 0.0)),
+        "p4_decreasing_violation": bool(np.any(x[1:] >= x[:-1])),
         "recursion_residual": recursion_residual(bl, x),
         "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
     }

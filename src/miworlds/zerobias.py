@@ -112,8 +112,9 @@ def _check_decreasing(x: np.ndarray, at_least: int = 1):
     if x.size < at_least:
         raise MiwValidation(f"{at_least} or more atoms needed, got {x.size}")
     # compare neighbours, not np.diff: a repeated infinity differs by nan
-    if np.any(x[1:] >= x[:-1]):
-        raise NotDecreasing("atoms must be strictly decreasing")
+    rising = np.flatnonzero(x[1:] >= x[:-1])
+    if rising.size:
+        raise NotDecreasing(f"atoms not strictly decreasing at index {rising[0]}")
 
 
 def _check_symmetric_decreasing(x: np.ndarray):

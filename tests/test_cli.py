@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from miworlds import cli, errors
@@ -437,3 +438,51 @@ def test_one_parser_answers_as_a_fresh_one(monkeypatch, capsys):
     assert [r[0] for r in reused] == [1, 0, 1, 0, 0]
     assert reused == fresh
     assert json.loads(reused[-1][1]) == {"k": 1, "defect": 0.125}
+
+
+_SOLVING = ["solve", "verify", "energy", "density", "coupling"]
+_FOREIGN_OPTIONS = [("ground", "--k", "2"), ("maxwell", "--k", "3"), ("ground", "--r", "2"),
+                    ("maxwell", "--r", "4"), ("hermite-sq", "--r", "2")]
+
+
+@pytest.mark.parametrize("sub", _SOLVING)
+@pytest.mark.parametrize("family, opt, value", _FOREIGN_OPTIONS,
+                         ids=[f"{f}{o}" for f, o, _ in _FOREIGN_OPTIONS])
+def test_option_of_another_family_is_a_usage_error(sub, family, opt, value, capsys):
+    # --k is read by hermite-sq alone and --r by monomial alone; elsewhere
+    # either is refused rather than dropped
+    extra = ("--k", "2") if family == "hermite-sq" else ()
+    code, out, err = run(capsys, sub, "--family", family, *extra, opt, value, "--n", "8")
+    assert code == 1 and out == ""
+    assert err == f"miworlds: {opt} does not apply to --family {family}\n"
+
+
+def test_default_family_refuses_k(capsys):
+    code, out, err = run(capsys, "solve", "--k", "3", "--n", "40")
+    assert (code, out) == (1, "") and "--k" in err and "numerical failure" not in err
+
+
+@pytest.mark.parametrize("argv, option", [(("verify", "--family", "ground"), "--n"),
+                                          (("rates",), "--n-list")])
+def test_required_options_are_named(argv, option, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: the following arguments are required: {option}\n")
+
+
+def test_odd_monomial_exponent_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "solve", "--family", "monomial", "--r", "3", "--n", "10")
+    assert code == 1 and out == ""
+    assert "even nonnegative" in err and "numerical failure" not in err
+
+
+def test_density_target_column_is_the_target_law(capsys):
+    # b phi / m, with m = E b(Z) not exactly 1 for hermite-sq k = 4
+    from miworlds.targets import hermite_square_baseline
+
+    code, out, _ = run(capsys, "density", "--family", "hermite-sq", "--k", "4", "--n", "40")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l.startswith("target,")]
+    xs = np.array([float(x0) for _, x0, _, _ in rows])
+    want = hermite_square_baseline(4).target_pdf(xs)
+    assert [float(v) for *_, v in rows] == want.tolist()

@@ -65,6 +65,12 @@ def test_interworld_input_guards():
         interworld_U(bl, (1.0, 0.0, -1.0))
 
 
+def test_interworld_ordering_names_the_first_tie():
+    # the atom ordering check of zerobias, which names the first bad index
+    with pytest.raises(NotDecreasing, match="^atoms not strictly decreasing at index 1$"):
+        interworld_U(maxwell_square_baseline(), (2.0, 1.0, 1.0, -1.0))
+
+
 def test_certify_n22(maxwell_configs):
     rep = certify_minimizer(maxwell_square_baseline(), maxwell_configs[22].points)
     assert abs(rep.V - 63.0) <= 1e-7

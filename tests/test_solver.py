@@ -157,6 +157,22 @@ def test_validate_reports_increasing_violation():
     assert rep["p4_decreasing_violation"]
 
 
+@pytest.mark.parametrize("points, violated", [
+    ((1.0, 1.0, -1.0, -1.0), True),
+    ((math.inf, math.inf, -math.inf, -math.inf), True),
+    ((1.5, 0.5, -0.5, -1.5), False),
+], ids=["tie", "repeated-infinity", "strictly-decreasing"])
+def test_validate_reports_ties_as_decreasing_violations(points, violated):
+    from miworlds.solver import Configuration
+
+    # a tie is not strictly decreasing, and inf - inf is nan, so neighbours
+    # are compared directly rather than through their differences
+    cfg = Configuration(family=GROUND, n_worlds=4, points=points, shoot_param=1.0, residuals={})
+    with np.errstate(invalid="ignore"):
+        rep = validate_properties(cfg)
+    assert rep["p4_decreasing_violation"] is violated
+
+
 def test_lemma2_growth(maxwell_configs):
     ratios = [
         maxwell_configs[n].points[0] / math.sqrt(math.log(n))

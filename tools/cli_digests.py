@@ -12,7 +12,9 @@ script.  With ``--out-path``, the stdout digest covers what was printed
 followed by the bytes of the file written.  A call that raises instead of
 returning shows the exception's class name in place of the exit code.
 Unwritable paths are shown as ``<missing>/out.txt`` in stderr, so the lines
-do not depend on where the temporary directory is.
+do not depend on where the temporary directory is.  argparse wraps the help
+texts to the width in ``COLUMNS`` (80 when unset and stdout is a file), so
+run both commits with the same.
 
     python3 tools/cli_digests.py > after.txt
     # the same at the other commit, then: diff before.txt after.txt
@@ -85,6 +87,14 @@ EXTRA = [
     ["rates"],
     ["coupling", "--family", "ground", "--n", "41"],
     ["bogus"],
+    # help texts, and options that the chosen family does not read or lacks
+    ["--help"],
+    *([sub, "--help"] for sub in _SMALL),
+    ["solve", "--k", "3", "--n", "40"],
+    ["verify", "--family", "ground", "--r", "2", "--n", "8"],
+    ["coupling", "--family", "hermite-sq", "--k", "2", "--r", "4", "--n", "8"],
+    ["verify", "--family", "ground"],
+    ["solve", "--family", "monomial", "--n", "8"],
 ]
 
 
