@@ -45,9 +45,6 @@ _GL_T = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 _PANEL = 0.05
 _PANEL_DECAY = 0.15
-# Panels whose exponents a^2/2 lie within one span share a shift, so no
-# partial weight e^{+-(a^2/2 - shift)} leaves double range for any cutoff.
-_SHIFT_SPAN = 64.0
 
 # Root finding: relative x tolerance, F tolerance and step budget.
 _ROOT_X_TOL = 1e-14
@@ -130,16 +127,16 @@ def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
     raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")
 
 
-def _upper_integral_grid(ts, f, kinks, L):
-    """int_t^L u^2 f(u) e^{(t^2-u^2)/2} du for every t >= 0 in ``ts``.
+def _upper_integral_grid(ts, f, kinks):
+    """int_t^L u^2 f(u) e^{(t^2-u^2)/2} du, L = TAIL_CUTOFF, for every t >= 0 in ``ts``.
 
     One cumulative pass: panels run between the distinct t, the kinks of f
     and L.  Panel j on [a_j, a_{j+1}] gives J_j against the weight
-    e^{(a_j^2-u^2)/2}, and the integral from a_j is the tail sum
-    S_j = sum_{k>=j} J_k e^{(a_j^2-a_k^2)/2}, a reversed cumulative sum per
-    block of shared shift.  ``ts`` may be unsorted and repeat points;
-    points at or beyond L give 0.
+    e^{-u^2/2}, and the integral from a_j is S_j = e^{a_j^2/2} sum_{k>=j} J_k,
+    one reversed cumulative sum (e^{+-L^2/2} is far inside double range).
+    ``ts`` may be unsorted and repeat points; points at or beyond L give 0.
     """
+    L = TAIL_CUTOFF
     ts = np.asarray(ts, dtype=float)
     inside = ts < L
     knots, knot_of = np.unique(np.concatenate(
@@ -151,20 +148,9 @@ def _upper_integral_grid(ts, f, kinks, L):
     step = np.arange(m.sum()) - np.repeat(first, m)
     a = np.repeat(knots[:-1], m) + step * np.repeat(gap / m, m)
     w = np.append(a[1:], L) - a
-    # nodes run along axis 0; u^2 - a^2 = d (2a + d) with d = u - a
-    d = _GL_T[:, None] * w
-    u = a + d
-    vals = u * u * f(u) * np.exp(-d * (a + 0.5 * d))
-    J = w * np.sum(_GL_W[:, None] * vals, axis=0)
-    c = 0.5 * a * a
-    S = np.empty_like(J)
-    starts = np.flatnonzero(np.diff(np.floor(c / _SHIFT_SPAN), prepend=-1.0))
-    tail, c_tail = 0.0, 0.5 * L * L
-    for lo, hi in zip(starts[::-1], np.append(starts[1:], J.size)[::-1]):
-        r, cb = c[lo], c[lo:hi]
-        part = np.cumsum((J[lo:hi] * np.exp(r - cb))[::-1])[::-1]
-        S[lo:hi] = part * np.exp(cb - r) + tail * np.exp(cb - c_tail)
-        tail, c_tail = S[lo], r
+    u = a + _GL_T[:, None] * w  # nodes run along axis 0
+    J = w * np.sum(_GL_W[:, None] * u * u * f(u) * np.exp(-0.5 * u * u), axis=0)
+    S = np.cumsum(J[::-1])[::-1] * np.exp(0.5 * a * a)
     out = np.where(ts >= L, 0.0, np.nan)  # NaN stays NaN
     out[inside] = S[first[knot_of[:np.count_nonzero(inside)]]]
     return out

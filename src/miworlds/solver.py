@@ -243,7 +243,9 @@ def _is_positive_mirror(x: np.ndarray) -> bool:
 
 
 def _symmetry_defect(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x + x[::-1])))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        worst = float(np.max(np.abs(x + x[::-1])))
+    return worst if math.isfinite(worst) else math.inf
 
 
 def _variance_defect(bl: Baseline, points) -> Optional[float]:
@@ -332,7 +334,7 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
         "p1_zero_mean_defect": abs(sum(pts)),
         "p2_variance_defect": _variance_defect(bl, pts),
         "p3_symmetry_defect": _symmetry_defect(x),
-        "p4_decreasing_violation": bool(np.any(x[1:] >= x[:-1])),
+        "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),
         "recursion_residual": recursion_residual(bl, x),
         "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
     }

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import TAIL_CUTOFF, _upper_integral_grid
+from .numerics import _upper_integral_grid
 from .zerobias import CouplingReport
 
 __all__ = [
@@ -70,28 +70,28 @@ def make_test_function(
 ) -> TestFunction:
     """Build a TestFunction, computing the mean under p_1 by the cumulative pass.
 
-    The mean is int u^2 h(u) phi(u) du over [-TAIL_CUTOFF, TAIL_CUTOFF]: the
-    pass at t = 0 on h for the upper half, and on h(-u) with mirrored kinks
-    for the lower.
+    The mean is int u^2 h(u) phi(u) du over the truncated line: the pass at
+    t = 0 on both branches.
     """
     kinks = tuple(float(k) for k in kinks)
     zero = np.zeros(1)
-    upper = _upper_integral_grid(zero, h, kinks, TAIL_CUTOFF)[0]
-    lower = _upper_integral_grid(zero, lambda u: h(-u), [-k for k in kinks], TAIL_CUTOFF)[0]
-    mean = float(upper + lower) / math.sqrt(2.0 * math.pi)
+    both = _upper_integral_grid(zero, h, kinks) + _lower_pass(zero, h, kinks)
+    mean = float(both[0]) / math.sqrt(2.0 * math.pi)
     return TestFunction(name=name, h=h, dh=dh, c=float(c), mean_under_p1=mean, kinks=kinks)
+
+
+def _lower_pass(ts, f, kinks):
+    """The lower branch via u -> -u: the pass at t = |x| on f(-u), kinks mirrored."""
+    return _upper_integral_grid(ts, lambda u: f(-u), [-k for k in kinks])
 
 
 def _g0(test: TestFunction, xs) -> np.ndarray:
     """g0 on a grid from one cumulative pass per branch."""
     xs = np.asarray(xs, dtype=float)
-    ht, kinks = test.htilde, test.kinks
     out = np.empty_like(xs)
     pos = xs > 0.0
-    out[pos] = _upper_integral_grid(xs[pos], ht, kinks, TAIL_CUTOFF)
-    # lower branch via u -> -u: the same pass at |x| on the reflected integrand
-    mirrored = [-k for k in kinks]
-    out[~pos] = _upper_integral_grid(-xs[~pos], lambda u: ht(-u), mirrored, TAIL_CUTOFF)
+    out[pos] = _upper_integral_grid(xs[pos], test.htilde, test.kinks)
+    out[~pos] = _lower_pass(-xs[~pos], test.htilde, test.kinks)
     return out
 
 

@@ -27,7 +27,7 @@ from .errors import (
     MiwValidation,
     NotDecreasing,
 )
-from .numerics import TAIL_CUTOFF, _upper_integral_grid
+from .numerics import _upper_integral_grid
 from .targets import Baseline, ground_baseline, pdf_pk, phi
 
 __all__ = [
@@ -111,8 +111,9 @@ class PiecewiseDensity:
 def _check_decreasing(x: np.ndarray, at_least: int = 1):
     if x.size < at_least:
         raise MiwValidation(f"{at_least} or more atoms needed, got {x.size}")
-    # compare neighbours, not np.diff: a repeated infinity differs by nan
-    rising = np.flatnonzero(x[1:] >= x[:-1])
+    # compare neighbours, not np.diff: a repeated infinity differs by nan;
+    # a pair is rising unless it falls, so a NaN atom is rising too
+    rising = np.flatnonzero(~(x[1:] < x[:-1]))
     if rising.size:
         raise NotDecreasing(f"atoms not strictly decreasing at index {rising[0]}")
 
@@ -238,5 +239,5 @@ def fixed_point_defect() -> float:
     the whole grid in one cumulative pass.
     """
     x = np.arange(-40, 41) / 10.0
-    inner = _upper_integral_grid(np.abs(x), lambda u: 1.0 / u, (), TAIL_CUTOFF) * phi(x)
+    inner = _upper_integral_grid(np.abs(x), lambda u: 1.0 / u, ()) * phi(x)
     return float(np.max(np.abs(x * x * inner - pdf_pk(1, x))))

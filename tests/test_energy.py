@@ -71,6 +71,12 @@ def test_interworld_ordering_names_the_first_tie():
         interworld_U(maxwell_square_baseline(), (2.0, 1.0, 1.0, -1.0))
 
 
+def test_interworld_rejects_a_nan_atom():
+    # a NaN compares false both ways, so its pair counts as rising
+    with pytest.raises(NotDecreasing, match="^atoms not strictly decreasing at index 0$"):
+        interworld_U(maxwell_square_baseline(), (2.0, math.nan, -2.0))
+
+
 def test_certify_n22(maxwell_configs):
     rep = certify_minimizer(maxwell_square_baseline(), maxwell_configs[22].points)
     assert abs(rep.V - 63.0) <= 1e-7

@@ -30,8 +30,24 @@ def test_integrate_gaussian_mass():
 def test_upper_integral_grid_of_t_phi():
     # int_t^12 u phi(u) du = phi(t) - phi(12) in closed form
     t = np.arange(0, 41) / 10.0
-    got = _upper_integral_grid(t, lambda u: 1.0 / u, (), TAIL_CUTOFF) * phi(t)
+    got = _upper_integral_grid(t, lambda u: 1.0 / u, ()) * phi(t)
     assert np.all(np.abs(got - (phi(t) - phi(TAIL_CUTOFF))) <= 1e-15 * phi(t))
+
+
+@pytest.mark.parametrize("t, rel", [
+    *((t, 4 * np.finfo(float).eps) for t in (0.0, 1.0, 4.0, 8.0, 10.0, 11.0, 11.5)),
+    (11.9, 1e-13), (11.99, 1e-13),
+])
+def test_upper_integral_grid_near_the_cutoff(t, rel):
+    # the single reversed cumulative sum scales by e^{a^2/2} for a up to L
+    # unshifted, which needs e^{L^2/2} to stay finite
+    L = TAIL_CUTOFF
+    assert 0.5 * L * L < math.log(np.finfo(float).max)
+    # int_t^L u e^{(t^2-u^2)/2} du = 1 - e^{(t^2-L^2)/2}; (t-L)(t+L) keeps
+    # the exponent to a few ulp where t^2 - L^2 cancels
+    exact = -math.expm1(0.5 * (t - L) * (t + L))
+    got = _upper_integral_grid(np.array([t]), lambda u: 1.0 / u, ())[0]
+    assert abs(got - exact) <= rel * exact
 
 
 def test_integrate_empty_interval():

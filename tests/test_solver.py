@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,25 @@ def test_validate_reports_ties_as_decreasing_violations(points, violated):
     cfg = Configuration(family=GROUND, n_worlds=4, points=points, shoot_param=1.0, residuals={})
     with np.errstate(invalid="ignore"):
         rep = validate_properties(cfg)
+    assert rep["p4_decreasing_violation"] is violated
+
+
+@pytest.mark.parametrize("points, symmetry, violated", [
+    ((math.inf, math.inf, -math.inf, -math.inf), math.inf, True),
+    ((math.inf, 1.0, -1.0, -math.inf), math.inf, False),
+    ((math.nan, 1.0, -1.0, -2.0), math.inf, True),
+    ((1.5, 0.5, -0.5, -1.5), 0.0, False),
+], ids=["repeated-infinity", "infinite-ends", "nan-first", "finite"])
+def test_validate_reports_non_finite_points_without_warnings(points, symmetry, violated):
+    from miworlds.solver import Configuration
+
+    # inf - inf and a NaN point give an infinite symmetry defect, as the
+    # recursion residual does, and a NaN never counts as decreasing
+    cfg = Configuration(family=GROUND, n_worlds=4, points=points, shoot_param=1.0, residuals={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = validate_properties(cfg)
+    assert rep["p3_symmetry_defect"] == symmetry
     assert rep["p4_decreasing_violation"] is violated
 
 

@@ -296,7 +296,7 @@ def test_scalar_and_array_quantiles_agree_near_zeros_of_b(k, n):
 
 def _loop_says_decreasing(atoms):
     """The per-pair ordering check the array comparison replaced."""
-    return all(not atoms[i + 1] >= atoms[i] for i in range(len(atoms) - 1))
+    return all(atoms[i] > atoms[i + 1] for i in range(len(atoms) - 1))
 
 
 @pytest.mark.parametrize("atoms", [
