@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import certify_minimizer
 from .errors import MiwError, MiwValidation
-from .metrics import rate_rows_csv, rate_sweep
+from .metrics import rate_sweep
 from .solver import (
     GENERAL,
     GROUND,
@@ -29,7 +29,7 @@ from .solver import (
     solve_configuration,
     validate_properties,
 )
-from .stein import fixed_suite, suite_csv_rows, supnorm_suite
+from .stein import fixed_suite, supnorm_suite
 from .targets import (
     ground_baseline,
     hermite_square_baseline,
@@ -69,14 +69,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _render(rows, out_format: str) -> str:
-    """CSV of rows (header tuple first; a flat dict gives its keys and one
-    row of values, None as an empty cell) or JSON of any object."""
-    if out_format == "csv":
-        if isinstance(rows, dict):
-            rows = [tuple(rows), tuple(rows.values())]
-        return "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
-    return json.dumps(rows, indent=2, default=_fmt) + "\n"
+def _render(value, out_format: str, rows=None) -> str:
+    """``value`` as JSON, or ``rows`` as CSV: a list of flat dicts, by
+    default ``[value]``, as the first one's keys and then each one's values,
+    None as an empty cell."""
+    if out_format == "json":
+        return json.dumps(value, indent=2, default=_fmt) + "\n"
+    rows = [value] if rows is None else rows
+    table = [tuple(rows[0])] + [tuple(r.values()) for r in rows]
+    return "\n".join(",".join(_fmt(v) for v in row) for row in table) + "\n"
 
 
 def _comment(label: str, values: dict) -> str:
@@ -122,8 +123,8 @@ def _cmd_solve(args) -> str:
     cfg = _solve(args)[1]
     if args.out_format == "json":
         return configuration_to_json(cfg) + "\n"
-    rows = [("n", "x")] + [(i, x) for i, x in enumerate(cfg.points, start=1)]
-    return _render(rows, "csv") + _comment("residuals", cfg.residuals)
+    rows = [{"n": i, "x": x} for i, x in enumerate(cfg.points, start=1)]
+    return _render(rows, "csv", rows) + _comment("residuals", cfg.residuals)
 
 
 def _cmd_verify(args) -> str:
@@ -147,13 +148,14 @@ def _cmd_density(args) -> str:
     hist = histogram_density(cfg.points)
     # one row per gap, from the top gap down: left end, right end, coefficient
     gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
-    rows = [("kind", "x0", "x1", "value")] + [("hist", *gap) for gap in gaps]
+    rows = [("hist", *gap) for gap in gaps]
     span = cfg.points[0] - cfg.points[-1]
     lo = cfg.points[-1] - 0.05 * span
     hi = cfg.points[0] + 0.05 * span
     xs = np.linspace(lo, hi, 400)
     rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_pdf(xs).tolist()))
-    return _render(rows, args.out_format)
+    header = ("kind", "x0", "x1", "value")
+    return _render([header, *rows], args.out_format, [dict(zip(header, r)) for r in rows])
 
 
 def _cmd_coupling(args) -> str:
@@ -163,17 +165,16 @@ def _cmd_coupling(args) -> str:
 
 def _cmd_stein_check(args) -> str:
     records = [supnorm_suite(tf) for tf in fixed_suite()]
-    if args.out_format == "json":
-        return _render(records, "json")
-    return _render(suite_csv_rows(records), "csv")
+    return _render(records, args.out_format, records)
 
 
 def _cmd_rates(args) -> str:
     rows, fit = rate_sweep(args.n_list)
-    if args.out_format == "json":
-        return _render({"rows": [asdict(r) for r in rows], "fit": fit}, "json")
-    text = _render(rate_rows_csv(rows), "csv")
-    return text + (_comment("fit", fit) if fit is not None else "")
+    rows = [asdict(r) for r in rows]
+    text = _render({"rows": rows, "fit": fit}, args.out_format, rows)
+    if args.out_format == "csv" and fit is not None:
+        text += _comment("fit", fit)
+    return text
 
 
 def _cmd_fixed_point(args) -> str:

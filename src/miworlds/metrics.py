@@ -11,7 +11,7 @@ term alongside the sqrt(log N / N) envelope ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "RateRow",
     "measure_configuration",
     "rate_sweep",
-    "rate_rows_csv",
 ]
 
 # sup of the two-sided Maxwell density x^2 phi(x), attained at |x| = sqrt(2)
@@ -114,9 +113,6 @@ class RateRow:
     ratio_dw: float
 
 
-RATE_CSV_HEADER = tuple(f.name for f in fields(RateRow))
-
-
 def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
     report = coupling_expectations(gzb_density(maxwell_square_baseline(), cfg.points))
@@ -157,8 +153,3 @@ def rate_sweep(n_list: Sequence[int]):
             "max_ratio": max(ratios),
         }
     return rows, fit
-
-
-def rate_rows_csv(rows: Sequence[RateRow]):
-    """Header tuple followed by value tuples, ready for the CSV writer."""
-    return [RATE_CSV_HEADER] + [astuple(r) for r in rows]

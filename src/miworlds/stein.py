@@ -31,7 +31,6 @@ __all__ = [
     "supnorm_suite",
     "suite_csv_rows",
     "theorem_check",
-    "identity_f_check",
     "fixed_suite",
 ]
 
@@ -121,18 +120,11 @@ def stein_solution(test: TestFunction, xs) -> dict:
         - np.abs(xs) * dh / D
         + 2.0 * xs * np.abs(xs) * ht / (D * D)
     )
-    return {
-        "x": xs, "g0": g0, "dg0": dg0, "g": g, "dg": dg,
-        "chi": chi, "dchi": dchi,
-    }
+    return {"g0": g0, "dg0": dg0, "g": g, "dg": dg, "chi": chi, "dchi": dchi}
 
 
 # The sup-norm grid: -8 to 8 in steps of 1e-3.
 _SUP_GRID = -8.0 + 1e-3 * np.arange(16001)
-# The identity grid: 0.05 to 6 in steps of 0.05 on each side, clear of the
-# origin, where dividing by x^2 loses the identity.
-_HALF = np.arange(0.05, 6.0 + 1e-12, 0.05)
-_IDENTITY_GRID = np.concatenate((-_HALF[::-1], _HALF))
 
 
 _SUITE_FIELDS = (
@@ -165,21 +157,6 @@ def theorem_check(cfg, report: CouplingReport, dw: float) -> dict:
         "rhs": rhs,
         "holds": lhs <= rhs + 1e-12,
     }
-
-
-def identity_f_check(test: TestFunction) -> float:
-    """Max residual of the rewritten Stein identity with f = b tau g = g0.
-
-    For b = x^2 and the Maxwell kernel tau_1, f collapses to g0 and the
-    identity reads |f'(x) - x f(x)| = x^2 |h(x) - mean| (magnitude form,
-    the sign flips across branches).  Returns the worst grid value of
-    ||f' - x f| / x^2 - |h - mean||.
-    """
-    grid = _IDENTITY_GRID
-    vals = stein_solution(test, grid)
-    lhs = np.abs(vals["dg0"] - grid * vals["g0"]) / np.square(grid)
-    rhs = np.abs(np.asarray(test.htilde(grid), dtype=float))
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def fixed_suite():

@@ -120,6 +120,7 @@ class Baseline:
     b(x) phi(x) / m (``target_cdf``, ``target_pdf``).
     ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
     inverted in closed form on one term, and by bracketed Newton otherwise.
+    ``integrals`` integrates b, x b and b/x over pieces on one side of 0.
     """
 
     b_poly: Polynomial
@@ -166,6 +167,23 @@ class Baseline:
             return newton_bracketed(self.B, self.b, y, lo, hi)
         scale, power = self._root
         return np.clip(np.sign(y) * np.abs(scale * y) ** power, lo, hi)
+
+    def integrals(self, p, q):
+        """The integrals of b, x b and b/x over [p, q], elementwise, for
+        pieces on one side of 0.
+
+        x b and (b - b(0))/x are polynomials, integrated term by term from
+        the coefficients of b; b(0)/x adds b(0) log|q/p|, which is infinite
+        on a piece with an end at 0 when b(0) > 0.
+        """
+        c = self.b_poly.coef
+        xb = _horner(np.concatenate(([0.0, 0.0], c / np.arange(2, c.size + 2))))
+        bx = _horner(np.concatenate(([0.0], c[1:] / np.arange(1, c.size))))
+        ibx = bx(q) - bx(p)
+        if c[0] != 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ibx = ibx + c[0] * np.log(np.abs(q) / np.abs(p))
+        return self.B(q) - self.B(p), xb(q) - xb(p), ibx
 
     def near_zero_of_b(self, x, tol: float = 1e-8):
         """Whether x (a float, or elementwise an array) lies within tol of a zero of b."""

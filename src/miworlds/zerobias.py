@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import (
     AsymmetricInput,
@@ -55,8 +54,8 @@ class PiecewiseDensity:
 
     ``cum[i]`` is the mass below ``x[i]`` (exactly 1 at the top) and ``Bx``
     is B(x); all four arrays are read-only.  Houses both the zero-bias
-    density p* and the flat histogram density (ground baseline).  ``pdf``,
-    ``cdf`` and ``quantile`` take a float or an array.
+    density p* and the flat histogram density (ground baseline).  ``cdf``
+    and ``quantile`` take a float or an array.
     """
 
     baseline: Baseline
@@ -69,14 +68,6 @@ class PiecewiseDensity:
     def _lists(self) -> tuple:
         # the scalar cdf bisects Python lists: no array set-up per call
         return tuple(v.tolist() for v in (self.x, self.c, self.cum, self.Bx))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xs, cs = self.x, self.c
-        i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
-        inside = (x > xs[0]) & (x <= xs[-1])
-        out = np.where(inside, cs[i] * np.asarray(self.baseline.b(x), dtype=float), 0.0)
-        return out if out.ndim else float(out)  # a float for 0-d input
 
     def cdf(self, x):
         if isinstance(x, (int, float)):
@@ -178,15 +169,15 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     W is uniform on the density's breakpoints, the atoms, and W* follows
     ``density``; the unit interval is partitioned by both quantile
     functions' breakpoints.  On each cell W is one atom a and W* runs over
-    [x0, x1] inside one density interval; the cell is split at 0 and at a,
-    and every piece is integrated in closed form against the polynomial
-    baseline, all cells at once.
+    [x0, x1] inside one density interval, the gap between two neighbouring
+    atoms, so a is never strictly inside the cell.  The cell is cut only at
+    0, and on each of its two pieces a - x and x keep their signs; the
+    baseline integrates b, x b and b/x over every piece of every cell at
+    once, in closed form.
     """
     atoms = density.x
     if np.any(atoms == 0.0):
         raise AtomAtZero("reciprocal terms undefined for an atom at zero")
-    bp = density.baseline.b_poly
-
     n = atoms.size
     atom_cum = np.arange(1, n + 1) / n
     star_cum = density.cum[1:]
@@ -200,20 +191,11 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     x1 = density.quantile(u[1:])
     x0 = np.append(atoms[0], x1[:-1])
     x1 = np.maximum(x1, x0)
-    # three pieces per cell, on each of which a - x and x keep their signs
-    cuts = (x0, np.clip(np.minimum(a, 0.0), x0, x1), np.clip(np.maximum(a, 0.0), x0, x1), x1)
-    x = Polynomial([0.0, 1.0])
-    b0 = float(bp.coef[0])
-    prims = (bp.integ(), (bp * x).integ(), ((bp - b0) // x).integ())
-    e1 = e3 = 0.0
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        ib, ixb, ibx = (prim(q) - prim(p) for prim in prims)
-        if b0 != 0.0:
-            # b/x = (b - b(0))/x + b(0)/x: +inf on a piece ending at 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ibx = ibx + b0 * np.log(np.abs(q) / np.abs(p))
-        e1 = e1 + c * np.abs(a * ib - ixb)
-        e3 = e3 + c * np.where(q > p, np.abs(ib / a - ibx), 0.0)
+    zero = np.clip(0.0, x0, x1)
+    p, q = np.stack((x0, zero)), np.stack((zero, x1))
+    ib, ixb, ibx = density.baseline.integrals(p, q)
+    e1 = np.sum(c * np.abs(a * ib - ixb), axis=0)
+    e3 = np.sum(c * np.where(q > p, np.abs(ib / a - ibx), 0.0), axis=0)
     abs_a = np.abs(a)
     e_abs = float(np.sum(e1))
     e_wabs = float(np.sum(abs_a * e1))

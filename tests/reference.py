@@ -2,10 +2,11 @@
 
 The library computes these quantities in closed form or on a grid; most
 functions here integrate the defining formulas directly by adaptive
-quadrature, as an independent second route.  ``coupling_two_sided``
-inverts the density CDF at both edges of each coupling cell on its own, a
-second route to the cells that ``coupling_expectations`` takes from one
-``PiecewiseDensity.quantile`` call.  ``step_cdf`` is the CDF of the uniform
+quadrature, as an independent second route.  ``coupling_cells`` inverts
+the density CDF at both edges of each coupling cell on its own, a second
+route to the cells that ``coupling_expectations`` takes from one
+``PiecewiseDensity.quantile`` call; ``coupling_two_sided`` integrates them
+cut at 0 and at the cell's atom.  ``step_cdf`` is the CDF of the uniform
 law on a set of atoms, for the quadrature route to d_W.
 """
 
@@ -57,12 +58,12 @@ def g0_scalar(x, htilde, kinks):
     return total
 
 
-def coupling_two_sided(density) -> CouplingReport:
-    """``miworlds.zerobias.coupling_expectations`` with each cell's two edges
-    inverted on their own: B^{-1} on both edges of a cell, each snapped to
-    its density interval's end where it meets a density breakpoint."""
+def coupling_cells(density):
+    """(a, c, x0, x1) of every coupling cell: its atom, its density
+    coefficient and its ends, with each cell's two edges inverted on their
+    own: B^{-1} on both edges of a cell, each snapped to its density
+    interval's end where it meets a density breakpoint."""
     baseline = density.baseline
-    bp = baseline.b_poly
     asc_x, asc_c, star_lo, B_asc = density.x, density.c, density.cum, density.Bx
     n = asc_x.size
     atom_cum = np.arange(1, n + 1) / n
@@ -78,7 +79,15 @@ def coupling_two_sided(density) -> CouplingReport:
                   baseline.Binv_within(Bleft + (u0 - star_lo[i]) / c, left, right), left)
     x1 = np.where(u1 < star_cum[i],
                   baseline.Binv_within(Bleft + (u1 - star_lo[i]) / c, left, right), right)
-    x1 = np.maximum(x1, x0)
+    return a, c, x0, np.maximum(x1, x0)
+
+
+def coupling_two_sided(density) -> CouplingReport:
+    """``miworlds.zerobias.coupling_expectations`` on the cells of
+    ``coupling_cells``, each cut at 0 and at its atom, by Polynomial
+    arithmetic on the baseline."""
+    bp = density.baseline.b_poly
+    a, c, x0, x1 = coupling_cells(density)
     cuts = (x0, np.clip(np.minimum(a, 0.0), x0, x1), np.clip(np.maximum(a, 0.0), x0, x1), x1)
     x = Polynomial([0.0, 1.0])
     b0 = float(bp.coef[0])

@@ -1,18 +1,17 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
-from miworlds import metrics
+from miworlds import cli, metrics
 from miworlds.errors import MiwValidation, NotDecreasing, RouteMismatch
 from miworlds.metrics import (
     MAXWELL_MODE_SUP,
-    RATE_CSV_HEADER,
+    RateRow,
     dk_dw_relation_check,
     kolmogorov,
     measure_configuration,
-    rate_rows_csv,
     rate_sweep,
     wasserstein1,
 )
@@ -175,7 +174,12 @@ def test_sweep_validation():
         rate_sweep([32, 8])
 
 
-def test_rate_csv_serialization(sweep_rows):
-    rows = rate_rows_csv(sweep_rows[:2])
-    assert rows[0] == RATE_CSV_HEADER
-    assert len(rows) == 3 and len(rows[1]) == len(RATE_CSV_HEADER)
+def test_rate_csv_serialization(sweep_rows, capsys):
+    # the rates CSV renders the asdict rows: the RateRow fields, then one
+    # line per row whose 17-digit values read back exactly
+    assert cli.main(["rates", "--n-list", "8", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split(",") == [f.name for f in fields(RateRow)]
+    for line, row in zip(lines[1:3], sweep_rows[:2]):
+        assert [float(v) for v in line.split(",")] == list(astuple(row))
+    assert len(lines) == 4 and lines[3].startswith("# fit ")

@@ -444,6 +444,19 @@ def test_hermite_k4_n100_residual_gate():
     solve_configuration(GENERAL, 100, baseline=hermite_square_baseline(4))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ResidualFailure,
+    reason="normalized monomial b = x^r at N=50 fails the 1e-9 recursion gate: the "
+    "forward-cumsum defect reads 1.410e-08 at r=14 and 7.744e-08 at r=16 (CLI "
+    "exit 2). The suffix sum of ROADMAP open item 2 reads 3.6e-12 and 3.6e-11 "
+    "on the same points.",
+)
+def test_monomial_r14_r16_n50_residual_gate():
+    for r in (14, 16):
+        solve_configuration(GENERAL, 50, baseline=monomial_baseline(r).normalized())
+
+
 def test_nonconvergence_keeps_its_stats(monkeypatch):
     # a failed Newton from every start raises a typed error with its counts
     monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 0)

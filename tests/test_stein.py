@@ -7,7 +7,6 @@ from miworlds.numerics import TAIL_CUTOFF, _upper_integral_grid
 from miworlds.stein import (
     _g0,
     fixed_suite,
-    identity_f_check,
     make_test_function,
     stein_solution,
     suite_csv_rows,
@@ -226,17 +225,6 @@ def test_derivatives_match_finite_differences(tf):
     g = lambda t: stein_solution(tf, t)["g"]
     fd = (g(xs + step) - g(xs - step)) / (2 * step)
     assert np.max(np.abs(stein_solution(tf, xs)["dg"] - fd)) <= 1e-5
-
-
-@pytest.mark.parametrize("tf", SUITE, ids=lambda t: t.name)
-def test_identity_f_check(tf):
-    assert identity_f_check(tf) <= 1e-7
-
-
-def test_identity_f_check_constant_h():
-    const = make_test_function("const", lambda x: np.full_like(np.asarray(x, float), 1.0),
-                               lambda x: np.zeros_like(np.asarray(x, float)), c=1.0)
-    assert identity_f_check(const) <= 1e-12
 
 
 def test_theorem_check_contract():

@@ -202,6 +202,50 @@ def test_exponent_is_the_single_terms_power():
     assert Baseline(Polynomial([1.0, 0.0, 1.0])).exponent is None
 
 
+_INTEGRAL_CASES = {
+    "ground": ground_baseline(),
+    "maxwell": maxwell_square_baseline(),
+    "hermite-sq-2": hermite_square_baseline(2),
+    "hermite-sq-3": hermite_square_baseline(3),
+    "hermite-sq-4": hermite_square_baseline(4),
+    "monomial-4": monomial_baseline(4).normalized(),
+}
+
+
+@pytest.mark.parametrize("bl", _INTEGRAL_CASES.values(), ids=_INTEGRAL_CASES)
+def test_integrals_are_the_polynomial_antiderivatives(bl):
+    # int b, int x b and int b/x = int (b - b(0))/x + b(0) log|q/p| by
+    # Polynomial arithmetic, bit for bit, and by quadrature to 1e-12
+    bp = bl.b_poly
+    b0 = float(bp.coef[0])
+    x = Polynomial([0.0, 1.0])
+    prims = (bp.integ(), (bp * x).integ(), ((bp - b0) // x).integ())
+    p = np.array([-2.5, -1.0, -0.3, 0.2, 0.5, 1.7])
+    q = np.array([-1.0, -0.3, -0.1, 0.5, 1.7, 3.0])
+    want = [prim(q) - prim(p) for prim in prims]
+    want[2] = want[2] + b0 * np.log(np.abs(q) / np.abs(p))
+    got = bl.integrals(p, q)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    for f, g in zip((bl.b, lambda t: t * bl.b(t), lambda t: bl.b(t) / t), got):
+        quad = [integrate_adaptive(lambda t: float(f(t)), lo, hi) for lo, hi in zip(p, q)]
+        assert np.allclose(g, quad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bl, below, above", [
+    (ground_baseline(), -math.inf, math.inf),
+    (hermite_square_baseline(4), -math.inf, math.inf),  # b(0) = 3/8
+    (maxwell_square_baseline(), -0.5, 0.5),
+    (hermite_square_baseline(3), -19 / 36, 19 / 36),  # b = (x^3 - 3x)^2 / 6
+])
+def test_integral_of_b_over_x_on_pieces_ending_at_zero(bl, below, above):
+    # b/x is integrable at 0 exactly when b(0) = 0; no warning either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ibx = bl.integrals(np.array([-1.0, 0.0]), np.array([0.0, 1.0]))[2]
+    assert ibx.tolist() == pytest.approx([below, above], rel=1e-15)
+
+
 @pytest.mark.parametrize("bl", _SHIPPED)
 def test_baseline_parity_and_inverse(bl):
     xs = np.linspace(-3.0, 3.0, 31)

@@ -12,7 +12,7 @@ from miworlds.errors import (
 )
 from miworlds.metrics import kolmogorov, wasserstein1
 from miworlds.numerics import integrate_adaptive
-from miworlds.solver import GENERAL, solve_configuration
+from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration
 from miworlds.targets import (
     ground_baseline,
     hermite_square_baseline,
@@ -25,7 +25,7 @@ from miworlds.zerobias import (
     gzb_density,
     histogram_density,
 )
-from reference import coupling_two_sided, step_cdf
+from reference import coupling_cells, coupling_two_sided, step_cdf
 
 BL = maxwell_square_baseline()
 
@@ -34,15 +34,14 @@ def test_gzb_single_interval_maxwell():
     d = gzb_density(BL, (1.0, -1.0))
     assert d.c.tolist() == pytest.approx([1.5], abs=1e-14)
     assert np.diff(d.cum).tolist() == pytest.approx([1.0], abs=1e-14)
-    assert d.pdf(0.5) == pytest.approx(1.5 * 0.25, abs=1e-14)
-    assert d.pdf(1.5) == 0.0
     assert d.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
     assert d.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gzb_single_interval_ground():
     d = gzb_density(ground_baseline(), (1.0, -1.0))
-    assert d.pdf(0.3) == pytest.approx(0.5, abs=1e-14)
+    assert d.c.tolist() == pytest.approx([0.5], abs=1e-14)
+    assert d.cdf(0.3) == pytest.approx(0.65, abs=1e-14)
 
 
 def test_gzb_mass_per_interval(maxwell_configs):
@@ -75,7 +74,7 @@ def test_gzb_csv_rows(maxwell_configs):
 def test_histogram_density_masses():
     h = histogram_density((1.0, 0.0, -1.0))
     assert np.diff(h.cum).tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
-    assert h.pdf(0.5) == pytest.approx(0.5, abs=1e-15)
+    assert h.c.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
     assert h.cdf(0.5) == pytest.approx(0.75, abs=1e-14)
 
 
@@ -172,6 +171,21 @@ def test_coupling_equals_the_two_sided_inversion(family, k, n, maxwell_configs):
     assert coupling_expectations(density) == coupling_two_sided(density)
 
 
+@pytest.mark.parametrize("family, bl, n", [
+    (MAXWELL, BL, 4096), (GROUND, ground_baseline(), 64),
+    (GENERAL, hermite_square_baseline(2), 82), (GENERAL, hermite_square_baseline(3), 40),
+    (GENERAL, monomial_baseline(4).normalized(), 100),
+], ids=["maxwell-4096", "ground-64", "hermite-sq-2-82", "hermite-sq-3-40", "monomial-4-100"])
+def test_no_atom_lies_strictly_inside_its_coupling_cell(family, bl, n, maxwell_configs):
+    # each cell lies in one gap between neighbouring atoms, so
+    # coupling_expectations cuts it at 0 only, never at its atom
+    pts = (maxwell_configs[n] if family == MAXWELL
+           else solve_configuration(family, n, baseline=bl)).points
+    a, _, x0, x1 = coupling_cells(gzb_density(bl, pts))
+    assert a.size >= n and np.all(x0 <= x1)
+    assert not np.any((x0 < a) & (a < x1))
+
+
 def test_coupling_infinite_reciprocal_term_when_b0_positive():
     # b(0) = 1/2 for He_2^2 / 2: W* has density ~ b(0) near 0, so
     # E|1/W - 1/W*| diverges logarithmically; the other terms stay finite
@@ -246,20 +260,17 @@ def test_density_tables_match_the_per_call_formulas():
             # the parent's per-call formulas: a fresh sum and two B calls
             i = int(np.searchsorted(asc_x, x, side="left")) - 1
             inside = 0 <= i < asc_c.size
-            pdf = asc_c[i] * float(d.baseline.b(x)) if inside else 0.0
             cdf = (min(1.0, float(np.sum(asc_m[:i])) + asc_c[i]
                        * (float(d.baseline.B(x)) - float(d.baseline.B(asc_x[i]))))
                    if inside and x < asc_x[-1] else float(x >= asc_x[-1]))
             assert d.cdf(x) == pytest.approx(cdf, abs=2e-15)
-            assert d.pdf(x) == pytest.approx(pdf, rel=1e-15, abs=0.0)
         assert np.array_equal(d.cdf(xs), [d.cdf(float(x)) for x in xs])
-        assert np.array_equal(d.pdf(xs), [d.pdf(float(x)) for x in xs])
         us = np.concatenate((np.linspace(1e-6, 1.0, 501), np.cumsum(asc_m)[:-1]))
         q = d.quantile(us)
         assert np.max(np.abs(q - [d.quantile(float(u)) for u in us])) <= 1e-13
         assert np.max(np.abs(d.cdf(q) - us)) <= 1e-13
         # a 0-d array equals a float under ==, so the types are checked too
-        for method in (d.pdf, d.cdf, d.quantile):
+        for method in (d.cdf, d.quantile):
             row = method(np.array([0.3, 1.0]))
             assert type(row) is np.ndarray and row.shape == (2,)
             for x, want in ((0.3, row[0]), (np.float64(0.3), row[0]),

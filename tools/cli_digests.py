@@ -54,6 +54,9 @@ EXTRA = [
     ["coupling", "--family", "ground", "--n", "64", "--out", "csv"],
     ["coupling", "--family", "hermite-sq", "--k", "3", "--n", "40"],
     ["coupling", "--family", "monomial", "--r", "4", "--n", "100"],
+    # b(0) = 3/8 > 0: the reciprocal term on the cell that ends at 0
+    ["coupling", "--family", "hermite-sq", "--k", "4", "--n", "40"],
+    ["coupling", "--n", "65536"],
     ["density", "--n", "22", "--out", "json"],
     ["rates", "--n-list", "8", "16", "32", "--out", "json"],
     # b = x^2 under other family names
