@@ -108,12 +108,14 @@ def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
     for _ in range(_ROOT_MAX_ITER):
         r = F(x) - y
         fine = np.abs(r) <= f_tol
-        lo = np.where(r < 0.0, x, lo)
-        hi = np.where(r > 0.0, x, hi)
+        np.copyto(lo, x, where=r < 0.0)  # lo and hi are this call's own arrays
+        np.copyto(hi, x, where=r > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - r / dF(x)
         inside = (newton >= lo) & (newton <= hi)
-        step = np.where(inside, newton, np.where(fine, x, 0.5 * (lo + hi)))
+        step = np.asarray(0.5 * (lo + hi))  # an array on 0-d input too
+        np.copyto(step, x, where=fine)
+        np.copyto(step, newton, where=inside)
         stop = fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)
         x = step
         if np.any(stop):

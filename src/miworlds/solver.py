@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .energy import potential_V
 from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
@@ -50,6 +50,8 @@ _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
 # max|G| within this many times B(x_1), its largest term, is rounding
 _ROUNDING = 64 * np.finfo(float).eps
+# LAPACK's tridiagonal solver, the one solve_banded((1, 1), ...) calls, without its checks
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,13 @@ def _newton(x, bl: Baseline, tail: float):
         ab[0, 2::2] = bx[1:]
         ab[2, 0::2] = -bx
         ab[2, -2] *= tail
-        rhs[1::2] = -G
-        try:
-            step = solve_banded((1, 1), ab, rhs)[0::2]
-        except (np.linalg.LinAlgError, ValueError):
+        rhs[1::2] = -G  # finite: the loop runs on a finite max|G|
+        if not np.isfinite(ab).all():
             break
+        *_, step, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+        if info != 0:  # a singular system, or an argument LAPACK refused
+            break
+        step = step[0::2]
         # A converged iterate is not damped, and steps on only while that
         # halves max|G|: below that, its steps chase rounding.
         done = converged()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,6 +122,7 @@ class Baseline:
     ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
     inverted in closed form on one term, and by bracketed Newton otherwise.
     ``integrals`` integrates b, x b and b/x over pieces on one side of 0.
+    The coefficients of ``b_poly`` are read-only, so a baseline can be shared.
     """
 
     b_poly: Polynomial
@@ -131,6 +133,7 @@ class Baseline:
         # b = m + Q' - xQ for the odd polynomial Q with Q' - xQ = b - m, so
         # (Q phi)' = (b - m) phi and m = E b(Z) = c_0 - Q_1
         c = self.b_poly.coef
+        c.flags.writeable = False
         with np.errstate(over="ignore", invalid="ignore"):
             Q = _inverse_stein_poly(c)
             m = float(c[0] - Q[1])
@@ -205,10 +208,12 @@ class Baseline:
         return replace(self, b_poly=self.b_poly / s)
 
 
+@cache  # the fixed baselines are built once per process
 def ground_baseline() -> Baseline:
     return Baseline(Polynomial([1.0]))
 
 
+@cache
 def maxwell_square_baseline() -> Baseline:
     return Baseline(Polynomial([0.0, 0.0, 1.0]), zeros_of_b=(0.0,))
 

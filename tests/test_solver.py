@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from scipy.linalg import solve_banded
 
 from miworlds import solver
 from miworlds.energy import potential_V
@@ -464,6 +465,55 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
         solve_configuration(GENERAL, 12, baseline=hermite_square_baseline(2))
     assert info.value.stats.starts_tried == 4
     assert info.value.stats.iterations == 0
+
+
+def _record_gtsv(monkeypatch):
+    """Route solver._GTSV through a recorder of (ab, rhs, solution) per call."""
+    calls, gtsv = [], solver._GTSV
+
+    def record(dl, d, du, rhs):
+        out = gtsv(dl, d, du, rhs)
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        calls.append((ab, rhs.copy(), out[3], out[4]))
+        return out
+
+    monkeypatch.setattr(solver, "_GTSV", record)
+    return calls
+
+
+@pytest.mark.parametrize("family, n, baseline", [
+    (MAXWELL, 2, None), (MAXWELL, 64, None), (MAXWELL, 4096, None),
+    (GROUND, 3, None), (GROUND, 65, None), (GENERAL, 82, hermite_square_baseline(2)),
+], ids=["maxwell-2", "maxwell-64", "maxwell-4096", "ground-3", "ground-65", "hermite-sq-2-82"])
+def test_tridiagonal_steps_match_solve_banded(monkeypatch, family, n, baseline):
+    # every Newton system, solved by LAPACK directly and through solve_banded
+    calls = _record_gtsv(monkeypatch)
+    solve_configuration(family, n, baseline=baseline)
+    assert calls
+    for ab, rhs, step, info in calls:
+        assert info == 0
+        assert np.array_equal(step, solve_banded((1, 1), ab, rhs))
+
+
+def test_nonfinite_newton_system_stops_at_once(monkeypatch):
+    # a start on the zero x = 1 of b = (x^2 - 1)^2 / 2 keeps G finite (1/S = 0
+    # there) but makes b'/b NaN in the Jacobian, which solve_banded refuses
+    calls = _record_gtsv(monkeypatch)
+    x0 = np.array([2.0, 1.0])
+    with np.errstate(invalid="ignore"):  # the 0/0 in the Jacobian
+        x, history, backtracks, converged = solver._newton(x0, hermite_square_baseline(2), 2.0)
+    assert calls == [] and len(history) == 1 and math.isfinite(history[0])
+    assert backtracks == 0 and not converged and np.array_equal(x, x0)
+
+
+def test_singular_newton_system_stops_at_once(monkeypatch):
+    # LAPACK's info != 0 (a zero pivot, or an argument it refused) ends Newton
+    monkeypatch.setattr(solver, "_GTSV", lambda dl, d, du, rhs: (None, d, du, rhs, 1))
+    x0 = next(solver._starts(maxwell_square_baseline(), 64))[1]
+    x, history, backtracks, converged = solver._newton(x0, maxwell_square_baseline(), 2.0)
+    assert len(history) == 1 and backtracks == 0 and not converged
+    assert np.array_equal(x, x0)
 
 
 def _target_cdf_reference(bl):

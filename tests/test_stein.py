@@ -194,36 +194,31 @@ def test_useful_bound_eq32():
         assert np.max(ratio) <= 2.0 * tf.c
 
 
-@pytest.mark.parametrize("tf", SUITE, ids=lambda t: t.name)
-def test_ode_residual_magnitude_form(tf):
-    # |g0' - x g0| = x^2 |h - mean| away from the origin
-    xs = np.concatenate((np.arange(-6.0, -1e-3, 0.05), np.arange(1e-3, 6.0, 0.05)))
-    vals = stein_solution(tf, xs)
-    lhs = np.abs(vals["dg0"] - xs * vals["g0"])
-    rhs = xs * xs * np.abs(tf.htilde(xs))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-8
+def _centred_dg(tf, step=1e-5):
+    """Grid points away from the kinks, g there and g' by centred differences of
+    the quadrature g."""
+    xs = np.array([x for x in np.concatenate((-np.arange(0.1, 6.0, 0.37),
+                                               np.arange(0.1, 6.0, 0.37)))
+                   if all(abs(abs(x) - abs(k)) > 1e-3 for k in tf.kinks)])
+    g = lambda t: stein_solution(tf, t)["g"]
+    return xs, g(xs), (g(xs + step) - g(xs - step)) / (2 * step)
 
 
 @pytest.mark.parametrize("tf", SUITE, ids=lambda t: t.name)
-def test_eq1_residual_magnitude_form(tf):
-    # |tau_1 g' - x g| = |h - mean| with tau_1 = (x^2+2)/x^2
-    xs = np.concatenate((np.arange(-6.0, -1e-3, 0.05), np.arange(1e-3, 6.0, 0.05)))
-    vals = stein_solution(tf, xs)
+def test_eq1_holds_for_finite_difference_derivative(tf):
+    # |tau_1 g' - x g| = |h - mean| with tau_1 = (x^2+2)/x^2, g' not from the
+    # identity that assembles dg; tau_1 scales the differences' error up near 0
+    xs, g, fd = _centred_dg(tf)
     tau = (xs * xs + 2.0) / (xs * xs)
-    lhs = np.abs(tau * vals["dg"] - xs * vals["g"])
+    lhs = np.abs(tau * fd - xs * g)
     rhs = np.abs(np.asarray(tf.htilde(xs), dtype=float))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-8
+    assert np.all(np.abs(lhs - rhs) <= 1e-8 * tau)
 
 
 @pytest.mark.parametrize("tf", SUITE, ids=lambda t: t.name)
 def test_derivatives_match_finite_differences(tf):
     # identity-assembled g' vs centered differences of quadrature g
-    step = 1e-5
-    xs = np.array([x for x in np.concatenate((-np.arange(0.1, 6.0, 0.37),
-                                               np.arange(0.1, 6.0, 0.37)))
-                   if all(abs(abs(x) - abs(k)) > 1e-3 for k in tf.kinks)])
-    g = lambda t: stein_solution(tf, t)["g"]
-    fd = (g(xs + step) - g(xs - step)) / (2 * step)
+    xs, _, fd = _centred_dg(tf)
     assert np.max(np.abs(stein_solution(tf, xs)["dg"] - fd)) <= 1e-5
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,44 @@ def test_exponent_is_the_single_terms_power():
     assert Baseline(Polynomial([0.0, 0.0, 3.0]), (0.0,)).exponent == 2
     assert hermite_square_baseline(2).exponent is None
     assert Baseline(Polynomial([1.0, 0.0, 1.0])).exponent is None
+
+
+@pytest.mark.parametrize("build", [ground_baseline, maxwell_square_baseline])
+def test_fixed_baselines_are_shared_and_read_only(build):
+    bl = build()
+    assert build() is bl
+    with pytest.raises(ValueError, match="read-only"):
+        bl.b_poly.coef[0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        bl.zeros_of_b = ()
+    assert monomial_baseline(0) is ground_baseline()
+
+
+def test_baselines_from_a_shared_one_are_new():
+    m = maxwell_square_baseline()
+    tripled = replace(m, b_poly=m.b_poly * 3.0)
+    assert tripled is not m and tripled.b_poly.coef.tolist() == [0.0, 0.0, 3.0]
+    assert not tripled.b_poly.coef.flags.writeable
+    back = tripled.normalized()
+    assert back is not tripled and back is not m and back.phi_integral == 1.0
+    assert np.array_equal(back.b_poly.coef, m.b_poly.coef)
+    assert m.normalized() is m and m.b_poly.coef.tolist() == [0.0, 0.0, 1.0]
+    # the caller's coefficients are copied, so they stay writable
+    c = np.array([1.0, 0.0, 1.0])
+    bl = Baseline(Polynomial(c))
+    c[0] = 5.0
+    assert bl.b(0.0) == 1.0 and not bl.b_poly.coef.flags.writeable
+
+
+@pytest.mark.parametrize("build, arg, coef", [
+    (hermite_square_baseline, 0, [1.0]),
+    (hermite_square_baseline, 2, [0.5, 0.0, -1.0, 0.0, 0.5]),  # (x^2 - 1)^2 / 2
+    (monomial_baseline, 4, [0.0, 0.0, 0.0, 0.0, 1.0]),
+])
+def test_family_builders_build_per_call(build, arg, coef):
+    first, second = build(arg), build(arg)
+    assert first is not second and first.b_poly.coef is not second.b_poly.coef
+    assert first.b_poly.coef.tolist() == second.b_poly.coef.tolist() == coef
 
 
 _INTEGRAL_CASES = {

@@ -73,6 +73,10 @@ EXTRA = [
     ["verify", "--family", "hermite-sq", "--k", "3", "--n", "40"],
     ["density", "--family", "hermite-sq", "--k", "4", "--n", "40"],
     ["solve", "--family", "monomial", "--r", "300", "--n", "50"],
+    # the smallest Newton systems: h = 1, d_W on two atoms, odd N with tail factor 1
+    ["solve", "--n", "2"],
+    ["rates", "--n-list", "2", "4", "--out", "json"],
+    ["verify", "--family", "ground", "--n", "3"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
