@@ -140,12 +140,12 @@ def _report(args, cfg, report) -> str:
 
 def _cmd_energy(args) -> str:
     bl, cfg = _solve(args)
-    return _report(args, cfg, certify_minimizer(bl, cfg.points))
+    return _report(args, cfg, certify_minimizer(bl, cfg.array))
 
 
 def _cmd_density(args) -> str:
     bl, cfg = _solve(args)
-    hist = histogram_density(cfg.points)
+    hist = histogram_density(cfg.array)
     # one row per gap, from the top gap down: left end, right end, coefficient
     gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
     rows = [("hist", *gap) for gap in gaps]
@@ -160,7 +160,7 @@ def _cmd_density(args) -> str:
 
 def _cmd_coupling(args) -> str:
     bl, cfg = _solve(args)
-    return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.points)))
+    return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.array)))
 
 
 def _cmd_stein_check(args) -> str:

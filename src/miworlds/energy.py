@@ -11,7 +11,6 @@ H >= 2(r+1)(N-1), both attained at the solved minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,8 +35,10 @@ class EnergyReport:
 
 
 def potential_V(points: Sequence[float]) -> float:
-    """Parabolic-trap potential sum(x_n^2), summed left to right."""
-    return float(sum(map(mul, points, points)))
+    """Parabolic-trap potential sum(x_n^2), summed left to right as np.cumsum adds."""
+    x = np.asarray(points, dtype=float)
+    with np.errstate(over="ignore"):  # overflow gives inf, as Python's float sum does
+        return float(np.cumsum(x * x)[-1]) if x.size else 0.0
 
 
 def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:

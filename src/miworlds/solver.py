@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,8 +51,9 @@ _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
 # max|G| within this many times B(x_1), its largest term, is rounding
 _ROUNDING = 64 * np.finfo(float).eps
-# LAPACK's tridiagonal solver, the one solve_banded((1, 1), ...) calls, without its checks
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+# LAPACK's tridiagonal solver, as solve_banded((1, 1), ...) calls it, unchecked and in place
+_GTSV = partial(get_lapack_funcs("gtsv", dtype=np.float64),
+                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Solved decreasing zero-mean world configuration."""
+    """Solved decreasing zero-mean world configuration; ``array`` holds its points
+    as the solver's read-only float64 array, None if it came from elsewhere."""
 
     family: str
     n_worlds: int
@@ -81,6 +84,7 @@ class Configuration:
     shoot_param: float
     residuals: dict
     stats: Optional[SolveStats] = field(default=None, compare=False)
+    array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
@@ -141,10 +145,7 @@ def _newton(x, bl: Baseline, tail: float):
     floor of G's terms where that is larger.  Returns the last point, the
     max|G| history, the number of halvings and whether it converged.
     """
-    ab = np.zeros((3, 2 * x.size))
-    ab[0, 1::2] = 1.0
-    ab[2, 1:-1:2] = -1.0
-    rhs = np.zeros(2 * x.size)
+    ab, rhs = np.zeros((3, 2 * x.size)), np.zeros(2 * x.size)
     with np.errstate(all="ignore"):
         G, bx, S = _half_residual(x, bl, tail)
     history, backtracks = [float(np.max(np.abs(G)))], 0
@@ -153,12 +154,14 @@ def _newton(x, bl: Baseline, tail: float):
         return history[-1] <= max(_RESIDUAL_TOL, _ROUNDING * float(bl.B(x[0])))
 
     while math.isfinite(history[-1]) and len(history) <= _NEWTON_MAX_ITER:
-        ab[1, 0::2] = (x * bl.db(x) - bx) / (bx * bx)
-        ab[1, 1::2] = -1.0 / (S * S)
-        ab[0, 2::2] = bx[1:]
-        ab[2, 0::2] = -bx
+        # _GTSV overwrites the band and rhs: every entry is rebuilt before each call
+        with np.errstate(all="ignore"):
+            ab[1, 0::2] = (x * bl.db(x) - bx) / (bx * bx)
+            ab[1, 1::2] = -1.0 / (S * S)
+        ab[0, 1::2], ab[0, 2::2] = 1.0, bx[1:]
+        ab[2, 0::2], ab[2, 1:-1:2] = -bx, -1.0
         ab[2, -2] *= tail
-        rhs[1::2] = -G  # finite: the loop runs on a finite max|G|
+        rhs[0::2], rhs[1::2] = 0.0, -G  # finite: the loop runs on a finite max|G|
         if not np.isfinite(ab).all():
             break
         *_, step, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
@@ -300,6 +303,7 @@ def solve_configuration(
             f"world location {first[on_zero.argmax()]:g} lands on a zero of the baseline"
         ))
     x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
+    x.flags.writeable = False
     points = x.tolist()
 
     residual = recursion_residual(bl, x)
@@ -310,10 +314,10 @@ def solve_configuration(
         ))
     residuals = {
         "max_recursion_residual": residual,
-        "mean_abs": abs(sum(points)) / n_worlds,
+        "mean_abs": abs(float(np.cumsum(x)[-1])) / n_worlds,
         "symmetry_defect": _symmetry_defect(x),
     }
-    variance = _variance_defect(bl, points)
+    variance = _variance_defect(bl, x)
     if variance is not None:
         residuals["variance_defect"] = variance
     return Configuration(
@@ -323,6 +327,7 @@ def solve_configuration(
         shoot_param=points[0],
         residuals=residuals,
         stats=stats,
+        array=x,
     )
 
 
@@ -332,16 +337,17 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
     ``baseline`` is needed, and read, for the general family only.
     """
     pts, n = cfg.points, cfg.n_worlds
-    x = np.asarray(pts, dtype=float)
+    x = np.asarray(pts, dtype=float) if cfg.array is None else cfg.array
     bl = _baseline(cfg.family, baseline)
-    return {
-        "p1_zero_mean_defect": abs(sum(pts)),
-        "p2_variance_defect": _variance_defect(bl, pts),
-        "p3_symmetry_defect": _symmetry_defect(x),
-        "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),
-        "recursion_residual": recursion_residual(bl, x),
-        "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
-    }
+    with np.errstate(invalid="ignore"):  # inf - inf in the sum: NaN, as Python's sum gives
+        return {
+            "p1_zero_mean_defect": abs(float(np.cumsum(x)[-1])) if x.size else 0.0,
+            "p2_variance_defect": _variance_defect(bl, x),
+            "p3_symmetry_defect": _symmetry_defect(x),
+            "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),
+            "recursion_residual": recursion_residual(bl, x),
+            "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
+        }
 
 
 def configuration_to_json(cfg: Configuration) -> str:
@@ -350,12 +356,13 @@ def configuration_to_json(cfg: Configuration) -> str:
     A positive mirror of floats, with 0.0 at the centre for odd N, formats
     its first half once: repr(-x) is "-" + repr(x) for x > 0.
     """
-    pts, h = cfg.points, len(cfg.points) // 2
+    pts, h, x = cfg.points, len(cfg.points) // 2, cfg.array
     head = {"family": cfg.family, "N": cfg.n_worlds}
     tail = {"shoot_param": cfg.shoot_param, "residuals": cfg.residuals}
     centre = list(map(repr, pts[h : len(pts) - h]))
-    if ({*map(type, pts)} != {float} or centre not in ([], ["0.0"])
-            or not _is_positive_mirror(np.array(pts))):
+    if x is None and {*map(type, pts)} == {float}:
+        x = np.array(pts)
+    if x is None or centre not in ([], ["0.0"]) or not _is_positive_mirror(x):
         return json.dumps({**head, "points": list(pts), **tail})
     half = list(map(repr, pts[:h]))
     points = ", ".join(half + centre) + ", -" + ", -".join(reversed(half))

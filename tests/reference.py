@@ -7,7 +7,8 @@ the density CDF at both edges of each coupling cell on its own, a second
 route to the cells that ``coupling_expectations`` takes from one
 ``PiecewiseDensity.quantile`` call; ``coupling_two_sided`` integrates them
 cut at 0 and at the cell's atom.  ``step_cdf`` is the CDF of the uniform
-law on a set of atoms, for the quadrature route to d_W.
+law on a set of atoms, for the quadrature route to d_W.  ``left_sum`` adds
+floats one at a time from the left, the order the library's sums keep.
 """
 
 import math
@@ -26,6 +27,14 @@ def step_cdf(atoms, left=False) -> Callable[[float], float]:
     asc = np.sort(np.asarray(atoms, dtype=float))
     side = "left" if left else "right"
     return lambda x: float(np.searchsorted(asc, x, side=side)) / asc.size
+
+
+def left_sum(values) -> float:
+    """``values`` added one at a time from the left in float arithmetic."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -15,12 +16,37 @@ from miworlds.targets import (
     maxwell_square_baseline,
     monomial_baseline,
 )
+from reference import left_sum
 
 
 def test_potential_values(maxwell_configs):
     assert potential_V(maxwell_configs[2].points) == pytest.approx(3.0, abs=1e-12)
     assert potential_V((1.0, 0.0, -1.0)) == 2.0
     assert potential_V(()) == 0.0
+
+
+def test_potential_is_the_left_to_right_float_sum():
+    # bit for bit, on arrays and on tuples, whatever the size and scale
+    rng = np.random.default_rng(20161)
+    for _ in range(200):
+        x = rng.standard_normal(rng.integers(1, 3000)) * 10.0 ** rng.uniform(-4.0, 4.0)
+        ref = left_sum(v * v for v in x.tolist())
+        assert potential_V(x) == ref and potential_V(tuple(x.tolist())) == ref
+    assert potential_V(np.array([])) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert potential_V((1.0, math.inf)) == math.inf
+        assert potential_V((1e200, 1.0)) == math.inf
+        assert math.isnan(potential_V((1.0, math.nan, math.inf)))
+
+
+@pytest.mark.parametrize("family, n, baseline", [
+    (MAXWELL, 4096, None), (GROUND, 65535, None),
+    (GENERAL, 81, hermite_square_baseline(2)), (GENERAL, 1000, monomial_baseline(4).normalized()),
+], ids=["maxwell-4096", "ground-65535", "hermite-sq-2-81", "monomial-4-1000"])
+def test_potential_of_solved_points_is_the_left_to_right_sum(family, n, baseline):
+    cfg = solve_configuration(family, n, baseline=baseline)
+    assert potential_V(cfg.array) == left_sum(v * v for v in cfg.points)
 
 
 def test_interworld_ground_hand_value():

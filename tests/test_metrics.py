@@ -15,6 +15,7 @@ from miworlds.metrics import (
     rate_sweep,
     wasserstein1,
 )
+from miworlds.solver import MAXWELL, solve_configuration
 from miworlds.targets import cdf_pk
 from reference import step_cdf
 
@@ -120,6 +121,16 @@ def test_dw_self_check_catches_wrong_antiderivative(maxwell_configs, monkeypatch
     monkeypatch.setattr(metrics, "cdf_pk_integral", lambda k, x: exact(k, x) * (1 + 1e-8))
     with pytest.raises(RouteMismatch):
         measure_configuration(maxwell_configs[8])
+
+
+def test_dw_decays_as_sqrt_log_n_over_n(maxwell_configs):
+    # the data follow the envelope's law, not only its bound: the fitted
+    # slope of log(d_W N / sqrt(log N)) against log N over 2^10..2^16 is flat
+    ns = np.array([2 ** j for j in range(10, 17)])
+    cfgs = [maxwell_configs.get(n) or solve_configuration(MAXWELL, n) for n in ns.tolist()]
+    dw = np.array([metrics._dw_exact(cfg.points, 1) for cfg in cfgs])
+    slope = np.polyfit(np.log(ns), np.log(dw * ns / np.sqrt(np.log(ns))), 1)[0]
+    assert -0.05 <= slope <= 0.05
 
 
 def test_relation_check_contract():

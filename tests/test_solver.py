@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -32,6 +33,7 @@ from miworlds.targets import (
     monomial_baseline,
     normal_cdf,
 )
+from reference import left_sum
 
 SQRT_1_5 = math.sqrt(1.5)
 
@@ -277,6 +279,44 @@ def test_json_writes_what_json_dumps_writes(maxwell_configs):
         assert configuration_from_json(text) == cfg
 
 
+@pytest.mark.parametrize("family, n", [(MAXWELL, 22), (GROUND, 1001)], ids=["even", "odd"])
+def test_configuration_array_is_the_read_only_points(family, n):
+    cfg = solve_configuration(family, n)
+    x = cfg.array
+    assert x.dtype == np.float64 and not x.flags.writeable
+    assert x.tolist() == list(cfg.points) and x[0] == cfg.shoot_param
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    # the residuals' sums add left to right, as the points' float sum does
+    assert cfg.residuals["mean_abs"] == abs(left_sum(cfg.points)) / n
+
+
+@pytest.mark.parametrize("family, n, baseline", [
+    (MAXWELL, 22, None), (MAXWELL, 4096, None), (GROUND, 3, None), (GROUND, 1001, None),
+    (GENERAL, 100, monomial_baseline(4).normalized()), (GENERAL, 81, hermite_square_baseline(2)),
+], ids=["maxwell-22", "maxwell-4096", "ground-3", "ground-1001", "monomial-4-100",
+        "hermite-sq-2-81"])
+def test_array_and_points_routes_agree(family, n, baseline):
+    # the solver's array only spares conversions: without it (replaced, or
+    # through JSON) the same bytes and the same report come out
+    cfg = solve_configuration(family, n, baseline=baseline)
+    text = configuration_to_json(cfg)
+    report = json.dumps(validate_properties(cfg, baseline=baseline))
+    for other in (dataclasses.replace(cfg, array=None), configuration_from_json(text)):
+        assert other.array is None and other == cfg
+        assert configuration_to_json(other) == text
+        assert json.dumps(validate_properties(other, baseline=baseline)) == report
+    assert json.loads(report)["p1_zero_mean_defect"] == abs(left_sum(cfg.points))
+
+
+def test_int_points_print_as_ints_and_validate_as_floats():
+    raw = {"family": GROUND, "N": 3, "points": [1, 0, -1], "shoot_param": 1, "residuals": {}}
+    ints = configuration_from_json(json.dumps(raw))
+    floats = dataclasses.replace(ints, points=(1.0, 0.0, -1.0))
+    assert ints.array is None and configuration_to_json(ints) == json.dumps(raw)
+    assert validate_properties(ints) == validate_properties(floats)
+
+
 def test_recursion_residual_on_exact_points():
     assert recursion_residual(ground_baseline(), (1.0, 0.0, -1.0)) <= 1e-15
 
@@ -468,14 +508,19 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
 
 
 def _record_gtsv(monkeypatch):
-    """Route solver._GTSV through a recorder of (ab, rhs, solution) per call."""
+    """Route solver._GTSV through a recorder of (ab, rhs, solution, info) per call.
+
+    _GTSV solves in place, so the system is copied before the call and the
+    solution, which the solver's next system overwrites, after it.
+    """
     calls, gtsv = [], solver._GTSV
 
     def record(dl, d, du, rhs):
-        out = gtsv(dl, d, du, rhs)
         ab = np.zeros((3, d.size))
         ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-        calls.append((ab, rhs.copy(), out[3], out[4]))
+        system = (ab, rhs.copy())
+        out = gtsv(dl, d, du, rhs)
+        calls.append((*system, out[3].copy(), out[4]))
         return out
 
     monkeypatch.setattr(solver, "_GTSV", record)
@@ -498,10 +543,13 @@ def test_tridiagonal_steps_match_solve_banded(monkeypatch, family, n, baseline):
 
 def test_nonfinite_newton_system_stops_at_once(monkeypatch):
     # a start on the zero x = 1 of b = (x^2 - 1)^2 / 2 keeps G finite (1/S = 0
-    # there) but makes b'/b NaN in the Jacobian, which solve_banded refuses
+    # there) but makes b'/b NaN in the Jacobian, which solve_banded refuses;
+    # that 0/0 is silenced as the residual's are, so warnings taken as errors
+    # still reach the stop
     calls = _record_gtsv(monkeypatch)
     x0 = np.array([2.0, 1.0])
-    with np.errstate(invalid="ignore"):  # the 0/0 in the Jacobian
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         x, history, backtracks, converged = solver._newton(x0, hermite_square_baseline(2), 2.0)
     assert calls == [] and len(history) == 1 and math.isfinite(history[0])
     assert backtracks == 0 and not converged and np.array_equal(x, x0)

@@ -77,6 +77,9 @@ EXTRA = [
     ["solve", "--n", "2"],
     ["rates", "--n-list", "2", "4", "--out", "json"],
     ["verify", "--family", "ground", "--n", "3"],
+    # the odd-N fast path of the JSON writer, centre "0.0", at scale; sums over 2^14 worlds
+    ["solve", "--family", "ground", "--n", "65535"],
+    ["energy", "--family", "ground", "--n", "16384"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
