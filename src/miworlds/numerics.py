@@ -1,7 +1,8 @@
 """Foundational numerics.
 
 Adaptive quadrature, one cumulative Gauss-Legendre pass for integrals
-against the Gaussian weight up to a grid of lower limits, and scalar and
+against the Gaussian weight up to a grid of lower limits (its panel layout
+can be built once and integrated over for many integrands), and scalar and
 array monotone inversion.  Everything here is a pure function of its
 arguments and safe for concurrent use.  SciPy's quadrature and root finder
 load on first use, so a process that never integrates or inverts a scalar
@@ -138,6 +139,13 @@ def _upper_integral_grid(ts, f, kinks):
     one reversed cumulative sum (e^{+-L^2/2} is far inside double range).
     ``ts`` may be unsorted and repeat points; points at or beyond L give 0.
     """
+    return _tail_integrate(_tail_layout(ts, kinks), f)
+
+
+def _tail_layout(ts, kinks):
+    """The part of ``_upper_integral_grid`` that f does not enter: nodes u, panel
+    widths, GL_W u^2 and e^{-u^2/2} at the nodes, e^{a^2/2} per panel, the result
+    template, the points below L and the panel each of them starts at."""
     L = TAIL_CUTOFF
     ts = np.asarray(ts, dtype=float)
     inside = ts < L
@@ -151,8 +159,15 @@ def _upper_integral_grid(ts, f, kinks):
     a = np.repeat(knots[:-1], m) + step * np.repeat(gap / m, m)
     w = np.append(a[1:], L) - a
     u = a + _GL_T[:, None] * w  # nodes run along axis 0
-    J = w * np.sum(_GL_W[:, None] * u * u * f(u) * np.exp(-0.5 * u * u), axis=0)
-    S = np.cumsum(J[::-1])[::-1] * np.exp(0.5 * a * a)
     out = np.where(ts >= L, 0.0, np.nan)  # NaN stays NaN
-    out[inside] = S[first[knot_of[:np.count_nonzero(inside)]]]
+    return (u, w, _GL_W[:, None] * u * u, np.exp(-0.5 * u * u), np.exp(0.5 * a * a),
+            out, inside, first[knot_of[:np.count_nonzero(inside)]])
+
+
+def _tail_integrate(layout, f):
+    """The pass of ``_upper_integral_grid`` for f over a ``_tail_layout``."""
+    u, w, P, E, scale, template, inside, start = layout
+    J = w * np.sum(P * f(u) * E, axis=0)
+    out = template.copy()
+    out[inside] = (np.cumsum(J[::-1])[::-1] * scale)[start]
     return out

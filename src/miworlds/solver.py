@@ -24,7 +24,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .energy import potential_V
-from .errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
+from .errors import (InvalidStart, MiwValidation, NonConvergence, ParityUnsupported,
+                     ResidualFailure)
 from .numerics import newton_bracketed
 from .targets import Baseline, ground_baseline, maxwell_square_baseline
 
@@ -338,10 +339,12 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
     """
     pts, n = cfg.points, cfg.n_worlds
     x = np.asarray(pts, dtype=float) if cfg.array is None else cfg.array
+    if not x.size:
+        raise MiwValidation("a configuration to validate needs at least one point")
     bl = _baseline(cfg.family, baseline)
     with np.errstate(invalid="ignore"):  # inf - inf in the sum: NaN, as Python's sum gives
         return {
-            "p1_zero_mean_defect": abs(float(np.cumsum(x)[-1])) if x.size else 0.0,
+            "p1_zero_mean_defect": abs(float(np.cumsum(x)[-1])),
             "p2_variance_defect": _variance_defect(bl, x),
             "p3_symmetry_defect": _symmetry_defect(x),
             "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),

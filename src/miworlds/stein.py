@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import _upper_integral_grid
+from .numerics import _tail_integrate, _tail_layout, _upper_integral_grid
 from .zerobias import CouplingReport
 
 __all__ = [
@@ -74,23 +75,27 @@ def make_test_function(
     """
     kinks = tuple(float(k) for k in kinks)
     zero = np.zeros(1)
-    both = _upper_integral_grid(zero, h, kinks) + _lower_pass(zero, h, kinks)
+    both = (_upper_integral_grid(zero, h, kinks)
+            + _upper_integral_grid(zero, lambda u: h(-u), [-k for k in kinks]))
     mean = float(both[0]) / math.sqrt(2.0 * math.pi)
     return TestFunction(name=name, h=h, dh=dh, c=float(c), mean_under_p1=mean, kinks=kinks)
 
 
-def _lower_pass(ts, f, kinks):
-    """The lower branch via u -> -u: the pass at t = |x| on f(-u), kinks mirrored."""
-    return _upper_integral_grid(ts, lambda u: f(-u), [-k for k in kinks])
+def _layouts(xs: np.ndarray, kinks) -> tuple:
+    """x > 0, the factors of x alone in ``_solution``, each branch's layout (lower mirrored)."""
+    pos, s, D, ax = xs > 0.0, np.sign(xs), xs * xs + 2.0, np.abs(xs)
+    factors = (s, D, D * D, s * xs * xs, 2.0 * xs, ax, 2.0 * xs * ax, 1.0 - 2.0 / D,
+               1.0 / D - 2.0 / (D * D), 2.0 * xs * (2.0 - xs * xs) / D ** 3)
+    return (pos, factors, _tail_layout(xs[pos], kinks),
+            _tail_layout(-xs[~pos], [-k for k in kinks]))
 
 
-def _g0(test: TestFunction, xs) -> np.ndarray:
-    """g0 on a grid from one cumulative pass per branch."""
-    xs = np.asarray(xs, dtype=float)
+def _g0(test: TestFunction, xs: np.ndarray, layouts) -> np.ndarray:
+    """g0 on a grid from one cumulative pass per branch over its ``_layouts``."""
+    pos, _, upper, lower = layouts
     out = np.empty_like(xs)
-    pos = xs > 0.0
-    out[pos] = _upper_integral_grid(xs[pos], test.htilde, test.kinks)
-    out[~pos] = _lower_pass(-xs[~pos], test.htilde, test.kinks)
+    out[pos] = _tail_integrate(upper, test.htilde)
+    out[~pos] = _tail_integrate(lower, lambda u: test.htilde(-u))
     return out
 
 
@@ -101,30 +106,35 @@ def stein_solution(test: TestFunction, xs) -> dict:
     identity g0' = x g0 - sign(x) x^2 (h - mean).
     """
     xs = np.asarray(xs, dtype=float)
-    g0 = _g0(test, xs)
-    s = np.sign(xs)
+    return _solution(test, xs, _layouts(xs, test.kinks))
+
+
+def _solution(test: TestFunction, xs: np.ndarray, layouts) -> dict:
+    """``stein_solution`` on float ``xs`` with their ``_layouts``."""
+    s, D, DD, sxx, tx, ax, txax, c1, A, dA = layouts[1]
+    g0 = _g0(test, xs, layouts)
     ht = np.asarray(test.htilde(xs), dtype=float)
     dh = np.asarray(test.dh(xs), dtype=float)
-    D = xs * xs + 2.0
-    dg0 = xs * g0 - s * xs * xs * ht
+    dg0 = xs * g0 - sxx * ht
     g = g0 / D
-    dg = dg0 / D - 2.0 * xs * g0 / (D * D)
+    dg = dg0 / D - tx * g0 / DD
     # chi = g'/x in the 0/0-free arrangement, exact for every x
-    chi = (1.0 - 2.0 / D) * g0 / D - np.abs(xs) * ht / D
-    A = 1.0 / D - 2.0 / (D * D)
-    dA = 2.0 * xs * (2.0 - xs * xs) / D ** 3
-    dchi = (
-        dA * g0
-        + A * dg0
-        - s * ht / D
-        - np.abs(xs) * dh / D
-        + 2.0 * xs * np.abs(xs) * ht / (D * D)
-    )
+    chi = c1 * g0 / D - ax * ht / D
+    dchi = dA * g0 + A * dg0 - s * ht / D - ax * dh / D + txax * ht / DD
     return {"g0": g0, "dg0": dg0, "g": g, "dg": dg, "chi": chi, "dchi": dchi}
 
 
 # The sup-norm grid: -8 to 8 in steps of 1e-3.
 _SUP_GRID = -8.0 + 1e-3 * np.arange(16001)
+
+
+@lru_cache(maxsize=1)  # the fixed suite needs one entry; each holds 3.3 MiB
+def _sup_layouts(kinks: tuple) -> tuple:
+    """``_layouts`` of ``_SUP_GRID`` for kinks off it, read-only; the last one built is kept."""
+    layouts = _layouts(_SUP_GRID, kinks)
+    for arr in (layouts[0], *layouts[1], *layouts[2], *layouts[3]):
+        arr.flags.writeable = False
+    return layouts
 
 
 _SUITE_FIELDS = (
@@ -135,7 +145,8 @@ _SUITE_FIELDS = (
 
 def supnorm_suite(test: TestFunction) -> dict:
     """Grid suprema of |g|, |g'|, |chi|, |chi'| against the c-multiples."""
-    vals = stein_solution(test, _SUP_GRID)
+    off_grid = tuple(k for k in test.kinks if not np.any(_SUP_GRID == k))  # others add no knot
+    vals = _solution(test, _SUP_GRID, _sup_layouts(off_grid))
     sups = [float(np.max(np.abs(vals[key]))) for key in ("g", "dg", "chi", "dchi")]
     bounds = [m * test.c for m in (BOUND_G, BOUND_DG, BOUND_CHI, BOUND_DCHI)]
     ok = all(s <= b for s, b in zip(sups, bounds))
@@ -159,6 +170,7 @@ def theorem_check(cfg, report: CouplingReport, dw: float) -> dict:
     }
 
 
+@cache  # the suite's functions and means are fixed, so built once per process
 def fixed_suite():
     """The certified test-function suite: odd/even mix, kinked and smooth."""
     ident = make_test_function(

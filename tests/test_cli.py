@@ -393,6 +393,23 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_cli_import_builds_no_stein_layout():
+    # the sup-grid layouts and the fixed suite are built on first use, once:
+    # the import itself is timed as start-up
+    code = """
+import contextlib, io
+import miworlds.cli as cli
+from miworlds import stein
+sizes = lambda: (stein._sup_layouts.cache_info().currsize,
+                 stein.fixed_suite.cache_info().currsize)
+print(sizes())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["stein-check"]) for _ in range(2)]
+print(codes, sizes())
+"""
+    assert _fresh_python(code).splitlines() == ["(0, 0)", "[0, 0] (1, 1)"]
+
+
 QUADPACK_FREE = [
     ["solve", "--n", "64"], ["solve", "--family", "ground", "--n", "64"],
     ["solve", "--family", "hermite-sq", "--k", "2", "--n", "81"],

@@ -11,7 +11,13 @@ from scipy.linalg import solve_banded
 
 from miworlds import solver
 from miworlds.energy import potential_V
-from miworlds.errors import InvalidStart, NonConvergence, ParityUnsupported, ResidualFailure
+from miworlds.errors import (
+    InvalidStart,
+    MiwValidation,
+    NonConvergence,
+    ParityUnsupported,
+    ResidualFailure,
+)
 from miworlds.solver import (
     GENERAL,
     GROUND,
@@ -172,9 +178,22 @@ def test_validate_reports_ties_as_decreasing_violations(points, violated):
     # a tie is not strictly decreasing, and inf - inf is nan, so neighbours
     # are compared directly rather than through their differences
     cfg = Configuration(family=GROUND, n_worlds=4, points=points, shoot_param=1.0, residuals={})
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = validate_properties(cfg)
     assert rep["p4_decreasing_violation"] is violated
+
+
+@pytest.mark.parametrize("family", [GROUND, MAXWELL])
+def test_validate_rejects_a_configuration_without_points(family):
+    from miworlds.solver import Configuration
+
+    cfg = Configuration(family=family, n_worlds=0, points=(), shoot_param=0.0, residuals={})
+    with pytest.raises(MiwValidation, match="at least one point"):
+        validate_properties(cfg)
+    empty = dataclasses.replace(cfg, array=np.empty(0))
+    with pytest.raises(MiwValidation, match="at least one point"):
+        validate_properties(empty)
 
 
 @pytest.mark.parametrize("points, symmetry, violated", [

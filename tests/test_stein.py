@@ -5,7 +5,11 @@ import pytest
 
 from miworlds.numerics import TAIL_CUTOFF, _upper_integral_grid
 from miworlds.stein import (
+    _SUP_GRID,
     _g0,
+    _layouts,
+    _solution,
+    _sup_layouts,
     fixed_suite,
     make_test_function,
     stein_solution,
@@ -19,6 +23,14 @@ from reference import g0_scalar
 SUITE = fixed_suite()
 IDENT = SUITE[0]
 DEFAULT_GRID = -8.0 + 1e-3 * np.arange(16001)
+
+
+def g0_of(tf, xs):
+    """g0 through layouts built for these points."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(invalid="ignore"):  # the x-only factors of g' and chi' at x = +-inf
+        layouts = _layouts(xs, tf.kinks)
+    return _g0(tf, xs, layouts)
 
 
 def _square():
@@ -68,7 +80,7 @@ def test_g_constant_h_is_zero():
 
 
 def test_g0_square_vanishes_at_origin():
-    assert _g0(_square(), [1e-9])[0] == pytest.approx(0.0, abs=1e-9)
+    assert g0_of(_square(), [1e-9])[0] == pytest.approx(0.0, abs=1e-9)
     # brute-force quadrature oracle
     from miworlds.numerics import integrate_adaptive
 
@@ -81,7 +93,7 @@ def test_g0_square_vanishes_at_origin():
 def test_vectorized_matches_scalar():
     for tf in SUITE + (_square(),):
         xs = np.array([-6.0, -1.0, -0.999, -1e-4, 0.0, 1e-4, 0.5, 1.0, 2.7, 7.5])
-        grid = _g0(tf, xs)
+        grid = g0_of(tf, xs)
         scalar = np.array([g0_scalar(float(v), tf.htilde, tf.kinks) for v in xs])
         assert np.max(np.abs(grid - scalar)) <= 1e-10 * np.maximum(
             1.0, np.max(np.abs(scalar))
@@ -90,7 +102,7 @@ def test_vectorized_matches_scalar():
 
 def test_g0_identity_closed_form_on_default_grid():
     # h(x) = x: g0 = sign(x)(x^2+2), with the x <= 0 branch at 0
-    g0 = _g0(IDENT, DEFAULT_GRID)
+    g0 = g0_of(IDENT, DEFAULT_GRID)
     exact = np.where(DEFAULT_GRID > 0.0, 1.0, -1.0) * (DEFAULT_GRID ** 2 + 2.0)
     assert np.all(np.abs(g0 - exact) <= 1e-12 * np.maximum(1.0, np.abs(g0)))
 
@@ -102,7 +114,7 @@ def test_g0_matches_mpmath(name):
     h = {"sine": mp.sin,
          "clipped_linear": lambda u: max(mp.mpf(-1), min(mp.mpf(1), u))}[name]
     xs = [-8.0, -1.0 - 1e-9, -1.0 + 1e-9, -1e-4, 0.0, 0.5, 1.0, 7.999]
-    got = _g0(tf, np.array(xs))
+    got = g0_of(tf, np.array(xs))
     with mp.workdps(30):
         # same truncation at L and the same double mean as the library
         mean = mp.mpf(tf.mean_under_p1)
@@ -123,10 +135,10 @@ def test_g0_grid_order_repeats_and_zero():
     perm = np.random.default_rng(5).permutation(sorted_grid.size)
     shuffled = np.concatenate((sorted_grid[perm], sorted_grid[perm[:50]], [0.0, 0.0]))
     for tf in SUITE:
-        ref = _g0(tf, sorted_grid)
+        ref = g0_of(tf, sorted_grid)
         # the same distinct points give the same panels, so equal bits
         expect = np.concatenate((ref[perm], ref[perm[:50]], ref[[zero, zero]]))
-        assert np.array_equal(_g0(tf, shuffled), expect)
+        assert np.array_equal(g0_of(tf, shuffled), expect)
 
 
 def test_kink_one_ulp_off_a_grid_point_is_split():
@@ -153,16 +165,16 @@ def test_g0_is_zero_at_and_beyond_the_cutoff():
     L = TAIL_CUTOFF
     xs = np.array([-13.0, -L, L, 13.0, np.inf, -np.inf])
     for tf in SUITE:
-        assert np.all(_g0(tf, xs) == 0.0)
-        assert np.isnan(_g0(tf, np.array([np.nan, 1.0]))[0])
+        assert np.all(g0_of(tf, xs) == 0.0)
+        assert np.isnan(g0_of(tf, np.array([np.nan, 1.0]))[0])
 
 
 def test_symmetry_parity():
     # odd h gives odd g; even h gives even g
     xs = np.array([0.3, 1.1, 2.6, 4.0])
-    assert np.allclose(_g0(IDENT, xs), -_g0(IDENT, -xs), atol=1e-12)
+    assert np.allclose(g0_of(IDENT, xs), -g0_of(IDENT, -xs), atol=1e-12)
     even = _square()
-    assert np.allclose(_g0(even, xs), _g0(even, -xs), atol=1e-12)
+    assert np.allclose(g0_of(even, xs), g0_of(even, -xs), atol=1e-12)
 
 
 @pytest.mark.parametrize("tf", SUITE, ids=lambda t: t.name)
@@ -173,6 +185,57 @@ def test_supnorm_bounds(tf):
     assert rec["sup_dg"] <= 4.0 * tf.c
     assert rec["sup_chi"] <= 6.0 * tf.c
     assert rec["sup_dchi"] <= 7.0 * tf.c
+
+
+SUP_KEYS = ("g", "dg", "chi", "dchi")
+OFF_KINK = 1.2345678  # not a point of the sup-norm grid
+CLIPPED_OFF_GRID = make_test_function(
+    "clipped_off_grid",
+    lambda x: np.clip(x, -OFF_KINK, OFF_KINK),
+    lambda x: np.where(np.abs(np.asarray(x, dtype=float)) < OFF_KINK, 1.0, 0.0),
+    c=1.0,
+    kinks=(-OFF_KINK, OFF_KINK),
+)
+
+
+@pytest.mark.parametrize("tf", SUITE + (CLIPPED_OFF_GRID,), ids=lambda t: t.name)
+def test_supnorm_suite_matches_a_fresh_layout(tf):
+    # the shared layouts give the bits of layouts built for this call, on
+    # every call: each array, and the suprema the suite reports
+    fresh = stein_solution(tf, _SUP_GRID)
+    for _ in range(2):
+        rec = supnorm_suite(tf)
+        assert [rec[f"sup_{k}"] for k in SUP_KEYS] == [
+            float(np.max(np.abs(fresh[k]))) for k in SUP_KEYS]
+        off_grid = tuple(k for k in tf.kinks if k not in (-1.0, 1.0))
+        shared = _solution(tf, _SUP_GRID, _sup_layouts(off_grid))
+        assert all(np.array_equal(shared[k], fresh[k]) for k in fresh)
+
+
+def test_an_off_grid_kink_gets_its_own_layout():
+    # a layout without the kinks +-1.2345678 gives other bits, so the suite's
+    # equality with a fresh layout above rests on the kinks entering its key
+    assert OFF_KINK not in _SUP_GRID and -OFF_KINK not in _SUP_GRID
+    fresh = stein_solution(CLIPPED_OFF_GRID, _SUP_GRID)
+    kink_free = _solution(CLIPPED_OFF_GRID, _SUP_GRID, _sup_layouts(()))
+    assert not np.array_equal(kink_free["g0"], fresh["g0"])
+    rec = supnorm_suite(CLIPPED_OFF_GRID)
+    assert [rec[f"sup_{k}"] for k in SUP_KEYS] != [
+        float(np.max(np.abs(kink_free[k]))) for k in SUP_KEYS]
+
+
+def test_sup_layouts_are_shared_and_read_only():
+    assert fixed_suite() is fixed_suite()
+    _sup_layouts.cache_clear()
+    records = [supnorm_suite(tf) for tf in fixed_suite()]
+    # the kinks +-1 of clipped_linear are grid points: one entry serves all four
+    assert _sup_layouts.cache_info()[:2] == (3, 1)  # hits, misses
+    assert [supnorm_suite(tf) for tf in fixed_suite()] == records
+    pos, factors, upper, lower = _sup_layouts(())
+    for arr in (pos, *factors, *upper, *lower):
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        upper[0][0, 0] = 1.0
 
 
 def test_supnorm_identity_value():
