@@ -1,16 +1,18 @@
 """Foundational numerics.
 
-Adaptive quadrature, one cumulative Gauss-Legendre pass for integrals
-against the Gaussian weight up to a grid of lower limits (its panel layout
-can be built once and integrated over for many integrands), and scalar and
-array monotone inversion.  Everything here is a pure function of its
-arguments and safe for concurrent use.  SciPy's quadrature and root finder
-load on first use, so a process that never integrates or inverts a scalar
-function does not import them.
+Adaptive quadrature by QUADPACK's qk21 rule in plain Python, one cumulative Gauss-Legendre
+pass for integrals against the Gaussian weight up to a grid of lower limits (its panel
+layout can be built once and integrated over for many integrands), and scalar and array
+monotone inversion.  Everything here is a pure function of its arguments and safe for
+concurrent use.  SciPy's root finder loads on first use, so a process that never inverts
+a scalar function does not import it.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -26,7 +28,7 @@ __all__ = [
     "newton_bracketed",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # Adaptive quadrature meets max(QUAD_ABS_TOL, QUAD_REL_TOL |I|) within
 # _QUAD_MAX_SUBDIVISIONS panels.  Integrals against the Gaussian weight are
@@ -36,6 +38,18 @@ QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 _QUAD_MAX_SUBDIVISIONS = 10_000
 TAIL_CUTOFF = 12.0
+
+# QUADPACK's qk21 on [-1, 1]: Kronrod nodes from 1 down (every 2nd a Gauss node), their
+# weights then the centre's, the Gauss weights; then the same over all 21 nodes ascending.
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+       0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+       0.2943928627014602, 0.14887433898163122)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+       0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+       0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_T21, _W21, _G21 = (*(-x for x in _XK), 0.0, *_XK[::-1]), _WK + _WK[9::-1], _WG + _WG[::-1]
 
 # The cumulative pass integrates every panel with one 4-node Gauss-Legendre
 # rule on [0, 1].  A panel is at most _PANEL wide, and at most
@@ -56,21 +70,42 @@ _ROOT_MAX_ITER = 200
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
     """Integrate ``f`` over [a, b] to within max(QUAD_ABS_TOL, QUAD_REL_TOL*|I|).
 
-    Backed by QUADPACK's globally adaptive Gauss-Kronrod scheme; results
-    are deterministic for fixed inputs.  Raises :class:`NonConvergence`
-    when QUADPACK's error estimate exceeds ten times that tolerance.
-    """
+    QUADPACK's qage: the panel of largest qk21 error is bisected until the errors sum
+    below that tolerance, the worst panel cannot improve, or there are
+    ``_QUAD_MAX_SUBDIVISIONS`` panels; ``f`` is called on Python floats.  Raises
+    :class:`NonConvergence` on a non-finite value or an error over 10 times the tolerance."""
     if a == b:
         return 0.0
-    from scipy import integrate
+    heap = [_kronrod21(f, a, b)]
+    total, error = heap[0][3:]  # once non-finite, total + error stays so
+    while (heap[0][0] and len(heap) < _QUAD_MAX_SUBDIVISIONS and math.isfinite(total + error)
+           and error > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))):
+        _, lo, hi, value, err = heap[0]
+        left, right = _kronrod21(f, lo, 0.5 * (lo + hi)), _kronrod21(f, 0.5 * (lo + hi), hi)
+        heapq.heapreplace(heap, left)
+        heapq.heappush(heap, right)
+        total += left[3] + right[3] - value
+        error += left[4] + right[4] - err
+    if math.isfinite(total + error):
+        total, error = math.fsum(p[3] for p in heap), math.fsum(p[4] for p in heap)
+        if error <= 10 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
+            return total
+    raise NonConvergence(f"quadrature failed on [{a}, {b}]: error {error:g}, {len(heap)} panels")
 
-    value, abserr, *info = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                                          limit=_QUAD_MAX_SUBDIVISIONS, full_output=1)
-    # ier = 0 already means abserr met the tolerance, and QUADPACK also flags
-    # roundoff-limited panels whose error is acceptable: judge abserr alone.
-    if not abserr <= 10 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
-        raise NonConvergence(f"quadrature failed on [{a}, {b}]: {info[-1]} (abserr={abserr:g})")
-    return value
+
+def _kronrod21(f, a, b):
+    """qk21 on [a, b] as the heap entry (key, a, b, value, error): key -error, or 0.0
+    where the error is its roundoff floor 50 eps resabs, which bisection cannot lower."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fx = [f(c + h * t) for t in _T21]
+    k, r = sum(map(mul, _W21, fx)), abs(h)
+    asc = r * sum(map(mul, _W21, [abs(v - 0.5 * k) for v in fx]))
+    err = abs(h * (k - sum(map(mul, _G21, fx[1::2]))))
+    err = asc * min(1.0, (200 * err / asc) ** 1.5) if asc and err else err
+    if err <= 60 * _EPS * (asc + r * abs(k)):  # resabs <= asc / r + |k|: the floor may bind
+        floor = 50 * _EPS * r * sum(map(mul, _W21, map(abs, fx)))
+        return (0.0 if err <= floor else -err), a, b, h * k, max(err, floor)
+    return -err, a, b, h * k, err
 
 
 def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float) -> float:

@@ -417,29 +417,26 @@ QUADPACK_FREE = [
     ["verify", "--n", "64"], ["energy", "--n", "64"],
     ["coupling", "--family", "hermite-sq", "--k", "2", "--n", "82"],
     ["density", "--family", "hermite-sq", "--k", "2", "--n", "81"], ["stein-check"],
-    ["fixed-point"],
+    ["fixed-point"], ["rates", "--n-list", "8", "16"],
 ]
 
 
-def test_subcommands_load_quadpack_and_brentq_only_when_they_integrate():
-    # scipy.integrate and scipy.optimize add about 0.08 s to a cold start, so
-    # numerics imports them on first use; of the subcommands run here only
-    # rates integrates (metrics._dw_exact checks its closed form by
-    # quadrature), and it must still find them
+def test_no_subcommand_loads_quadpack_or_brentq():
+    # scipy.integrate and scipy.optimize (which bring sparse and spatial)
+    # add about 20 MiB and 0.4 s to a cold start; numerics integrates with
+    # its own Gauss-Kronrod rule, rates' d_W self-check included, and only
+    # imports brentq when it inverts a scalar function
     code = f"""
 import contextlib, io, sys
 import miworlds.cli as cli
-lazy = ("scipy.integrate", "scipy.optimize")
-print([m for m in lazy if m in sys.modules])
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial")
+print([m for m in heavy if m in sys.modules])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in {QUADPACK_FREE!r}]
-print(codes, [m for m in lazy if m in sys.modules])
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["rates", "--n-list", "8", "16"])
-print(code, "scipy.integrate" in sys.modules)
+print(codes, [m for m in heavy if m in sys.modules])
 """
     lines = _fresh_python(code).splitlines()
-    assert lines == ["[]", f"{[0] * len(QUADPACK_FREE)} []", "0 True"]
+    assert lines == ["[]", f"{[0] * len(QUADPACK_FREE)} []"]
 
 
 def test_one_parser_answers_as_a_fresh_one(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from miworlds.numerics import (
     invert_monotone,
     newton_bracketed,
 )
-from miworlds.targets import phi
+from miworlds.targets import cdf_pk, pdf_pk, phi, stein_kernel_times_pdf
 
 
 def test_integrate_polynomial():
@@ -225,5 +225,58 @@ def test_newton_bracketed_reaches_flat_roots():
 
 def test_nonconvergence_message_has_interval():
     # an oscillating singularity that exhausts the subdivision budget
-    with pytest.raises(NonConvergence, match=r"quadrature failed on \[0\.0, 1\.0\]"):
+    with pytest.raises(NonConvergence, match=r"quadrature failed on \[0\.0, 1\.0\]: .*, 10000 panels"):
         integrate_adaptive(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: 1.0 / x], ids=["nan", "inverse"])
+def test_non_finite_integrands_fail_typed(f):
+    # a NaN, or 1/x whose panels at 0 overflow, must not come back as nan or inf
+    with pytest.raises(NonConvergence, match=r"quadrature failed on \[0\.0, 1\.0\]"):
+        integrate_adaptive(f, 0.0, 1.0)
+
+
+def test_kronrod_rule_constants():
+    # the embedded nodes and weights are Gauss-Legendre's, and the 21-point
+    # rule integrates x^j exactly for j <= 31 (3 * 10 + 1)
+    x, w = np.polynomial.legendre.leggauss(10)
+    assert np.array_equal(numerics._T21[1::2], x)
+    assert np.max(np.abs(np.array(numerics._G21) - w)) <= 2e-16
+    assert math.fsum(numerics._W21) == pytest.approx(2.0, abs=4e-16)
+    t, wk = np.array(numerics._T21), np.array(numerics._W21)
+    for j in range(32):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(math.fsum(wk * t**j) - exact) <= 1e-15
+
+
+def _quadpack(f, a, b):
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=10_000)[0]
+
+
+def _quadpack_cases():
+    cases = [pytest.param(lambda x: abs(float(cdf_pk(1, x)) - 0.3), -5.0, 5.0, id="kink")]
+    for k in (2, 3):
+        for name, f, df in (("x", lambda x: x, lambda x: 1.0), ("sin", math.sin, math.cos)):
+            cases.append(pytest.param(lambda x, k=k, df=df: float(stein_kernel_times_pdf(k, x))
+                                      * df(x), -12.0, 12.0, id=f"tau{k}-{name}"))
+            cases.append(pytest.param(lambda x, k=k, f=f: x * f(x) * float(pdf_pk(k, x)),
+                                      -12.0, 12.0, id=f"xpdf{k}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("f, a, b", _quadpack_cases())
+def test_integrate_matches_quadpack(f, a, b):
+    # the kinked |F_1 - 0.3| and the kernel-identity integrands of k = 2, 3
+    value, reference = integrate_adaptive(f, a, b), _quadpack(f, a, b)
+    assert abs(value - reference) <= max(1e-12, 1e-10 * abs(reference))
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_dw_self_check_integral_matches_quadpack(n, maxwell_configs):
+    # the integral metrics._dw_exact checks its closed form with
+    pts = maxwell_configs[n].points
+    f = lambda x: cdf_pk(1, x)
+    value, reference = integrate_adaptive(f, pts[-1], pts[0]), _quadpack(f, pts[-1], pts[0])
+    assert abs(value - reference) <= max(1e-12, 1e-10 * abs(reference))

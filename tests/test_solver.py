@@ -497,7 +497,7 @@ def test_failed_solve_keeps_its_stats(baseline, n):
     reason="hermite-sq k=4 N=100 solves the half-system to max|G| = 1.7e-12 "
     "(exact residual of its points 1.6e-12, by 50-digit mpmath) but the "
     "forward-cumsum recursion_residual reads 1.9e-8 > 1e-9: past the "
-    "midpoint its partial sums cancel. ROADMAP open item 1 (the suffix "
+    "midpoint its partial sums cancel. ROADMAP open item 2 (the suffix "
     "form) is the fix.",
 )
 def test_hermite_k4_n100_residual_gate():
