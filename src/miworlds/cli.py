@@ -14,7 +14,8 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .solver import (
     GENERAL,
     GROUND,
     MAXWELL,
-    configuration_to_json,
+    configuration_json_pieces,
     solve_configuration,
     validate_properties,
 )
@@ -69,15 +70,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _render(value, out_format: str, rows=None) -> str:
-    """``value`` as JSON, or ``rows`` as CSV: a list of flat dicts, by
-    default ``[value]``, as the first one's keys and then each one's values,
-    None as an empty cell."""
+def _records(records: list):
+    """Rows of a CSV table of flat dicts: the first one's keys, then each one's values."""
+    return chain([records[0].keys()], (r.values() for r in records))
+
+
+def _render(value, out_format: str, table=None) -> Iterable[str]:
+    """``value`` as JSON in one piece, or ``table``, by default the keys and
+    values of the flat dict ``value``, as CSV lines, None as an empty cell."""
     if out_format == "json":
-        return json.dumps(value, indent=2, default=_fmt) + "\n"
-    rows = [value] if rows is None else rows
-    table = [tuple(rows[0])] + [tuple(r.values()) for r in rows]
-    return "\n".join(",".join(_fmt(v) for v in row) for row in table) + "\n"
+        return [json.dumps(value, indent=2, default=_fmt) + "\n"]
+    table = _records([value]) if table is None else table
+    return (",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 def _comment(label: str, values: dict) -> str:
@@ -85,16 +89,16 @@ def _comment(label: str, values: dict) -> str:
     return f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    """Write ``text`` to ``path``, or to stdout without one."""
+def _write(pieces: Iterable[str], path: Optional[str]) -> None:
+    """Write the text ``pieces`` in order to ``path``, or to stdout without one."""
     if path:
         try:
-            with open(path, "wb") as fh:
-                fh.write(text.encode())
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
         except OSError as exc:
             raise MiwError(f"cannot write {path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _resolve_family(args):
@@ -119,31 +123,32 @@ def _solve(args):
     return bl, solve_configuration(fam, args.n, baseline=bl)
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> Iterable[str]:
     cfg = _solve(args)[1]
     if args.out_format == "json":
-        return configuration_to_json(cfg) + "\n"
-    rows = [{"n": i, "x": x} for i, x in enumerate(cfg.points, start=1)]
-    return _render(rows, "csv", rows) + _comment("residuals", cfg.residuals)
+        return chain(configuration_json_pieces(cfg), ["\n"])
+    # the solver's points are floats: each line is what _render writes for (n, x)
+    lines = (f"{n},{x:.17g}\n" for n, x in enumerate(cfg.points, start=1))
+    return chain(["n,x\n"], lines, [_comment("residuals", cfg.residuals)])
 
 
-def _cmd_verify(args) -> str:
+def _cmd_verify(args) -> Iterable[str]:
     bl, cfg = _solve(args)
     return _render(validate_properties(cfg, baseline=bl), args.out_format)
 
 
-def _report(args, cfg, report) -> str:
+def _report(args, cfg, report) -> Iterable[str]:
     """A report's fields after the family label and the world count."""
     payload = {"family": args.family, "N": cfg.n_worlds, **asdict(report)}
     return _render(payload, args.out_format)
 
 
-def _cmd_energy(args) -> str:
+def _cmd_energy(args) -> Iterable[str]:
     bl, cfg = _solve(args)
     return _report(args, cfg, certify_minimizer(bl, cfg.array))
 
 
-def _cmd_density(args) -> str:
+def _cmd_density(args) -> Iterable[str]:
     bl, cfg = _solve(args)
     hist = histogram_density(cfg.array)
     # one row per gap, from the top gap down: left end, right end, coefficient
@@ -154,30 +159,30 @@ def _cmd_density(args) -> str:
     hi = cfg.points[0] + 0.05 * span
     xs = np.linspace(lo, hi, 400)
     rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_pdf(xs).tolist()))
-    header = ("kind", "x0", "x1", "value")
-    return _render([header, *rows], args.out_format, [dict(zip(header, r)) for r in rows])
+    table = [("kind", "x0", "x1", "value"), *rows]
+    return _render(table, args.out_format, table)
 
 
-def _cmd_coupling(args) -> str:
+def _cmd_coupling(args) -> Iterable[str]:
     bl, cfg = _solve(args)
     return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.array)))
 
 
-def _cmd_stein_check(args) -> str:
+def _cmd_stein_check(args) -> Iterable[str]:
     records = [supnorm_suite(tf) for tf in fixed_suite()]
-    return _render(records, args.out_format, records)
+    return _render(records, args.out_format, _records(records))
 
 
-def _cmd_rates(args) -> str:
+def _cmd_rates(args) -> Iterable[str]:
     rows, fit = rate_sweep(args.n_list)
     rows = [asdict(r) for r in rows]
-    text = _render({"rows": rows, "fit": fit}, args.out_format, rows)
+    pieces = _render({"rows": rows, "fit": fit}, args.out_format, _records(rows))
     if args.out_format == "csv" and fit is not None:
-        text += _comment("fit", fit)
-    return text
+        pieces = chain(pieces, [_comment("fit", fit)])
+    return pieces
 
 
-def _cmd_fixed_point(args) -> str:
+def _cmd_fixed_point(args) -> Iterable[str]:
     return _render({"k": 1, "defect": fixed_point_defect()}, args.out_format)
 
 
@@ -229,6 +234,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # a subcommand returns its output's pieces after all of its numerical work
         _write(args.func(args), args.out_path)
     except (MiwError, ValueError, MemoryError) as exc:
         code = exit_code(exc)

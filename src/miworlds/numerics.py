@@ -73,7 +73,9 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float
     QUADPACK's qage: the panel of largest qk21 error is bisected until the errors sum
     below that tolerance, the worst panel cannot improve, or there are
     ``_QUAD_MAX_SUBDIVISIONS`` panels; ``f`` is called on Python floats.  Raises
-    :class:`NonConvergence` on a non-finite value or an error over 10 times the tolerance."""
+    :class:`NonConvergence` on a non-finite value or an error over 10 times the tolerance.
+    There is no qagse extrapolation, so an endpoint singularity costs many bisections
+    (log x on [0, 1]: 1407 evaluations, QUADPACK 231): split it off before calling."""
     if a == b:
         return 0.0
     heap = [_kronrod21(f, a, b)]

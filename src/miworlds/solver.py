@@ -39,6 +39,7 @@ __all__ = [
     "solve_configuration",
     "validate_properties",
     "recursion_residual",
+    "configuration_json_pieces",
     "configuration_to_json",
     "configuration_from_json",
 ]
@@ -50,6 +51,8 @@ GENERAL = "general"
 _RESIDUAL_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
+# points per piece of a mirrored configuration's JSON
+_JSON_BLOCK = 4096
 # max|G| within this many times B(x_1), its largest term, is rounding
 _ROUNDING = 64 * np.finfo(float).eps
 # LAPACK's tridiagonal solver, as solve_banded((1, 1), ...) calls it, unchecked and in place
@@ -353,11 +356,13 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
         }
 
 
-def configuration_to_json(cfg: Configuration) -> str:
-    """The configuration as ``json.dumps`` writes it.
+def configuration_json_pieces(cfg: Configuration):
+    """The configuration as ``json.dumps`` writes it, in pieces to write in order.
 
     A positive mirror of floats, with 0.0 at the centre for odd N, formats
-    its first half once: repr(-x) is "-" + repr(x) for x > 0.
+    its first half once, in blocks of ``_JSON_BLOCK`` points, and writes its
+    second half from the same strings: repr(-x) is "-" + repr(x) for x > 0.
+    Any other configuration is one piece.
     """
     pts, h, x = cfg.points, len(cfg.points) // 2, cfg.array
     head = {"family": cfg.family, "N": cfg.n_worlds}
@@ -366,10 +371,23 @@ def configuration_to_json(cfg: Configuration) -> str:
     if x is None and {*map(type, pts)} == {float}:
         x = np.array(pts)
     if x is None or centre not in ([], ["0.0"]) or not _is_positive_mirror(x):
-        return json.dumps({**head, "points": list(pts), **tail})
-    half = list(map(repr, pts[:h]))
-    points = ", ".join(half + centre) + ", -" + ", -".join(reversed(half))
-    return json.dumps(head)[:-1] + f', "points": [{points}], ' + json.dumps(tail)[1:]
+        yield json.dumps({**head, "points": list(pts), **tail})
+        return
+    blocks, sep = [], json.dumps(head)[:-1] + ', "points": ['
+    for i in range(0, h, _JSON_BLOCK):
+        blocks.append(list(map(repr, pts[i : min(i + _JSON_BLOCK, h)])))
+        yield sep + ", ".join(blocks[-1])
+        sep = ", "
+    sep = "".join(", " + c for c in centre) + ", -"
+    for block in reversed(blocks):
+        yield sep + ", -".join(reversed(block))
+        sep = ", -"
+    yield "], " + json.dumps(tail)[1:]
+
+
+def configuration_to_json(cfg: Configuration) -> str:
+    """The configuration as ``json.dumps`` writes it."""
+    return "".join(configuration_json_pieces(cfg))
 
 
 def configuration_from_json(text: str) -> Configuration:

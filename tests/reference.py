@@ -9,8 +9,11 @@ route to the cells that ``coupling_expectations`` takes from one
 cut at 0 and at the cell's atom.  ``step_cdf`` is the CDF of the uniform
 law on a set of atoms, for the quadrature route to d_W.  ``left_sum`` adds
 floats one at a time from the left, the order the library's sums keep.
+``csv_text`` builds a CSV table as one string from a list of dicts, a second
+route to the command line's line-by-line CSV writer.
 """
 
+import json
 import math
 from typing import Callable
 
@@ -35,6 +38,28 @@ def left_sum(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def csv_cell(v) -> str:
+    """A JSON value as the CSV writer formats it: None empty, booleans in lower
+    case, floats to 17 significant digits."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def csv_text(rows: list, comment=None) -> str:
+    """``rows``, flat dicts, as CSV: the first one's keys, then each one's
+    values; with ``comment = (label, values)`` a last line ``# label {json}``
+    of the values to 17 digits."""
+    table = [tuple(rows[0])] + [tuple(r.values()) for r in rows]
+    text = "\n".join(",".join(csv_cell(v) for v in row) for row in table) + "\n"
+    if comment is not None:
+        label, values = comment
+        text += f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
+    return text
 
 
 def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:

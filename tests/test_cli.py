@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from miworlds import cli, errors
 from miworlds.cli import exit_code, main
+from miworlds.solver import GROUND, MAXWELL, solve_configuration
+from reference import csv_cell, csv_text
 
 
 def run(capsys, *argv):
@@ -267,13 +271,55 @@ def test_unwritable_out_path_fails_cleanly(argv, tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [("solve", "--n", "8"), ("rates", "--n-list", "8", "16"),
-                                  *_SMALL_ARGVS])
+@pytest.mark.parametrize("argv, expected", [
+    (("solve", "--family", "hermite-sq", "--k", "4", "--n", "200"), 2),  # the residual gate
+    (("coupling", "--family", "ground", "--n", "41"), 1),  # after the solve
+])
+def test_failed_call_writes_nothing(argv, expected, tmp_path, capsys):
+    # the output streams only after all numerical work: a failure leaves
+    # stdout empty and creates no file
+    target = tmp_path / "out.txt"
+    for out_path in ((), ("--out-path", str(target))):
+        code, out, err = run(capsys, *argv, *out_path)
+        assert code == expected and out == "" and err.startswith("miworlds: ")
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--n", "8"), ("rates", "--n-list", "8", "16"), *_SMALL_ARGVS,
+    # across the JSON writer's 4096-point blocks, and CSV lines at scale
+    ("solve", "--n", "8194"), ("solve", "--family", "ground", "--n", "8193"),
+    ("solve", "--n", "65536", "--out", "csv"),
+])
 def test_out_path_bytes_equal_stdout(argv, tmp_path, capsys):
     path = tmp_path / "out.txt"
     assert main([*argv, "--out-path", str(path)]) == 0
     assert main(list(argv)) == 0
     assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("family, n", [(MAXWELL, 8), (MAXWELL, 65536), (GROUND, 8193)])
+def test_solve_csv_is_the_whole_text_table(family, n, capsys):
+    code, out, _ = run(capsys, "solve", "--family", family, "--n", str(n), "--out", "csv")
+    cfg = solve_configuration(family, n)
+    rows = [{"n": i, "x": x} for i, x in enumerate(cfg.points, start=1)]
+    assert code == 0 and out == csv_text(rows, ("residuals", cfg.residuals))
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_large_solve_output_streams(out_format):
+    # written to a file, both outputs peak at the solve's own 5.0 MiB traced
+    # (building each as one string peaked at 8.6 and 26.9 MiB); the bound
+    # leaves 10%.  A StringIO keeps every string written, so it is no sink here.
+    with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+        assert main(["solve", "--n", "8", "--out", out_format]) == 0  # first-use set-up
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--n", "65536", "--out", out_format]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 5.5 * 2**20
 
 
 def test_out_of_memory_exits_two():
@@ -310,15 +356,6 @@ def _csv(out):
     return rows, {k: json.loads(v) for k, v in comments.items()}
 
 
-def _cell(v) -> str:
-    """A JSON value as the CSV writer formats it."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return format(v, ".17g") if isinstance(v, float) else str(v)
-
-
 def _both(capsys, sub):
     outs = {}
     for fmt in ("csv", "json"):
@@ -340,7 +377,7 @@ def test_record_subcommands_write_csv_and_json(sub, capsys):
     assert not comments
     header, values = rows
     assert header == list(record)
-    assert values == [_cell(v) for v in record.values()]
+    assert values == [csv_cell(v) for v in record.values()]
 
 
 def test_solve_writes_csv_and_json(capsys):
@@ -355,14 +392,14 @@ def test_density_writes_csv_and_json(capsys):
     (rows, _), table = _both(capsys, "density")
     assert rows[0] == table[0] == ["kind", "x0", "x1", "value"]
     assert len(rows) == len(table) == 1 + 7 + 400
-    assert rows[1:] == [[_cell(v) for v in row] for row in table[1:]]
+    assert rows[1:] == [[csv_cell(v) for v in row] for row in table[1:]]
 
 
 def test_stein_check_writes_csv_and_json(capsys):
     (rows, _), records = _both(capsys, "stein-check")
     assert len(records) == len(rows) - 1 == 4
     assert all(list(rec) == rows[0] for rec in records)
-    assert rows[1:] == [[_cell(v) for v in rec.values()] for rec in records]
+    assert rows[1:] == [[csv_cell(v) for v in rec.values()] for rec in records]
     assert all(rec["pass"] is True for rec in records)
 
 
@@ -371,7 +408,7 @@ def test_rates_writes_csv_and_json(capsys):
     assert set(payload) == {"rows", "fit"}
     assert [rec["N"] for rec in payload["rows"]] == [8, 16]
     assert all(list(rec) == rows[0] for rec in payload["rows"])
-    assert rows[1:] == [[_cell(v) for v in rec.values()] for rec in payload["rows"]]
+    assert rows[1:] == [[csv_cell(v) for v in rec.values()] for rec in payload["rows"]]
     assert {k: float(v) for k, v in comments["fit"].items()} == payload["fit"]
 
 

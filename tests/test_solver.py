@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from miworlds.solver import (
     GROUND,
     MAXWELL,
     configuration_from_json,
+    configuration_json_pieces,
     configuration_to_json,
     recursion_residual,
     shoot_sequence,
@@ -280,9 +283,13 @@ def test_json_roundtrip(maxwell_configs):
 
 
 def test_json_writes_what_json_dumps_writes(maxwell_configs):
-    # a mirror formats its first half once; every byte stays json.dumps'
+    # a mirror formats its first half once, in blocks of 4096 points; every
+    # byte stays json.dumps'
+    block = solver._JSON_BLOCK
     mirrored = [maxwell_configs[n] for n in (2, 22, 4096)]
-    mirrored.append(solve_configuration(GROUND, 1001))  # odd: 0.0 at the centre
+    mirrored += [solve_configuration(MAXWELL, n) for n in (2 * block + 2, 10002, 16 * block)]
+    # odd: 0.0 at the centre, after one full block and after seven and a part
+    mirrored += [solve_configuration(GROUND, n) for n in (1001, 2 * block + 1, 16 * block - 1)]
     assert all(solver._is_positive_mirror(np.array(cfg.points)) for cfg in mirrored)
     payload = json.loads(configuration_to_json(maxwell_configs[22]))
     payload["points"][3] += 1e-3
@@ -291,11 +298,31 @@ def test_json_writes_what_json_dumps_writes(maxwell_configs):
     # mirrored by value, but json.dumps writes the ints as 2 and the floats as -2.0
     ints = configuration_from_json(json.dumps(dict(payload, N=4, points=[2, 1, -1.0, -2.0])))
     for cfg in mirrored + [edited, ints]:
-        text = configuration_to_json(cfg)
-        assert text == json.dumps({"family": cfg.family, "N": cfg.n_worlds,
-                                   "points": list(cfg.points),
-                                   "shoot_param": cfg.shoot_param, "residuals": cfg.residuals})
+        pieces = list(configuration_json_pieces(cfg))
+        text = "".join(pieces)
+        assert text == configuration_to_json(cfg) == json.dumps(
+            {"family": cfg.family, "N": cfg.n_worlds, "points": list(cfg.points),
+             "shoot_param": cfg.shoot_param, "residuals": cfg.residuals})
         assert configuration_from_json(text) == cfg
+        # one piece per block of each half and one for the tail; one in all off the mirror path
+        blocks = -(-(cfg.n_worlds // 2) // block)
+        assert len(pieces) == (2 * blocks + 1 if cfg in mirrored else 1)
+
+
+def test_mirrored_json_streams_its_blocks():
+    # written piece by piece, the 1.26 MiB of a 2^16-world configuration's
+    # JSON peaked at 3.7 MiB traced, the written text included; one string
+    # built whole peaked at 6.1 MiB
+    cfg = solve_configuration(MAXWELL, 65536)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        out.writelines(configuration_json_pieces(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue() == configuration_to_json(cfg)
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("family, n", [(MAXWELL, 22), (GROUND, 1001)], ids=["even", "odd"])

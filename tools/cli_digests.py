@@ -80,6 +80,11 @@ EXTRA = [
     # the odd-N fast path of the JSON writer, centre "0.0", at scale; sums over 2^14 worlds
     ["solve", "--family", "ground", "--n", "65535"],
     ["energy", "--family", "ground", "--n", "16384"],
+    # the JSON writer's 4096-point blocks: one point past a block, and one full block
+    # before the centre, also through --out-path; the CSV writer's lines at scale
+    ["solve", "--n", "8194"],
+    ["solve", "--family", "ground", "--n", "8193", "--out", "json"],
+    ["solve", "--n", "65536", "--out", "csv"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
