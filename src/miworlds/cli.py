@@ -127,8 +127,8 @@ def _cmd_solve(args) -> Iterable[str]:
     cfg = _solve(args)[1]
     if args.out_format == "json":
         return chain(configuration_json_pieces(cfg), ["\n"])
-    # the solver's points are floats: each line is what _render writes for (n, x)
-    lines = (f"{n},{x:.17g}\n" for n, x in enumerate(cfg.points, start=1))
+    # each line is what _render writes for (n, x)
+    lines = (f"{n},{x:.17g}\n" for n, x in enumerate(cfg.points.tolist(), start=1))
     return chain(["n,x\n"], lines, [_comment("residuals", cfg.residuals)])
 
 
@@ -145,12 +145,12 @@ def _report(args, cfg, report) -> Iterable[str]:
 
 def _cmd_energy(args) -> Iterable[str]:
     bl, cfg = _solve(args)
-    return _report(args, cfg, certify_minimizer(bl, cfg.array))
+    return _report(args, cfg, certify_minimizer(bl, cfg.points))
 
 
 def _cmd_density(args) -> Iterable[str]:
     bl, cfg = _solve(args)
-    hist = histogram_density(cfg.array)
+    hist = histogram_density(cfg.points)
     # one row per gap, from the top gap down: left end, right end, coefficient
     gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
     rows = [("hist", *gap) for gap in gaps]
@@ -165,7 +165,7 @@ def _cmd_density(args) -> Iterable[str]:
 
 def _cmd_coupling(args) -> Iterable[str]:
     bl, cfg = _solve(args)
-    return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.array)))
+    return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.points)))
 
 
 def _cmd_stein_check(args) -> Iterable[str]:

@@ -114,13 +114,12 @@ class RateRow:
 
 def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
-    pts = cfg.points if cfg.array is None else cfg.array
-    report = coupling_expectations(gzb_density(maxwell_square_baseline(), pts))
-    dw = _dw_exact(pts, 1)
-    dk = kolmogorov(pts, lambda x: cdf_pk(1, x))
+    report = coupling_expectations(gzb_density(maxwell_square_baseline(), cfg.points))
+    dw = _dw_exact(cfg.points, 1)
+    dk = kolmogorov(cfg.points, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds  # at least 2: the solver and gzb_density reject fewer atoms
     envelope = math.sqrt(math.log(n) / n)
-    return RateRow(N=n, dw=dw, dk=dk, x1=cfg.points[0], **asdict(report),
+    return RateRow(N=n, dw=dw, dk=dk, x1=cfg.shoot_param, **asdict(report),
                    ratio_dw=dw / envelope)
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -76,19 +77,39 @@ class SolveStats:
     start: str
     starts_tried: int
 
+    def summary(self) -> str:
+        """One line for an error message: the last max|G|, and the start it came from."""
+        last = f", the last of {self.starts_tried}" if self.starts_tried > 1 else ""
+        return (f"Newton reached max|G| {self.residual_history[-1]:.3g} in {self.iterations} "
+                f"iterations from the {self.start} start{last}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Configuration:
-    """Solved decreasing zero-mean world configuration; ``array`` holds its points
-    as the solver's read-only float64 array, None if it came from elsewhere."""
+    """Solved decreasing zero-mean world configuration, compared by identity; ``points``
+    is kept as a read-only float64 copy, so a caller's array is never frozen."""
 
     family: str
-    n_worlds: int
-    points: tuple
-    shoot_param: float
+    points: np.ndarray
     residuals: dict
-    stats: Optional[SolveStats] = field(default=None, compare=False)
-    array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    stats: Optional[SolveStats] = None
+
+    def __post_init__(self):
+        if self.family not in (GROUND, MAXWELL, GENERAL):
+            raise MiwValidation(f"family must be ground, maxwell or general, got {self.family!r}")
+        x = np.array(self.points, dtype=float)
+        if not x.size:
+            raise MiwValidation("a configuration needs at least one point")
+        x.flags.writeable = False
+        object.__setattr__(self, "points", x)
+
+    @property
+    def n_worlds(self) -> int:
+        return self.points.size
+
+    @property
+    def shoot_param(self) -> float:
+        return float(self.points[0])
 
 
 _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
@@ -278,7 +299,7 @@ def solve_configuration(
     Raises :class:`NonConvergence` when Newton converges from no start and
     :class:`ResidualFailure` when the mirrored configuration misses the
     recursion by more than ``residual_tol``; either carries the
-    :class:`SolveStats` as ``exc.stats``.
+    :class:`SolveStats` as ``exc.stats`` and ends its message with their summary.
     """
     if n_worlds < 2:
         raise ValueError("need at least two worlds")
@@ -286,7 +307,8 @@ def solve_configuration(
     if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
         raise ParityUnsupported(f"b(0) = 0 needs an even world count, got {n_worlds}")
 
-    def failure(exc):
+    def failure(cls, message):
+        exc = cls(f"{message}; {stats.summary()}")
         exc.stats = stats
         return exc
 
@@ -297,25 +319,19 @@ def solve_configuration(
         if converged:
             break
     else:
-        raise failure(NonConvergence(
-            f"Newton converged from none of {tried} starts ({family}, N={n_worlds})"
-        ))
+        raise failure(NonConvergence,
+                      f"Newton converged from none of {tried} starts ({family}, N={n_worlds})")
 
     on_zero = bl.near_zero_of_b(first)
     if on_zero.any():
-        raise failure(ResidualFailure(
-            f"world location {first[on_zero.argmax()]:g} lands on a zero of the baseline"
-        ))
+        raise failure(ResidualFailure, f"world location {first[on_zero.argmax()]:g} "
+                      "lands on a zero of the baseline")
     x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
-    x.flags.writeable = False
-    points = x.tolist()
 
     residual = recursion_residual(bl, x)
     if residual > residual_tol:
-        raise failure(ResidualFailure(
-            f"recursion defect {residual:.3e} exceeds {residual_tol:g} "
-            f"({family}, N={n_worlds})"
-        ))
+        raise failure(ResidualFailure, f"recursion defect {residual:.3e} exceeds "
+                      f"{residual_tol:g} ({family}, N={n_worlds})")
     residuals = {
         "max_recursion_residual": residual,
         "mean_abs": abs(float(np.cumsum(x)[-1])) / n_worlds,
@@ -324,15 +340,7 @@ def solve_configuration(
     variance = _variance_defect(bl, x)
     if variance is not None:
         residuals["variance_defect"] = variance
-    return Configuration(
-        family=family,
-        n_worlds=n_worlds,
-        points=tuple(points),
-        shoot_param=points[0],
-        residuals=residuals,
-        stats=stats,
-        array=x,
-    )
+    return Configuration(family=family, points=x, residuals=residuals, stats=stats)
 
 
 def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None) -> dict:
@@ -340,10 +348,7 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
 
     ``baseline`` is needed, and read, for the general family only.
     """
-    pts, n = cfg.points, cfg.n_worlds
-    x = np.asarray(pts, dtype=float) if cfg.array is None else cfg.array
-    if not x.size:
-        raise MiwValidation("a configuration to validate needs at least one point")
+    x, n = cfg.points, cfg.n_worlds
     bl = _baseline(cfg.family, baseline)
     with np.errstate(invalid="ignore"):  # inf - inf in the sum: NaN, as Python's sum gives
         return {
@@ -352,30 +357,28 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
             "p3_symmetry_defect": _symmetry_defect(x),
             "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),
             "recursion_residual": recursion_residual(bl, x),
-            "x1_over_sqrt_log_n": pts[0] / math.sqrt(math.log(n)) if n >= 8 else None,
+            "x1_over_sqrt_log_n": cfg.shoot_param / math.sqrt(math.log(n)) if n >= 8 else None,
         }
 
 
 def configuration_json_pieces(cfg: Configuration):
     """The configuration as ``json.dumps`` writes it, in pieces to write in order.
 
-    A positive mirror of floats, with 0.0 at the centre for odd N, formats
+    A positive mirror, with 0.0 at the centre for odd N, formats
     its first half once, in blocks of ``_JSON_BLOCK`` points, and writes its
     second half from the same strings: repr(-x) is "-" + repr(x) for x > 0.
     Any other configuration is one piece.
     """
-    pts, h, x = cfg.points, len(cfg.points) // 2, cfg.array
+    x, h = cfg.points, cfg.n_worlds // 2
     head = {"family": cfg.family, "N": cfg.n_worlds}
     tail = {"shoot_param": cfg.shoot_param, "residuals": cfg.residuals}
-    centre = list(map(repr, pts[h : len(pts) - h]))
-    if x is None and {*map(type, pts)} == {float}:
-        x = np.array(pts)
-    if x is None or centre not in ([], ["0.0"]) or not _is_positive_mirror(x):
-        yield json.dumps({**head, "points": list(pts), **tail})
+    centre = list(map(repr, x[h : x.size - h].tolist()))
+    if centre not in ([], ["0.0"]) or not _is_positive_mirror(x):
+        yield json.dumps({**head, "points": x.tolist(), **tail})
         return
     blocks, sep = [], json.dumps(head)[:-1] + ', "points": ['
     for i in range(0, h, _JSON_BLOCK):
-        blocks.append(list(map(repr, pts[i : min(i + _JSON_BLOCK, h)])))
+        blocks.append(list(map(repr, x[i : min(i + _JSON_BLOCK, h)].tolist())))
         yield sep + ", ".join(blocks[-1])
         sep = ", "
     sep = "".join(", " + c for c in centre) + ", -"
@@ -390,12 +393,31 @@ def configuration_to_json(cfg: Configuration) -> str:
     return "".join(configuration_json_pieces(cfg))
 
 
+def _is_number(v) -> bool:
+    """A JSON number that converts to a float: not a bool, nor an int past the float range."""
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+
 def configuration_from_json(text: str) -> Configuration:
+    """Read a configuration as ``configuration_to_json`` writes it.
+
+    Raises :class:`MiwValidation`, naming the field, for a document that is
+    not one; non-finite points load, for ``validate_properties`` to report.
+    """
     raw = json.loads(text)
-    return Configuration(
-        family=raw["family"],
-        n_worlds=raw["N"],
-        points=tuple(raw["points"]),
-        shoot_param=raw["shoot_param"],
-        residuals=raw["residuals"],
-    )
+    if not isinstance(raw, dict):
+        raise MiwValidation(f"a configuration is a JSON object, not a {type(raw).__name__}")
+    for key in ("family", "N", "points", "shoot_param", "residuals"):
+        if key not in raw:
+            raise MiwValidation(f"the configuration has no {key!r}")
+    pts, x1 = raw["points"], raw["shoot_param"]
+    if not (isinstance(pts, list) and pts and all(map(_is_number, pts))):
+        raise MiwValidation("'points' must be a non-empty list of numbers in the float range")
+    if not isinstance(raw["residuals"], dict):
+        raise MiwValidation("'residuals' must be an object")
+    cfg = Configuration(family=raw["family"], points=pts, residuals=raw["residuals"])
+    if type(raw["N"]) is not int or raw["N"] != cfg.n_worlds:
+        raise MiwValidation(f"'N' is {raw['N']!r}, but there are {cfg.n_worlds} points")
+    if not (_is_number(x1) and np.array_equal([float(x1)], cfg.points[:1], equal_nan=True)):
+        raise MiwValidation(f"'shoot_param' is {x1!r}, not the first point {cfg.shoot_param!r}")
+    return cfg

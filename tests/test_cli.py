@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -283,6 +284,23 @@ def test_failed_call_writes_nothing(argv, expected, tmp_path, capsys):
         code, out, err = run(capsys, *argv, *out_path)
         assert code == expected and out == "" and err.startswith("miworlds: ")
         assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("solve", "--family", "hermite-sq", "--k", "6", "--n", "8"),
+     "recursion defect 4.697e-09 exceeds 1e-09 (general, N=8)"),
+    (("solve", "--family", "monomial", "--r", "10", "--n", "100"),
+     "recursion defect 1.115e-09 exceeds 1e-09 (general, N=100)"),
+    (("solve", "--family", "hermite-sq", "--k", "20", "--n", "16"),
+     "Newton converged from none of 12 starts (general, N=16)"),
+], ids=["hermite-sq-6-8", "monomial-10-100", "hermite-sq-20-16"])
+def test_failed_solve_explains_itself_on_one_line(argv, prefix, capsys):
+    # the message keeps its text, then says how far Newton got and from where
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(re.escape(f"miworlds: numerical failure: {prefix}; ")
+                        + r"Newton reached max\|G\| \S+ in \d+ iterations from the "
+                        r"(quantile|nodal|nodal-shift) start(, the last of \d+)?\n", err), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -46,7 +46,7 @@ def test_potential_is_the_left_to_right_float_sum():
 ], ids=["maxwell-4096", "ground-65535", "hermite-sq-2-81", "monomial-4-1000"])
 def test_potential_of_solved_points_is_the_left_to_right_sum(family, n, baseline):
     cfg = solve_configuration(family, n, baseline=baseline)
-    assert potential_V(cfg.array) == left_sum(v * v for v in cfg.points)
+    assert potential_V(cfg.points) == left_sum(v * v for v in cfg.points.tolist())
 
 
 def test_interworld_ground_hand_value():
@@ -210,7 +210,7 @@ def test_bound_follows_the_polynomial_not_the_constructor(bl, family, ref):
     # b = x^2 and b = 1 built under other names: the same points and the same
     # report, Cauchy-Schwarz gap and lower bound included
     cfg = solve_configuration(GENERAL, 22, baseline=bl)
-    assert cfg.points == solve_configuration(family, 22).points
+    assert cfg.points.tobytes() == solve_configuration(family, 22).points.tobytes()
     rep = certify_minimizer(bl, cfg.points)
     assert rep == certify_minimizer(ref, cfg.points)
     assert abs(rep.cauchy_schwarz_gap) <= 1e-4

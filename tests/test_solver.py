@@ -162,9 +162,7 @@ def test_validate_general_without_baseline_raises():
 def test_validate_reports_increasing_violation():
     from miworlds.solver import Configuration
 
-    bad = Configuration(
-        family=GROUND, n_worlds=2, points=(-1.0, 1.0), shoot_param=1.0, residuals={}
-    )
+    bad = Configuration(family=GROUND, points=(-1.0, 1.0), residuals={})
     # bypass solve: hand-built increasing configuration
     rep = validate_properties(bad)
     assert rep["p4_decreasing_violation"]
@@ -180,7 +178,7 @@ def test_validate_reports_ties_as_decreasing_violations(points, violated):
 
     # a tie is not strictly decreasing, and inf - inf is nan, so neighbours
     # are compared directly rather than through their differences
-    cfg = Configuration(family=GROUND, n_worlds=4, points=points, shoot_param=1.0, residuals={})
+    cfg = Configuration(family=GROUND, points=points, residuals={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = validate_properties(cfg)
@@ -191,12 +189,13 @@ def test_validate_reports_ties_as_decreasing_violations(points, violated):
 def test_validate_rejects_a_configuration_without_points(family):
     from miworlds.solver import Configuration
 
-    cfg = Configuration(family=family, n_worlds=0, points=(), shoot_param=0.0, residuals={})
+    # the record refuses to be empty, so validation never sees one
     with pytest.raises(MiwValidation, match="at least one point"):
-        validate_properties(cfg)
-    empty = dataclasses.replace(cfg, array=np.empty(0))
+        Configuration(family=family, points=(), residuals={})
+    cfg = Configuration(family=family, points=(1.0, -1.0), residuals={})
     with pytest.raises(MiwValidation, match="at least one point"):
-        validate_properties(empty)
+        dataclasses.replace(cfg, points=np.empty(0))
+    assert validate_properties(cfg)["p3_symmetry_defect"] == 0.0
 
 
 @pytest.mark.parametrize("points, symmetry, violated", [
@@ -210,7 +209,7 @@ def test_validate_reports_non_finite_points_without_warnings(points, symmetry, v
 
     # inf - inf and a NaN point give an infinite symmetry defect, as the
     # recursion residual does, and a NaN never counts as decreasing
-    cfg = Configuration(family=GROUND, n_worlds=4, points=points, shoot_param=1.0, residuals={})
+    cfg = Configuration(family=GROUND, points=points, residuals={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = validate_properties(cfg)
@@ -278,7 +277,8 @@ def test_json_roundtrip(maxwell_configs):
     assert set(payload) == {"family", "N", "points", "shoot_param", "residuals"}
     back = configuration_from_json(text)
     assert back.stats is None and cfg.stats is not None
-    assert back == cfg
+    assert (back.family, back.residuals) == (cfg.family, cfg.residuals)
+    assert back.points.tobytes() == cfg.points.tobytes()
     assert configuration_to_json(back) == text
 
 
@@ -290,20 +290,21 @@ def test_json_writes_what_json_dumps_writes(maxwell_configs):
     mirrored += [solve_configuration(MAXWELL, n) for n in (2 * block + 2, 10002, 16 * block)]
     # odd: 0.0 at the centre, after one full block and after seven and a part
     mirrored += [solve_configuration(GROUND, n) for n in (1001, 2 * block + 1, 16 * block - 1)]
-    assert all(solver._is_positive_mirror(np.array(cfg.points)) for cfg in mirrored)
+    # integer points load as floats, so these are a mirror too, written 2.0 and -2.0
     payload = json.loads(configuration_to_json(maxwell_configs[22]))
+    mirrored.append(configuration_from_json(
+        json.dumps(dict(payload, N=4, points=[2, 1, -1.0, -2.0], shoot_param=2))))
+    assert all(solver._is_positive_mirror(cfg.points) for cfg in mirrored)
     payload["points"][3] += 1e-3
     edited = configuration_from_json(json.dumps(payload))
-    assert not solver._is_positive_mirror(np.array(edited.points))
-    # mirrored by value, but json.dumps writes the ints as 2 and the floats as -2.0
-    ints = configuration_from_json(json.dumps(dict(payload, N=4, points=[2, 1, -1.0, -2.0])))
-    for cfg in mirrored + [edited, ints]:
+    assert not solver._is_positive_mirror(edited.points)
+    for cfg in mirrored + [edited]:
         pieces = list(configuration_json_pieces(cfg))
         text = "".join(pieces)
         assert text == configuration_to_json(cfg) == json.dumps(
-            {"family": cfg.family, "N": cfg.n_worlds, "points": list(cfg.points),
+            {"family": cfg.family, "N": cfg.n_worlds, "points": cfg.points.tolist(),
              "shoot_param": cfg.shoot_param, "residuals": cfg.residuals})
-        assert configuration_from_json(text) == cfg
+        assert configuration_from_json(text).points.tobytes() == cfg.points.tobytes()
         # one piece per block of each half and one for the tail; one in all off the mirror path
         blocks = -(-(cfg.n_worlds // 2) // block)
         assert len(pieces) == (2 * blocks + 1 if cfg in mirrored else 1)
@@ -328,13 +329,13 @@ def test_mirrored_json_streams_its_blocks():
 @pytest.mark.parametrize("family, n", [(MAXWELL, 22), (GROUND, 1001)], ids=["even", "odd"])
 def test_configuration_array_is_the_read_only_points(family, n):
     cfg = solve_configuration(family, n)
-    x = cfg.array
+    x = cfg.points
     assert x.dtype == np.float64 and not x.flags.writeable
-    assert x.tolist() == list(cfg.points) and x[0] == cfg.shoot_param
+    assert x.shape == (n,) and x[0] == cfg.shoot_param
     with pytest.raises(ValueError):
         x[0] = 0.0
     # the residuals' sums add left to right, as the points' float sum does
-    assert cfg.residuals["mean_abs"] == abs(left_sum(cfg.points)) / n
+    assert cfg.residuals["mean_abs"] == abs(left_sum(x.tolist())) / n
 
 
 @pytest.mark.parametrize("family, n, baseline", [
@@ -343,24 +344,140 @@ def test_configuration_array_is_the_read_only_points(family, n):
 ], ids=["maxwell-22", "maxwell-4096", "ground-3", "ground-1001", "monomial-4-100",
         "hermite-sq-2-81"])
 def test_array_and_points_routes_agree(family, n, baseline):
-    # the solver's array only spares conversions: without it (replaced, or
-    # through JSON) the same bytes and the same report come out
+    # a configuration read back from its JSON writes the same bytes and
+    # validates to the same report as the solver's own
     cfg = solve_configuration(family, n, baseline=baseline)
     text = configuration_to_json(cfg)
     report = json.dumps(validate_properties(cfg, baseline=baseline))
-    for other in (dataclasses.replace(cfg, array=None), configuration_from_json(text)):
-        assert other.array is None and other == cfg
-        assert configuration_to_json(other) == text
-        assert json.dumps(validate_properties(other, baseline=baseline)) == report
-    assert json.loads(report)["p1_zero_mean_defect"] == abs(left_sum(cfg.points))
+    other = configuration_from_json(text)
+    assert other.points.tobytes() == cfg.points.tobytes()
+    assert configuration_to_json(other) == text
+    assert json.dumps(validate_properties(other, baseline=baseline)) == report
+    assert json.loads(report)["p1_zero_mean_defect"] == abs(left_sum(cfg.points.tolist()))
 
 
-def test_int_points_print_as_ints_and_validate_as_floats():
+def test_int_points_load_and_validate_as_floats():
     raw = {"family": GROUND, "N": 3, "points": [1, 0, -1], "shoot_param": 1, "residuals": {}}
     ints = configuration_from_json(json.dumps(raw))
     floats = dataclasses.replace(ints, points=(1.0, 0.0, -1.0))
-    assert ints.array is None and configuration_to_json(ints) == json.dumps(raw)
     assert validate_properties(ints) == validate_properties(floats)
+    assert configuration_to_json(ints) == configuration_to_json(floats)
+    assert '"points": [1.0, 0.0, -1.0]' in configuration_to_json(ints)
+
+
+def _assert_one_record(cfg, values):
+    """cfg holds ``values`` once, as a read-only float64 array."""
+    x = cfg.points
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1
+    assert not x.flags.writeable
+    assert x.tolist() == [float(v) for v in values]
+    assert cfg.n_worlds == x.size and type(cfg.n_worlds) is int
+    assert cfg.shoot_param == x[0] and type(cfg.shoot_param) is float
+    assert [f.name for f in dataclasses.fields(cfg)] == ["family", "points", "residuals", "stats"]
+
+
+def test_solved_and_loaded_configurations_hold_one_read_only_array():
+    cfg = solve_configuration(GROUND, 1001)
+    _assert_one_record(cfg, cfg.points.tolist())
+    back = configuration_from_json(configuration_to_json(cfg))
+    _assert_one_record(back, cfg.points.tolist())
+    assert back is not cfg and back != cfg  # compared by identity
+
+
+@pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "array"])
+def test_hand_built_configuration_copies_its_points(make):
+    values = [2, 1.0, -1.0, -2]
+    given = make(values)
+    cfg = solver.Configuration(family=GROUND, points=given, residuals={})
+    _assert_one_record(cfg, values)
+    if isinstance(given, np.ndarray):
+        # a caller's array is copied, never frozen
+        assert given.flags.writeable and not np.shares_memory(given, cfg.points)
+        given[0] = 5.0
+        assert cfg.points[0] == 2.0
+
+
+def test_replace_normalises_the_points_again():
+    cfg = solve_configuration(MAXWELL, 22)
+    moved = dataclasses.replace(cfg, points=[3, 1.5, -1.5, -3])
+    _assert_one_record(moved, [3.0, 1.5, -1.5, -3.0])
+    assert moved.stats is cfg.stats and moved.residuals is cfg.residuals
+    assert cfg.n_worlds == 22
+
+
+@pytest.mark.parametrize("family, n", [(MAXWELL, 4096), (GROUND, 1001)])
+def test_list_of_points_dumps_as_their_floats(family, n):
+    # json.dumps writes an np.float64 as the float it subclasses
+    cfg = solve_configuration(family, n)
+    assert json.dumps(list(cfg.points)) == json.dumps(cfg.points.tolist())
+
+
+def test_configuration_rejects_an_unknown_family():
+    with pytest.raises(MiwValidation, match="family must be ground, maxwell or general, "
+                                            "got 'hermite-sq'"):
+        solver.Configuration(family="hermite-sq", points=(1.0, -1.0), residuals={})
+
+
+_GOOD = {"family": GROUND, "N": 3, "points": [1.0, 0.0, -1.0], "shoot_param": 1.0,
+         "residuals": {}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1.0, -1.0], "a configuration is a JSON object, not a list"),
+    ("ground", "a configuration is a JSON object, not a str"),
+], ids=["list", "string"])
+def test_configuration_from_json_rejects_a_non_object(doc, message):
+    with pytest.raises(MiwValidation, match=message):
+        configuration_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", sorted(_GOOD))
+def test_configuration_from_json_names_a_missing_key(key):
+    doc = {k: v for k, v in _GOOD.items() if k != key}
+    with pytest.raises(MiwValidation, match=f"the configuration has no '{key}'"):
+        configuration_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("points", [
+    [], [[1.0], [-1.0]], [1.0, "0", -1.0], [True, False, -1.0], {"0": 1.0}, 1.0, None,
+    [10 ** 400, 0, -(10 ** 400)],
+], ids=["empty", "nested", "string", "bool", "object", "number", "null", "past-float-range"])
+def test_configuration_from_json_rejects_points_that_are_not_numbers(points):
+    with pytest.raises(MiwValidation, match="'points' must be a non-empty list of numbers"):
+        configuration_from_json(json.dumps(dict(_GOOD, points=points)))
+
+
+@pytest.mark.parametrize("n", [5, 2, 3.0, "3", True])
+def test_configuration_from_json_checks_n_against_the_points(n):
+    with pytest.raises(MiwValidation, match=r"'N' is .*, but there are 3 points"):
+        configuration_from_json(json.dumps(dict(_GOOD, N=n)))
+
+
+@pytest.mark.parametrize("x1", [7.0, -1.0, "1.0", None, 10 ** 400])
+def test_configuration_from_json_checks_shoot_param_against_the_first_point(x1):
+    with pytest.raises(MiwValidation, match=r"'shoot_param' is .*, not the first point 1.0"):
+        configuration_from_json(json.dumps(dict(_GOOD, shoot_param=x1)))
+
+
+@pytest.mark.parametrize("residuals", [[], None, 0.0], ids=["list", "null", "number"])
+def test_configuration_from_json_rejects_residuals_that_are_not_an_object(residuals):
+    with pytest.raises(MiwValidation, match="'residuals' must be an object"):
+        configuration_from_json(json.dumps(dict(_GOOD, residuals=residuals)))
+
+
+@pytest.mark.parametrize("family", ["hermite-sq", "Ground", "", None])
+def test_configuration_from_json_rejects_an_unknown_family(family):
+    with pytest.raises(MiwValidation, match="family must be ground, maxwell or general"):
+        configuration_from_json(json.dumps(dict(_GOOD, family=family)))
+
+
+def test_configuration_from_json_loads_non_finite_points_for_validation():
+    # json.dumps writes NaN and Infinity, and validate_properties reports them
+    doc = dict(_GOOD, points=[math.nan, 0.0, -math.inf], shoot_param=math.nan)
+    cfg = configuration_from_json(json.dumps(doc))
+    assert math.isnan(cfg.shoot_param) and cfg.points[-1] == -math.inf
+    rep = validate_properties(cfg)
+    assert rep["p3_symmetry_defect"] == math.inf and rep["p4_decreasing_violation"]
 
 
 def test_recursion_residual_on_exact_points():
@@ -506,9 +623,9 @@ def test_solve_stats_count_every_shot():
     ids=["hermite-sq-k4-n200", "monomial-r8-n1000"],
 )
 def test_failed_solve_keeps_its_stats(baseline, n):
-    # the solves the CLI reports as numerical failures; the message is
-    # unchanged.  Newton converged on the half-system: the excess is the
-    # forward-cumsum residual's cancellation past the midpoint.
+    # the solves the CLI reports as numerical failures; the message keeps
+    # its text and ends with the stats.  Newton converged on the half-system:
+    # the excess is the forward-cumsum residual's cancellation past the midpoint.
     with pytest.raises(ResidualFailure,
                        match=rf"recursion defect \S+ exceeds 1e-09 \(general, N={n}\)") as info:
         solve_configuration(GENERAL, n, baseline=baseline)
@@ -516,6 +633,31 @@ def test_failed_solve_keeps_its_stats(baseline, n):
     assert stats.iterations == len(stats.residual_history) - 1 >= 1
     assert stats.residual_history[-1] <= 1e-11
     assert stats.start == "quantile"
+    assert str(info.value).endswith(f"(general, N={n}); {stats.summary()}")
+
+
+def test_failure_messages_report_newtons_progress():
+    # converged half-system, failed full-sequence check
+    with pytest.raises(ResidualFailure) as info:
+        solve_configuration(GENERAL, 200, baseline=hermite_square_baseline(4))
+    assert str(info.value) == (
+        "recursion defect 3.086e-09 exceeds 1e-09 (general, N=200); "
+        "Newton reached max|G| 3.64e-12 in 6 iterations from the quantile start")
+    # at k = 12, 64 eps B(x_1) lets Newton stop at max|G| 6.47e-06, and the
+    # full sequence then misses the recursion by 87.7
+    with pytest.raises(ResidualFailure, match=r"recursion defect 8\.769e\+01 exceeds 1e-09 "
+                       r"\(general, N=16\); Newton reached max\|G\| 6\.47e-06 in \d+ "
+                       r"iterations from the quantile start$"):
+        solve_configuration(GENERAL, 16, baseline=hermite_square_baseline(12))
+    # every start failed: the message names the last of them
+    with pytest.raises(NonConvergence) as info:
+        solve_configuration(GENERAL, 16, baseline=hermite_square_baseline(20))
+    stats = info.value.stats
+    assert stats.starts_tried == 12 and stats.start == "nodal-shift"
+    assert str(info.value) == (
+        "Newton converged from none of 12 starts (general, N=16); Newton reached "
+        f"max|G| {stats.residual_history[-1]:.3g} in {stats.iterations} iterations "
+        "from the nodal-shift start, the last of 12")
 
 
 @pytest.mark.xfail(
@@ -551,6 +693,9 @@ def test_nonconvergence_keeps_its_stats(monkeypatch):
         solve_configuration(GENERAL, 12, baseline=hermite_square_baseline(2))
     assert info.value.stats.starts_tried == 4
     assert info.value.stats.iterations == 0
+    assert str(info.value).endswith("; Newton reached max|G| "
+                                    f"{info.value.stats.residual_history[0]:.3g} in 0 iterations "
+                                    "from the nodal-shift start, the last of 4")
 
 
 def _record_gtsv(monkeypatch):

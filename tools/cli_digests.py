@@ -93,6 +93,11 @@ EXTRA = [
     ["density", "--family", "maxwell", "--n", "21"],
     ["coupling", "--family", "maxwell", "--n", "21"],
     ["solve", "--family", "monomial", "--r", "302", "--n", "50"],
+    # failed solves whose messages report Newton's progress: a converged
+    # half-system over a failed full-sequence check, and the last of 12 starts
+    ["solve", "--family", "hermite-sq", "--k", "6", "--n", "8"],
+    ["solve", "--family", "hermite-sq", "--k", "20", "--n", "16"],
+    ["solve", "--family", "monomial", "--r", "10", "--n", "100"],
     ["solve", "--family", "hermite-sq", "--n", "41"],
     ["solve", "--family", "hermite-sq", "--k", "31", "--n", "4"],
     ["solve", "--family", "monomial", "--r", "3", "--n", "10"],
