@@ -66,16 +66,20 @@ class SolveStats:
     """Newton counts of one solve, to explain a slow or failed one.
 
     ``residual_history`` is max|G| of the half-system at the start and after
-    each accepted step; ``backtracks`` counts step halvings.  ``start`` is
-    ``quantile``, ``nodal`` or ``nodal-shift``: the start that converged,
-    or the last one tried.
+    each accepted step, so ``iterations`` is one less than its length;
+    ``backtracks`` counts step halvings.  ``start`` is ``quantile``,
+    ``nodal`` or ``nodal-shift``: the start that converged, or the last one
+    tried.
     """
 
-    iterations: int
     residual_history: tuple
     backtracks: int
     start: str
     starts_tried: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
 
     def summary(self) -> str:
         """One line for an error message: the last max|G|, and the start it came from."""
@@ -315,7 +319,7 @@ def solve_configuration(
     tail = 2.0 if n_worlds % 2 == 0 else 1.0
     for tried, (start, x0) in enumerate(_starts(bl, n_worlds), start=1):
         first, history, backtracks, converged = _newton(x0, bl, tail)
-        stats = SolveStats(len(history) - 1, tuple(history), backtracks, start, tried)
+        stats = SolveStats(tuple(history), backtracks, start, tried)
         if converged:
             break
     else:

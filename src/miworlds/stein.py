@@ -16,7 +16,7 @@ therefore stated in magnitude form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Callable, Sequence
 
@@ -27,7 +27,6 @@ from .zerobias import CouplingReport
 
 __all__ = [
     "TestFunction",
-    "make_test_function",
     "stein_solution",
     "supnorm_suite",
     "suite_csv_rows",
@@ -44,41 +43,32 @@ BOUND_DCHI = 7.0
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Lipschitz test function with certified constant and p_1 mean.
+    """Lipschitz test function with certified constant and its own p_1 mean.
 
     ``h`` and ``dh`` must accept numpy arrays; ``kinks`` lists the points
-    where dh jumps so integration panels can be split there.
+    where dh jumps so integration panels can be split there.  The mean
+    int u^2 h(u) phi(u) du over the truncated line is the cumulative pass
+    at t = 0 on both branches.
     """
 
     name: str
     h: Callable
     dh: Callable
     c: float
-    mean_under_p1: float
     kinks: tuple = ()
+    mean_under_p1: float = field(init=False)
+
+    def __post_init__(self):
+        kinks = tuple(float(k) for k in self.kinks)
+        zero = np.zeros(1)
+        both = (_upper_integral_grid(zero, self.h, kinks)
+                + _upper_integral_grid(zero, lambda u: self.h(-u), [-k for k in kinks]))
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "kinks", kinks)
+        object.__setattr__(self, "mean_under_p1", float(both[0]) / math.sqrt(2.0 * math.pi))
 
     def htilde(self, x):
         return self.h(x) - self.mean_under_p1
-
-
-def make_test_function(
-    name: str,
-    h: Callable,
-    dh: Callable,
-    c: float,
-    kinks: Sequence[float] = (),
-) -> TestFunction:
-    """Build a TestFunction, computing the mean under p_1 by the cumulative pass.
-
-    The mean is int u^2 h(u) phi(u) du over the truncated line: the pass at
-    t = 0 on both branches.
-    """
-    kinks = tuple(float(k) for k in kinks)
-    zero = np.zeros(1)
-    both = (_upper_integral_grid(zero, h, kinks)
-            + _upper_integral_grid(zero, lambda u: h(-u), [-k for k in kinks]))
-    mean = float(both[0]) / math.sqrt(2.0 * math.pi)
-    return TestFunction(name=name, h=h, dh=dh, c=float(c), mean_under_p1=mean, kinks=kinks)
 
 
 def _layouts(xs: np.ndarray, kinks) -> tuple:
@@ -88,15 +78,6 @@ def _layouts(xs: np.ndarray, kinks) -> tuple:
                1.0 / D - 2.0 / (D * D), 2.0 * xs * (2.0 - xs * xs) / D ** 3)
     return (pos, factors, _tail_layout(xs[pos], kinks),
             _tail_layout(-xs[~pos], [-k for k in kinks]))
-
-
-def _g0(test: TestFunction, xs: np.ndarray, layouts) -> np.ndarray:
-    """g0 on a grid from one cumulative pass per branch over its ``_layouts``."""
-    pos, _, upper, lower = layouts
-    out = np.empty_like(xs)
-    out[pos] = _tail_integrate(upper, test.htilde)
-    out[~pos] = _tail_integrate(lower, lambda u: test.htilde(-u))
-    return out
 
 
 def stein_solution(test: TestFunction, xs) -> dict:
@@ -110,9 +91,12 @@ def stein_solution(test: TestFunction, xs) -> dict:
 
 
 def _solution(test: TestFunction, xs: np.ndarray, layouts) -> dict:
-    """``stein_solution`` on float ``xs`` with their ``_layouts``."""
-    s, D, DD, sxx, tx, ax, txax, c1, A, dA = layouts[1]
-    g0 = _g0(test, xs, layouts)
+    """``stein_solution`` on float ``xs`` with their ``_layouts``: g0 from one
+    cumulative pass per branch, the rest from g0 and h."""
+    pos, (s, D, DD, sxx, tx, ax, txax, c1, A, dA), upper, lower = layouts
+    g0 = np.empty_like(xs)
+    g0[pos] = _tail_integrate(upper, test.htilde)
+    g0[~pos] = _tail_integrate(lower, lambda u: test.htilde(-u))
     ht = np.asarray(test.htilde(xs), dtype=float)
     dh = np.asarray(test.dh(xs), dtype=float)
     dg0 = xs * g0 - sxx * ht
@@ -173,21 +157,21 @@ def theorem_check(cfg, report: CouplingReport, dw: float) -> dict:
 @cache  # the suite's functions and means are fixed, so built once per process
 def fixed_suite():
     """The certified test-function suite: odd/even mix, kinked and smooth."""
-    ident = make_test_function(
+    ident = TestFunction(
         "identity",
         lambda x: np.asarray(x, dtype=float) + 0.0,
         lambda x: np.ones_like(np.asarray(x, dtype=float)),
         c=1.0,
     )
-    sine = make_test_function("sine", np.sin, np.cos, c=1.0)
-    clipped = make_test_function(
+    sine = TestFunction("sine", np.sin, np.cos, c=1.0)
+    clipped = TestFunction(
         "clipped_linear",
         lambda x: np.clip(x, -1.0, 1.0),
         lambda x: np.where(np.abs(np.asarray(x, dtype=float)) < 1.0, 1.0, 0.0),
         c=1.0,
         kinks=(-1.0, 1.0),
     )
-    taper = make_test_function(
+    taper = TestFunction(
         "gauss_taper",
         lambda x: x * np.exp(-0.25 * np.square(x)),
         lambda x: (1.0 - 0.5 * np.square(x)) * np.exp(-0.25 * np.square(x)),

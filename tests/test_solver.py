@@ -686,6 +686,23 @@ def test_monomial_r14_r16_n50_residual_gate():
         solve_configuration(GENERAL, 50, baseline=monomial_baseline(r).normalized())
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ResidualFailure,
+    reason="hermite-sq k=12 N=16: Newton's floor 64 eps B(x_1) = 9.83e-6 accepts "
+    "max|G| = 6.47e-6 after 7 iterations, and the mirrored sequence then misses "
+    "the recursion by 87.7. Of 2,464 solves that reached Newton (hermite-sq "
+    "k=0..30 and even normalized monomial r=2..40, at N=4..69, 100, 128, 200, 256 "
+    "and 1000, odd N only where b(0) > 0), 524 succeeded, every one at "
+    "max|G| <= 7.6e-10, and 779 failed the 1e-9 gate after the floor admitted "
+    "max|G| > 1e-9: the floor has only ever admitted configurations that then "
+    "failed the gate. ROADMAP item 3.",
+)
+def test_newton_floor_admits_no_failed_configuration():
+    with pytest.raises(NonConvergence):
+        solve_configuration(GENERAL, 16, baseline=hermite_square_baseline(12))
+
+
 def test_nonconvergence_keeps_its_stats(monkeypatch):
     # a failed Newton from every start raises a typed error with its counts
     monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 0)

@@ -1,17 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from miworlds.numerics import TAIL_CUTOFF, _upper_integral_grid
+from miworlds.stein import TestFunction as TF  # aliased so pytest does not collect it
 from miworlds.stein import (
     _SUP_GRID,
-    _g0,
     _layouts,
     _solution,
     _sup_layouts,
     fixed_suite,
-    make_test_function,
     stein_solution,
     suite_csv_rows,
     supnorm_suite,
@@ -28,23 +28,22 @@ DEFAULT_GRID = -8.0 + 1e-3 * np.arange(16001)
 def g0_of(tf, xs):
     """g0 through layouts built for these points."""
     xs = np.asarray(xs, dtype=float)
-    with np.errstate(invalid="ignore"):  # the x-only factors of g' and chi' at x = +-inf
-        layouts = _layouts(xs, tf.kinks)
-    return _g0(tf, xs, layouts)
+    with np.errstate(invalid="ignore"):  # g', chi and chi' at x = +-inf
+        return _solution(tf, xs, _layouts(xs, tf.kinks))["g0"]
 
 
 def _square():
-    return make_test_function(
+    return TF(
         "square", lambda x: np.square(x), lambda x: 2.0 * np.asarray(x, float), c=16.0
     )
 
 
 def test_means():
-    const = make_test_function("const", lambda x: np.full_like(np.asarray(x, float), 2.5),
-                               lambda x: np.zeros_like(np.asarray(x, float)), c=1.0)
+    const = TF("const", lambda x: np.full_like(np.asarray(x, float), 2.5),
+               lambda x: np.zeros_like(np.asarray(x, float)), c=1.0)
     cases = [
         # E |X| = 4 / sqrt(2 pi), with the kink of |x| at 0
-        (make_test_function("abs", np.abs, np.sign, c=1.0, kinks=(0.0,)),
+        (TF("abs", np.abs, np.sign, c=1.0, kinks=(0.0,)),
          4.0 / math.sqrt(2.0 * math.pi)),
         (_square(), 3.0),
         (const, 2.5),
@@ -54,6 +53,18 @@ def test_means():
     # every suite function is odd, and the two halves of the pass mirror
     for tf in SUITE:
         assert tf.mean_under_p1 == 0.0, tf.name
+
+
+def test_a_test_function_computes_its_own_mean():
+    # the mean is derived from h and kinks, never passed in; c and kinks are
+    # normalised to a float and a tuple of floats
+    tf = TF("abs", np.abs, np.sign, 1, [0])
+    assert type(tf.c) is float and tf.kinks == (0.0,) and type(tf.kinks[0]) is float
+    assert tf == TF("abs", np.abs, np.sign, 1.0, (0.0,))
+    with pytest.raises(TypeError):
+        TF("abs", np.abs, np.sign, 1.0, (0.0,), 0.0)
+    shifted = dataclasses.replace(tf, h=lambda x: np.abs(x) + 2.0)
+    assert shifted.mean_under_p1 == pytest.approx(tf.mean_under_p1 + 2.0, rel=1e-14)
 
 
 def test_dh_bounded_by_c():
@@ -73,8 +84,8 @@ def test_g0_closed_form_identity_h():
 
 
 def test_g_constant_h_is_zero():
-    const = make_test_function("const", lambda x: np.full_like(np.asarray(x, float), 1.3),
-                               lambda x: np.zeros_like(np.asarray(x, float)), c=1.0)
+    const = TF("const", lambda x: np.full_like(np.asarray(x, float), 1.3),
+               lambda x: np.zeros_like(np.asarray(x, float)), c=1.0)
     g = stein_solution(const, [-2.0, 0.1, 4.0])["g"]
     assert np.all(np.abs(g) <= 1e-10)
 
@@ -189,7 +200,7 @@ def test_supnorm_bounds(tf):
 
 SUP_KEYS = ("g", "dg", "chi", "dchi")
 OFF_KINK = 1.2345678  # not a point of the sup-norm grid
-CLIPPED_OFF_GRID = make_test_function(
+CLIPPED_OFF_GRID = TF(
     "clipped_off_grid",
     lambda x: np.clip(x, -OFF_KINK, OFF_KINK),
     lambda x: np.where(np.abs(np.asarray(x, dtype=float)) < OFF_KINK, 1.0, 0.0),

@@ -374,7 +374,11 @@ def test_near_zero_of_b_on_an_array_is_the_float_test(bl):
     "back-substitution, reads 1 + 2.82e-4 at k=30 (1 - 2.2e-9 at k=20). Summing c_n (n-1)!! in exact fractions over "
     "the same float coefficients still reads 1 + 3.74e-5 at k=30 and 1 - 7.1e-9 "
     "at k=20: the error sits in the float power-basis coefficients of He_k^2/k!, "
-    "not in the summation.",
+    "not in the summation. Rounding each coefficient correctly from exact integers "
+    "does not mend it: those coefficients equal today's up to k=17, phi_integral "
+    "then reads 1 + 1.46e-9 at k=20 and 1 - 3.07e-4 at k=30, and the exact E b(Z) "
+    "of the rounded coefficients is itself 1 - 3.37e-4 at k=30, so no float "
+    "power-basis b reaches 1e-12 there.",
 )
 def test_hermite_square_phi_integral_is_one_at_k30():
     assert abs(hermite_square_baseline(30).phi_integral - 1.0) <= 1e-12
