@@ -54,8 +54,6 @@ _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
 # points per piece of a mirrored configuration's JSON
 _JSON_BLOCK = 4096
-# max|G| within this many times B(x_1), its largest term, is rounding
-_ROUNDING = 64 * np.finfo(float).eps
 # LAPACK's tridiagonal solver, as solve_banded((1, 1), ...) calls it, unchecked and in place
 _GTSV = partial(get_lapack_funcs("gtsv", dtype=np.float64),
                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
@@ -170,18 +168,15 @@ def _newton(x, bl: Baseline, tail: float):
     auxiliary unknowns interleaved with the steps d_n, the Jacobian is
     tridiagonal.  A step is halved until the points stay strictly
     decreasing and positive with a finite G that, before convergence, has
-    a smaller max|G|.  Converged means max|G| <= 1e-9, or at the rounding
-    floor of G's terms where that is larger.  Returns the last point, the
-    max|G| history, the number of halvings and whether it converged.
+    a smaller max|G|.  Converged means max|G| <= 1e-9, the bound that
+    solve_configuration's recursion check applies to the full sequence.
+    Returns the last point, the max|G| history, the number of halvings and
+    whether it converged.
     """
     ab, rhs = np.zeros((3, 2 * x.size)), np.zeros(2 * x.size)
     with np.errstate(all="ignore"):
         G, bx, S = _half_residual(x, bl, tail)
     history, backtracks = [float(np.max(np.abs(G)))], 0
-
-    def converged():
-        return history[-1] <= max(_RESIDUAL_TOL, _ROUNDING * float(bl.B(x[0])))
-
     while math.isfinite(history[-1]) and len(history) <= _NEWTON_MAX_ITER:
         # _GTSV overwrites the band and rhs: every entry is rebuilt before each call
         with np.errstate(all="ignore"):
@@ -199,7 +194,7 @@ def _newton(x, bl: Baseline, tail: float):
         step = step[0::2]
         # A converged iterate is not damped, and steps on only while that
         # halves max|G|: below that, its steps chase rounding.
-        done = converged()
+        done = history[-1] <= _RESIDUAL_TOL
         t = 1.0
         while t >= _MIN_STEP:
             new = x + t * step
@@ -215,7 +210,7 @@ def _newton(x, bl: Baseline, tail: float):
             break
         x, (G, bx, S) = new, trial
         history.append(worst)
-    return x, history, backtracks, converged()
+    return x, history, backtracks, history[-1] <= _RESIDUAL_TOL
 
 
 def _starts(bl: Baseline, n_worlds: int):
@@ -278,18 +273,18 @@ def _is_positive_mirror(x: np.ndarray) -> bool:
                 and np.array_equal(x[::-1][: half.size], -half))
 
 
-def _symmetry_defect(x: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):  # inf - inf
-        worst = float(np.max(np.abs(x + x[::-1])))
-    return worst if math.isfinite(worst) else math.inf
-
-
-def _variance_defect(bl: Baseline, points) -> Optional[float]:
-    """|sum x^2 - (r+1)(N-1)|: b = c x^r configurations have variance
-    (r+1)(N-1)/N; None for a baseline of more than one term."""
-    if bl.exponent is None:
-        return None
-    return abs(potential_V(points) - (bl.exponent + 1) * (len(points) - 1))
+def _defects(bl: Baseline, x: np.ndarray):
+    """The recursion residual, |sum x| summed in np.cumsum order, the symmetry
+    defect max|x_i + x_{N+1-i}| (inf where it is not finite) and, for b = c x^r,
+    whose configurations have variance (r+1)(N-1)/N, |sum x^2 - (r+1)(N-1)|
+    (None for a baseline of more than one term)."""
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, as Python's sum gives
+        p1 = abs(float(np.cumsum(x)[-1]))
+        symmetry = float(np.max(np.abs(x + x[::-1])))
+        variance = (None if bl.exponent is None
+                    else abs(potential_V(x) - (bl.exponent + 1) * (x.size - 1)))
+    return (recursion_residual(bl, x), p1, symmetry if math.isfinite(symmetry) else math.inf,
+            variance)
 
 
 def solve_configuration(
@@ -300,48 +295,49 @@ def solve_configuration(
 ) -> Configuration:
     """Solve for the strictly decreasing zero-mean configuration.
 
-    Raises :class:`NonConvergence` when Newton converges from no start and
-    :class:`ResidualFailure` when the mirrored configuration misses the
-    recursion by more than ``residual_tol``; either carries the
-    :class:`SolveStats` as ``exc.stats`` and ends its message with their summary.
+    Raises :class:`NonConvergence` when Newton converges from no start, or
+    a start's inversion of the target CDF fails, and :class:`ResidualFailure`
+    when the mirrored configuration lands on a zero of b or misses the
+    recursion by more than ``residual_tol``.  Every message ends with
+    ``(family, N=n)``; a failure after Newton ends also with the summary of
+    the last run's :class:`SolveStats`, which it carries as ``exc.stats``.
+    A failed start carries None, as no Newton run belongs to it.
     """
     if n_worlds < 2:
         raise ValueError("need at least two worlds")
     bl = _baseline(family, baseline)
     if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
         raise ParityUnsupported(f"b(0) = 0 needs an even world count, got {n_worlds}")
+    stats = None
 
     def failure(cls, message):
-        exc = cls(f"{message}; {stats.summary()}")
+        exc = cls(f"{message} ({family}, N={n_worlds})" + (f"; {stats.summary()}" if stats else ""))
         exc.stats = stats
         return exc
 
     tail = 2.0 if n_worlds % 2 == 0 else 1.0
-    for tried, (start, x0) in enumerate(_starts(bl, n_worlds), start=1):
-        first, history, backtracks, converged = _newton(x0, bl, tail)
-        stats = SolveStats(tuple(history), backtracks, start, tried)
-        if converged:
-            break
-    else:
-        raise failure(NonConvergence,
-                      f"Newton converged from none of {tried} starts ({family}, N={n_worlds})")
+    try:
+        for tried, (start, x0) in enumerate(_starts(bl, n_worlds), start=1):
+            first, history, backtracks, converged = _newton(x0, bl, tail)
+            stats = SolveStats(tuple(history), backtracks, start, tried)
+            if converged:
+                break
+    except NonConvergence as exc:  # a start's inversion of the target CDF, not a Newton run
+        stats = None
+        raise failure(NonConvergence, str(exc)) from exc
+    if not converged:
+        raise failure(NonConvergence, f"Newton converged from none of {tried} starts")
 
     on_zero = bl.near_zero_of_b(first)
     if on_zero.any():
         raise failure(ResidualFailure, f"world location {first[on_zero.argmax()]:g} "
                       "lands on a zero of the baseline")
     x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
-
-    residual = recursion_residual(bl, x)
+    residual, p1, symmetry, variance = _defects(bl, x)
     if residual > residual_tol:
-        raise failure(ResidualFailure, f"recursion defect {residual:.3e} exceeds "
-                      f"{residual_tol:g} ({family}, N={n_worlds})")
-    residuals = {
-        "max_recursion_residual": residual,
-        "mean_abs": abs(float(np.cumsum(x)[-1])) / n_worlds,
-        "symmetry_defect": _symmetry_defect(x),
-    }
-    variance = _variance_defect(bl, x)
+        raise failure(ResidualFailure, f"recursion defect {residual:.3e} exceeds {residual_tol:g}")
+    residuals = {"max_recursion_residual": residual, "mean_abs": p1 / n_worlds,
+                 "symmetry_defect": symmetry}
     if variance is not None:
         residuals["variance_defect"] = variance
     return Configuration(family=family, points=x, residuals=residuals, stats=stats)
@@ -353,16 +349,15 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
     ``baseline`` is needed, and read, for the general family only.
     """
     x, n = cfg.points, cfg.n_worlds
-    bl = _baseline(cfg.family, baseline)
-    with np.errstate(invalid="ignore"):  # inf - inf in the sum: NaN, as Python's sum gives
-        return {
-            "p1_zero_mean_defect": abs(float(np.cumsum(x)[-1])),
-            "p2_variance_defect": _variance_defect(bl, x),
-            "p3_symmetry_defect": _symmetry_defect(x),
-            "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),
-            "recursion_residual": recursion_residual(bl, x),
-            "x1_over_sqrt_log_n": cfg.shoot_param / math.sqrt(math.log(n)) if n >= 8 else None,
-        }
+    residual, p1, symmetry, variance = _defects(_baseline(cfg.family, baseline), x)
+    return {
+        "p1_zero_mean_defect": p1,
+        "p2_variance_defect": variance,
+        "p3_symmetry_defect": symmetry,
+        "p4_decreasing_violation": not np.all(x[1:] < x[:-1]),
+        "recursion_residual": residual,
+        "x1_over_sqrt_log_n": cfg.shoot_param / math.sqrt(math.log(n)) if n >= 8 else None,
+    }
 
 
 def configuration_json_pieces(cfg: Configuration):

@@ -99,6 +99,13 @@ def test_monomial_exponent_beyond_float_moments_is_a_usage_error(r, capsys):
     assert f"exponent {r}" in err and "numerical failure" not in err
 
 
+def test_failed_start_exits_two_with_one_line(capsys):
+    # a start's inversion of the target CDF fails: one line naming the solve
+    code, out, err = run(capsys, "solve", "--family", "hermite-sq", "--k", "16", "--n", "1000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith(" (general, N=1000)\n")
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 1

@@ -151,6 +151,21 @@ def test_variance_identity_follows_the_polynomial(bl, maxwell_configs):
     assert validate_properties(other, hermite_square_baseline(2))["p2_variance_defect"] is None
 
 
+@pytest.mark.parametrize("family, n, baseline", [
+    (MAXWELL, 22, None), (GROUND, 21, None),
+    (GENERAL, 100, monomial_baseline(4).normalized()), (GENERAL, 82, hermite_square_baseline(2)),
+], ids=["maxwell-22", "ground-21", "monomial-4-100", "hermite-sq-2-82"])
+def test_solve_and_validate_report_the_same_defects(family, n, baseline):
+    # one routine computes both reports: every shared defect agrees bit for bit
+    cfg = solve_configuration(family, n, baseline=baseline)
+    rep, res = validate_properties(cfg, baseline), cfg.residuals
+    assert res["max_recursion_residual"] == rep["recursion_residual"]
+    assert res["mean_abs"] == rep["p1_zero_mean_defect"] / n
+    assert res["symmetry_defect"] == rep["p3_symmetry_defect"]
+    assert ("variance_defect" in res) == (rep["p2_variance_defect"] is not None)
+    assert res.get("variance_defect") == rep["p2_variance_defect"]
+
+
 def test_validate_general_without_baseline_raises():
     # the same lookup as solve_configuration, and the same message
     cfg = solve_configuration(GENERAL, 21, baseline=hermite_square_baseline(2))
@@ -643,12 +658,13 @@ def test_failure_messages_report_newtons_progress():
     assert str(info.value) == (
         "recursion defect 3.086e-09 exceeds 1e-09 (general, N=200); "
         "Newton reached max|G| 3.64e-12 in 6 iterations from the quantile start")
-    # at k = 12, 64 eps B(x_1) lets Newton stop at max|G| 6.47e-06, and the
-    # full sequence then misses the recursion by 87.7
-    with pytest.raises(ResidualFailure, match=r"recursion defect 8\.769e\+01 exceeds 1e-09 "
-                       r"\(general, N=16\); Newton reached max\|G\| 6\.47e-06 in \d+ "
-                       r"iterations from the quantile start$"):
+    # at k = 12 Newton stalls above the 1e-9 bound from every start: at max|G|
+    # 6.47e-06 from the quantile start, and at 3.9e-07 or more from the 12 after it
+    with pytest.raises(NonConvergence) as info:
         solve_configuration(GENERAL, 16, baseline=hermite_square_baseline(12))
+    assert str(info.value) == (
+        "Newton converged from none of 13 starts (general, N=16); Newton reached "
+        "max|G| 1.43e-06 in 16 iterations from the nodal-shift start, the last of 13")
     # every start failed: the message names the last of them
     with pytest.raises(NonConvergence) as info:
         solve_configuration(GENERAL, 16, baseline=hermite_square_baseline(20))
@@ -686,21 +702,53 @@ def test_monomial_r14_r16_n50_residual_gate():
         solve_configuration(GENERAL, 50, baseline=monomial_baseline(r).normalized())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ResidualFailure,
-    reason="hermite-sq k=12 N=16: Newton's floor 64 eps B(x_1) = 9.83e-6 accepts "
-    "max|G| = 6.47e-6 after 7 iterations, and the mirrored sequence then misses "
-    "the recursion by 87.7. Of 2,464 solves that reached Newton (hermite-sq "
-    "k=0..30 and even normalized monomial r=2..40, at N=4..69, 100, 128, 200, 256 "
-    "and 1000, odd N only where b(0) > 0), 524 succeeded, every one at "
-    "max|G| <= 7.6e-10, and 779 failed the 1e-9 gate after the floor admitted "
-    "max|G| > 1e-9: the floor has only ever admitted configurations that then "
-    "failed the gate. ROADMAP item 3.",
-)
 def test_newton_floor_admits_no_failed_configuration():
+    # Newton accepts only max|G| <= 1e-9, the bound of the full-sequence check
     with pytest.raises(NonConvergence):
         solve_configuration(GENERAL, 16, baseline=hermite_square_baseline(12))
+
+
+@pytest.mark.parametrize("k", [16, 22])
+def test_failed_start_names_the_family_and_n(k):
+    # inverting the target CDF for a start fails at N = 1000: the error names
+    # the solve, and carries no stats, as no Newton run belongs to that start
+    with pytest.raises(NonConvergence) as info:
+        solve_configuration(GENERAL, 1000, baseline=hermite_square_baseline(k))
+    assert str(info.value).endswith("(general, N=1000)")
+    assert info.value.stats is None
+
+
+def test_zero_of_b_failure_names_the_solve(monkeypatch):
+    # a converged half-system with a world on the zero x = 1 of b = (x^2 - 1)^2 / 2
+    on_zero = (np.array([2.0, 1.0]), [0.0], 0, True)
+    monkeypatch.setattr(solver, "_newton", lambda x, bl, tail: on_zero)
+    with pytest.raises(ResidualFailure) as info:
+        solve_configuration(GENERAL, 4, baseline=hermite_square_baseline(2))
+    assert str(info.value) == (
+        "world location 1 lands on a zero of the baseline (general, N=4); "
+        "Newton reached max|G| 0 in 0 iterations from the quantile start")
+
+
+def _poly_exact(coef, x):
+    return sum(Fraction(c) * x ** j for j, c in enumerate(coef))
+
+
+@pytest.mark.parametrize("k, n", [(9, 6), (10, 4)])
+def test_nodal_shift_start_solves_below_the_gate(k, n):
+    # Newton stalls above 1e-9 from the quantile and nodal starts and solves
+    # from the first nodal shift; the recursion defect in exact arithmetic on
+    # the returned floats, with b and B from the baseline's float coefficients,
+    # meets the gate
+    bl = hermite_square_baseline(k)
+    cfg = solve_configuration(GENERAL, n, baseline=bl)
+    assert cfg.stats.start == "nodal-shift"
+    x = [Fraction(v) for v in cfg.points.tolist()]
+    B = bl.b_poly.integ().coef
+    S, worst = Fraction(0), Fraction(0)
+    for a, c in zip(x, x[1:]):
+        S += a / _poly_exact(bl.b_poly.coef, a)
+        worst = max(worst, abs(_poly_exact(B, c) - _poly_exact(B, a) + 1 / S))
+    assert worst <= Fraction(1, 10 ** 9)
 
 
 def test_nonconvergence_keeps_its_stats(monkeypatch):

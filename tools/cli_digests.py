@@ -98,6 +98,10 @@ EXTRA = [
     ["solve", "--family", "hermite-sq", "--k", "6", "--n", "8"],
     ["solve", "--family", "hermite-sq", "--k", "20", "--n", "16"],
     ["solve", "--family", "monomial", "--r", "10", "--n", "100"],
+    # Newton stops at the recursion gate's 1e-9 and so tries all 13 starts; a
+    # start whose inversion of the target CDF fails names the family and N
+    ["solve", "--family", "hermite-sq", "--k", "12", "--n", "16"],
+    ["solve", "--family", "hermite-sq", "--k", "16", "--n", "1000"],
     ["solve", "--family", "hermite-sq", "--n", "41"],
     ["solve", "--family", "hermite-sq", "--k", "31", "--n", "4"],
     ["solve", "--family", "monomial", "--r", "3", "--n", "10"],
