@@ -121,7 +121,8 @@ class Baseline:
     b(x) phi(x) / m (``target_cdf``, ``target_pdf``).
     ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
     inverted in closed form on one term, and by bracketed Newton otherwise.
-    ``integrals`` integrates b, x b and b/x over pieces on one side of 0.
+    ``integrals`` integrates b, x b and b/x between neighbouring points on
+    one side of 0.
     The coefficients of ``b_poly`` are read-only, so a baseline can be shared.
     """
 
@@ -142,12 +143,17 @@ class Baseline:
             raise MiwValidation(f"E[Z^{top}] = {top - 1}!! overflows a float: "
                                 f"exponent {top} is too large")
         put(self, "phi_integral", m)
+        put(self, "_zeros", np.array(self.zeros_of_b, dtype=float))
+        self._zeros.flags.writeable = False
         put(self, "_Q", _horner(Q[: max(c.size - 1, 1)]))
         coef = [float(v) for v in c]
         put(self, "b", _horner(coef))
         db = self.b_poly.deriv().coef
         put(self, "db", _horner(db))
         put(self, "B", _horner(self.b_poly.integ().coef))
+        # the primitives of x b and (b - b(0))/x, zero at 0, for ``integrals``
+        put(self, "_xb", _horner(np.concatenate(([0.0, 0.0], c / np.arange(2, c.size + 2)))))
+        put(self, "_bx", _horner(np.concatenate(([0.0], c[1:] / np.arange(1, c.size)))))
         put(self, "_P", _horner(_inverse_stein_poly(-db)))  # P' - xP = -b', for the kernel
         # b = c x^r: B = c x^(r+1) / (r+1) inverts as sign(y) |(r+1) y / c|^(1/(r+1))
         terms = [r for r, c in enumerate(coef) if c != 0.0]
@@ -171,26 +177,26 @@ class Baseline:
         scale, power = self._root
         return np.clip(np.sign(y) * np.abs(scale * y) ** power, lo, hi)
 
-    def integrals(self, p, q):
-        """The integrals of b, x b and b/x over [p, q], elementwise, for
-        pieces on one side of 0.
+    def integrals(self, x):
+        """The integrals of b, x b and b/x over the pieces [x_i, x_{i+1}]
+        between neighbouring points x (along the last axis), each on one
+        side of 0.
 
         x b and (b - b(0))/x are polynomials, integrated term by term from
-        the coefficients of b; b(0)/x adds b(0) log|q/p|, which is infinite
-        on a piece with an end at 0 when b(0) > 0.
+        the coefficients of b, and each primitive is evaluated once per
+        point; b(0)/x adds b(0) log|x_{i+1}/x_i|, which is infinite on a
+        piece with an end at 0 when b(0) > 0.
         """
-        c = self.b_poly.coef
-        xb = _horner(np.concatenate(([0.0, 0.0], c / np.arange(2, c.size + 2))))
-        bx = _horner(np.concatenate(([0.0], c[1:] / np.arange(1, c.size))))
-        ibx = bx(q) - bx(p)
-        if c[0] != 0.0:
+        ib, ixb, ibx = (v[..., 1:] - v[..., :-1] for v in (self.B(x), self._xb(x), self._bx(x)))
+        b0 = self.b_poly.coef[0]
+        if b0 != 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                ibx = ibx + c[0] * np.log(np.abs(q) / np.abs(p))
-        return self.B(q) - self.B(p), xb(q) - xb(p), ibx
+                ibx = ibx + b0 * np.log(np.abs(x[..., 1:]) / np.abs(x[..., :-1]))
+        return ib, ixb, ibx
 
     def near_zero_of_b(self, x, tol: float = 1e-8):
         """Whether x (a float, or elementwise an array) lies within tol of a zero of b."""
-        return np.any(np.abs(np.subtract.outer(x, self.zeros_of_b)) < tol, axis=-1)
+        return (np.abs(np.subtract.outer(x, self._zeros)) < tol).any(axis=-1)
 
     def target_cdf(self, t):
         """CDF Phi + Q phi / m of the target law b phi / m, exactly."""
@@ -242,8 +248,9 @@ def pdf_pk(k: int, x):
     return he * he * phi(x) / math.factorial(k)
 
 
-def _cdf_and_integral(k: int, x):
-    """(F_k(x), A_k(x)) for the CDF F_k of p_k and A_k(x) = int_{-inf}^x F_k.
+def _cdf_and_integral(k: int, x, integral: bool = True):
+    """(F_k(x), A_k(x)) for the CDF F_k of p_k and A_k(x) = int_{-inf}^x F_k,
+    or (F_k(x), None) without ``integral``.
 
     F_m = F_{m-1} - He_{m-1} He_m phi / m! telescopes up from F_0 = Phi.
     The terms are formed from psi_m = He_m sqrt(phi / m!), which stay O(1);
@@ -254,18 +261,19 @@ def _cdf_and_integral(k: int, x):
     _check_order(k)
     x = np.asarray(x, dtype=float)
     F = normal_cdf(x)
-    A = x * F + phi(x)
+    A = x * F + phi(x) if integral else None
     psi_prev, psi = 0.0, np.exp(-0.25 * np.square(x)) / math.sqrt(SQRT_2PI)
     for m in range(1, k + 1):
         psi_prev, psi = psi, (x * psi - math.sqrt(m - 1) * psi_prev) / math.sqrt(m)
         F = F - psi_prev * psi / math.sqrt(m)
-        A = (2 * m * A - x * F - psi * psi) / (2 * m - 1)
+        if integral:
+            A = (2 * m * A - x * F - psi * psi) / (2 * m - 1)
     return F, A
 
 
 def cdf_pk(k: int, x):
     """CDF of p_k in closed form (scalar or array)."""
-    F = _cdf_and_integral(k, x)[0]
+    F = _cdf_and_integral(k, x, integral=False)[0]
     return F if np.ndim(x) else float(F)
 
 

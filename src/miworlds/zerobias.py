@@ -90,13 +90,16 @@ class PiecewiseDensity:
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("quantile argument must lie in (0, 1]")
-        xs, cs, cum, Bx = self.x, self.c, self.cum, self.Bx
-        i = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, cs.size - 1)
-        lo, hi = xs[i], xs[i + 1]
-        inner = u < cum[i + 1]
-        target = Bx[i] + np.where(inner, u - cum[i], 0.0) / cs[i]
-        out = np.where(inner, self.baseline.Binv_within(target, lo, hi), hi)
+        cum = self.cum
+        i = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, self.c.size - 1)
+        inner = u < cum[i + 1]  # else u is the gap's top level: its upper breakpoint
+        out = np.where(inner, self._within(np.where(inner, u, cum[i]), i), self.x[i + 1])
         return out if out.ndim else float(out)
+
+    def _within(self, u, i):
+        """The quantile at levels u inside the CDF range of gap i, by B^{-1}."""
+        target = self.Bx[i] + (u - self.cum[i]) / self.c[i]
+        return self.baseline.Binv_within(target, self.x[i], self.x[i + 1])
 
 
 def _check_decreasing(x: np.ndarray, at_least: int = 1):
@@ -167,40 +170,46 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     """Exact expectation terms under the comonotone (quantile) coupling.
 
     W is uniform on the density's breakpoints, the atoms, and W* follows
-    ``density``; the unit interval is partitioned by both quantile
-    functions' breakpoints.  On each cell W is one atom a and W* runs over
-    [x0, x1] inside one density interval, the gap between two neighbouring
-    atoms, so a is never strictly inside the cell.  The cell is cut only at
-    0, and on each of its two pieces a - x and x keep their signs; the
-    baseline integrates b, x b and b/x over every piece of every cell at
-    once, in closed form.
+    ``density``; the unit interval is cut at both laws' levels, the atom
+    levels j/N and the gap levels ``cum``, in one merged grid.  On each cell
+    W is one atom a and W* runs over [x0, x1] inside one gap between
+    neighbouring atoms, so a is never strictly inside the cell.  At a gap
+    level x1 is that gap's breakpoint; B is inverted only at atom levels.
+    The cells are contiguous, and only the one across 0 is cut, so on each
+    piece a - x and x keep their signs; the baseline integrates b, x b and
+    b/x over all pieces at once, in closed form.
     """
     atoms = density.x
-    if np.any(atoms == 0.0):
+    if (atoms == 0.0).any():
         raise AtomAtZero("reciprocal terms undefined for an atom at zero")
     n = atoms.size
-    atom_cum = np.arange(1, n + 1) / n
-    star_cum = density.cum[1:]
-
-    u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
-    um = 0.5 * (u[:-1] + u[1:])
-    a = atoms[np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
-    c = density.c[np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)]
-    # the density quantile at the cell edges; the cells are contiguous, so
-    # each starts where the one below it ends
-    x1 = density.quantile(u[1:])
-    x0 = np.append(atoms[0], x1[:-1])
-    x1 = np.maximum(x1, x0)
-    zero = np.clip(0.0, x0, x1)
-    p, q = np.stack((x0, zero)), np.stack((zero, x1))
-    ib, ixb, ibx = density.baseline.integrals(p, q)
-    e1 = np.sum(c * np.abs(a * ib - ixb), axis=0)
-    e3 = np.sum(c * np.where(q > p, np.abs(ib / a - ibx), 0.0), axis=0)
+    # one stable merge: on a tie the gap level comes first and ends the
+    # cell, and the atom level after it ends none
+    levels = np.concatenate((density.cum[1:], np.arange(1, n + 1) / n))
+    order = levels.argsort(kind="stable")
+    u, at_atom = levels[order], order >= n - 1
+    ends = (u > np.concatenate(([0.0], u[:-1]))).nonzero()[0]
+    # the atom and gap levels below a cell's upper edge count its atom and gap
+    ia = (at_atom.cumsum() - at_atom)[ends]
+    ig = ends - ia
+    a, c, x1 = atoms[ia], density.c[ig], atoms[ig + 1]
+    inner = at_atom[ends]
+    x1[inner] = density._within(u[ends[inner]], ig[inner])
+    # the cell edges, x0 of each the x1 below it; a cell across 0 is cut there
+    x = np.concatenate(([atoms[0]], x1))
+    cut = ((x[:-1] < 0.0) & (x[1:] > 0.0)).nonzero()[0]
+    x = np.insert(x, cut + 1, 0.0)
+    cell = np.insert(np.arange(a.size), cut, cut)  # the cell of each piece
+    ib, ixb, ibx = density.baseline.integrals(x)
+    up = x[1:] > x[:-1]  # a cell whose x1 falls below its x0 is empty
+    # a cut cell adds its two pieces, in order
+    e1 = np.bincount(cell, np.where(up, c[cell] * np.abs(a[cell] * ib - ixb), 0.0))
+    e3 = np.bincount(cell, np.where(up, c[cell] * np.abs(ib / a[cell] - ibx), 0.0))
     abs_a = np.abs(a)
-    e_abs = float(np.sum(e1))
-    e_wabs = float(np.sum(abs_a * e1))
-    e_inv = float(np.sum(e3))
-    e_ratio = float(np.sum(e1 / abs_a))
+    e_abs = float(e1.sum())
+    e_wabs = float((abs_a * e1).sum())
+    e_inv = float(e3.sum())
+    e_ratio = float((e1 / abs_a).sum())
     rhs = (
         LAMBDA_1 * e_abs
         + LAMBDA_2 * e_wabs

@@ -4,9 +4,11 @@ The library computes these quantities in closed form or on a grid; most
 functions here integrate the defining formulas directly by adaptive
 quadrature, as an independent second route.  ``coupling_cells`` inverts
 the density CDF at both edges of each coupling cell on its own, a second
-route to the cells that ``coupling_expectations`` takes from one
-``PiecewiseDensity.quantile`` call; ``coupling_two_sided`` integrates them
-cut at 0 and at the cell's atom.  ``step_cdf`` is the CDF of the uniform
+route to the cells that ``coupling_expectations`` takes from one merge of
+the two laws' level grids; ``coupling_two_sided`` integrates them cut at 0
+and at the cell's atom.  ``coupling_unique_midpoints`` finds the same cells
+by ``np.unique`` of the levels and searches at the cell midpoints, and
+integrates two pieces per cell.  ``step_cdf`` is the CDF of the uniform
 law on a set of atoms, for the quadrature route to d_W.  ``left_sum`` adds
 floats one at a time from the left, the order the library's sums keep.
 ``csv_text`` builds a CSV table as one string from a list of dicts, a second
@@ -125,9 +127,8 @@ def coupling_two_sided(density) -> CouplingReport:
     bp = density.baseline.b_poly
     a, c, x0, x1 = coupling_cells(density)
     cuts = (x0, np.clip(np.minimum(a, 0.0), x0, x1), np.clip(np.maximum(a, 0.0), x0, x1), x1)
-    x = Polynomial([0.0, 1.0])
     b0 = float(bp.coef[0])
-    prims = (bp.integ(), (bp * x).integ(), ((bp - b0) // x).integ())
+    prims = _primitives(bp)
     e1 = e3 = 0.0
     for p, q in zip(cuts[:-1], cuts[1:]):
         ib, ixb, ibx = (prim(q) - prim(p) for prim in prims)
@@ -136,6 +137,47 @@ def coupling_two_sided(density) -> CouplingReport:
                 ibx = ibx + b0 * np.log(np.abs(q) / np.abs(p))
         e1 = e1 + c * np.abs(a * ib - ixb)
         e3 = e3 + c * np.where(q > p, np.abs(ib / a - ibx), 0.0)
+    return _report(a, e1, e3)
+
+
+def coupling_unique_midpoints(density) -> CouplingReport:
+    """``miworlds.zerobias.coupling_expectations`` with the cell levels from
+    ``np.unique``, each cell's atom and gap by ``searchsorted`` on the cell
+    midpoints, every upper edge by the full ``PiecewiseDensity.quantile``,
+    and each cell cut at 0 into two pieces whose both ends evaluate the
+    primitives, taken by Polynomial arithmetic on the baseline."""
+    atoms = density.x
+    n = atoms.size
+    atom_cum = np.arange(1, n + 1) / n
+    star_cum = density.cum[1:]
+    u = np.unique(np.concatenate(([0.0], atom_cum, star_cum)))
+    um = 0.5 * (u[:-1] + u[1:])
+    a = atoms[np.minimum(np.searchsorted(atom_cum, um, side="left"), n - 1)]
+    c = density.c[np.minimum(np.searchsorted(star_cum, um, side="left"), n - 2)]
+    x1 = density.quantile(u[1:])
+    x0 = np.append(atoms[0], x1[:-1])
+    x1 = np.maximum(x1, x0)
+    zero = np.clip(0.0, x0, x1)
+    p, q = np.stack((x0, zero)), np.stack((zero, x1))
+    ib, ixb, ibx = (prim(q) - prim(p) for prim in _primitives(density.baseline.b_poly))
+    b0 = float(density.baseline.b_poly.coef[0])
+    if b0 != 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ibx = ibx + b0 * np.log(np.abs(q) / np.abs(p))
+    e1 = np.sum(c * np.abs(a * ib - ixb), axis=0)
+    e3 = np.sum(c * np.where(q > p, np.abs(ib / a - ibx), 0.0), axis=0)
+    return _report(a, e1, e3)
+
+
+def _primitives(bp):
+    """The primitives of b, x b and (b - b(0))/x, zero at 0, of the Polynomial b."""
+    x = Polynomial([0.0, 1.0])
+    return bp.integ(), (bp * x).integ(), ((bp - float(bp.coef[0])) // x).integ()
+
+
+def _report(a, e1, e3) -> CouplingReport:
+    """The report of per-cell atoms ``a`` and terms ``e1`` = E|a - W*| and
+    ``e3`` = E|1/a - 1/W*| over each cell."""
     abs_a = np.abs(a)
     e_abs = float(np.sum(e1))
     e_wabs = float(np.sum(abs_a * e1))

@@ -13,6 +13,7 @@ from miworlds.targets import (
     SQRT_2PI,
     Baseline,
     KernelValue,
+    _cdf_and_integral,
     _inverse_stein_poly,
     cdf_pk,
     cdf_pk_grid,
@@ -254,7 +255,8 @@ _INTEGRAL_CASES = {
 @pytest.mark.parametrize("bl", _INTEGRAL_CASES.values(), ids=_INTEGRAL_CASES)
 def test_integrals_are_the_polynomial_antiderivatives(bl):
     # int b, int x b and int b/x = int (b - b(0))/x + b(0) log|q/p| by
-    # Polynomial arithmetic, bit for bit, and by quadrature to 1e-12
+    # Polynomial arithmetic, bit for bit, and by quadrature to 1e-12; the
+    # pieces [p, q] are the rows of a two-point array
     bp = bl.b_poly
     b0 = float(bp.coef[0])
     x = Polynomial([0.0, 1.0])
@@ -263,9 +265,13 @@ def test_integrals_are_the_polynomial_antiderivatives(bl):
     q = np.array([-1.0, -0.3, -0.1, 0.5, 1.7, 3.0])
     want = [prim(q) - prim(p) for prim in prims]
     want[2] = want[2] + b0 * np.log(np.abs(q) / np.abs(p))
-    got = bl.integrals(p, q)
+    got = [v[:, 0] for v in bl.integrals(np.stack((p, q), axis=-1))]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+    # neighbouring pieces of one array of points share their common end
+    chained = bl.integrals(np.array([-2.5, -1.0, -0.3, -0.1]))
+    for g, w in zip(chained, got):
+        assert np.array_equal(g, w[:3])
     for f, g in zip((bl.b, lambda t: t * bl.b(t), lambda t: bl.b(t) / t), got):
         quad = [integrate_adaptive(lambda t: float(f(t)), lo, hi) for lo, hi in zip(p, q)]
         assert np.allclose(g, quad, rtol=1e-12, atol=0.0)
@@ -281,7 +287,7 @@ def test_integral_of_b_over_x_on_pieces_ending_at_zero(bl, below, above):
     # b/x is integrable at 0 exactly when b(0) = 0; no warning either way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ibx = bl.integrals(np.array([-1.0, 0.0]), np.array([0.0, 1.0]))[2]
+        ibx = bl.integrals(np.array([-1.0, 0.0, 1.0]))[2]
     assert ibx.tolist() == pytest.approx([below, above], rel=1e-15)
 
 
@@ -366,6 +372,39 @@ def test_near_zero_of_b_on_an_array_is_the_float_test(bl):
         per_x = [bool(bl.near_zero_of_b(x, tol)) for x in xs.tolist()]
         assert on_zero.tolist() == per_x
         assert per_x == [any(abs(x - v) < tol for v in bl.zeros_of_b) for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("bl", [ground_baseline(), maxwell_square_baseline(),
+                                hermite_square_baseline(4), hermite_square_baseline(7)],
+                         ids=["no-zero", "one-zero", "four-zeros", "seven-zeros"])
+def test_near_zero_of_b_keeps_its_results_types_and_shapes(bl):
+    # the zeros are held once, as a read-only array; the answers, their
+    # types and their shapes are those of the per-call tuple conversion
+    assert not bl._zeros.flags.writeable and bl._zeros.tolist() == list(bl.zeros_of_b)
+    z = np.array(bl.zeros_of_b)
+    grid = np.concatenate((np.linspace(-3.0, 3.0, 13), z, z + 5e-9, z - 2e-8))
+    inputs = [0.0, 0.3, *z.tolist(), np.float64(0.3), np.asarray(0.0), np.asarray(0.7),
+              grid, grid[: grid.size // 2 * 2].reshape(2, -1), grid[:0]]
+    for x in inputs:
+        for tol in (1e-8, 0.05):
+            got = bl.near_zero_of_b(x, tol)
+            want = np.any(np.abs(np.subtract.outer(x, bl.zeros_of_b)) < tol, axis=-1)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+def test_cdf_pk_is_the_cdf_of_the_cdf_and_integral_pass():
+    # F_k alone runs the same psi recurrence, so it keeps every bit, also
+    # at the infinities and on Python floats, where it returns a float
+    grid = np.concatenate(([-math.inf, -40.0], np.linspace(-9.0, 9.0, 181), [40.0, math.inf]))
+    for k in range(MAX_ORDER + 1):
+        with np.errstate(invalid="ignore"):
+            F = _cdf_and_integral(k, grid)[0]
+            assert cdf_pk(k, grid).tobytes() == F.tobytes()
+            for x in (-math.inf, -2.5, 0.0, 1e-3, 3.75, math.inf):
+                got = cdf_pk(k, x)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(_cdf_and_integral(k, x)[0]).tobytes()
 
 
 @pytest.mark.xfail(

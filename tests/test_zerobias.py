@@ -23,12 +23,20 @@ from miworlds.targets import (
     monomial_baseline,
 )
 from miworlds.zerobias import (
+    CouplingReport,
+    _density,
     coupling_expectations,
     fixed_point_defect,
     gzb_density,
     histogram_density,
 )
-from reference import coupling_cells, coupling_terms_mpmath, coupling_two_sided, step_cdf
+from reference import (
+    coupling_cells,
+    coupling_terms_mpmath,
+    coupling_two_sided,
+    coupling_unique_midpoints,
+    step_cdf,
+)
 
 BL = maxwell_square_baseline()
 
@@ -195,17 +203,104 @@ def _assert_terms_match_mpmath(bl, pts):
         assert 0 < value < math.inf and abs(got[key] - value) <= 1e-12 * value, key
 
 
-@given(st.sampled_from([BL, monomial_baseline(4).normalized()]),
-       st.floats(0.2, 1.0), st.lists(st.floats(0.05, 1.0), max_size=5))
+# symmetric atoms, none at 0, N = 2 (1 + len(gaps)) <= 12: the positive
+# half rises from ``inner`` by the gaps
+_RANDOM_ATOMS = (st.sampled_from([BL, monomial_baseline(4).normalized()]),
+                 st.floats(0.2, 1.0), st.lists(st.floats(0.05, 1.0), max_size=5))
+
+
+def _symmetric_atoms(inner, gaps):
+    half = np.cumsum([inner, *gaps])[::-1]
+    return np.concatenate((half, -half[::-1]))
+
+
+@given(*_RANDOM_ATOMS)
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_coupling_terms_match_the_mpmath_route_on_random_atoms(bl, inner, gaps):
-    # symmetric atoms, none at 0, N = 2 (1 + len(gaps)) <= 12: the positive
-    # half rises from ``inner`` by the gaps.  Nearer 0 than 0.2 the x^4
-    # quantile loses digits (the strict xfail below).  The worst relative
-    # error measured over 400 random cases is 2.3e-13 (e_inv, x^4).
+    # Nearer 0 than 0.2 the x^4 quantile loses digits (the strict xfail
+    # below).  The worst relative error measured over 400 random cases is
+    # 2.3e-13 (e_inv, x^4).
     pytest.importorskip("mpmath")
-    half = np.cumsum([inner, *gaps])[::-1]
-    _assert_terms_match_mpmath(bl, np.concatenate((half, -half[::-1])))
+    _assert_terms_match_mpmath(bl, _symmetric_atoms(inner, gaps))
+
+
+def _assert_bit_identical(got: CouplingReport, want: CouplingReport):
+    # float.hex tells -0.0 from 0.0, where == does not
+    assert {k: v.hex() for k, v in asdict(got).items()} == {
+        k: v.hex() for k, v in asdict(want).items()}
+
+
+@pytest.mark.parametrize("family, k, n", [
+    ("maxwell", None, 2), ("maxwell", None, 4), ("maxwell", None, 22), ("maxwell", None, 64),
+    ("maxwell", None, 4096), ("hermite-sq", 2, 82), ("hermite-sq", 3, 40),
+    ("hermite-sq", 4, 40), ("monomial", 4, 100), ("ground", None, 64),
+])
+def test_coupling_equals_the_unique_midpoint_route(family, k, n):
+    # the merged level grid, the breakpoint at every gap level and one
+    # evaluation of each primitive per cell edge give, bit for bit, the
+    # report of np.unique, midpoint searches, the full quantile and two
+    # pieces per cell; hermite-sq k=2 has b(0) > 0 and an infinite e_inv
+    solve_family = {"maxwell": MAXWELL, "ground": GROUND}.get(family, GENERAL)
+    bl = (BL if family == "maxwell" else ground_baseline() if family == "ground"
+          else hermite_square_baseline(k) if family == "hermite-sq"
+          else monomial_baseline(k).normalized())
+    density = gzb_density(bl, solve_configuration(solve_family, n, baseline=bl).points)
+    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+
+
+@given(*_RANDOM_ATOMS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_coupling_equals_the_unique_midpoint_route_on_random_atoms(bl, inner, gaps):
+    # both level grids end at 1, and N = 2 has no other level: ties
+    density = gzb_density(bl, _symmetric_atoms(inner, gaps))
+    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+
+
+@pytest.mark.parametrize("bl", [BL, ground_baseline(), hermite_square_baseline(2)],
+                         ids=["maxwell", "ground", "hermite-sq-2"])
+def test_coupling_equals_the_unique_midpoint_route_on_tied_levels(bl):
+    # gap masses of 1/8 and 1/4 put every gap level but 1/2 on an atom level
+    x = np.array([3.5, 2.5, 1.5, 0.5, -0.5, -1.5, -2.5, -3.5])
+    masses = np.array([1, 1, 1, 2, 1, 1, 1]) / 8
+    Bx = bl.B(x)
+    density = _density(bl, x, masses / (Bx[:-1] - Bx[1:]), masses, Bx)
+    assert np.array_equal(density.cum, [0, 1 / 8, 2 / 8, 3 / 8, 5 / 8, 6 / 8, 7 / 8, 1])
+    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+
+
+@pytest.mark.parametrize("bl, n", [(BL, 64), (hermite_square_baseline(2), 82)],
+                         ids=["maxwell-64", "hermite-sq-2-82"])
+def test_coupling_equals_the_unique_midpoint_route_on_a_jittery_inversion(bl, n):
+    # an inversion that is not monotone leaves cells whose upper edge falls
+    # below their lower one; both routes count them as empty.  The jitter is
+    # a function of (u, i) alone, so both routes see the same edges.
+    family = MAXWELL if bl is BL else GENERAL
+    density = gzb_density(bl, solve_configuration(family, n, baseline=bl).points)
+    within = density._within
+
+    def jittery(u, i):
+        return within(u, i) - (density.x[i + 1] - density.x[i]) * np.sin(3e3 * u) ** 2
+
+    object.__setattr__(density, "_within", jittery)
+    x1 = density.quantile(np.arange(1, n + 1) / n)
+    assert np.any(x1[1:] < x1[:-1])
+    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+
+
+def test_quantile_at_every_gap_level_is_the_breakpoint():
+    # the merged coupling takes a cell that ends at a gap level to end at
+    # the gap's breakpoint, without inverting B there
+    cases = [(BL, solve_configuration(MAXWELL, n).points) for n in (2, 22, 4096)]
+    for k, n in ((2, 82), (3, 40), (4, 40)):
+        bl = hermite_square_baseline(k)
+        cases.append((bl, solve_configuration(GENERAL, n, baseline=bl).points))
+    bl = monomial_baseline(4).normalized()
+    cases.append((bl, solve_configuration(GENERAL, 100, baseline=bl).points))
+    cases.append((BL, (2.1, 1.3, 0.7, 0.01, -0.01, -0.7, -1.3, -2.1)))
+    for bl, pts in cases:
+        for d in (gzb_density(bl, pts), histogram_density(pts)):
+            assert d.quantile(d.cum[1:]).tobytes() == d.x[1:].tobytes()
+            assert [d.quantile(float(u)) for u in d.cum[1:]] == d.x[1:].tolist()
 
 
 @pytest.mark.xfail(

@@ -57,6 +57,12 @@ EXTRA = [
     # b(0) = 3/8 > 0: the reciprocal term on the cell that ends at 0
     ["coupling", "--family", "hermite-sq", "--k", "4", "--n", "40"],
     ["coupling", "--n", "65536"],
+    # the certificate at sizes the workloads never reach: N = 2^14 and 2^16 in
+    # one sweep, the x^4 baseline at N = 4096, and b(0) > 0 (k = 2) at N = 1000
+    ["rates", "--n-list", "16384", "65536"],
+    ["coupling", "--family", "monomial", "--r", "4", "--n", "4096"],
+    ["coupling", "--family", "hermite-sq", "--k", "3", "--n", "400"],
+    ["coupling", "--family", "hermite-sq", "--k", "2", "--n", "1000"],
     ["density", "--n", "22", "--out", "json"],
     ["rates", "--n-list", "8", "16", "32", "--out", "json"],
     # b = x^2 under other family names
