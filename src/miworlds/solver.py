@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +54,11 @@ _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
 # points per piece of a mirrored configuration's JSON
 _JSON_BLOCK = 4096
+# 10^s, exact for s <= 22, and its high half by Veltkamp's split with 2^27 + 1
+_SPLIT, _P10 = 134217729.0, 10.0 ** np.arange(23)
+_P10_HI = _P10 * _SPLIT - (_P10 * _SPLIT - _P10)
+# the doubles nearest 1e-4, ..., 1e16; those below 1 lie above the powers they round
+_DECADES = np.concatenate((1.0 / _P10[4:0:-1], _P10[:17]))
 # LAPACK's tridiagonal solver, as solve_banded((1, 1), ...) calls it, unchecked and in place
 _GTSV = partial(get_lapack_funcs("gtsv", dtype=np.float64),
                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
@@ -360,6 +365,71 @@ def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None)
     }
 
 
+@cache
+def _digit_table() -> np.ndarray:
+    """ASCII digits of 0..9999, four to a uint32, then again with trailing zeros NUL."""
+    d = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+    d = np.concatenate((d, np.where(np.cumprod(d[:, ::-1] == 0, 1)[:, ::-1], -48, d)))
+    table = (d + 48).astype(np.uint8).view(np.uint32).ravel()
+    table.flags.writeable = False  # one array for every caller
+    return table
+
+
+def _repr_bytes(v: float) -> bytes:
+    return repr(v).encode()
+
+
+def _positive_reprs(x: np.ndarray) -> list:
+    """``repr(v).encode()`` for each positive finite float v of ``x``; fastest on runs
+    of one decimal exponent k, as in a monotone block.
+
+    v·10^(16-k) is hi + lo exactly (Dekker 1971); of the 17-, 16- and 15-digit
+    integers nearest it, the shortest within half an ulp of v (times 10^(16-k))
+    has repr's digits (Gay 1990).  repr itself writes each v outside
+    [1e-4, 1e16), where it takes an exponent, each power of two, whose rounding
+    interval is lopsided, and each tie or near tie.
+    """
+    k = np.searchsorted(_DECADES, x, "right") - 5  # 10^k <= v < 10^(k+1) on [1e-4, 1e16)
+    with np.errstate(all="ignore"):
+        frac, ex = np.frexp(x)
+        p, ph, hi = _P10[16 - k], _P10_HI[16 - k], x * _P10[16 - k]
+        xh = x * _SPLIT - (x * _SPLIT - x)
+        lo = ((xh * ph - hi) + xh * (p - ph) + (x - xh) * ph) + (x - xh) * (p - ph)
+        n17 = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        delta, half_ulp = lo - np.rint(lo), np.ldexp(p, ex - 54)  # v·10^(16-k) = n17 + delta
+        q16, q15 = n17 // 10, n17 // 100
+        f16, f15 = n17 - 10 * q16 + delta, n17 - 100 * q15 + delta  # mod 10 and mod 100
+        up16, up15 = f16 > 5, f15 > 50
+        e16, e15 = np.abs(10 * up16 - f16), np.abs(100 * up15 - f15)
+        m = np.where(e15 < half_ulp, 100 * (q15 + up15),
+                     np.where(e16 < half_ulp, 10 * (q16 + up16), n17))
+        near = np.minimum(np.abs(e15 - half_ulp), np.abs(e16 - half_ulp)) <= 1e-9 * half_ulp
+    slow = ((k < -4) | (k > 15) | (frac == 0.5) | (np.abs(delta) > 0.5 - 1e-9)
+            | (np.abs(f16 - 5) < 1e-9) | near)
+    carry = m >= 10**17  # 10^17: the same digit one place up
+    k, m = np.clip(k + carry, -4, 15), np.where(slow | carry, 10**16, m)
+    # m's 17 digits in five groups of four, those after its last nonzero digit NUL
+    g = np.empty((x.size, 5), np.int64)
+    for j, w in enumerate((10**16, 10**12, 10**8, 10**4)):
+        g[:, j] = m // w
+        m -= w * g[:, j]
+        g[:, j] += 10000 * (m == 0)
+    g[:, 4] = m + 10000
+    digits, out = _digit_table()[g].view(np.uint8)[:, 3:], np.zeros((x.size, 24), np.uint8)
+    cuts = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), x.size]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        e, o, d = int(k[a]), out[a:b], digits[a:b]
+        if e >= 0:  # "| 48" restores the zeros up to the first digit after the point
+            o[:, : e + 1], o[:, e + 1], o[:, e + 2 : 18] = d[:, : e + 1] | 48, 46, d[:, e + 1 :]
+            o[:, e + 2] |= 48
+        else:
+            o[:, : 1 - e], o[:, 1], o[:, 1 - e : 18 - e] = 48, 46, d
+    parts = out.view("S24").ravel().tolist()  # NUL padding dropped
+    for i in np.flatnonzero(slow).tolist():
+        parts[i] = _repr_bytes(float(x[i]))
+    return parts
+
+
 def configuration_json_pieces(cfg: Configuration):
     """The configuration as ``json.dumps`` writes it, in pieces to write in order.
 
@@ -377,12 +447,12 @@ def configuration_json_pieces(cfg: Configuration):
         return
     blocks, sep = [], json.dumps(head)[:-1] + ', "points": ['
     for i in range(0, h, _JSON_BLOCK):
-        blocks.append(list(map(repr, x[i : min(i + _JSON_BLOCK, h)].tolist())))
-        yield sep + ", ".join(blocks[-1])
+        blocks.append(_positive_reprs(x[i : min(i + _JSON_BLOCK, h)]))
+        yield sep + b", ".join(blocks[-1]).decode()
         sep = ", "
     sep = "".join(", " + c for c in centre) + ", -"
     for block in reversed(blocks):
-        yield sep + ", -".join(reversed(block))
+        yield sep + b", -".join(reversed(block)).decode()
         sep = ", -"
     yield "], " + json.dumps(tail)[1:]
 

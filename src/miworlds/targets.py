@@ -260,6 +260,13 @@ def _cdf_and_integral(k: int, x, integral: bool = True):
     """
     _check_order(k)
     x = np.asarray(x, dtype=float)
+    # the recursion would form inf * 0 at x = +-inf, where F is 0 / 1 and A is 0 / inf;
+    # math tests a 0-d x, as most calls pass one float, in a twentieth of np.isinf's time
+    if math.isinf(x) if x.ndim == 0 else np.isinf(x).any():
+        ends = np.isinf(x)
+        F, A = _cdf_and_integral(k, np.where(ends, 0.0, x), integral)
+        F = np.where(ends, x > 0, F)
+        return F, A if A is None else np.where(ends, np.maximum(x, 0.0), A)
     F = normal_cdf(x)
     A = x * F + phi(x) if integral else None
     psi_prev, psi = 0.0, np.exp(-0.25 * np.square(x)) / math.sqrt(SQRT_2PI)

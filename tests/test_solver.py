@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
@@ -339,6 +341,60 @@ def test_mirrored_json_streams_its_blocks():
         tracemalloc.stop()
     assert out.getvalue() == configuration_to_json(cfg)
     assert peak <= 4 * 2**20
+
+
+def _assert_reprs(values):
+    x = np.array(values, dtype=float)
+    assert solver._positive_reprs(x) == [repr(v).encode() for v in x.tolist()]
+
+
+@given(st.lists(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_positive_reprs_are_repr(values):
+    _assert_reprs(values)
+    _assert_reprs(sorted(values, reverse=True))  # in runs of one decimal exponent
+
+
+def _neighbours(values):
+    x = np.array(values, dtype=float)
+    return np.concatenate((x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)))
+
+
+def test_positive_reprs_at_the_edges():
+    rng = np.random.default_rng(5)
+    # 15- and 16-digit decimals over the fixed-notation range
+    short = [float(f"{int(m)}e{e}") for digits in (15, 16)
+             for m, e in zip(rng.integers(10 ** (digits - 1), 10**digits, 200),
+                             rng.integers(-3 - digits, 17 - digits, 200))]
+    cases = {
+        "powers of two": [2.0**e for e in range(-20, 61)],
+        "where repr takes an exponent": _neighbours([1e-4, 1e16]),
+        "the last before 1e16": [9.999999999999999e15, 9999999999999998.0],
+        "0.1 + 0.2": [0.30000000000000004, 0.1, 0.2, 0.3],
+        "2^53 +- 1 scaled": [float(f"{m}e{e}") for m in (2**53 - 1, 2**53 + 1)
+                             for e in range(-20, 1)],
+        "15- and 16-digit decimals and their neighbours": _neighbours(short),
+        "subnormals": [5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0)],
+    }
+    for values in cases.values():
+        _assert_reprs(values)
+        _assert_reprs(sorted(values))
+
+
+def test_positive_reprs_fall_back_to_repr_rarely(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "_repr_bytes", lambda v: calls.append(v) or repr(v).encode())
+    # powers of two and points outside [1e-4, 1e16) are repr's own
+    _assert_reprs([1e-5, 0.5, 3.0, 2.0**60, 1e16, 1e300])
+    assert calls == [1e-5, 0.5, 2.0**60, 1e16, 1e300]
+    for family, most in ((MAXWELL, 0), (GROUND, 3)):
+        cfg = solve_configuration(family, 65536)
+        calls.clear()
+        assert configuration_to_json(cfg) == json.dumps(
+            {"family": cfg.family, "N": cfg.n_worlds, "points": cfg.points.tolist(),
+             "shoot_param": cfg.shoot_param, "residuals": cfg.residuals})
+        assert len(calls) <= most
 
 
 @pytest.mark.parametrize("family, n", [(MAXWELL, 22), (GROUND, 1001)], ids=["even", "odd"])

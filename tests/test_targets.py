@@ -407,6 +407,25 @@ def test_cdf_pk_is_the_cdf_of_the_cdf_and_integral_pass():
                 assert np.float64(got).tobytes() == np.float64(_cdf_and_integral(k, x)[0]).tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_cdf_pk_and_its_integral_at_the_infinities(k):
+    # F = 0 / 1 and A = 0 / inf at -inf / +inf (the recursion alone forms inf * 0
+    # there), without a warning, and finite x keep their bits
+    finite = np.linspace(-9.0, 9.0, 37)
+    grid = np.concatenate(([-math.inf], finite, [math.inf, -math.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (cdf_pk(k, -math.inf), cdf_pk(k, math.inf)) == (0.0, 1.0)
+        assert (cdf_pk_integral(k, -math.inf), cdf_pk_integral(k, math.inf)) == (0.0, math.inf)
+        assert all(type(v) is float for v in (cdf_pk(k, math.inf), cdf_pk_integral(k, -math.inf)))
+        for f in (cdf_pk, cdf_pk_integral):
+            got, alone = f(k, grid), f(k, finite)
+            assert got[1:-2].tobytes() == alone.tobytes()
+            assert [f(k, x) for x in finite] == alone.tolist()
+        assert cdf_pk(k, grid)[[0, -2, -1]].tolist() == [0.0, 1.0, 0.0]
+        assert cdf_pk_integral(k, grid)[[0, -2, -1]].tolist() == [0.0, math.inf, 0.0]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="E[He_k(Z)^2]/k! is exactly 1, but phi_integral, m = c_0 - Q_1 by the "

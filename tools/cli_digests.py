@@ -91,6 +91,10 @@ EXTRA = [
     ["solve", "--n", "8194"],
     ["solve", "--family", "ground", "--n", "8193", "--out", "json"],
     ["solve", "--n", "65536", "--out", "csv"],
+    # the positive points' formatter on a second single-term baseline, and on a
+    # half of 2^17 points of which 10 are left to repr, inside 4096-point blocks
+    ["solve", "--family", "monomial", "--r", "4", "--n", "4096"],
+    ["solve", "--family", "ground", "--n", "262144"],
     # error exits
     ["solve", "--n", "1"],
     ["solve", "--family", "maxwell", "--n", "21"],
