@@ -78,7 +78,7 @@ def _dw_exact(points: Sequence[float], k: int) -> float:
     n = a.size
     lo, hi = a[:-1], a[1:]
     level = np.arange(1, n) / n
-    c = newton_bracketed(lambda x: cdf_pk(k, x), lambda x: pdf_pk(k, x), level, lo, hi)
+    c = newton_bracketed(lambda x: (cdf_pk(k, x), pdf_pk(k, x)), level, lo, hi)
     Aa, Ac = np.split(cdf_pk_integral(k, np.concatenate((a, c))), [n])
     gaps = (level * (c - lo) - (Ac - Aa[:-1])) + ((Aa[1:] - Ac) - level * (hi - c))
     exact = float(Aa[-1] - Aa[0])

@@ -127,43 +127,50 @@ def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float)
                                  rtol=max(_ROOT_X_TOL, 4 * _EPS), maxiter=_ROOT_MAX_ITER))
 
 
-def newton_bracketed(F, dF, y, lo, hi) -> np.ndarray:
-    """Solve F(x) = y elementwise for increasing, array-capable F.
+def newton_bracketed(f, y, lo, hi) -> np.ndarray:
+    """Solve F(x) = y elementwise for increasing, array-capable F, where
+    ``f(x)`` returns the pair (F(x), F'(x)).
 
     Roots lie in their brackets [lo, hi] (a target outside F's range there
     converges to the nearer end); Newton steps leaving the shrinking bracket
     become bisections.  An element is done after a step below ``_ROOT_X_TOL``
     times the bracket's scale, or once |F(x) - y| <= ``_ROOT_F_TOL`` * max(1, |y|),
     which ends it where F's rounding noise over a small F' exceeds the x tolerance.
-    Each element's steps depend on it alone, so F and dF are evaluated only
-    on the elements not yet done; done ones are set aside in the result.
+    Each element's steps depend on it alone, so f is called once per step, on a
+    1-D array of the elements not yet done; done ones are set aside in the result.
+    The loop works in place on arrays of its own, never on f's argument or results.
     """
-    y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
-    x_tol = _ROOT_X_TOL * np.maximum(np.abs(lo), np.abs(hi))
-    f_tol = _ROOT_F_TOL * np.maximum(1.0, np.abs(y))
-    x = 0.5 * (lo + hi)
-    out, where = np.empty(y.shape), np.arange(y.size).reshape(y.shape)
-    for _ in range(_ROOT_MAX_ITER):
-        r = F(x) - y
-        fine = np.abs(r) <= f_tol
-        np.copyto(lo, x, where=r < 0.0)  # lo and hi are this call's own arrays
-        np.copyto(hi, x, where=r > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - r / dF(x)
-        inside = (newton >= lo) & (newton <= hi)
-        step = np.asarray(0.5 * (lo + hi))  # an array on 0-d input too
-        np.copyto(step, x, where=fine)
-        np.copyto(step, newton, where=inside)
-        stop = fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)
-        x = step
-        if np.any(stop):
-            out.flat[where[stop]] = x[stop]
-            if np.all(stop):
-                return out
-            keep = ~stop
-            x, y, lo, hi, x_tol, f_tol, where = (
-                v[keep] for v in (x, y, lo, hi, x_tol, f_tol, where)
-            )
+    y, lo, hi = np.broadcast_arrays(y, lo, hi)
+    shape = y.shape
+    # rows y, lo, hi, x tolerance, F tolerance: one index takes every row
+    rows = np.empty((5, *shape))
+    rows[0], rows[1], rows[2] = y, lo, hi
+    rows[3] = _ROOT_X_TOL * np.maximum(np.abs(rows[1]), np.abs(rows[2]))
+    rows[4] = _ROOT_F_TOL * np.maximum(1.0, np.abs(rows[0]))
+    y, lo, hi, x_tol, f_tol = rows = rows.reshape(5, -1)
+    x, out, where = 0.5 * (lo + hi), np.empty(y.size), np.arange(y.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            F, dF = f(x)
+            r = F - y
+            fine = np.abs(r) <= f_tol
+            np.copyto(lo, x, where=r < 0.0)
+            np.copyto(hi, x, where=r > 0.0)
+            newton = np.subtract(x, np.divide(r, dF, out=r), out=r)  # x - (F - y) / F'
+            del F, dF  # the callback's arrays, freed before this step allocates more
+            inside = (newton >= lo) & (newton <= hi)
+            step = 0.5 * (lo + hi)
+            np.copyto(step, x, where=fine)
+            np.copyto(step, newton, where=inside)
+            stop = fine | (np.abs(step - x) <= x_tol) | (hi - lo <= x_tol)
+            x = step
+            if stop.any():
+                out[where] = x
+                keep = (~stop).nonzero()[0]
+                if not keep.size:
+                    return out.reshape(shape)
+                x, where, rows = x[keep], where[keep], rows.take(keep, axis=1)
+                y, lo, hi, x_tol, f_tol = rows
     raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")
 
 

@@ -157,11 +157,14 @@ def shoot_sequence(bl: Baseline, x1: float, max_len: int):
     return xs, "completed"
 
 
-def _half_residual(x, bl: Baseline, tail):
-    """G of the half-system at x, with b(x) and the partial sums S."""
+def _half_residual(x, bl: Baseline, tail, G, S, tmp):
+    """G of the half-system at x into G, the partial sums into S; returns b(x)."""
     bx, Bx = bl.b(x), bl.B(x)
-    S = np.cumsum(x / bx)
-    return np.append(np.diff(Bx), -tail * Bx[-1]) + 1.0 / S, bx, S
+    np.cumsum(np.divide(x, bx, out=S), out=S)
+    np.subtract(Bx[1:], Bx[:-1], out=G[:-1])
+    G[-1] = -tail * Bx[-1]
+    G += np.divide(1.0, S, out=tmp)
+    return bx
 
 
 def _newton(x, bl: Baseline, tail: float):
@@ -176,45 +179,44 @@ def _newton(x, bl: Baseline, tail: float):
     a smaller max|G|.  Converged means max|G| <= 1e-9, the bound that
     solve_configuration's recursion check applies to the full sequence.
     Returns the last point, the max|G| history, the number of halvings and
-    whether it converged.
+    whether it converged.  It runs in buffers of its own: x is not written.
     """
     ab, rhs = np.zeros((3, 2 * x.size)), np.zeros(2 * x.size)
+    x, new, G, G_new, S, S_new, tmp = x.copy(), *(np.empty(x.size) for _ in range(6))
     with np.errstate(all="ignore"):
-        G, bx, S = _half_residual(x, bl, tail)
-    history, backtracks = [float(np.max(np.abs(G)))], 0
-    while math.isfinite(history[-1]) and len(history) <= _NEWTON_MAX_ITER:
-        # _GTSV overwrites the band and rhs: every entry is rebuilt before each call
-        with np.errstate(all="ignore"):
+        bx = _half_residual(x, bl, tail, G, S, tmp)
+        history, backtracks = [float(np.abs(G, out=tmp).max())], 0
+        while math.isfinite(history[-1]) and len(history) <= _NEWTON_MAX_ITER:
+            # _GTSV overwrites the band and rhs: every entry is rebuilt before each call
             ab[1, 0::2] = (x * bl.db(x) - bx) / (bx * bx)
             ab[1, 1::2] = -1.0 / (S * S)
-        ab[0, 1::2], ab[0, 2::2] = 1.0, bx[1:]
-        ab[2, 0::2], ab[2, 1:-1:2] = -bx, -1.0
-        ab[2, -2] *= tail
-        rhs[0::2], rhs[1::2] = 0.0, -G  # finite: the loop runs on a finite max|G|
-        if not np.isfinite(ab).all():
-            break
-        *_, step, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
-        if info != 0:  # a singular system, or an argument LAPACK refused
-            break
-        step = step[0::2]
-        # A converged iterate is not damped, and steps on only while that
-        # halves max|G|: below that, its steps chase rounding.
-        done = history[-1] <= _RESIDUAL_TOL
-        t = 1.0
-        while t >= _MIN_STEP:
-            new = x + t * step
-            if new[-1] > 0.0 and np.all(new[1:] < new[:-1]):
-                with np.errstate(all="ignore"):
-                    trial = _half_residual(new, bl, tail)
-                worst = float(np.max(np.abs(trial[0])))
-                if worst < history[-1] or done:
-                    break
-            t *= 0.5
-            backtracks += 1
-        if not (t >= _MIN_STEP and worst < history[-1] * (0.5 if done else 1.0)):
-            break
-        x, (G, bx, S) = new, trial
-        history.append(worst)
+            ab[0, 1::2], ab[0, 2::2] = 1.0, bx[1:]
+            ab[2, 0::2], ab[2, 1:-1:2] = -bx, -1.0
+            ab[2, -2] *= tail
+            rhs[0::2], rhs[1::2] = 0.0, -G  # finite: the loop runs on a finite max|G|
+            if not np.isfinite(ab).all():
+                break
+            *_, step, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+            if info != 0:  # a singular system, or an argument LAPACK refused
+                break
+            step = step[0::2]
+            # A converged iterate is not damped, and steps on only while that
+            # halves max|G|: below that, its steps chase rounding.
+            done = history[-1] <= _RESIDUAL_TOL
+            t = 1.0
+            while t >= _MIN_STEP:
+                np.add(x, np.multiply(step, t, out=new), out=new)
+                if new[-1] > 0.0 and (new[1:] < new[:-1]).all():
+                    bx_new = _half_residual(new, bl, tail, G_new, S_new, tmp)
+                    worst = float(np.abs(G_new, out=tmp).max())
+                    if worst < history[-1] or done:
+                        break
+                t *= 0.5
+                backtracks += 1
+            if not (t >= _MIN_STEP and worst < history[-1] * (0.5 if done else 1.0)):
+                break
+            x, new, G, G_new, S, S_new, bx = new, x, G_new, G, S_new, S, bx_new
+            history.append(worst)
     return x, history, backtracks, history[-1] <= _RESIDUAL_TOL
 
 
@@ -228,19 +230,18 @@ def _starts(bl: Baseline, n_worlds: int):
     mirrored pair of its worlds to a neighbouring cell.  Points are placed
     on the negative axis, where F has no cancellation, and negated.
     """
-    F, dF = bl.target_cdf, bl.target_pdf
     h = n_worlds // 2
     u = (np.arange(1, h + 1) - 0.5) / n_worlds
     L = 2.0
-    while F(-L) > u[0]:
+    while bl.target_cdf(-L) > u[0]:
         L *= 2.0
-    yield "quantile", -newton_bracketed(F, dF, u, -L, 0.0)
+    yield "quantile", -newton_bracketed(bl.target_cdf_pdf, u, -L, 0.0)
 
     zeros = sorted(z for z in bl.zeros_of_b if z > 1e-12)
     if not zeros:
         return
     edges = np.array([-L] + [-z for z in reversed(zeros)] + [0.0])
-    Fe = np.append(F(edges[:-1]), 0.5)
+    Fe = np.append(bl.target_cdf(edges[:-1]), 0.5)
     mass = np.diff(Fe)
     base = np.rint(n_worlds * mass).astype(int)
     base[-1] = h - base[:-1].sum()
@@ -257,7 +258,7 @@ def _starts(bl: Baseline, n_worlds: int):
         cell = np.repeat(np.arange(counts.size), counts)
         rank = np.arange(h) - np.repeat(np.cumsum(counts) - counts, counts)
         target = Fe[cell] + (rank + 0.5) / slots[cell] * mass[cell]
-        yield name, -newton_bracketed(F, dF, target, edges[cell], edges[cell + 1])
+        yield name, -newton_bracketed(bl.target_cdf_pdf, target, edges[cell], edges[cell + 1])
 
 
 def recursion_residual(bl: Baseline, points: Sequence[float]) -> float:

@@ -89,9 +89,11 @@ def _horner(coef) -> Callable:
     def value(x):
         if not isinstance(x, (float, int)):
             x = np.asarray(x, dtype=float)
-        y = top + x * 0
+        y = x * 0  # a new array, evaluated in place, or a scalar on 0-d input
+        y += top
         for c in rest:
-            y = c + y * x
+            y *= x
+            y += c
         return y
 
     return value
@@ -173,7 +175,7 @@ class Baseline:
     def Binv_within(self, y, lo, hi) -> np.ndarray:
         """B^{-1}(y) elementwise for targets known to lie in B([lo, hi])."""
         if self._root is None:
-            return newton_bracketed(self.B, self.b, y, lo, hi)
+            return newton_bracketed(lambda x: (self.B(x), self.b(x)), y, lo, hi)
         scale, power = self._root
         return np.clip(np.sign(y) * np.abs(scale * y) ** power, lo, hi)
 
@@ -205,6 +207,11 @@ class Baseline:
     def target_pdf(self, t):
         """Density b phi / m of the target law."""
         return self.b(t) * phi(t) / self.phi_integral
+
+    def target_cdf_pdf(self, t):
+        """(``target_cdf(t)``, ``target_pdf(t)``) from one phi(t), bit for bit."""
+        p, m = phi(t), self.phi_integral
+        return normal_cdf(t) + self._Q(t) * p / m, self.b(t) * p / m
 
     def normalized(self) -> "Baseline":
         """Rescale so that int b(x) phi(x) dx = 1."""

@@ -562,3 +562,22 @@ def test_density_target_column_is_the_target_law(capsys):
     xs = np.array([float(x0) for _, x0, _, _ in rows])
     want = hermite_square_baseline(4).target_pdf(xs)
     assert [float(v) for *_, v in rows] == want.tolist()
+
+
+def test_digest_check_names_every_differing_label(monkeypatch, capsys):
+    # tools/cli_digests.py --check: a changed line, a label only the saved run
+    # has and one only the new run has each count, and are each named
+    import importlib.util
+    from pathlib import Path
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends its paths
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    saved = {"a": "a\t0\tx\ty", "b": "b\t0\tx\ty", "gone": "gone\t2\tx\ty"}
+    assert digests.check(saved, {"a": "a\t0\tx\ty", "b": "b\t1\tx\ty", "new": "new\t0\tx\ty"}) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: b", "extra: new", "missing: gone", "3 of 4 labels differ"]
+    assert digests.check(saved, dict(saved)) == 0
+    assert capsys.readouterr().out == "0 of 3 labels differ\n"

@@ -131,7 +131,7 @@ def test_newton_bracketed_matches_scalar_inverse():
     lo = np.array([0.0, 0.5, 0.9, -2.0])
     hi = np.array([0.5, 1.5, 1.1, 2.0])
     y = np.array([0.1, 4.0 / 15.0, 0.267, 0.0])
-    x = newton_bracketed(F, dF, y, lo, hi)
+    x = newton_bracketed(lambda t: (F(t), dF(t)), y, lo, hi)
     assert np.all(np.abs(F(x) - y) <= 1e-13)
     for xi, yi, l, h in zip(x, y, lo, hi):
         assert xi == pytest.approx(invert_monotone(F, yi, l, h), abs=1e-4)
@@ -139,8 +139,7 @@ def test_newton_bracketed_matches_scalar_inverse():
 
 
 def test_newton_bracketed_clamps_and_flat_roots():
-    cube = lambda t: t ** 3
-    x = newton_bracketed(cube, lambda t: 3 * t * t, [5.0, -5.0, 0.0], [0.0, 0.0, -1.0],
+    x = newton_bracketed(lambda t: (t ** 3, 3 * t * t), [5.0, -5.0, 0.0], [0.0, 0.0, -1.0],
                          [1.0, 1.0, 1.0])
     assert x[0] == pytest.approx(1.0, abs=1e-13)
     assert x[1] == pytest.approx(0.0, abs=1e-13)
@@ -148,13 +147,15 @@ def test_newton_bracketed_clamps_and_flat_roots():
 
 
 def _newton_bracketed_every_element(F, dF, y, lo, hi):
-    """Reference: the same steps, with F and dF on every element every time."""
+    """Reference: the same steps, with F and dF on every element every time.
+    Returns the roots and the number of elements not yet done at each step."""
     y, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(y, lo, hi))
     x_tol = 1e-14 * np.maximum(np.abs(lo), np.abs(hi))
     f_tol = 1e-13 * np.maximum(1.0, np.abs(y))
     x = 0.5 * (lo + hi)
-    done = np.zeros(x.shape, dtype=bool)
+    done, active = np.zeros(x.shape, dtype=bool), []
     while True:
+        active.append(int(np.count_nonzero(~done)))
         r = F(x) - y
         fine = np.abs(r) <= f_tol
         lo = np.where(r < 0.0, x, lo)
@@ -167,7 +168,7 @@ def _newton_bracketed_every_element(F, dF, y, lo, hi):
         x = np.where(done, x, step)
         done |= stop
         if np.all(done):
-            return x
+            return x, active
 
 
 def _assert_same_bits(a, b):
@@ -177,31 +178,59 @@ def _assert_same_bits(a, b):
 
 _K2_B = (lambda t: t ** 5 / 10.0 - t ** 3 / 3.0 + t / 2.0, lambda t: (t * t - 1.0) ** 2 / 2.0)
 _CUBE = (lambda t: t ** 3, lambda t: 3 * t * t)
+# F = t^2 / 2 on t > 0, whose F' is the argument itself: the callback hands back
+# the array it was given, which the loop must neither write into nor keep
+_HALF_SQUARE = (lambda t: 0.5 * t * t, lambda t: t)
+_IDENTITY = (lambda t: t, lambda t: 1.0 + 0.0 * t)  # F is the argument itself
 
 
-@pytest.mark.parametrize("F, dF", [_K2_B, _CUBE], ids=["k2-B", "cube"])
-def test_newton_bracketed_active_elements_are_bit_identical(F, dF):
-    # each element steps on its own, so evaluating only the unfinished ones
-    # changes no bit
+def _bracket_cases(F, positive=False):
     rng = np.random.default_rng(3)
-    lo = rng.uniform(-2.0, 1.0, 2000)
+    lo = rng.uniform(0.1 if positive else -2.0, 1.0, 2000)
     hi = lo + rng.uniform(1e-6, 2.0, lo.size)
     y = F(rng.uniform(lo - 0.1, hi + 0.1))
-    cases = [
+    if positive:
+        return [(y, lo, hi), (0.3, 0.5, 1.0), (np.array(0.02), 0.1, np.array(0.4)),
+                (rng.uniform(0.0, 1.0, (7, 1)), 0.25, np.array([0.5, 1.5, 2.0])),
+                (rng.uniform(0.0, 1.0, (3, 4)), rng.uniform(0.1, 0.5, (3, 4)), 2.0)]
+    return [
         (y, lo, hi),  # random 1-D brackets, some targets outside them
         (0.3, 0.0, 1.0),  # 0-d scalar target
+        (np.array(-0.2), np.array(-1.0), 0.5),  # 0-d array target and bracket end
+        (rng.uniform(-1.0, 1.0, 5), -2.0, 2.0),  # 1-D targets, scalar brackets
         (rng.uniform(-1.0, 1.0, (7, 1)), -2.0, np.array([0.5, 1.5, 2.0])),  # broadcast 2-D
+        (rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(-2.0, -1.0, (3, 4)), 2.0),  # 2-D brackets
         ([5.0, -5.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]),  # clamped ends, flat root
     ]
-    for case in cases:
-        _assert_same_bits(newton_bracketed(F, dF, *case),
-                          _newton_bracketed_every_element(F, dF, *case))
+
+
+@pytest.mark.parametrize("F, dF, positive", [(*_K2_B, False), (*_CUBE, False),
+                                             (*_IDENTITY, False), (*_HALF_SQUARE, True)],
+                         ids=["k2-B", "cube", "F-is-its-input", "F'-is-its-input"])
+def test_newton_bracketed_active_elements_are_bit_identical(F, dF, positive):
+    # each element steps on its own, so evaluating only the unfinished ones,
+    # in place, changes no bit; the callback runs once per step, on a 1-D
+    # array of exactly the elements the reference has not finished
+    for case in _bracket_cases(F, positive):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.shape)
+            before = t.copy()
+            F_t, dF_t = F(t), dF(t)
+            assert t.tobytes() == before.tobytes()
+            return F_t, dF_t
+
+        expected, active = _newton_bracketed_every_element(F, dF, *case)
+        _assert_same_bits(newton_bracketed(f, *case), expected)
+        assert sizes == [(n,) for n in active]
+        assert all(a >= b for a, b in zip(active, active[1:]))
 
 
 def test_newton_bracketed_budget(monkeypatch):
     monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="in 3 steps"):
-        newton_bracketed(lambda t: t ** 3, lambda t: 3 * t * t, 0.3, 0.0, 1.0)
+        newton_bracketed(lambda t: (t ** 3, 3 * t * t), 0.3, 0.0, 1.0)
 
 
 @pytest.mark.xfail(
@@ -218,7 +247,7 @@ def test_newton_bracketed_reaches_flat_roots():
     for bl, x0 in ((monomial_baseline(8).normalized(), 0.05),
                    (hermite_square_baseline(2), 1.0001)):
         y = float(bl.B(x0))
-        x = float(newton_bracketed(bl.B, bl.b, y, 0.75 * x0, 1.5 * x0))
+        x = float(newton_bracketed(lambda t: (bl.B(t), bl.b(t)), y, 0.75 * x0, 1.5 * x0))
         # within 4 ulp of x0, or where B's own rounding (2 ulp of y) hides the root
         assert abs(x - x0) <= max(4 * math.ulp(x0), 2 * math.ulp(y) / float(bl.b(x0)))
 

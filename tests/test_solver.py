@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -876,6 +877,19 @@ def test_singular_newton_system_stops_at_once(monkeypatch):
     assert np.array_equal(x, x0)
 
 
+@pytest.mark.parametrize("family, n, baseline", [(MAXWELL, 64, None), (GROUND, 65, None),
+                                               (GENERAL, 82, hermite_square_baseline(2))])
+def test_newton_leaves_its_start_alone(family, n, baseline):
+    # Newton steps in buffers of its own: the start it was given keeps its bits,
+    # and the point it returns is none of the caller's arrays
+    bl = solver._baseline(family, baseline)
+    x0 = next(solver._starts(bl, n))[1]
+    before = x0.copy()
+    x, history, backtracks, converged = solver._newton(x0, bl, 2.0 - n % 2)
+    assert converged and len(history) > 1
+    assert x0.tobytes() == before.tobytes() and not np.shares_memory(x, x0)
+
+
 def _target_cdf_reference(bl):
     """Baseline.target_cdf with Q a Polynomial and phi through np.square."""
     c = bl.b_poly.coef
@@ -899,3 +913,72 @@ def test_target_cdf_is_bit_identical_to_a_polynomial_Q(bl):
                          np.random.default_rng(12).uniform(-9.0, 9.0, 400)))
     assert F(xs).tobytes() == ref(xs).tobytes()
     assert np.array([F(x) for x in xs.tolist()]).tobytes() == ref(xs).tobytes()
+
+
+# sha256 of the points, max|G| history and backtracks of solves, recorded before
+# newton_bracketed took one (F, F') callback and the solver's loops ran in
+# place, which moved none of them.  A change that moves points by design (a
+# tabulated start, a new stop rule) updates these as a declared output change.
+_PINNED_SOLVES = [
+    pytest.param(MAXWELL, 64, None,
+      "ea71b660850daf854470d4bbc3461d3e33612cc03babb552ecdf14ed472eaf4c",
+      (0.4360215942978276, 0.011185497904797614, 6.6727667071830865e-06,
+       2.2017943024366105e-12, 4.440892098500626e-15, 1.9984014443252818e-15), 0, id="maxwell-64"),
+    pytest.param(MAXWELL, 4096, None,
+      "8a090c8f4ebe7350b85a5ea418f5352b5e379e0c438182c328a0d7df84c96217",
+      (0.5308515897530333, 0.005691462100357647, 5.352542160608209e-07,
+       5.384581669432009e-15), 0, id="maxwell-4096"),
+    pytest.param(MAXWELL, 65536, None,
+      "cc1505ccd63ddb6b41838fb19e67e4abab53923956a18e73eb2baa882dc5c663",
+      (0.582334555229103, 0.004404811371845341, 2.0198028316542604e-07,
+       1.6708856520608606e-14), 0, id="maxwell-65536"),
+    pytest.param(GROUND, 64, None,
+      "ef74ae6b1e0c08173716e40045a80d3ca91f8215f50e42369e3c4443855abe4e",
+      (0.016490762777243262, 3.3633250713926977e-06, 2.6861846080805662e-12,
+       1.5265566588595902e-16), 0, id="ground-64"),
+    pytest.param(GROUND, 4096, None,
+      "5d978bc2954edf9c097da787e1a264ce4eb649ed2015c7ff67899788eaf55e81",
+      (0.018579715898874027, 5.58859492844066e-06, 6.920575224000913e-13,
+       3.885780586188048e-16), 0, id="ground-4096"),
+    pytest.param(GROUND, 65536, None,
+      "5151b958fb542406c6d42b3717178c3f510ae8008762c23eb414adf488ab04b5",
+      (0.017494323814340823, 3.6236367210451537e-06, 2.0242141296478167e-13,
+       4.2788038737140432e-16), 0, id="ground-65536"),
+    pytest.param(GENERAL, 81, hermite_square_baseline(2),
+      "aeb72a22bed6806399b2abf943eec7b58f9cd197b7d8038163ecc06041ba9632",
+      (4.771089580550843, 0.3104437047155635, 0.0014540991594529373, 3.142459092941863e-08,
+       1.3322676295501878e-14), 0, id="hermite-sq-2-81"),
+    pytest.param(GENERAL, 1000, monomial_baseline(4).normalized(),
+      "c9984c17e0bf4ae21623265c945821858bdbb60b737eea4d721c513a3cf5c24f",
+      (5.007419787957527, 0.17370260549448346, 0.00019106934223600547,
+       2.1501023184100632e-10, 6.927791673660977e-14), 0, id="monomial-4-1000"),
+]
+
+
+@pytest.mark.parametrize("family, n, baseline, sha256, history, backtracks", _PINNED_SOLVES)
+def test_solved_points_keep_their_bits(family, n, baseline, sha256, history, backtracks):
+    cfg = solve_configuration(family, n, baseline=baseline)
+    assert hashlib.sha256(cfg.points.tobytes()).hexdigest() == sha256
+    assert cfg.stats.residual_history == history
+    assert cfg.stats.backtracks == backtracks
+
+
+@pytest.mark.parametrize("baseline, n, error, message", [
+    pytest.param(hermite_square_baseline(4), 200, ResidualFailure,
+                 "recursion defect 3.086e-09 exceeds 1e-09 (general, N=200); Newton "
+                 "reached max|G| 3.64e-12 in 6 iterations from the quantile start",
+                 id="hermite-sq-4-200"),
+    pytest.param(monomial_baseline(8).normalized(), 1000, ResidualFailure,
+                 "recursion defect 1.408e-08 exceeds 1e-09 (general, N=1000); Newton "
+                 "reached max|G| 1.99e-12 in 4 iterations from the quantile start",
+                 id="monomial-8-1000"),
+    pytest.param(hermite_square_baseline(16), 1000, NonConvergence,
+                 "bracketed Newton did not converge in 200 steps (general, N=1000)",
+                 id="hermite-sq-16-1000"),
+])
+def test_failed_solves_keep_their_messages(baseline, n, error, message):
+    # the two full-sequence gate failures, and the k = 16 start whose inversion
+    # of the target CDF cycles between its bracket ends (ROADMAP item 11)
+    with pytest.raises(error) as info:
+        solve_configuration(GENERAL, n, baseline=baseline)
+    assert str(info.value) == message

@@ -14,6 +14,7 @@ from miworlds.targets import (
     Baseline,
     KernelValue,
     _cdf_and_integral,
+    _horner,
     _inverse_stein_poly,
     cdf_pk,
     cdf_pk_grid,
@@ -192,6 +193,47 @@ def test_baseline_evaluates_its_polynomial(bl):
         assert np.array_equal(f(xs), p(xs))
         assert all(f(float(x)) == p(float(x)) for x in xs)
         assert np.shape(f(np.zeros((2, 3)))) == (2, 3)
+
+
+# float coefficients, as _horner takes them (k = 30's He_k^2 / k! has object ones)
+_HORNER_POLYS = {name: Polynomial(np.array(p.coef, dtype=float)) for name, p in {
+    "constant": Polynomial([2.5]),
+    "hermite-sq-5 B": hermite_square_baseline(5).b_poly.integ(),
+    "hermite-sq-30 b": hermite_square_baseline(30).b_poly,
+    "x8 b'": monomial_baseline(8).normalized().b_poly.deriv(),
+}.items()}
+
+
+@pytest.mark.parametrize("p", _HORNER_POLYS.values(), ids=_HORNER_POLYS)
+@pytest.mark.parametrize("n", [1, 7, 4096, 32768])
+def test_horner_in_place_matches_polyval_bit_for_bit(p, n):
+    # the in-place Horner performs polyval's IEEE operations in its order, and
+    # leaves its argument alone
+    x = np.random.default_rng(n).uniform(-6.0, 6.0, n)
+    x[0] = -0.0
+    before = x.copy()
+    got = _horner(p.coef)(x)
+    assert type(got) is np.ndarray and got.tobytes() == p(x).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("p", _HORNER_POLYS.values(), ids=_HORNER_POLYS)
+def test_horner_keeps_the_scalar_types(p):
+    # a float or an int gives a float, a numpy float or a 0-d array a numpy float
+    f = _horner(p.coef)
+    for x, kind in ((1.5, float), (-2, float), (np.float64(0.75), np.float64),
+                    (np.array(-1.25), np.float64)):
+        got = f(x)
+        assert type(got) is kind
+        assert np.float64(got).tobytes() == np.float64(p(float(x))).tobytes()
+
+
+@pytest.mark.parametrize("bl", _SHIPPED + [hermite_square_baseline(30)])
+def test_target_cdf_pdf_is_both_bit_for_bit(bl):
+    xs = np.concatenate((np.linspace(-9.0, 9.0, 181), [0.0, -0.0]))
+    F, p = bl.target_cdf_pdf(xs)
+    assert F.tobytes() == bl.target_cdf(xs).tobytes()
+    assert p.tobytes() == bl.target_pdf(xs).tobytes()
 
 
 def test_exponent_is_the_single_terms_power():
@@ -455,7 +497,7 @@ def test_closed_form_inverse_matches_newton(bl):
     lo, hi = np.minimum(0.75 * x, 1.5 * x), np.maximum(0.75 * x, 1.5 * x)
     y = bl.B(x)
     closed = bl.Binv_within(y, lo, hi)
-    assert np.all(np.abs(closed - newton_bracketed(bl.B, bl.b, y, lo, hi))
+    assert np.all(np.abs(closed - newton_bracketed(lambda t: (bl.B(t), bl.b(t)), y, lo, hi))
                   <= 4 * np.spacing(np.abs(x)))
 
 

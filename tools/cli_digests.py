@@ -16,12 +16,17 @@ do not depend on where the temporary directory is.  argparse wraps the help
 texts to the width in ``COLUMNS`` (80 when unset and stdout is a file), so
 run both commits with the same.
 
-    python3 tools/cli_digests.py > after.txt
-    # the same at the other commit, then: diff before.txt after.txt
+    python3 tools/cli_digests.py > before.txt   # at one commit
+    python3 tools/cli_digests.py --check before.txt   # at the other
+
+``--check FILE`` compares this checkout's lines with a saved run: it prints
+each label whose line differs, that the file lacks (extra) or that this run
+lacks (missing), then a count, and exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import sys
@@ -181,11 +186,31 @@ def lines(tmp: Path):
                 yield f"{' '.join(argv)} --out-path {shown}", code, out, err.encode()
 
 
-def main() -> int:
+def check(saved: dict, run: dict) -> int:
+    """Print the labels on which two runs disagree, and return how many there are."""
+    bad = [(f"differs: {label}" if label in saved else f"extra: {label}")
+           for label, line in run.items() if saved.get(label) != line]
+    bad += [f"missing: {label}" for label in saved if label not in run]
+    for line in bad:
+        print(line)
+    print(f"{len(bad)} of {len(saved.keys() | run.keys())} labels differ")
+    return len(bad)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digests of the CLI's outputs.")
+    parser.add_argument("--check", metavar="FILE", help="compare with a saved run")
+    args = parser.parse_args(argv)
+    run = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, code, out, err in lines(Path(tmp)):
-            print(f"{label}\t{code}\t{_digest(out)}\t{_digest(err)}")
-    return 0
+            run[label] = f"{label}\t{code}\t{_digest(out)}\t{_digest(err)}"
+            if args.check is None:
+                print(run[label])
+    if args.check is None:
+        return 0
+    saved = Path(args.check).read_text().splitlines()
+    return 1 if check({line.split("\t", 1)[0]: line for line in saved if line}, run) else 0
 
 
 if __name__ == "__main__":
