@@ -51,15 +51,6 @@ _FAMILIES = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -101,23 +92,19 @@ def _write(pieces: Iterable[str], path: Optional[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _resolve_family(args):
-    """(solver family, baseline) of the --family options; --k and --r are
-    read by the one family that takes each, and refused by the others."""
+def _solve(args):
+    """(baseline, solved configuration) of the --family and --n options; --k
+    and --r are read by the one family that takes each, and refused by the others."""
     fam, reads, build = _FAMILIES[args.family]
     for opt in ("k", "r"):
         if opt != reads and getattr(args, opt) is not None:
             raise MiwValidation(f"--{opt} does not apply to --family {args.family}")
     if reads is None:
-        return fam, build()
-    if getattr(args, reads) is None:
+        bl = build()
+    elif getattr(args, reads) is None:
         raise MiwValidation(f"{args.family} requires --{reads}")
-    return fam, build(getattr(args, reads))
-
-
-def _solve(args):
-    """(baseline, solved configuration) of the --family and --n options."""
-    fam, bl = _resolve_family(args)
+    else:
+        bl = build(getattr(args, reads))
     if args.n < 2:
         raise MiwValidation("--n must be at least 2")
     return bl, solve_configuration(fam, args.n, baseline=bl)
@@ -158,7 +145,7 @@ def _cmd_density(args) -> Iterable[str]:
     lo = cfg.points[-1] - 0.05 * span
     hi = cfg.points[0] + 0.05 * span
     xs = np.linspace(lo, hi, 400)
-    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_pdf(xs).tolist()))
+    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_cdf_pdf(xs)[1].tolist()))
     table = [("kind", "x0", "x1", "value"), *rows]
     return _render(table, args.out_format, table)
 
@@ -200,7 +187,7 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="miworlds", description=__doc__)
+    p = argparse.ArgumentParser(prog="miworlds", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name, (func, out, solves) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
@@ -231,8 +218,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which exits 1 here
+        return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         # a subcommand returns its output's pieces after all of its numerical work
         _write(args.func(args), args.out_path)

@@ -142,6 +142,8 @@ def newton_bracketed(f, y, lo, hi) -> np.ndarray:
     """
     y, lo, hi = np.broadcast_arrays(y, lo, hi)
     shape = y.shape
+    if not y.size:  # no element would ever stop the loop
+        return np.empty(shape)
     # rows y, lo, hi, x tolerance, F tolerance: one index takes every row
     rows = np.empty((5, *shape))
     rows[0], rows[1], rows[2] = y, lo, hi

@@ -233,7 +233,7 @@ def _starts(bl: Baseline, n_worlds: int):
     h = n_worlds // 2
     u = (np.arange(1, h + 1) - 0.5) / n_worlds
     L = 2.0
-    while bl.target_cdf(-L) > u[0]:
+    while bl.target_cdf_pdf(-L)[0] > u[0]:
         L *= 2.0
     yield "quantile", -newton_bracketed(bl.target_cdf_pdf, u, -L, 0.0)
 
@@ -241,7 +241,7 @@ def _starts(bl: Baseline, n_worlds: int):
     if not zeros:
         return
     edges = np.array([-L] + [-z for z in reversed(zeros)] + [0.0])
-    Fe = np.append(bl.target_cdf(edges[:-1]), 0.5)
+    Fe = np.append(bl.target_cdf_pdf(edges[:-1])[0], 0.5)
     mass = np.diff(Fe)
     base = np.rint(n_worlds * mass).astype(int)
     base[-1] = h - base[:-1].sum()

@@ -74,10 +74,6 @@ def hermite_he(k: int, x):
     return cur if k else prev
 
 
-def _he_poly(k: int) -> Polynomial:
-    return Polynomial(herme.herme2poly([0.0] * k + [1.0]))
-
-
 def _horner(coef) -> Callable:
     """Evaluator of sum_n coef[n] x^n on a float or an array.
 
@@ -120,7 +116,7 @@ class Baseline:
     b' and the cumulative B(x) = int_0^x b, which is odd and strictly
     increasing, on a float or an array; they are built from ``b_poly`` once,
     as is ``phi_integral`` = m = E b(Z), the normaliser of the target law
-    b(x) phi(x) / m (``target_cdf``, ``target_pdf``).
+    b(x) phi(x) / m (``target_cdf_pdf``).
     ``exponent`` is r when b is one term c x^r, and None otherwise.  B is
     inverted in closed form on one term, and by bracketed Newton otherwise.
     ``integrals`` integrates b, x b and b/x between neighbouring points on
@@ -200,16 +196,8 @@ class Baseline:
         """Whether x (a float, or elementwise an array) lies within tol of a zero of b."""
         return (np.abs(np.subtract.outer(x, self._zeros)) < tol).any(axis=-1)
 
-    def target_cdf(self, t):
-        """CDF Phi + Q phi / m of the target law b phi / m, exactly."""
-        return normal_cdf(t) + self._Q(t) * phi(t) / self.phi_integral
-
-    def target_pdf(self, t):
-        """Density b phi / m of the target law."""
-        return self.b(t) * phi(t) / self.phi_integral
-
     def target_cdf_pdf(self, t):
-        """(``target_cdf(t)``, ``target_pdf(t)``) from one phi(t), bit for bit."""
+        """(CDF Phi + Q phi / m, density b phi / m) of the target law b phi / m, exactly."""
         p, m = phi(t), self.phi_integral
         return normal_cdf(t) + self._Q(t) * p / m, self.b(t) * p / m
 
@@ -243,9 +231,10 @@ def monomial_baseline(r: int) -> Baseline:
 def hermite_square_baseline(k: int) -> Baseline:
     """b(x) = He_k(x)^2 / k!, of unit phi-integral by orthonormality."""
     _check_order(k)
-    he = _he_poly(k)
-    roots = tuple(sorted(float(z) for z in herme.hermeroots([0.0] * k + [1.0])))
-    return Baseline(he * he / math.factorial(k), zeros_of_b=roots)
+    unit = [0.0] * k + [1.0]
+    he = Polynomial(herme.herme2poly(unit))
+    roots = tuple(sorted(float(z) for z in herme.hermeroots(unit)))
+    return Baseline(he * he / float(math.factorial(k)), zeros_of_b=roots)
 
 
 def pdf_pk(k: int, x):

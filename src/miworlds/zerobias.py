@@ -112,17 +112,13 @@ def _check_decreasing(x: np.ndarray, at_least: int = 1):
         raise NotDecreasing(f"atoms not strictly decreasing at index {rising[0]}")
 
 
-def _check_symmetric_decreasing(x: np.ndarray):
+def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
+    """Generalized zero-bias density of the uniform law on the atoms."""
+    x = np.asarray(atoms, dtype=float)
     _check_decreasing(x, 2)
     worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
         raise AsymmetricInput(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
-
-
-def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
-    """Generalized zero-bias density of the uniform law on the atoms."""
-    x = np.asarray(atoms, dtype=float)
-    _check_symmetric_decreasing(x)
     bvals = np.asarray(baseline.b(x), dtype=float)
     if np.any(bvals <= 0.0):
         raise BaselineZero("baseline vanishes at an atom")

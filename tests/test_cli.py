@@ -560,7 +560,7 @@ def test_density_target_column_is_the_target_law(capsys):
     assert code == 0
     rows = [l.split(",") for l in out.splitlines() if l.startswith("target,")]
     xs = np.array([float(x0) for _, x0, _, _ in rows])
-    want = hermite_square_baseline(4).target_pdf(xs)
+    want = hermite_square_baseline(4).target_cdf_pdf(xs)[1]
     assert [float(v) for *_, v in rows] == want.tolist()
 
 
@@ -581,3 +581,21 @@ def test_digest_check_names_every_differing_label(monkeypatch, capsys):
         "differs: b", "extra: new", "missing: gone", "3 of 4 labels differ"]
     assert digests.check(saved, dict(saved)) == 0
     assert capsys.readouterr().out == "0 of 3 labels differ\n"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the pinned digests cover --help, which argparse lays out "
+                    "differently in other Python minor versions")
+def test_cli_outputs_match_the_pinned_digests():
+    # every call of tools/cli_digests.py outside the benchmark workloads, byte for
+    # byte: exit code, stdout and stderr; the workloads' labels are the benchmark's
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(root / "tools" / "cli_digests.py")],
+                         env={**os.environ, "COLUMNS": "80"}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    workloads = ("maxwell-sweep/", "solve-ladder/", "excited-theory/")
+    got = [line for line in run.stdout.splitlines() if not line.startswith(workloads)]
+    want = (root / "tests" / "data" / "cli_digests.txt").read_text().splitlines()
+    assert dict(line.split("\t", 1) for line in got) == dict(line.split("\t", 1) for line in want)

@@ -227,6 +227,16 @@ def test_newton_bracketed_active_elements_are_bit_identical(F, dF, positive):
         assert all(a >= b for a, b in zip(active, active[1:]))
 
 
+def test_newton_bracketed_returns_empty_input_at_once():
+    # with no element to stop, the loop would run its whole budget and raise
+    def f(t):
+        raise AssertionError("called on an empty input")
+
+    for y, lo, hi in ((np.empty(0), 0.0, 1.0), (np.empty((0, 3)), 0.0, np.ones(3))):
+        x = newton_bracketed(f, y, lo, hi)
+        assert x.shape == y.shape and x.dtype == np.float64
+
+
 def test_newton_bracketed_budget(monkeypatch):
     monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 3)
     with pytest.raises(NonConvergence, match="in 3 steps"):

@@ -891,7 +891,7 @@ def test_newton_leaves_its_start_alone(family, n, baseline):
 
 
 def _target_cdf_reference(bl):
-    """Baseline.target_cdf with Q a Polynomial and phi through np.square."""
+    """The CDF of Baseline.target_cdf_pdf with Q a Polynomial and phi through np.square."""
     c = bl.b_poly.coef
     Q = np.zeros(c.size + 1)
     for n in range(c.size - 1, 0, -1):
@@ -908,7 +908,7 @@ def _target_cdf_reference(bl):
                          + [pytest.param(monomial_baseline(r).normalized(), id=f"monomial-{r}")
                             for r in (4, 6, 8)])
 def test_target_cdf_is_bit_identical_to_a_polynomial_Q(bl):
-    F, ref = bl.target_cdf, _target_cdf_reference(bl)
+    F, ref = (lambda t: bl.target_cdf_pdf(t)[0]), _target_cdf_reference(bl)
     xs = np.concatenate((np.linspace(-9.0, 9.0, 361),
                          np.random.default_rng(12).uniform(-9.0, 9.0, 400)))
     assert F(xs).tobytes() == ref(xs).tobytes()

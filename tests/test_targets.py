@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from numpy.polynomial import hermite_e as herme
 
 from miworlds.errors import KernelSingularity, MiwValidation, UnsupportedOrder
 from miworlds.numerics import integrate_adaptive, newton_bracketed
@@ -55,6 +56,18 @@ def test_hermite_orthogonality():
             )
             expect = math.factorial(k) if j == k else 0.0
             assert abs(val - expect) <= 1e-8
+
+
+def test_hermite_square_coefficients_are_floats_of_the_integer_route():
+    # He_k^2 / k! divided by float(k!): the bits of dividing by the integer k!,
+    # which is past int64 from k = 21 on and then gave an object array
+    xs = np.linspace(-3.0, 3.0, 7)
+    for k in range(MAX_ORDER + 1):
+        he = Polynomial(herme.herme2poly([0.0] * k + [1.0]))
+        old = np.array((he * he / math.factorial(k)).coef, dtype=float)
+        bp = hermite_square_baseline(k).b_poly
+        assert bp.coef.dtype == np.float64 and bp.coef.tobytes() == old.tobytes()
+        assert bp(xs).dtype == np.float64
 
 
 def test_pdf_values():
@@ -231,9 +244,9 @@ def test_horner_keeps_the_scalar_types(p):
 @pytest.mark.parametrize("bl", _SHIPPED + [hermite_square_baseline(30)])
 def test_target_cdf_pdf_is_both_bit_for_bit(bl):
     xs = np.concatenate((np.linspace(-9.0, 9.0, 181), [0.0, -0.0]))
-    F, p = bl.target_cdf_pdf(xs)
-    assert F.tobytes() == bl.target_cdf(xs).tobytes()
-    assert p.tobytes() == bl.target_pdf(xs).tobytes()
+    # the density is b phi / m to the bit; test_solver checks the CDF against a polynomial Q
+    p = bl.target_cdf_pdf(xs)[1]
+    assert p.tobytes() == (bl.b(xs) * phi(xs) / bl.phi_integral).tobytes()
 
 
 def test_exponent_is_the_single_terms_power():
@@ -394,11 +407,12 @@ def test_phi_integral_matches_mpmath(bl):
 def test_target_pdf_is_the_derivative_of_target_cdf(bl):
     xs = np.linspace(-5.0, 5.0, 201)
     h = 1e-5
-    slope = (bl.target_cdf(xs + h) - bl.target_cdf(xs - h)) / (2 * h)
-    pdf = bl.target_pdf(xs)
+    F = lambda t: bl.target_cdf_pdf(t)[0]
+    slope = (F(xs + h) - F(xs - h)) / (2 * h)
+    pdf = bl.target_cdf_pdf(xs)[1]
     # truncation h^2 |F'''| / 6 and rounding eps / h, both far below 1e-9 of the peak
     assert np.max(np.abs(slope - pdf)) <= 1e-9 * np.max(pdf)
-    assert bl.target_cdf(-12.0) < 1e-25 and abs(bl.target_cdf(12.0) - 1.0) <= 1e-15
+    assert F(-12.0) < 1e-25 and abs(F(12.0) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("bl", [ground_baseline(), maxwell_square_baseline(),

@@ -287,6 +287,15 @@ def test_coupling_equals_the_unique_midpoint_route_on_a_jittery_inversion(bl, n)
     _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
 
 
+def test_general_quantile_of_no_levels_is_empty():
+    # the general baseline inverts B by bracketed Newton, which must return
+    # on an empty input as the Maxwell closed form does
+    bl = hermite_square_baseline(2)
+    d = gzb_density(bl, solve_configuration(GENERAL, 20, baseline=bl).points)
+    x = d.quantile(np.array([]))
+    assert isinstance(x, np.ndarray) and x.shape == (0,)
+
+
 def test_quantile_at_every_gap_level_is_the_breakpoint():
     # the merged coupling takes a cell that ends at a gap level to end at
     # the gap's breakpoint, without inverting B there
