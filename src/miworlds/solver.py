@@ -35,7 +35,6 @@ __all__ = [
     "MAXWELL",
     "GENERAL",
     "Configuration",
-    "SolveStats",
     "shoot_sequence",
     "solve_configuration",
     "validate_properties",
@@ -64,33 +63,6 @@ _GTSV = partial(get_lapack_funcs("gtsv", dtype=np.float64),
                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
 
 
-@dataclass(frozen=True)
-class SolveStats:
-    """Newton counts of one solve, to explain a slow or failed one.
-
-    ``residual_history`` is max|G| of the half-system at the start and after
-    each accepted step, so ``iterations`` is one less than its length;
-    ``backtracks`` counts step halvings.  ``start`` is ``quantile``,
-    ``nodal`` or ``nodal-shift``: the start that converged, or the last one
-    tried.
-    """
-
-    residual_history: tuple
-    backtracks: int
-    start: str
-    starts_tried: int
-
-    @property
-    def iterations(self) -> int:
-        return len(self.residual_history) - 1
-
-    def summary(self) -> str:
-        """One line for an error message: the last max|G|, and the start it came from."""
-        last = f", the last of {self.starts_tried}" if self.starts_tried > 1 else ""
-        return (f"Newton reached max|G| {self.residual_history[-1]:.3g} in {self.iterations} "
-                f"iterations from the {self.start} start{last}")
-
-
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """Solved decreasing zero-mean world configuration, compared by identity; ``points``
@@ -99,7 +71,6 @@ class Configuration:
     family: str
     points: np.ndarray
     residuals: dict
-    stats: Optional[SolveStats] = None
 
     def __post_init__(self):
         if self.family not in (GROUND, MAXWELL, GENERAL):
@@ -305,32 +276,30 @@ def solve_configuration(
     a start's inversion of the target CDF fails, and :class:`ResidualFailure`
     when the mirrored configuration lands on a zero of b or misses the
     recursion by more than ``residual_tol``.  Every message ends with
-    ``(family, N=n)``; a failure after Newton ends also with the summary of
-    the last run's :class:`SolveStats`, which it carries as ``exc.stats``.
-    A failed start carries None, as no Newton run belongs to it.
+    ``(family, N=n)``; a failure after Newton ends also with a summary of
+    the last run: its final max|G|, its iterations and the start it came
+    from.  A failed start has no summary, as no Newton run belongs to it.
     """
     if n_worlds < 2:
         raise ValueError("need at least two worlds")
     bl = _baseline(family, baseline)
     if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
         raise ParityUnsupported(f"b(0) = 0 needs an even world count, got {n_worlds}")
-    stats = None
 
     def failure(cls, message):
-        exc = cls(f"{message} ({family}, N={n_worlds})" + (f"; {stats.summary()}" if stats else ""))
-        exc.stats = stats
-        return exc
+        last = f", the last of {tried}" if tried > 1 else ""
+        return cls(f"{message} ({family}, N={n_worlds}); Newton reached max|G| "
+                   f"{history[-1]:.3g} in {len(history) - 1} iterations from the {start} "
+                   f"start{last}")
 
     tail = 2.0 if n_worlds % 2 == 0 else 1.0
     try:
         for tried, (start, x0) in enumerate(_starts(bl, n_worlds), start=1):
-            first, history, backtracks, converged = _newton(x0, bl, tail)
-            stats = SolveStats(tuple(history), backtracks, start, tried)
+            first, history, _, converged = _newton(x0, bl, tail)
             if converged:
                 break
     except NonConvergence as exc:  # a start's inversion of the target CDF, not a Newton run
-        stats = None
-        raise failure(NonConvergence, str(exc)) from exc
+        raise NonConvergence(f"{exc} ({family}, N={n_worlds})") from exc
     if not converged:
         raise failure(NonConvergence, f"Newton converged from none of {tried} starts")
 
@@ -346,7 +315,7 @@ def solve_configuration(
                  "symmetry_defect": symmetry}
     if variance is not None:
         residuals["variance_defect"] = variance
-    return Configuration(family=family, points=x, residuals=residuals, stats=stats)
+    return Configuration(family=family, points=x, residuals=residuals)
 
 
 def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None) -> dict:

@@ -77,11 +77,13 @@ class PiecewiseDensity:
             if x >= xs[-1]:
                 return 1.0
             i = bisect_left(xs, x) - 1
-            return min(1.0, cum[i] + cs[i] * (float(self.baseline.B(x)) - Bx[i]))
+            # NaN bisects to -1; as min's first argument it stays NaN, as np.minimum keeps it
+            return min(cum[i] + cs[i] * (float(self.baseline.B(x)) - Bx[i]), 1.0)
         x = np.asarray(x, dtype=float)
         xs, cs, cum, Bx = self.x, self.c, self.cum, self.Bx
         i = np.clip(np.searchsorted(xs, x, side="left") - 1, 0, cs.size - 1)
-        Bgap = np.asarray(self.baseline.B(x), dtype=float) - Bx[i]
+        # B at the span's ends, not past them, where np.where drops it and it may overflow
+        Bgap = np.asarray(self.baseline.B(np.clip(x, xs[0], xs[-1])), dtype=float) - Bx[i]
         inner = np.minimum(1.0, cum[i] + cs[i] * Bgap)
         out = np.where(x <= xs[0], 0.0, np.where(x >= xs[-1], 1.0, inner))
         return out if out.ndim else float(out)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 from functools import partial
 
@@ -435,6 +436,46 @@ def test_density_tables_match_the_per_call_formulas():
                 assert type(method(x)) is float and method(x) == want, (method, x)
     with pytest.raises(ValueError):
         d.quantile(np.array([0.5, 0.0]))
+
+
+def _cdf_densities(maxwell_configs):
+    x = maxwell_configs[22].points
+    return {"histogram": histogram_density(x), "maxwell-gzb": gzb_density(BL, x)}
+
+
+_EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("kind", ["histogram", "maxwell-gzb"])
+def test_cdf_takes_every_input_type_to_the_same_bits(kind, maxwell_configs):
+    # the float path bisects Python lists; a NaN there must stay NaN, as the
+    # array path keeps it, and not be clamped to 1
+    d = _cdf_densities(maxwell_configs)[kind]
+    atoms = d.x
+    span = np.random.default_rng(3).uniform(atoms[0], atoms[-1], 200)
+    xs = np.concatenate((_EXTREMES, atoms, np.nextafter(atoms, -np.inf),
+                         np.nextafter(atoms, np.inf), span))
+    row = d.cdf(xs)
+    for x, want in zip(xs.tolist(), row.tobytes().hex(" ", 8).split()):
+        got = [d.cdf(x), d.cdf(np.float64(x)), d.cdf(np.array(x)), d.cdf(np.array([x]))[0]]
+        assert [np.float64(v).tobytes().hex() for v in got] == [want] * 4, x
+
+
+@pytest.mark.parametrize("kind", ["histogram", "maxwell-gzb"])
+def test_cdf_evaluates_no_baseline_outside_its_span(kind, maxwell_configs):
+    # B at +-inf or 1e308 warns (inf * 0, overflow); the array path clips to
+    # the span first, which leaves every in-span value's bits as they were
+    d = _cdf_densities(maxwell_configs)[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = d.cdf(np.array(_EXTREMES))
+        inside = np.linspace(d.x[0], d.x[-1], 1001)
+        got = d.cdf(inside)
+    assert np.isnan(out[0]) and out[1:].tolist() == [1.0, 0.0, 1.0, 0.0]
+    i = np.clip(np.searchsorted(d.x, inside, side="left") - 1, 0, d.c.size - 1)
+    unclipped = np.minimum(1.0, d.cum[i] + d.c[i] * (d.baseline.B(inside) - d.Bx[i]))
+    want = np.where(inside <= d.x[0], 0.0, np.where(inside >= d.x[-1], 1.0, unclipped))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_density_arrays_are_read_only():
