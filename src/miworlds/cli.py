@@ -70,14 +70,14 @@ def _render(value, out_format: str, table=None) -> Iterable[str]:
     """``value`` as JSON in one piece, or ``table``, by default the keys and
     values of the flat dict ``value``, as CSV lines, None as an empty cell."""
     if out_format == "json":
-        return [json.dumps(value, indent=2, default=_fmt) + "\n"]
+        return [json.dumps(value, indent=2) + "\n"]
     table = _records([value]) if table is None else table
     return (",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 def _comment(label: str, values: dict) -> str:
     """A trailing CSV comment line carrying 17-digit values as JSON."""
-    return f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
+    return f"# {label} " + json.dumps({k: _fmt(v) for k, v in values.items()}) + "\n"
 
 
 def _write(pieces: Iterable[str], path: Optional[str]) -> None:

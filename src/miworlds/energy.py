@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BaselineZero
+from .errors import MiwError
 from .targets import Baseline
 from .zerobias import _check_decreasing
 
@@ -47,7 +47,7 @@ def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:
     _check_decreasing(x, 0)
     b = baseline.b(x)
     if np.any(b <= 0.0):
-        raise BaselineZero("baseline vanishes at a world location")
+        raise MiwError("baseline vanishes at a world location")
     # reciprocal of the gap below world n (B(x_{n+1}) - B(x_n)) less that of
     # the gap above it, each zero at the boundary since B(x_0) = +inf and
     # B(x_{N+1}) = -inf

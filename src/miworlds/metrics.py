@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import RouteMismatch
+from .errors import MiwError, MiwValidation
 from .numerics import QUAD_ABS_TOL, QUAD_REL_TOL, integrate_adaptive, newton_bracketed
 from .solver import MAXWELL, solve_configuration
 from .targets import cdf_pk, cdf_pk_integral, maxwell_square_baseline, pdf_pk
@@ -84,7 +84,7 @@ def _dw_exact(points: Sequence[float], k: int) -> float:
     exact = float(Aa[-1] - Aa[0])
     quad = integrate_adaptive(lambda x: cdf_pk(k, x), float(a[0]), float(a[-1]))
     if abs(quad - exact) > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(exact)):
-        raise RouteMismatch(
+        raise MiwError(
             f"int F_{k} over [{a[0]}, {a[-1]}]: quadrature {quad!r}, closed form {exact!r}"
         )
     tails = Aa[0] + (Aa[-1] - a[-1])
@@ -114,6 +114,8 @@ class RateRow:
 
 def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
+    if cfg.family != MAXWELL:  # the distances are to the Maxwell law p_1
+        raise MiwValidation(f"rates measure a maxwell configuration, not a {cfg.family} one")
     report = coupling_expectations(gzb_density(maxwell_square_baseline(), cfg.points))
     dw = _dw_exact(cfg.points, 1)
     dk = kolmogorov(cfg.points, lambda x: cdf_pk(1, x))

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, OutOfRange
+from .errors import MiwError, NonConvergence
 
 __all__ = [
     "QUAD_ABS_TOL",
@@ -115,7 +115,7 @@ def invert_monotone(F: Callable[[float], float], y: float, lo: float, hi: float)
     Flo, Fhi = F(lo), F(hi)
     slack = _ROOT_F_TOL * max(1.0, abs(Flo), abs(Fhi))
     if y < Flo - slack or y > Fhi + slack:
-        raise OutOfRange(f"target {y:g} outside [F(lo), F(hi)] = [{Flo:g}, {Fhi:g}]")
+        raise MiwError(f"target {y:g} outside [F(lo), F(hi)] = [{Flo:g}, {Fhi:g}]")
     if y <= Flo:
         return lo
     if y >= Fhi:

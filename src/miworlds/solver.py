@@ -25,8 +25,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .energy import potential_V
-from .errors import (InvalidStart, MiwValidation, NonConvergence, ParityUnsupported,
-                     ResidualFailure)
+from .errors import MiwError, MiwValidation, NonConvergence, ResidualFailure
 from .numerics import newton_bracketed
 from .targets import Baseline, ground_baseline, maxwell_square_baseline
 
@@ -111,7 +110,7 @@ def shoot_sequence(bl: Baseline, x1: float, max_len: int):
     ``nonfinite`` or ``baseline_zero``.
     """
     if not (x1 > 0):
-        raise InvalidStart(f"shooting start must be positive, got {x1}")
+        raise MiwError(f"shooting start must be positive, got {x1}")
     x = float(x1)
     xs, partial = [x], 0.0
     while len(xs) < max_len:
@@ -284,7 +283,7 @@ def solve_configuration(
         raise ValueError("need at least two worlds")
     bl = _baseline(family, baseline)
     if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
-        raise ParityUnsupported(f"b(0) = 0 needs an even world count, got {n_worlds}")
+        raise MiwValidation(f"b(0) = 0 needs an even world count, got {n_worlds}")
 
     def failure(cls, message):
         last = f", the last of {tried}" if tried > 1 else ""

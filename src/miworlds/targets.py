@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import hermite_e as herme
 
-from .errors import KernelSingularity, MiwValidation, UnsupportedOrder
+from .errors import MiwError, MiwValidation
 from .numerics import newton_bracketed
 
 __all__ = [
@@ -60,7 +60,7 @@ def normal_cdf(x):
 
 def _check_order(k: int) -> None:
     if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_ORDER:
-        raise UnsupportedOrder(f"order {k} outside supported range 0..{MAX_ORDER}")
+        raise MiwValidation(f"order {k} outside supported range 0..{MAX_ORDER}")
 
 
 def hermite_he(k: int, x):
@@ -121,7 +121,8 @@ class Baseline:
     inverted in closed form on one term, and by bracketed Newton otherwise.
     ``integrals`` integrates b, x b and b/x between neighbouring points on
     one side of 0.
-    The coefficients of ``b_poly`` are read-only, so a baseline can be shared.
+    ``b_poly`` is a copy of the given power-basis polynomial (domain and
+    window [-1, 1]) with read-only coefficients, so a baseline can be shared.
     """
 
     b_poly: Polynomial
@@ -129,6 +130,12 @@ class Baseline:
 
     def __post_init__(self):
         put = object.__setattr__  # derived attributes of a frozen dataclass
+        p = self.b_poly
+        if not (np.array_equal(p.domain, Polynomial.domain)
+                and np.array_equal(p.window, Polynomial.window)):
+            raise MiwValidation(f"a baseline is in the power basis of x, but its polynomial "
+                                f"maps domain {p.domain.tolist()} to window {p.window.tolist()}")
+        put(self, "b_poly", p.copy())  # a copy: the caller's coefficients stay writable
         # b = m + Q' - xQ for the odd polynomial Q with Q' - xQ = b - m, so
         # (Q phi)' = (b - m) phi and m = E b(Z) = c_0 - Q_1
         c = self.b_poly.coef
@@ -165,7 +172,7 @@ class Baseline:
         while self.B(hi) < abs(y):
             hi *= 2.0
             if hi > 1e154:
-                raise OverflowError("cumulative baseline inverse out of range")
+                raise MiwError("cumulative baseline inverse out of range")
         return float(self.Binv_within(y, -hi, hi))
 
     def Binv_within(self, y, lo, hi) -> np.ndarray:
@@ -304,17 +311,17 @@ _TAU_NUMERATORS = {
 def stein_kernel_tau(k: int, x: float) -> float:
     """Closed-form Stein kernel of p_k for k in {1, 2, 3}."""
     if k not in _TAU_NUMERATORS:
-        raise UnsupportedOrder(f"closed-form kernel available only for k in 1..3, got {k}")
+        raise MiwValidation(f"closed-form kernel available only for k in 1..3, got {k}")
     he = hermite_he(k, x)
     if he == 0.0:
-        raise KernelSingularity(f"tau_{k} undefined at zero of He_{k}: x={x}")
+        raise MiwError(f"tau_{k} undefined at zero of He_{k}: x={x}")
     return float(_TAU_NUMERATORS[k](x)) / (he * he)
 
 
 def stein_kernel_times_pdf(k: int, x) -> float:
     """Singularity-free product tau_k(x) * p_k(x) (a polynomial times phi)."""
     if k not in _TAU_NUMERATORS:
-        raise UnsupportedOrder(f"closed-form kernel available only for k in 1..3, got {k}")
+        raise MiwValidation(f"closed-form kernel available only for k in 1..3, got {k}")
     return _TAU_NUMERATORS[k](x) * phi(x) / math.factorial(k)
 
 

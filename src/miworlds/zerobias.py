@@ -19,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInput,
-    AtomAtZero,
-    BaselineZero,
-    MiwValidation,
-    NotDecreasing,
-)
+from .errors import MiwError, MiwValidation
 from .numerics import _upper_integral_grid
 from .targets import Baseline, ground_baseline, pdf_pk, phi
 
@@ -111,7 +105,7 @@ def _check_decreasing(x: np.ndarray, at_least: int = 1):
     # a pair is rising unless it falls, so a NaN atom is rising too
     rising = np.flatnonzero(~(x[1:] < x[:-1]))
     if rising.size:
-        raise NotDecreasing(f"atoms not strictly decreasing at index {rising[0]}")
+        raise MiwError(f"atoms not strictly decreasing at index {rising[0]}")
 
 
 def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
@@ -120,13 +114,13 @@ def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
     _check_decreasing(x, 2)
     worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
-        raise AsymmetricInput(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
+        raise MiwError(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
     bvals = np.asarray(baseline.b(x), dtype=float)
     if np.any(bvals <= 0.0):
-        raise BaselineZero("baseline vanishes at an atom")
+        raise MiwError("baseline vanishes at an atom")
     raw = np.cumsum(x / bvals)[:-1]
     if np.any(raw < 0.0):
-        raise AsymmetricInput("partial sums x_i/b(x_i) must stay nonnegative")
+        raise MiwError("partial sums x_i/b(x_i) must stay nonnegative")
     Bx = np.asarray(baseline.B(x), dtype=float)
     masses = raw * (Bx[:-1] - Bx[1:])
     total = float(np.sum(masses))
@@ -179,7 +173,7 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     """
     atoms = density.x
     if (atoms == 0.0).any():
-        raise AtomAtZero("reciprocal terms undefined for an atom at zero")
+        raise MiwValidation("reciprocal terms undefined for an atom at zero")
     n = atoms.size
     # one stable merge: on a tie the gap level comes first and ends the
     # cell, and the atom level after it ends none

@@ -218,18 +218,8 @@ def test_unsupported_order_is_a_usage_error(capsys):
 _EXIT_CODES = {
     errors.MiwError: 2,
     errors.MiwValidation: 1,
-    errors.UnsupportedOrder: 1,
-    errors.ParityUnsupported: 1,
     errors.NonConvergence: 2,
-    errors.RouteMismatch: 2,
-    errors.OutOfRange: 2,
-    errors.KernelSingularity: 2,
-    errors.InvalidStart: 2,
     errors.ResidualFailure: 2,
-    errors.NotDecreasing: 2,
-    errors.BaselineZero: 2,
-    errors.AsymmetricInput: 2,
-    errors.AtomAtZero: 1,
 }
 
 

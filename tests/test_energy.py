@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from miworlds.energy import certify_minimizer, interworld_U, potential_V
-from miworlds.errors import BaselineZero, NotDecreasing
+from miworlds.errors import MiwError
 from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration, validate_properties
 from miworlds.targets import (
     Baseline,
@@ -85,21 +85,21 @@ def test_interworld_matches_per_point_loop(maxwell_configs, n):
 
 def test_interworld_input_guards():
     bl = maxwell_square_baseline()
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(MiwError, match="^atoms not strictly decreasing at index 0$"):
         interworld_U(bl, (0.5, 1.0))
-    with pytest.raises(BaselineZero):
+    with pytest.raises(MiwError, match="^baseline vanishes at a world location$"):
         interworld_U(bl, (1.0, 0.0, -1.0))
 
 
 def test_interworld_ordering_names_the_first_tie():
     # the atom ordering check of zerobias, which names the first bad index
-    with pytest.raises(NotDecreasing, match="^atoms not strictly decreasing at index 1$"):
+    with pytest.raises(MiwError, match="^atoms not strictly decreasing at index 1$"):
         interworld_U(maxwell_square_baseline(), (2.0, 1.0, 1.0, -1.0))
 
 
 def test_interworld_rejects_a_nan_atom():
     # a NaN compares false both ways, so its pair counts as rising
-    with pytest.raises(NotDecreasing, match="^atoms not strictly decreasing at index 0$"):
+    with pytest.raises(MiwError, match="^atoms not strictly decreasing at index 0$"):
         interworld_U(maxwell_square_baseline(), (2.0, math.nan, -2.0))
 
 

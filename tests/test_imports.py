@@ -1,15 +1,21 @@
 """Every module of the package and of the test suite reads each name it imports,
-and the package reads every private name it defines.
+the package reads every private name it defines, and it raises only what the
+CLI maps to an exit code.
 
-No linter ships with the project, so these are the unused-import and
-unused-private-name checks: stdlib ``ast`` scans.  ``from __future__``
-imports and names that a module lists in ``__all__`` count as used.
+No linter ships with the project, so these are the unused-import,
+unused-private-name and raised-class checks: stdlib ``ast`` scans.
+``from __future__`` imports and names that a module lists in ``__all__``
+count as used.
 """
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 import pytest
+
+from miworlds.errors import MiwError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "miworlds").glob("*.py"))
@@ -97,3 +103,42 @@ def test_the_private_name_scan_flags_an_unread_name_only():
 def test_package_reads_every_private_name():
     sources = {f"src/miworlds/{p.name}": p.read_text() for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def raised_classes(source: str) -> list:
+    """(name, line) of each class that a ``raise`` names, directly or as the
+    first argument of ``failure``, outside an ``if __name__ == "__main__"`` block."""
+    tree = ast.parse(source)
+    main = {id(n) for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+            for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None and id(node) not in main:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "failure":
+                exc = node.exc.args[0]
+            found.append((ast.unparse(exc), node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_the_raise_scan_reads_failure_and_skips_the_main_block():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise KeyError(x)\n"
+        "    raise failure(NonConvergence, 'm') from None\n"
+        "if __name__ == '__main__':\n"
+        "    raise SystemExit(f(0))\n"
+    )
+    assert raised_classes(source) == [("KeyError", 3), ("NonConvergence", 4)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_raises_only_what_the_cli_maps(path):
+    # cli.main turns these into exit codes 1 and 2; anything else is a traceback
+    namespace = vars(importlib.import_module(f"miworlds.{path.stem}"))
+    unmapped = [f"{name} (line {line})" for name, line in raised_classes(path.read_text())
+                if not issubclass(namespace.get(name) or getattr(builtins, name),
+                                  (MiwError, ValueError, MemoryError))]
+    assert unmapped == []

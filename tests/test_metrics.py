@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from miworlds import cli, metrics
-from miworlds.errors import MiwValidation, NotDecreasing, RouteMismatch
+from miworlds.errors import MiwError, MiwValidation
 from miworlds.metrics import (
     MAXWELL_MODE_SUP,
     RateRow,
@@ -15,8 +15,8 @@ from miworlds.metrics import (
     rate_sweep,
     wasserstein1,
 )
-from miworlds.solver import MAXWELL, solve_configuration
-from miworlds.targets import cdf_pk
+from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration
+from miworlds.targets import cdf_pk, hermite_square_baseline
 from reference import step_cdf
 
 
@@ -69,7 +69,7 @@ def test_kolmogorov_on_points_equals_the_tuple_route(n, maxwell_configs):
 
 
 def test_kolmogorov_rejects_unordered_atoms():
-    with pytest.raises(NotDecreasing):
+    with pytest.raises(MiwError, match="^atoms not strictly decreasing at index 0$"):
         kolmogorov((0.0, 1.0), lambda x: x)
 
 
@@ -119,8 +119,20 @@ def test_exact_dw_matches_quadrature_route(n, maxwell_configs):
 def test_dw_self_check_catches_wrong_antiderivative(maxwell_configs, monkeypatch):
     exact = metrics.cdf_pk_integral
     monkeypatch.setattr(metrics, "cdf_pk_integral", lambda k, x: exact(k, x) * (1 + 1e-8))
-    with pytest.raises(RouteMismatch):
+    with pytest.raises(MiwError, match=r"^int F_1 over \[\S+, \S+\]: quadrature \S+, closed form \S+$"):
         measure_configuration(maxwell_configs[8])
+
+
+@pytest.mark.parametrize("family, baseline, name", [
+    (GROUND, None, "ground"),
+    (GENERAL, hermite_square_baseline(2), "general"),
+])
+def test_measure_refuses_a_configuration_of_another_law(family, baseline, name):
+    # its distances are to the Maxwell law p_1, which fits no other family
+    cfg = solve_configuration(family, 22, baseline=baseline)
+    with pytest.raises(MiwValidation,
+                       match=f"^rates measure a maxwell configuration, not a {name} one$"):
+        measure_configuration(cfg)
 
 
 def test_dw_decays_as_sqrt_log_n_over_n(maxwell_configs):

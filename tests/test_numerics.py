@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miworlds import numerics
-from miworlds.errors import NonConvergence, OutOfRange
+from miworlds.errors import MiwError, NonConvergence
 from miworlds.numerics import (
     TAIL_CUTOFF,
     _upper_integral_grid,
@@ -109,7 +109,7 @@ def test_invert_monotone_odd_zero():
 
 
 def test_invert_monotone_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(MiwError, match=r"^target 5 outside \[F\(lo\), F\(hi\)\] = \[0, 1\]$"):
         invert_monotone(lambda t: t, 5.0, 0.0, 1.0)
 
 

@@ -17,13 +17,7 @@ from scipy.linalg import solve_banded
 
 from miworlds import solver
 from miworlds.energy import potential_V
-from miworlds.errors import (
-    InvalidStart,
-    MiwValidation,
-    NonConvergence,
-    ParityUnsupported,
-    ResidualFailure,
-)
+from miworlds.errors import MiwError, MiwValidation, NonConvergence, ResidualFailure
 from miworlds.solver import (
     GENERAL,
     GROUND,
@@ -73,7 +67,7 @@ def test_shoot_general_matches_maxwell():
 
 
 def test_shoot_invalid_start():
-    with pytest.raises(InvalidStart):
+    with pytest.raises(MiwError, match=r"^shooting start must be positive, got -1\.0$"):
         shoot_sequence(ground_baseline(), -1.0, 4)
 
 
@@ -104,12 +98,12 @@ def test_solve_maxwell_n22(maxwell_configs):
 
 
 def test_maxwell_odd_parity_rejected():
-    with pytest.raises(ParityUnsupported):
+    with pytest.raises(MiwValidation, match=r"^b\(0\) = 0 needs an even world count, got 21$"):
         solve_configuration(MAXWELL, 21)
 
 
 def test_general_maxwell_square_odd_parity_rejected():
-    with pytest.raises(ParityUnsupported):
+    with pytest.raises(MiwValidation, match=r"^b\(0\) = 0 needs an even world count, got 5$"):
         solve_configuration(GENERAL, 5, baseline=maxwell_square_baseline())
 
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import Polynomial
 from numpy.polynomial import hermite_e as herme
 
-from miworlds.errors import KernelSingularity, MiwValidation, UnsupportedOrder
+from miworlds.errors import MiwError, MiwValidation
 from miworlds.numerics import integrate_adaptive, newton_bracketed
 from miworlds.targets import (
     MAX_ORDER,
@@ -42,7 +42,7 @@ def test_hermite_values():
 
 
 def test_hermite_order_guard():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(MiwValidation, match=r"^order 31 outside supported range 0\.\.30$"):
         hermite_he(31, 0.0)
 
 
@@ -286,6 +286,31 @@ def test_baselines_from_a_shared_one_are_new():
     assert bl.b(0.0) == 1.0 and not bl.b_poly.coef.flags.writeable
 
 
+def test_baseline_copies_the_callers_polynomial():
+    p = Polynomial([1.0, 0.0, 1.0])
+    bl = Baseline(p)
+    p.coef[2] = 3.0  # the caller's own array is not frozen
+    assert bl.b_poly is not p and not bl.b_poly.coef.flags.writeable
+    assert bl.b_poly.coef.tolist() == [1.0, 0.0, 1.0] and bl.b(1.5) == 3.25
+
+
+@pytest.mark.parametrize("mapped, maps", [
+    (Polynomial([0.0, 0.0, 1.0], domain=[0, 2]), r"domain \[0\.0, 2\.0\] to window \[-1\.0, 1\.0\]"),
+    (Polynomial([0.0, 0.0, 1.0], window=[0, 1]), r"domain \[-1\.0, 1\.0\] to window \[0\.0, 1\.0\]"),
+], ids=["domain", "window"])
+def test_baseline_refuses_a_mapped_polynomial(mapped, maps):
+    # the coefficients are read in the power basis of x, which a mapped
+    # polynomial is not: on domain [0, 2] its value at 1.5 is 0.25, not 2.25
+    with pytest.raises(MiwValidation, match=f"^a baseline is in the power basis of x, "
+                                            f"but its polynomial maps {maps}$"):
+        Baseline(mapped)
+
+
+def test_baseline_inverse_beyond_the_float_range_is_a_typed_error():
+    with pytest.raises(MiwError, match="^cumulative baseline inverse out of range$"):
+        ground_baseline().Binv(1e300)
+
+
 @pytest.mark.parametrize("build, arg, coef", [
     (hermite_square_baseline, 0, [1.0]),
     (hermite_square_baseline, 2, [0.5, 0.0, -1.0, 0.0, 0.5]),  # (x^2 - 1)^2 / 2
@@ -519,9 +544,10 @@ def test_tau_closed_forms():
     assert stein_kernel_tau(1, 1.0) == pytest.approx(3.0, abs=1e-14)
     assert stein_kernel_tau(2, 0.0) == pytest.approx(5.0, abs=1e-14)
     assert stein_kernel_tau(3, 2.0) == pytest.approx(29.5, abs=1e-12)
-    with pytest.raises(KernelSingularity):
+    with pytest.raises(MiwError, match=r"^tau_1 undefined at zero of He_1: x=0\.0$"):
         stein_kernel_tau(1, 0.0)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(MiwValidation,
+                       match=r"^closed-form kernel available only for k in 1\.\.3, got 4$"):
         stein_kernel_tau(4, 1.0)
 
 
