@@ -26,26 +26,23 @@ from .solver import (
     GENERAL,
     GROUND,
     MAXWELL,
+    _baseline,
     configuration_json_pieces,
     solve_configuration,
     validate_properties,
 )
 from .stein import fixed_suite, supnorm_suite
-from .targets import (
-    ground_baseline,
-    hermite_square_baseline,
-    maxwell_square_baseline,
-    monomial_baseline,
-)
+from .targets import hermite_square_baseline, monomial_baseline
 from .zerobias import coupling_expectations, fixed_point_defect, gzb_density, histogram_density
 
 __all__ = ["main", "exit_code"]
 
-# --family: (solver family, the option its baseline reads, baseline builder);
-# a builder of an option looks its function up per call, so wrappers apply
+# --family: (solver family, the option its baseline reads, baseline builder); the
+# solver's own baseline serves a family without a builder, and a builder looks its
+# function up per call, so wrappers apply
 _FAMILIES = {
-    "ground": (GROUND, None, ground_baseline),
-    "maxwell": (MAXWELL, None, maxwell_square_baseline),
+    "ground": (GROUND, None, None),
+    "maxwell": (MAXWELL, None, None),
     "hermite-sq": (GENERAL, "k", lambda k: hermite_square_baseline(k)),
     "monomial": (GENERAL, "r", lambda r: monomial_baseline(r).normalized()),
 }
@@ -99,19 +96,15 @@ def _solve(args):
     for opt in ("k", "r"):
         if opt != reads and getattr(args, opt) is not None:
             raise MiwValidation(f"--{opt} does not apply to --family {args.family}")
-    if reads is None:
-        bl = build()
-    elif getattr(args, reads) is None:
+    if reads is not None and getattr(args, reads) is None:
         raise MiwValidation(f"{args.family} requires --{reads}")
-    else:
-        bl = build(getattr(args, reads))
+    bl = _baseline(fam, None if reads is None else build(getattr(args, reads)))
     if args.n < 2:
         raise MiwValidation("--n must be at least 2")
     return bl, solve_configuration(fam, args.n, baseline=bl)
 
 
-def _cmd_solve(args) -> Iterable[str]:
-    cfg = _solve(args)[1]
+def _cmd_solve(args, bl, cfg) -> Iterable[str]:
     if args.out_format == "json":
         return chain(configuration_json_pieces(cfg), ["\n"])
     # each line is what _render writes for (n, x)
@@ -119,8 +112,7 @@ def _cmd_solve(args) -> Iterable[str]:
     return chain(["n,x\n"], lines, [_comment("residuals", cfg.residuals)])
 
 
-def _cmd_verify(args) -> Iterable[str]:
-    bl, cfg = _solve(args)
+def _cmd_verify(args, bl, cfg) -> Iterable[str]:
     return _render(validate_properties(cfg, baseline=bl), args.out_format)
 
 
@@ -130,13 +122,11 @@ def _report(args, cfg, report) -> Iterable[str]:
     return _render(payload, args.out_format)
 
 
-def _cmd_energy(args) -> Iterable[str]:
-    bl, cfg = _solve(args)
+def _cmd_energy(args, bl, cfg) -> Iterable[str]:
     return _report(args, cfg, certify_minimizer(bl, cfg.points))
 
 
-def _cmd_density(args) -> Iterable[str]:
-    bl, cfg = _solve(args)
+def _cmd_density(args, bl, cfg) -> Iterable[str]:
     hist = histogram_density(cfg.points)
     # one row per gap, from the top gap down: left end, right end, coefficient
     gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
@@ -150,8 +140,7 @@ def _cmd_density(args) -> Iterable[str]:
     return _render(table, args.out_format, table)
 
 
-def _cmd_coupling(args) -> Iterable[str]:
-    bl, cfg = _solve(args)
+def _cmd_coupling(args, bl, cfg) -> Iterable[str]:
     return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.points)))
 
 
@@ -173,7 +162,8 @@ def _cmd_fixed_point(args) -> Iterable[str]:
     return _render({"k": 1, "defect": fixed_point_defect()}, args.out_format)
 
 
-# subcommand: (function, default --out, whether it solves --family at --n)
+# subcommand: (function, default --out, whether it solves --family at --n); main
+# solves for a subcommand that does, and passes it the baseline and configuration
 _SUBCOMMANDS = {
     "solve": (_cmd_solve, "json", True),
     "verify": (_cmd_verify, "json", True),
@@ -189,7 +179,7 @@ _SUBCOMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="miworlds", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, (func, out, solves) in _SUBCOMMANDS.items():
+    for name, (_, out, solves) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         if solves:
             sp.add_argument("--family", choices=_FAMILIES, default="maxwell")
@@ -200,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n-list", type=int, nargs="+", required=True)
         sp.add_argument("--out", dest="out_format", choices=("csv", "json"), default=out)
         sp.add_argument("--out-path", dest="out_path")
-        sp.set_defaults(func=func)
     return p
 
 
@@ -221,8 +210,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, which exits 1 here
         return 1 if exc.code == 2 else int(exc.code or 0)
     try:
+        func, _, solves = _SUBCOMMANDS[args.subcommand]
         # a subcommand returns its output's pieces after all of its numerical work
-        _write(args.func(args), args.out_path)
+        _write(func(args, *(_solve(args) if solves else ())), args.out_path)
     except (MiwError, ValueError, MemoryError) as exc:
         code = exit_code(exc)
         kind = "numerical failure: " if code == 2 and isinstance(exc, MiwError) else ""

@@ -144,18 +144,17 @@ def newton_bracketed(f, y, lo, hi) -> np.ndarray:
     shape = y.shape
     if not y.size:  # no element would ever stop the loop
         return np.empty(shape)
-    # rows y, lo, hi, x tolerance, F tolerance: one index takes every row
-    rows = np.empty((5, *shape))
+    # rows y, lo, hi, x tolerance: one index takes every row
+    rows = np.empty((4, *shape))
     rows[0], rows[1], rows[2] = y, lo, hi
     rows[3] = _ROOT_X_TOL * np.maximum(np.abs(rows[1]), np.abs(rows[2]))
-    rows[4] = _ROOT_F_TOL * np.maximum(1.0, np.abs(rows[0]))
-    y, lo, hi, x_tol, f_tol = rows = rows.reshape(5, -1)
+    y, lo, hi, x_tol = rows = rows.reshape(4, -1)
     x, out, where = 0.5 * (lo + hi), np.empty(y.size), np.arange(y.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROOT_MAX_ITER):
             F, dF = f(x)
             r = F - y
-            fine = np.abs(r) <= f_tol
+            fine = np.abs(r) <= _ROOT_F_TOL * np.maximum(1.0, np.abs(y))
             np.copyto(lo, x, where=r < 0.0)
             np.copyto(hi, x, where=r > 0.0)
             newton = np.subtract(x, np.divide(r, dF, out=r), out=r)  # x - (F - y) / F'
@@ -172,7 +171,7 @@ def newton_bracketed(f, y, lo, hi) -> np.ndarray:
                 if not keep.size:
                     return out.reshape(shape)
                 x, where, rows = x[keep], where[keep], rows.take(keep, axis=1)
-                y, lo, hi, x_tol, f_tol = rows
+                y, lo, hi, x_tol = rows
     raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")
 
 

@@ -92,14 +92,18 @@ class Configuration:
 _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
 
 
-def _baseline(family: str, baseline: Optional[Baseline]) -> Baseline:
-    """The family's own baseline, or for the general family the given one: the one
-    lookup that solve_configuration and validate_properties share."""
-    if family != GENERAL:
-        return _BASELINES[family]()
-    if baseline is None:
-        raise ValueError("general family requires a baseline")
-    return baseline
+def _baseline(family: str, baseline: Optional[Baseline] = None) -> Baseline:
+    """The one map from a family to its baseline: ground and Maxwell return their own
+    and refuse one of another polynomial; the general family needs one."""
+    if family == GENERAL:
+        if baseline is None:
+            raise ValueError("general family requires a baseline")
+        return baseline
+    own = _BASELINES[family]()
+    if baseline is not None and baseline is not own and baseline.b_poly.trim() != own.b_poly:
+        raise MiwValidation(f"the {family} family's baseline has coefficients "
+                            f"{own.b_poly.coef.tolist()}, not {baseline.b_poly.coef.tolist()}")
+    return own
 
 
 def shoot_sequence(bl: Baseline, x1: float, max_len: int):
@@ -116,7 +120,8 @@ def shoot_sequence(bl: Baseline, x1: float, max_len: int):
     while len(xs) < max_len:
         if bl.near_zero_of_b(x):
             return xs, "baseline_zero"
-        partial += x / float(bl.b(x))
+        bx = float(bl.b(x))
+        partial += x / bx if bx else math.inf  # b(x) underflowed: x/b is +inf
         if partial == 0.0 or not math.isfinite(partial):
             return xs, "singular_partial_sum"
         nxt = bl.Binv(float(bl.B(x)) - 1.0 / partial)
@@ -271,8 +276,9 @@ def solve_configuration(
 ) -> Configuration:
     """Solve for the strictly decreasing zero-mean configuration.
 
-    Raises :class:`NonConvergence` when Newton converges from no start, or
-    a start's inversion of the target CDF fails, and :class:`ResidualFailure`
+    Raises :class:`MiwValidation` for a baseline that ``family`` refuses, or an odd
+    N when b(0) = 0; :class:`NonConvergence` when Newton converges from no start,
+    or a start's inversion of the target CDF fails; and :class:`ResidualFailure`
     when the mirrored configuration lands on a zero of b or misses the
     recursion by more than ``residual_tol``.  Every message ends with
     ``(family, N=n)``; a failure after Newton ends also with a summary of
@@ -282,7 +288,7 @@ def solve_configuration(
     if n_worlds < 2:
         raise ValueError("need at least two worlds")
     bl = _baseline(family, baseline)
-    if bl.near_zero_of_b(0.0, 1e-12) and n_worlds % 2 == 1:
+    if bl.b_poly.coef[0] == 0.0 and n_worlds % 2 == 1:
         raise MiwValidation(f"b(0) = 0 needs an even world count, got {n_worlds}")
 
     def failure(cls, message):
@@ -320,7 +326,7 @@ def solve_configuration(
 def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None) -> dict:
     """Report the four structural defects plus growth diagnostics.
 
-    ``baseline`` is needed, and read, for the general family only.
+    ``baseline`` is the general family's, as in ``solve_configuration``.
     """
     x, n = cfg.points, cfg.n_worlds
     residual, p1, symmetry, variance = _defects(_baseline(cfg.family, baseline), x)

@@ -119,6 +119,8 @@ def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
     if np.any(bvals <= 0.0):
         raise MiwError("baseline vanishes at an atom")
     raw = np.cumsum(x / bvals)[:-1]
+    if np.array_equal(x, -x[::-1]):  # S_n = S_{N-n}: past the midpoint the sums cancel
+        raw[x.size // 2 :] = raw[: (x.size - 1) // 2][::-1]
     if np.any(raw < 0.0):
         raise MiwError("partial sums x_i/b(x_i) must stay nonnegative")
     Bx = np.asarray(baseline.B(x), dtype=float)

@@ -71,6 +71,18 @@ def test_shoot_invalid_start():
         shoot_sequence(ground_baseline(), -1.0, 4)
 
 
+def test_shoot_stops_on_a_zero_of_b():
+    # x_1 = 1 is a zero of He_2^2 / 2: x_1 / b(x_1) is never formed
+    assert shoot_sequence(hermite_square_baseline(2), 1.0, 5) == ([1.0], "baseline_zero")
+
+
+def test_shoot_stops_where_b_underflows():
+    # b(0.5) = 0.5^300 / 299!! underflows to 0.0, so x/b is +inf: the partial sum is singular
+    bl = monomial_baseline(300).normalized()
+    assert float(bl.b(0.5)) == 0.0
+    assert shoot_sequence(bl, 0.5, 5) == ([0.5], "singular_partial_sum")
+
+
 def test_shoot_stop_reason_nondecreasing():
     # a tiny start collapses immediately for the ground recursion
     xs, reason = shoot_sequence(ground_baseline(), 0.1, 10)
@@ -105,6 +117,44 @@ def test_maxwell_odd_parity_rejected():
 def test_general_maxwell_square_odd_parity_rejected():
     with pytest.raises(MiwValidation, match=r"^b\(0\) = 0 needs an even world count, got 5$"):
         solve_configuration(GENERAL, 5, baseline=maxwell_square_baseline())
+
+
+def test_odd_parity_follows_the_polynomial_not_the_declared_zeros():
+    # b = x^2 with no declared zero: b(0) = 0 is read from the constant coefficient
+    bl = Baseline(Polynomial([0.0, 0.0, 1.0]))
+    with pytest.raises(MiwValidation, match=r"^b\(0\) = 0 needs an even world count, got 5$"):
+        solve_configuration(GENERAL, 5, baseline=bl)
+
+
+def test_one_world_is_refused():
+    with pytest.raises(ValueError, match="^need at least two worlds$"):
+        solve_configuration(GROUND, 1)
+
+
+def test_a_fixed_family_refuses_another_baseline(maxwell_configs):
+    other = hermite_square_baseline(2)
+    with pytest.raises(MiwValidation, match=r"^the maxwell family's baseline has coefficients "
+                       r"\[0\.0, 0\.0, 1\.0\], not \[0\.5, 0\.0, -1\.0, 0\.0, 0\.5\]$"):
+        solve_configuration(MAXWELL, 8, baseline=other)
+    with pytest.raises(MiwValidation, match="^the maxwell family's baseline"):
+        validate_properties(maxwell_configs[8], other)
+    with pytest.raises(MiwValidation, match="^the ground family's baseline"):
+        solve_configuration(GROUND, 8, baseline=maxwell_square_baseline())
+
+
+@pytest.mark.parametrize("family, baseline", [
+    (MAXWELL, maxwell_square_baseline()), (MAXWELL, monomial_baseline(2)),
+    (MAXWELL, Baseline(Polynomial([0.0, 0.0, 1.0]))),
+    (MAXWELL, Baseline(Polynomial([0.0, 0.0, 1.0, 0.0]), (0.0,))), (GROUND, ground_baseline()),
+    (GROUND, Baseline(Polynomial([1.0]))),
+], ids=["maxwell-own", "maxwell-monomial-2", "maxwell-undeclared-zero", "maxwell-trailing-zero",
+        "ground-own", "ground-equal"])
+def test_a_fixed_family_takes_its_own_polynomial(family, baseline):
+    # the family's own baseline or an equal polynomial solves as no baseline does
+    cfg = solve_configuration(family, 8, baseline=baseline)
+    ref = solve_configuration(family, 8)
+    assert cfg.points.tobytes() == ref.points.tobytes()
+    assert validate_properties(cfg, baseline) == validate_properties(ref)
 
 
 @pytest.mark.parametrize("n", [2, 8, 22])
@@ -566,6 +616,11 @@ def test_configuration_from_json_loads_non_finite_points_for_validation():
 
 def test_recursion_residual_on_exact_points():
     assert recursion_residual(ground_baseline(), (1.0, 0.0, -1.0)) <= 1e-15
+
+
+def test_recursion_residual_of_one_point_is_zero():
+    # one point has no step, so no defect
+    assert recursion_residual(maxwell_square_baseline(), (1.0,)) == 0.0
 
 
 def _scalar_residual(bl, points):

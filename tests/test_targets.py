@@ -577,6 +577,18 @@ def test_kernel_convention_at_zero():
     assert kv.singular and kv.value == 1.0
 
 
+def test_kernel_convention_at_an_undeclared_zero():
+    # (x^2 - 1)^2 built without its zeros: b(1) = 0.0 itself marks the singularity
+    bl = Baseline(Polynomial([1.0, 0.0, -2.0, 0.0, 1.0]))
+    assert kernel_from_baseline(bl, 1.0) == (1.0, True)
+
+
+def test_kernel_times_pdf_refuses_an_order_without_closed_form():
+    with pytest.raises(MiwValidation,
+                       match=r"^closed-form kernel available only for k in 1\.\.3, got 4$"):
+        stein_kernel_times_pdf(4, 0.5)
+
+
 _BASELINES = {
     1: maxwell_square_baseline(),
     2: hermite_square_baseline(2),

@@ -61,6 +61,12 @@ def test_gzb_guards():
         gzb_density(BL, (1.0, -0.5))
     with pytest.raises(MiwError, match="^atoms not strictly decreasing at index 0$"):
         gzb_density(BL, (-1.0, 1.0))
+    # +-1 are the zeros of He_2^2 / 2
+    with pytest.raises(MiwError, match="^baseline vanishes at an atom$"):
+        gzb_density(hermite_square_baseline(2), (1.0, -1.0))
+    # symmetric within 1e-8 but not a mirror: -0.01 + 1e-9 outweighs 0.01 under the flat x^8
+    with pytest.raises(MiwError, match="^partial sums x_i/b\\(x_i\\) must stay nonnegative$"):
+        gzb_density(monomial_baseline(8).normalized(), (5.0, 0.01, -0.01 + 1e-9, -5.0))
 
 
 def test_gzb_quantile_inverts_cdf(maxwell_configs):
@@ -308,17 +314,10 @@ def test_quantile_at_every_gap_level_is_the_breakpoint():
             assert [d.quantile(float(u)) for u in d.cum[1:]] == d.x[1:].tolist()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="for atoms +-2.1, +-1.3, +-0.7, +-0.01 under normalized x^4 the "
-    "zero-bias quantile at 1/2 reads -1.02e-3, not 0: gzb_density's forward "
-    "cumsum of x/b(x) cancels past the midpoint against 0.01/b(0.01) = 3e6, the "
-    "centre gap's CDF range is centred 8.3e-11 off 1/2, and inverting the flat "
-    "B = x^5/15 magnifies that. e_inv is then 6.7e-10 off the mpmath route "
-    "(4.7e-12 at +-0.05; Maxwell stays within 1e-14). ROADMAP item 9.",
-)
 def test_coupling_terms_near_a_flat_zero_of_b():
+    # 0.01/b(0.01) = 3e6 under normalized x^4: partial sums of x/b(x) summed on past
+    # the midpoint cancel against it, and the flat B = x^5/15 magnifies any offset of
+    # the centre gap's CDF range from 1/2 in the quantiles and e_inv
     pytest.importorskip("mpmath")
     _assert_terms_match_mpmath(monomial_baseline(4).normalized(),
                                (2.1, 1.3, 0.7, 0.01, -0.01, -0.7, -1.3, -2.1))

@@ -22,6 +22,13 @@ run both commits with the same.
 ``--check FILE`` compares this checkout's lines with a saved run: it prints
 each label whose line differs, that the file lacks (extra) or that this run
 lacks (missing), then a count, and exits 1 if there is any, 0 otherwise.
+
+``tests/data/cli_digests.txt`` pins the lines outside the workloads.  After a
+change that alters an output on purpose, regenerate it by dropping the lines
+that start with a workload name:
+
+    COLUMNS=80 python3 tools/cli_digests.py \\
+        | grep -v -E '^(maxwell-sweep|solve-ladder|excited-theory)/' > tests/data/cli_digests.txt
 """
 
 from __future__ import annotations
