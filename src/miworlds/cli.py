@@ -99,8 +99,6 @@ def _solve(args):
     if reads is not None and getattr(args, reads) is None:
         raise MiwValidation(f"{args.family} requires --{reads}")
     bl = _baseline(fam, None if reads is None else build(getattr(args, reads)))
-    if args.n < 2:
-        raise MiwValidation("--n must be at least 2")
     return bl, solve_configuration(fam, args.n, baseline=bl)
 
 
@@ -132,9 +130,7 @@ def _cmd_density(args, bl, cfg) -> Iterable[str]:
     gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
     rows = [("hist", *gap) for gap in gaps]
     span = cfg.points[0] - cfg.points[-1]
-    lo = cfg.points[-1] - 0.05 * span
-    hi = cfg.points[0] + 0.05 * span
-    xs = np.linspace(lo, hi, 400)
+    xs = np.linspace(cfg.points[-1] - 0.05 * span, cfg.points[0] + 0.05 * span, 400)
     rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_cdf_pdf(xs)[1].tolist()))
     table = [("kind", "x0", "x1", "value"), *rows]
     return _render(table, args.out_format, table)
@@ -194,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code(exc: Exception) -> int:
-    """1 for usage and validation errors, 2 for numerical and memory failures."""
-    return 1 if isinstance(exc, (MiwValidation, ValueError)) else 2
+    """1 for validation errors, 2 for numerical failures and arrays numpy refuses."""
+    return 1 if isinstance(exc, MiwValidation) else 2
 
 
 @cache

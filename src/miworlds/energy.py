@@ -43,8 +43,7 @@ def potential_V(points: Sequence[float]) -> float:
 
 def interworld_U(baseline: Baseline, points: Sequence[float]) -> float:
     """Interworld potential from reciprocal cumulative-baseline gaps."""
-    x = np.asarray(points, dtype=float)
-    _check_decreasing(x, 0)
+    x = _check_decreasing(points, 0)
     b = baseline.b(x)
     if np.any(b <= 0.0):
         raise MiwError("baseline vanishes at a world location")

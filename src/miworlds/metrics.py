@@ -57,8 +57,7 @@ def kolmogorov(points: Sequence[float], G: Callable) -> float:
 
     ``G`` is called once, on the array of atoms in ascending order.
     """
-    x = np.asarray(points, dtype=float)
-    _check_decreasing(x)
+    x = _check_decreasing(points)
     n = x.size
     g = np.asarray(G(x[::-1]), dtype=float)
     below = np.arange(n) / n
@@ -135,12 +134,10 @@ def rate_sweep(n_list: Sequence[int]):
     solved configurations are quantile-like and dw itself decays faster
     than the envelope, so the two slopes differ materially.
     """
-    if list(n_list) != sorted(set(int(n) for n in n_list)):
-        raise ValueError("N list must be strictly ascending")
-    rows = []
-    for n in n_list:
-        cfg = solve_configuration(MAXWELL, int(n))
-        rows.append(measure_configuration(cfg))
+    n_list = list(n_list)  # each N is refused by solve_configuration if not an integer
+    if n_list != sorted(set(n_list)):
+        raise MiwValidation("N list must be strictly ascending")
+    rows = [measure_configuration(solve_configuration(MAXWELL, n)) for n in n_list]
     fit: Optional[dict] = None
     if len(rows) >= 2:
         logs_n = np.log([r.N for r in rows])

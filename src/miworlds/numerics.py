@@ -132,8 +132,8 @@ def newton_bracketed(f, y, lo, hi) -> np.ndarray:
     ``f(x)`` returns the pair (F(x), F'(x)).
 
     Roots lie in their brackets [lo, hi] (a target outside F's range there
-    converges to the nearer end); Newton steps leaving the shrinking bracket
-    become bisections.  An element is done after a step below ``_ROOT_X_TOL``
+    converges to the nearer end); Newton steps leaving the shrinking bracket's
+    interior become bisections.  An element is done after a step below ``_ROOT_X_TOL``
     times the bracket's scale, or once |F(x) - y| <= ``_ROOT_F_TOL`` * max(1, |y|),
     which ends it where F's rounding noise over a small F' exceeds the x tolerance.
     Each element's steps depend on it alone, so f is called once per step, on a
@@ -159,7 +159,7 @@ def newton_bracketed(f, y, lo, hi) -> np.ndarray:
             np.copyto(hi, x, where=r > 0.0)
             newton = np.subtract(x, np.divide(r, dF, out=r), out=r)  # x - (F - y) / F'
             del F, dF  # the callback's arrays, freed before this step allocates more
-            inside = (newton >= lo) & (newton <= hi)
+            inside = (newton > lo) & (newton < hi)  # a step onto an end bisects, not cycles
             step = 0.5 * (lo + hi)
             np.copyto(step, x, where=fine)
             np.copyto(step, newton, where=inside)
@@ -175,22 +175,15 @@ def newton_bracketed(f, y, lo, hi) -> np.ndarray:
     raise NonConvergence(f"bracketed Newton did not converge in {_ROOT_MAX_ITER} steps")
 
 
-def _upper_integral_grid(ts, f, kinks):
-    """int_t^L u^2 f(u) e^{(t^2-u^2)/2} du, L = TAIL_CUTOFF, for every t >= 0 in ``ts``.
-
-    One cumulative pass: panels run between the distinct t, the kinks of f
-    and L.  Panel j on [a_j, a_{j+1}] gives J_j against the weight
-    e^{-u^2/2}, and the integral from a_j is S_j = e^{a_j^2/2} sum_{k>=j} J_k,
-    one reversed cumulative sum (e^{+-L^2/2} is far inside double range).
-    ``ts`` may be unsorted and repeat points; points at or beyond L give 0.
-    """
-    return _tail_integrate(_tail_layout(ts, kinks), f)
-
-
 def _tail_layout(ts, kinks):
-    """The part of ``_upper_integral_grid`` that f does not enter: nodes u, panel
-    widths, GL_W u^2 and e^{-u^2/2} at the nodes, e^{a^2/2} per panel, the result
-    template, the points below L and the panel each of them starts at."""
+    """The panels of int_t^L u^2 f(u) e^{(t^2-u^2)/2} du, L = TAIL_CUTOFF, for each t >= 0
+    in ``ts`` (unsorted, repeats allowed; t >= L gives 0), and what f does not enter of them.
+
+    Panels run between the distinct t, the kinks of f and L.  Panel j on [a_j, a_{j+1}]
+    gives J_j against e^{-u^2/2}, and the integral from a_j is S_j = e^{a_j^2/2} sum_{k>=j}
+    J_k, one reversed cumulative sum in ``_tail_integrate`` (e^{+-L^2/2} is far inside
+    double range).  Returns nodes u, widths, GL_W u^2 and e^{-u^2/2} at the nodes,
+    e^{a^2/2} per panel, the result template, the points below L and their panels."""
     L = TAIL_CUTOFF
     ts = np.asarray(ts, dtype=float)
     inside = ts < L
@@ -210,7 +203,7 @@ def _tail_layout(ts, kinks):
 
 
 def _tail_integrate(layout, f):
-    """The pass of ``_upper_integral_grid`` for f over a ``_tail_layout``."""
+    """The integrals of a ``_tail_layout`` for f, one per point of its ``ts``."""
     u, w, P, E, scale, template, inside, start = layout
     J = w * np.sum(P * f(u) * E, axis=0)
     out = template.copy()

@@ -27,7 +27,7 @@ from scipy.linalg import get_lapack_funcs
 from .energy import potential_V
 from .errors import MiwError, MiwValidation, NonConvergence, ResidualFailure
 from .numerics import newton_bracketed
-from .targets import Baseline, ground_baseline, maxwell_square_baseline
+from .targets import Baseline, _is_integer, ground_baseline, maxwell_square_baseline
 
 __all__ = [
     "GROUND",
@@ -72,8 +72,7 @@ class Configuration:
     residuals: dict
 
     def __post_init__(self):
-        if self.family not in (GROUND, MAXWELL, GENERAL):
-            raise MiwValidation(f"family must be ground, maxwell or general, got {self.family!r}")
+        _check_family(self.family)
         x = np.array(self.points, dtype=float)
         if not x.size:
             raise MiwValidation("a configuration needs at least one point")
@@ -89,15 +88,22 @@ class Configuration:
         return float(self.points[0])
 
 
-_BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline}
+# the families and their own baselines: the general family has none
+_BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline, GENERAL: None}
+
+
+def _check_family(family) -> None:
+    if not (isinstance(family, str) and family in _BASELINES):
+        raise MiwValidation(f"family must be ground, maxwell or general, got {family!r}")
 
 
 def _baseline(family: str, baseline: Optional[Baseline] = None) -> Baseline:
     """The one map from a family to its baseline: ground and Maxwell return their own
     and refuse one of another polynomial; the general family needs one."""
+    _check_family(family)
     if family == GENERAL:
         if baseline is None:
-            raise ValueError("general family requires a baseline")
+            raise MiwValidation("general family requires a baseline")
         return baseline
     own = _BASELINES[family]()
     if baseline is not None and baseline is not own and baseline.b_poly.trim() != own.b_poly:
@@ -276,17 +282,20 @@ def solve_configuration(
 ) -> Configuration:
     """Solve for the strictly decreasing zero-mean configuration.
 
-    Raises :class:`MiwValidation` for a baseline that ``family`` refuses, or an odd
-    N when b(0) = 0; :class:`NonConvergence` when Newton converges from no start,
-    or a start's inversion of the target CDF fails; and :class:`ResidualFailure`
+    Raises :class:`MiwValidation` for a family or baseline it refuses, a world
+    count that is not an integer of at least 2, or an odd N when b(0) = 0;
+    :class:`NonConvergence` when Newton converges from no start, or a start's
+    inversion of the target CDF fails; and :class:`ResidualFailure`
     when the mirrored configuration lands on a zero of b or misses the
     recursion by more than ``residual_tol``.  Every message ends with
     ``(family, N=n)``; a failure after Newton ends also with a summary of
     the last run: its final max|G|, its iterations and the start it came
     from.  A failed start has no summary, as no Newton run belongs to it.
     """
+    if not _is_integer(n_worlds):
+        raise MiwValidation(f"the world count must be an integer, got {n_worlds!r}")
     if n_worlds < 2:
-        raise ValueError("need at least two worlds")
+        raise MiwValidation(f"need at least two worlds, got {n_worlds}")
     bl = _baseline(family, baseline)
     if bl.b_poly.coef[0] == 0.0 and n_worlds % 2 == 1:
         raise MiwValidation(f"b(0) = 0 needs an even world count, got {n_worlds}")
@@ -448,7 +457,10 @@ def configuration_from_json(text: str) -> Configuration:
     Raises :class:`MiwValidation`, naming the field, for a document that is
     not one; non-finite points load, for ``validate_properties`` to report.
     """
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MiwValidation(f"the configuration is not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MiwValidation(f"a configuration is a JSON object, not a {type(raw).__name__}")
     for key in ("family", "N", "points", "shoot_param", "residuals"):

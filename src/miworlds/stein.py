@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import _tail_integrate, _tail_layout, _upper_integral_grid
-from .zerobias import CouplingReport
+from .numerics import _tail_integrate, _tail_layout
 
 __all__ = [
     "TestFunction",
@@ -61,8 +60,8 @@ class TestFunction:
     def __post_init__(self):
         kinks = tuple(float(k) for k in self.kinks)
         zero = np.zeros(1)
-        both = (_upper_integral_grid(zero, self.h, kinks)
-                + _upper_integral_grid(zero, lambda u: self.h(-u), [-k for k in kinks]))
+        both = (_tail_integrate(_tail_layout(zero, kinks), self.h)
+                + _tail_integrate(_tail_layout(zero, [-k for k in kinks]), lambda u: self.h(-u)))
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "kinks", kinks)
         object.__setattr__(self, "mean_under_p1", float(both[0]) / math.sqrt(2.0 * math.pi))
@@ -142,8 +141,8 @@ def suite_csv_rows(records: Sequence[dict]):
     return [_SUITE_FIELDS] + [tuple(rec[f] for f in _SUITE_FIELDS) for rec in records]
 
 
-def theorem_check(cfg, report: CouplingReport, dw: float) -> dict:
-    """Assemble the coupling-bound inequality dw <= rhs_bound."""
+def theorem_check(cfg, report, dw: float) -> dict:
+    """Assemble the coupling-bound inequality dw <= rhs_bound of a CouplingReport."""
     lhs = float(dw)
     rhs = float(report.rhs_bound)
     return {

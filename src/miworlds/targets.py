@@ -58,9 +58,14 @@ def normal_cdf(x):
     return ndtr(x) if np.ndim(x) else float(ndtr(x))
 
 
+def _is_integer(v) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_order(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_ORDER:
-        raise MiwValidation(f"order {k} outside supported range 0..{MAX_ORDER}")
+    if not _is_integer(k) or k < 0 or k > MAX_ORDER:
+        raise MiwValidation(f"order {k!r} outside supported range 0..{MAX_ORDER}")
 
 
 def hermite_he(k: int, x):
@@ -140,6 +145,13 @@ class Baseline:
         # (Q phi)' = (b - m) phi and m = E b(Z) = c_0 - Q_1
         c = self.b_poly.coef
         c.flags.writeable = False
+        if not np.isfinite(c).all():
+            raise MiwValidation(f"a baseline's coefficients must be finite, got {c.tolist()}")
+        if c[1::2].any():
+            raise MiwValidation(f"a baseline is even, but its coefficients of x, x^3, ... "
+                                f"are {c[1::2].tolist()}")
+        if not c.any():
+            raise MiwValidation("the zero polynomial is not a baseline")
         with np.errstate(over="ignore", invalid="ignore"):
             Q = _inverse_stein_poly(c)
             m = float(c[0] - Q[1])
@@ -228,8 +240,8 @@ def maxwell_square_baseline() -> Baseline:
 
 def monomial_baseline(r: int) -> Baseline:
     """b(x) = x^r for an even nonnegative integer r (unnormalized)."""
-    if r < 0 or r % 2 != 0:
-        raise ValueError("monomial exponent must be an even nonnegative integer")
+    if not _is_integer(r) or r < 0 or r % 2 != 0:
+        raise MiwValidation("monomial exponent must be an even nonnegative integer")
     if r == 0:
         return ground_baseline()
     return Baseline(Polynomial([0.0] * r + [1.0]), zeros_of_b=(0.0,))
@@ -297,7 +309,7 @@ def cdf_pk_grid(k: int, xs) -> np.ndarray:
     """CDF of p_k on an ascending grid, as for dense Kolmogorov scans."""
     xs = np.asarray(xs, dtype=float)
     if np.any(np.diff(xs) < 0):
-        raise ValueError("grid must be ascending")
+        raise MiwValidation("grid must be ascending")
     return cdf_pk(k, xs)
 
 
@@ -340,9 +352,7 @@ def kernel_from_baseline(bl: Baseline, x: float) -> KernelValue:
     on how b is normalised.  At zeros of b the ratio is set to zero by
     convention and the result is flagged singular.
     """
-    if bl.near_zero_of_b(x, tol=1e-12):
-        return KernelValue(1.0, True)
     bx = float(bl.b(x))
-    if bx == 0.0:
+    if bx == 0.0 or bl.near_zero_of_b(x, tol=1e-12):
         return KernelValue(1.0, True)
     return KernelValue(1.0 + float(bl._P(x)) / bx, False)

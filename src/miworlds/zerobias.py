@@ -5,9 +5,6 @@ x_1 > ... > x_N has shape c_n * b(x) on each gap (x_{n+1}, x_n] with
 c_n proportional to sum_{i<=n} x_i / b(x_i).  The comonotone (quantile)
 coupling of the empirical law W with W* ~ p* yields the four expectation
 terms whose weighted sum bounds the Wasserstein distance to the target.
-
-The ordering check shared with ``metrics.kolmogorov`` also lives here:
-atoms must be strictly decreasing, and at least one atom is needed.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MiwError, MiwValidation
-from .numerics import _upper_integral_grid
+from .numerics import _tail_integrate, _tail_layout
 from .targets import Baseline, ground_baseline, pdf_pk, phi
 
 __all__ = [
@@ -85,7 +82,7 @@ class PiecewiseDensity:
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
-            raise ValueError("quantile argument must lie in (0, 1]")
+            raise MiwValidation("quantile argument must lie in (0, 1]")
         cum = self.cum
         i = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, self.c.size - 1)
         inner = u < cum[i + 1]  # else u is the gap's top level: its upper breakpoint
@@ -98,7 +95,10 @@ class PiecewiseDensity:
         return self.baseline.Binv_within(target, self.x[i], self.x[i + 1])
 
 
-def _check_decreasing(x: np.ndarray, at_least: int = 1):
+def _check_decreasing(points: Sequence[float], at_least: int = 1) -> np.ndarray:
+    """The atoms as float64, checked to be strictly decreasing and ``at_least`` many:
+    the one ordering check, which ``metrics`` and ``energy`` share."""
+    x = np.asarray(points, dtype=float)
     if x.size < at_least:
         raise MiwValidation(f"{at_least} or more atoms needed, got {x.size}")
     # compare neighbours, not np.diff: a repeated infinity differs by nan;
@@ -106,12 +106,12 @@ def _check_decreasing(x: np.ndarray, at_least: int = 1):
     rising = np.flatnonzero(~(x[1:] < x[:-1]))
     if rising.size:
         raise MiwError(f"atoms not strictly decreasing at index {rising[0]}")
+    return x
 
 
 def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
     """Generalized zero-bias density of the uniform law on the atoms."""
-    x = np.asarray(atoms, dtype=float)
-    _check_decreasing(x, 2)
+    x = _check_decreasing(atoms, 2)
     worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
         raise MiwError(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
@@ -131,8 +131,7 @@ def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
 
 def histogram_density(atoms: Sequence[float]) -> PiecewiseDensity:
     """Flat density with mass 1/(N-1) on each gap between atoms."""
-    x = np.asarray(atoms, dtype=float)
-    _check_decreasing(x, 2)
+    x = _check_decreasing(atoms, 2)
     bl = ground_baseline()
     mass = np.full(x.size - 1, 1.0 / (x.size - 1))
     return _density(bl, x, mass / (x[:-1] - x[1:]), mass, bl.B(x))
@@ -204,15 +203,8 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     e_wabs = float((abs_a * e1).sum())
     e_inv = float(e3.sum())
     e_ratio = float((e1 / abs_a).sum())
-    rhs = (
-        LAMBDA_1 * e_abs
-        + LAMBDA_2 * e_wabs
-        + LAMBDA_3 * e_inv
-        + LAMBDA_4 * e_ratio
-    )
-    return CouplingReport(
-        e_abs=e_abs, e_wabs=e_wabs, e_inv=e_inv, e_ratio=e_ratio, rhs_bound=rhs
-    )
+    rhs = LAMBDA_1 * e_abs + LAMBDA_2 * e_wabs + LAMBDA_3 * e_inv + LAMBDA_4 * e_ratio
+    return CouplingReport(e_abs, e_wabs, e_inv, e_ratio, rhs)
 
 
 def fixed_point_defect() -> float:
@@ -224,5 +216,5 @@ def fixed_point_defect() -> float:
     the whole grid in one cumulative pass.
     """
     x = np.arange(-40, 41) / 10.0
-    inner = _upper_integral_grid(np.abs(x), lambda u: 1.0 / u, ()) * phi(x)
+    inner = _tail_integrate(_tail_layout(np.abs(x), ()), lambda u: 1.0 / u) * phi(x)
     return float(np.max(np.abs(x * x * inner - pdf_pk(1, x))))

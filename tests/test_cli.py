@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from miworlds import cli, errors
+from miworlds import cli, errors, numerics
 from miworlds.cli import exit_code, main
 from miworlds.solver import GROUND, MAXWELL, solve_configuration
 from reference import csv_cell, csv_text
@@ -87,7 +87,7 @@ def test_parity_error_says_why_not_the_solver_label(family, capsys):
 def test_n_below_two_names_the_bound(capsys):
     # the world count is checked before the family's parity
     code, out, err = run(capsys, "solve", "--n", "1")
-    assert (code, out, err) == (1, "", "miworlds: --n must be at least 2\n")
+    assert (code, out, err) == (1, "", "miworlds: need at least two worlds, got 1\n")
 
 
 @pytest.mark.parametrize("r", [302, 400])
@@ -99,11 +99,12 @@ def test_monomial_exponent_beyond_float_moments_is_a_usage_error(r, capsys):
     assert f"exponent {r}" in err and "numerical failure" not in err
 
 
-def test_failed_start_exits_two_with_one_line(capsys):
+def test_failed_start_exits_two_with_one_line(capsys, monkeypatch):
     # a start's inversion of the target CDF fails: one line naming the solve
+    monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 3)
     code, out, err = run(capsys, "solve", "--family", "hermite-sq", "--k", "16", "--n", "1000")
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.endswith(" (general, N=1000)\n")
+    assert err.count("\n") == 1 and err.endswith(" in 3 steps (general, N=1000)\n")
 
 
 def test_usage_error_exit_one(capsys):
@@ -335,6 +336,15 @@ def test_large_solve_output_streams(out_format):
         finally:
             tracemalloc.stop()
     assert peak <= 5.5 * 2**20
+
+
+def test_array_numpy_refuses_exits_two(capsys):
+    # N = 2^62: numpy refuses the solve's first array by its size alone, with a
+    # ValueError, before it allocates; that exits 2, as running out of memory does
+    code, out, err = run(capsys, "solve", "--n", "4611686018427387904")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("miworlds: array is too big")
+    assert "Traceback" not in err and "numerical failure" not in err
 
 
 def test_out_of_memory_exits_two():

@@ -9,7 +9,8 @@ from miworlds import numerics
 from miworlds.errors import MiwError, NonConvergence
 from miworlds.numerics import (
     TAIL_CUTOFF,
-    _upper_integral_grid,
+    _tail_integrate,
+    _tail_layout,
     integrate_adaptive,
     invert_monotone,
     newton_bracketed,
@@ -30,7 +31,7 @@ def test_integrate_gaussian_mass():
 def test_upper_integral_grid_of_t_phi():
     # int_t^12 u phi(u) du = phi(t) - phi(12) in closed form
     t = np.arange(0, 41) / 10.0
-    got = _upper_integral_grid(t, lambda u: 1.0 / u, ()) * phi(t)
+    got = _tail_integrate(_tail_layout(t, ()), lambda u: 1.0 / u) * phi(t)
     assert np.all(np.abs(got - (phi(t) - phi(TAIL_CUTOFF))) <= 1e-15 * phi(t))
 
 
@@ -46,7 +47,7 @@ def test_upper_integral_grid_near_the_cutoff(t, rel):
     # int_t^L u e^{(t^2-u^2)/2} du = 1 - e^{(t^2-L^2)/2}; (t-L)(t+L) keeps
     # the exponent to a few ulp where t^2 - L^2 cancels
     exact = -math.expm1(0.5 * (t - L) * (t + L))
-    got = _upper_integral_grid(np.array([t]), lambda u: 1.0 / u, ())[0]
+    got = _tail_integrate(_tail_layout(np.array([t]), ()), lambda u: 1.0 / u)[0]
     assert abs(got - exact) <= rel * exact
 
 

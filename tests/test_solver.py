@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
-from miworlds import solver
+from miworlds import numerics, solver
 from miworlds.energy import potential_V
 from miworlds.errors import MiwError, MiwValidation, NonConvergence, ResidualFailure
 from miworlds.solver import (
@@ -127,7 +127,7 @@ def test_odd_parity_follows_the_polynomial_not_the_declared_zeros():
 
 
 def test_one_world_is_refused():
-    with pytest.raises(ValueError, match="^need at least two worlds$"):
+    with pytest.raises(MiwValidation, match="^need at least two worlds, got 1$"):
         solve_configuration(GROUND, 1)
 
 
@@ -217,7 +217,7 @@ def test_solve_and_validate_report_the_same_defects(family, n, baseline):
 def test_validate_general_without_baseline_raises():
     # the same lookup as solve_configuration, and the same message
     cfg = solve_configuration(GENERAL, 21, baseline=hermite_square_baseline(2))
-    with pytest.raises(ValueError, match="general family requires a baseline"):
+    with pytest.raises(MiwValidation, match="general family requires a baseline"):
         validate_properties(cfg)
     assert validate_properties(cfg, hermite_square_baseline(2))["recursion_residual"] <= 1e-9
 
@@ -552,6 +552,24 @@ def test_configuration_rejects_an_unknown_family():
         solver.Configuration(family="hermite-sq", points=(1.0, -1.0), residuals={})
 
 
+def test_solve_rejects_an_unknown_family():
+    # the family table that Configuration reads, before any baseline lookup
+    with pytest.raises(MiwValidation, match="^family must be ground, maxwell or general, "
+                                            "got 'bogus'$"):
+        solve_configuration("bogus", 8)
+
+
+@pytest.mark.parametrize("n", [8.0, True, "8"])
+def test_solve_rejects_a_world_count_that_is_not_an_integer(n):
+    with pytest.raises(MiwValidation, match=f"^the world count must be an integer, got {n!r}$"):
+        solve_configuration(MAXWELL, n)
+
+
+def test_configuration_from_json_rejects_text_that_is_not_json():
+    with pytest.raises(MiwValidation, match="^the configuration is not JSON: Expecting value"):
+        configuration_from_json("not json")
+
+
 _GOOD = {"family": GROUND, "N": 3, "points": [1.0, 0.0, -1.0], "shoot_param": 1.0,
          "residuals": {}}
 
@@ -846,13 +864,24 @@ def test_newton_floor_admits_no_failed_configuration():
 
 
 @pytest.mark.parametrize("k", [16, 22])
-def test_failed_start_names_the_family_and_n(k):
-    # inverting the target CDF for a start fails at N = 1000: the error names
-    # the solve, and has no Newton summary, as no Newton run belongs to that start
-    with pytest.raises(NonConvergence) as info:
+def test_failed_start_names_the_family_and_n(k, monkeypatch):
+    # inverting the target CDF for a start fails within a 3-step budget: the error
+    # names the solve, and has no Newton summary, as no Newton run belongs to that start
+    monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 3)
+    with pytest.raises(NonConvergence, match="did not converge in 3 steps") as info:
         solve_configuration(GENERAL, 1000, baseline=hermite_square_baseline(k))
     assert str(info.value).endswith("(general, N=1000)")
     assert "Newton reached" not in str(info.value)
+
+
+@pytest.mark.parametrize("k", [16, 22])
+def test_every_start_inverts_the_target_cdf(k):
+    # a Newton step that lands on a bracket end bisects, so no inversion cycles
+    # between the ends, as every k = 16 and k = 22 start at N = 1000 once did
+    starts = list(solver._starts(hermite_square_baseline(k), 1000))
+    assert len(starts) == k + 2
+    for name, x in starts:
+        assert x.shape == (500,) and x[-1] > 0.0 and np.all(x[1:] < x[:-1]), name
 
 
 def test_zero_of_b_failure_names_the_solve(monkeypatch):
@@ -1054,12 +1083,13 @@ def test_solved_points_keep_their_bits(family, n, baseline, sha256, history, bac
                  "reached max|G| 1.99e-12 in 4 iterations from the quantile start",
                  id="monomial-8-1000"),
     pytest.param(hermite_square_baseline(16), 1000, NonConvergence,
-                 "bracketed Newton did not converge in 200 steps (general, N=1000)",
+                 "Newton converged from none of 18 starts (general, N=1000); Newton reached "
+                 "max|G| 8.4 in 14 iterations from the nodal-shift start, the last of 18",
                  id="hermite-sq-16-1000"),
 ])
 def test_failed_solves_keep_their_messages(baseline, n, error, message):
-    # the two full-sequence gate failures, and the k = 16 start whose inversion
-    # of the target CDF cycles between its bracket ends (ROADMAP item 11)
+    # the two full-sequence gate failures, and k = 16, where Newton converges
+    # from none of the starts
     with pytest.raises(error) as info:
         solve_configuration(GENERAL, n, baseline=baseline)
     assert str(info.value) == message

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from miworlds.numerics import TAIL_CUTOFF, _upper_integral_grid
+from miworlds.numerics import TAIL_CUTOFF, _tail_integrate, _tail_layout
 from miworlds.stein import TestFunction as TF  # aliased so pytest does not collect it
 from miworlds.stein import (
     _SUP_GRID,
@@ -164,7 +164,7 @@ def test_kink_one_ulp_off_a_grid_point_is_split():
 
         # a kink at 1 and a grid point one ulp away: the one-ulp panel
         # between them exists, so the kink is a panel end
-        value = _upper_integral_grid(np.array([t, 0.5, 3.0]), f, clipped.kinks)
+        value = _tail_integrate(_tail_layout(np.array([t, 0.5, 3.0]), clipped.kinks), f)
         nodes = np.concatenate(seen, axis=1)
         lo, hi = min(t, kink), max(t, kink)
         assert np.any(np.all((nodes >= lo) & (nodes <= hi), axis=0))

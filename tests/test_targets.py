@@ -46,6 +46,19 @@ def test_hermite_order_guard():
         hermite_he(31, 0.0)
 
 
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_hermite_order_is_an_integer_not_a_bool(k):
+    with pytest.raises(MiwValidation, match=rf"^order {k!r} outside supported range 0\.\.30$"):
+        hermite_square_baseline(k)
+
+
+@pytest.mark.parametrize("r", [2.0, True, 3, -2])
+def test_monomial_exponent_is_an_even_nonnegative_integer(r):
+    with pytest.raises(MiwValidation, match="^monomial exponent must be an even "
+                                            "nonnegative integer$"):
+        monomial_baseline(r)
+
+
 def test_hermite_orthogonality():
     for j in range(6):
         for k in range(6):
@@ -165,7 +178,7 @@ def test_cdf_integral_k1_closed_form():
 
 
 def test_cdf_grid_rejects_descending():
-    with pytest.raises(ValueError):
+    with pytest.raises(MiwValidation, match="^grid must be ascending$"):
         cdf_pk_grid(2, np.array([1.0, 0.0]))
 
 
@@ -304,6 +317,21 @@ def test_baseline_refuses_a_mapped_polynomial(mapped, maps):
     with pytest.raises(MiwValidation, match=f"^a baseline is in the power basis of x, "
                                             f"but its polynomial maps {maps}$"):
         Baseline(mapped)
+
+
+@pytest.mark.parametrize("coef, message", [
+    ([0.0, 1.0], r"^a baseline is even, but its coefficients of x, x\^3, \.\.\. are \[1\.0\]$"),
+    ([1.0, 0.0, 1.0, -0.5], r"coefficients of x, x\^3, \.\.\. are \[0\.0, -0\.5\]$"),
+    ([0.0], "^the zero polynomial is not a baseline$"),
+    ([np.nan], r"^a baseline's coefficients must be finite, got \[nan\]$"),
+    ([1.0, 0.0, np.inf], r"^a baseline's coefficients must be finite, got \[1\.0, 0\.0, inf\]$"),
+], ids=["odd", "odd-top", "zero", "nan", "inf"])
+def test_baseline_is_an_even_nonzero_polynomial_with_finite_coefficients(coef, message):
+    # each is refused for its own fault, with no floating-point warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MiwValidation, match=message):
+            Baseline(Polynomial(coef))
 
 
 def test_baseline_inverse_beyond_the_float_range_is_a_typed_error():

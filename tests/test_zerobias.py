@@ -428,7 +428,7 @@ def test_density_tables_match_the_per_call_formulas():
             for x, want in ((0.3, row[0]), (np.float64(0.3), row[0]),
                             (np.asarray(0.3), row[0]), (1, row[1])):
                 assert type(method(x)) is float and method(x) == want, (method, x)
-    with pytest.raises(ValueError):
+    with pytest.raises(MiwValidation, match=r"^quantile argument must lie in \(0, 1\]$"):
         d.quantile(np.array([0.5, 0.0]))
 
 
