@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MiwError, MiwValidation
 from .numerics import QUAD_ABS_TOL, QUAD_REL_TOL, integrate_adaptive, newton_bracketed
-from .solver import MAXWELL, solve_configuration
+from .solver import MAXWELL, _world_count, solve_configuration
 from .targets import cdf_pk, cdf_pk_integral, maxwell_square_baseline, pdf_pk
 from .zerobias import _check_decreasing, coupling_expectations, gzb_density
 
@@ -134,7 +134,7 @@ def rate_sweep(n_list: Sequence[int]):
     solved configurations are quantile-like and dw itself decays faster
     than the envelope, so the two slopes differ materially.
     """
-    n_list = list(n_list)  # each N is refused by solve_configuration if not an integer
+    n_list = [_world_count(n) for n in n_list]  # the solver's rule, before any comparison
     if n_list != sorted(set(n_list)):
         raise MiwValidation("N list must be strictly ascending")
     rows = [measure_configuration(solve_configuration(MAXWELL, n)) for n in n_list]

@@ -50,6 +50,8 @@ GENERAL = "general"
 _RESIDUAL_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
 _MIN_STEP = 2.0 ** -40
+# points of the CDF table a degree <= 2 start reads: Newton then steps as from exact quantiles
+_START_GRID = 4097
 # points per piece of a mirrored configuration's JSON
 _JSON_BLOCK = 4096
 # 10^s, exact for s <= 22, and its high half by Veltkamp's split with 2^27 + 1
@@ -95,6 +97,14 @@ _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline, GENERAL
 def _check_family(family) -> None:
     if not (isinstance(family, str) and family in _BASELINES):
         raise MiwValidation(f"family must be ground, maxwell or general, got {family!r}")
+
+
+def _world_count(n_worlds) -> int:
+    if not _is_integer(n_worlds):
+        raise MiwValidation(f"the world count must be an integer, got {n_worlds!r}")
+    if n_worlds < 2:
+        raise MiwValidation(f"need at least two worlds, got {n_worlds}")
+    return n_worlds
 
 
 def _baseline(family: str, baseline: Optional[Baseline] = None) -> Baseline:
@@ -204,19 +214,27 @@ def _newton(x, bl: Baseline, tail: float):
 def _starts(bl: Baseline, n_worlds: int):
     """Yield (name, x_1 > ... > x_h) starts for Newton.
 
-    First the target quantiles at (n - 1/2)/N.  For baselines with zeros
-    z_1 < ... < z_m on the positive axis, then the nodal start: each nodal
-    cell of b holds round(N P(cell)) worlds, the central one the rest, at
-    the cell's conditional quantiles; then every start that moves one
-    mirrored pair of its worlds to a neighbouring cell.  Points are placed
-    on the negative axis, where F has no cancellation, and negated.
+    First the target quantiles at (n - 1/2)/N: for b of degree <= 2 interpolated in
+    a table of the target CDF on [-L, 0], above that by bracketed Newton, as the
+    recursion gate's rounding noise there moves with the start.  For baselines with
+    zeros z_1 < ... < z_m on the positive axis, then the nodal start: each nodal
+    cell of b holds round(N P(cell)) worlds, the central one the rest, at the cell's
+    conditional quantiles; then every start that moves one mirrored pair of its
+    worlds to a neighbouring cell.  Points are placed on the negative axis, where F
+    has no cancellation, and negated.
     """
     h = n_worlds // 2
     u = (np.arange(1, h + 1) - 0.5) / n_worlds
     L = 2.0
     while bl.target_cdf_pdf(-L)[0] > u[0]:
         L *= 2.0
-    yield "quantile", -newton_bracketed(bl.target_cdf_pdf, u, -L, 0.0)
+    # above degree 2 the forward-cumsum gate reads noise near 1e-9 (b = 3x^6, N = 100: 1.0e-10
+    # from exact quantiles, 1.95e-9 from the table); drop the test once it is cancellation-free
+    if bl.b_poly.degree() <= 2:
+        grid = np.linspace(-L, 0.0, _START_GRID)
+        yield "quantile", -np.interp(u, bl.target_cdf_pdf(grid)[0], grid)
+    else:
+        yield "quantile", -newton_bracketed(bl.target_cdf_pdf, u, -L, 0.0)
 
     zeros = sorted(z for z in bl.zeros_of_b if z > 1e-12)
     if not zeros:
@@ -292,10 +310,7 @@ def solve_configuration(
     the last run: its final max|G|, its iterations and the start it came
     from.  A failed start has no summary, as no Newton run belongs to it.
     """
-    if not _is_integer(n_worlds):
-        raise MiwValidation(f"the world count must be an integer, got {n_worlds!r}")
-    if n_worlds < 2:
-        raise MiwValidation(f"need at least two worlds, got {n_worlds}")
+    _world_count(n_worlds)
     bl = _baseline(family, baseline)
     if bl.b_poly.coef[0] == 0.0 and n_worlds % 2 == 1:
         raise MiwValidation(f"b(0) = 0 needs an even world count, got {n_worlds}")

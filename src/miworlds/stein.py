@@ -143,25 +143,15 @@ def suite_csv_rows(records: Sequence[dict]):
 
 def theorem_check(cfg, report, dw: float) -> dict:
     """Assemble the coupling-bound inequality dw <= rhs_bound of a CouplingReport."""
-    lhs = float(dw)
-    rhs = float(report.rhs_bound)
-    return {
-        "n_worlds": cfg.n_worlds,
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": lhs <= rhs + 1e-12,
-    }
+    lhs, rhs = float(dw), float(report.rhs_bound)
+    return {"n_worlds": cfg.n_worlds, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-12}
 
 
 @cache  # the suite's functions and means are fixed, so built once per process
 def fixed_suite():
     """The certified test-function suite: odd/even mix, kinked and smooth."""
-    ident = TestFunction(
-        "identity",
-        lambda x: np.asarray(x, dtype=float) + 0.0,
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        c=1.0,
-    )
+    ident = TestFunction("identity", lambda x: np.asarray(x, dtype=float) + 0.0,
+                         lambda x: np.ones_like(np.asarray(x, dtype=float)), c=1.0)
     sine = TestFunction("sine", np.sin, np.cos, c=1.0)
     clipped = TestFunction(
         "clipped_linear",

@@ -159,6 +159,8 @@ class Baseline:
             top = self.b_poly.degree() // 2 * 2
             raise MiwValidation(f"E[Z^{top}] = {top - 1}!! overflows a float: "
                                 f"exponent {top} is too large")
+        if m <= 0.0:  # b phi / m is then no law; a b >= 0 other than 0 has m > 0
+            raise MiwValidation(f"a baseline's phi-integral m = E b(Z) must be positive, got {m!r}")
         put(self, "phi_integral", m)
         put(self, "_zeros", np.array(self.zeros_of_b, dtype=float))
         self._zeros.flags.writeable = False

@@ -575,12 +575,15 @@ def test_digest_check_names_every_differing_label(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("cli_digests", path)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
-    saved = {"a": "a\t0\tx\ty", "b": "b\t0\tx\ty", "gone": "gone\t2\tx\ty"}
-    assert digests.check(saved, {"a": "a\t0\tx\ty", "b": "b\t1\tx\ty", "new": "new\t0\tx\ty"}) == 3
+    # a differing label names which of its exit code, stdout and stderr changed
+    saved = {"a": "a\t0\tx\ty", "b": "b\t0\tx\ty", "c": "c\t0\tx\ty", "gone": "gone\t2\tx\ty"}
+    run = {"a": "a\t0\tx\ty", "b": "b\t1\tx\ty", "c": "c\t0\tz\tw", "new": "new\t0\tx\ty"}
+    assert digests.check(saved, run) == 4
     assert capsys.readouterr().out.splitlines() == [
-        "differs: b", "extra: new", "missing: gone", "3 of 4 labels differ"]
+        "differs: b (exit code)", "differs: c (stdout, stderr)", "extra: new", "missing: gone",
+        "4 of 5 labels differ"]
     assert digests.check(saved, dict(saved)) == 0
-    assert capsys.readouterr().out == "0 of 3 labels differ\n"
+    assert capsys.readouterr().out == "0 of 4 labels differ\n"
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

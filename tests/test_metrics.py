@@ -192,9 +192,11 @@ def test_two_world_sweep_has_finite_ratios_and_fit():
     assert all(math.isfinite(v) for v in fit.values())
 
 
-@pytest.mark.parametrize("n_list, bad", [([8.5], 8.5), ([8, 16.0], 16.0), ([True, 8], True)])
+@pytest.mark.parametrize("n_list, bad", [([8.5], 8.5), ([8, 16.0], 16.0), ([True, 8], True),
+                                         (["8", 16], "8")])
 def test_sweep_refuses_a_world_count_that_is_not_an_integer(n_list, bad):
-    # the solver's rule, not the ascending check: int(8.5) once made [8.5] "not ascending"
+    # the solver's rule, not the ascending check: int(8.5) once made [8.5] "not ascending",
+    # and comparing "8" with 16 once raised a bare TypeError
     with pytest.raises(MiwValidation, match=f"^the world count must be an integer, got {bad!r}$"):
         rate_sweep(n_list)
 

@@ -1026,35 +1026,82 @@ def test_target_cdf_is_bit_identical_to_a_polynomial_Q(bl):
     assert np.array([F(x) for x in xs.tolist()]).tobytes() == ref(xs).tobytes()
 
 
-# sha256 of the points, max|G| history and backtracks of solves, recorded before
-# newton_bracketed took one (F, F') callback and the solver's loops ran in
-# place, which moved none of them.  A change that moves points by design (a
-# tabulated start, a new stop rule) updates these as a declared output change.
+def _bracketed_quantile_start(bl, n):
+    """The quantile start by bracketed Newton on [-L, 0], as _starts forms it above degree 2."""
+    u = (np.arange(1, n // 2 + 1) - 0.5) / n
+    L = 2.0
+    while bl.target_cdf_pdf(-L)[0] > u[0]:
+        L *= 2.0
+    return -numerics.newton_bracketed(bl.target_cdf_pdf, u, -L, 0.0)
+
+
+def _iterations_to_tolerance(history):
+    return next(i for i, g in enumerate(history) if g <= solver._RESIDUAL_TOL)
+
+
+_TABLE_SIZES = [*range(2, 65), 100, 256, 1000, 4096, 65536]
+
+
+@pytest.mark.parametrize("family", [GROUND, MAXWELL])
+def test_tabulated_start_solves_as_the_bracketed_one(family):
+    # a degree <= 2 baseline starts from its tabulated target CDF: every solve
+    # passes the recursion gate, lands within 8 ulp of the solve from the exact
+    # quantiles and needs as many Newton steps to reach max|G| <= 1e-9
+    bl = solver._baseline(family)
+    for n in (n for n in _TABLE_SIZES if family == GROUND or n % 2 == 0):
+        cfg = solve_configuration(family, n)
+        start, tried, history, _ = _replay_newton(cfg)
+        assert (start, tried) == ("quantile", 1), n
+        tail = 2.0 if n % 2 == 0 else 1.0
+        exact, exact_history, _, converged = solver._newton(_bracketed_quantile_start(bl, n),
+                                                            bl, tail)
+        assert converged, n
+        half = cfg.points[: n // 2]
+        assert np.all(np.abs(half - exact) <= 8 * np.spacing(exact)), n
+        assert _iterations_to_tolerance(history) == _iterations_to_tolerance(exact_history), n
+
+
+@pytest.mark.parametrize("bl", [hermite_square_baseline(2), monomial_baseline(4)],
+                         ids=["hermite-sq-2", "monomial-4"])
+@pytest.mark.parametrize("n", [8, 81, 1000])
+def test_higher_degree_start_keeps_the_bracketed_inversion(bl, n):
+    # above degree 2 the quantile start is the bracketed inversion, bit for bit
+    start = next(solver._starts(bl, n))
+    assert start[0] == "quantile"
+    assert start[1].tobytes() == _bracketed_quantile_start(bl, n).tobytes()
+
+
+# sha256 of the points, max|G| history and backtracks of solves.  The ground and
+# Maxwell entries were recorded when baselines of degree <= 2 began their quantile
+# start from a tabulated target CDF, which moved their points by at most 8 ulp;
+# the hermite-sq and monomial entries keep the bits of the bracketed inversion.
+# A change that moves points by design (a new start, a new stop rule) updates
+# these as a declared output change.
 _PINNED_SOLVES = [
     pytest.param(MAXWELL, 64, None,
-      "ea71b660850daf854470d4bbc3461d3e33612cc03babb552ecdf14ed472eaf4c",
-      (0.4360215942978276, 0.011185497904797614, 6.6727667071830865e-06,
-       2.2017943024366105e-12, 4.440892098500626e-15, 1.9984014443252818e-15), 0, id="maxwell-64"),
+      "e1e341c8b6f70dbce28ce78a9a511c20a531361528448a85b252108419f7fa53",
+      (0.4360232480691777, 0.0111855995686172, 6.672894854453659e-06,
+       2.1964652319184097e-12, 1.7763568394002505e-15), 0, id="maxwell-64"),
     pytest.param(MAXWELL, 4096, None,
-      "8a090c8f4ebe7350b85a5ea418f5352b5e379e0c438182c328a0d7df84c96217",
-      (0.5308515897530333, 0.005691462100357647, 5.352542160608209e-07,
-       5.384581669432009e-15), 0, id="maxwell-4096"),
+      "827f2f9009f16eaeb7e12d2b431306b82ea216662a50196974bcbcb299560860",
+      (0.5308552559281416, 0.005691879555886459, 5.353466807633822e-07,
+       1.1102230246251565e-14), 0, id="maxwell-4096"),
     pytest.param(MAXWELL, 65536, None,
-      "cc1505ccd63ddb6b41838fb19e67e4abab53923956a18e73eb2baa882dc5c663",
-      (0.582334555229103, 0.004404811371845341, 2.0198028316542604e-07,
+      "ee5a8b17c49ad59e76e8e6d7c8a77a24f5ad81f399356d5ed33aa5d37ba9b1a3",
+      (0.5823279426274723, 0.004405189016008393, 2.0202371242561412e-07,
        1.6708856520608606e-14), 0, id="maxwell-65536"),
     pytest.param(GROUND, 64, None,
-      "ef74ae6b1e0c08173716e40045a80d3ca91f8215f50e42369e3c4443855abe4e",
-      (0.016490762777243262, 3.3633250713926977e-06, 2.6861846080805662e-12,
-       1.5265566588595902e-16), 0, id="ground-64"),
+      "48869c1faf336624e375b4995bbedda2459ba627adb4ff6b8bf0ed22d74e2784",
+      (0.01649098701039131, 3.363598569006143e-06, 2.6860180746268725e-12,
+       1.3877787807814457e-16), 0, id="ground-64"),
     pytest.param(GROUND, 4096, None,
-      "5d978bc2954edf9c097da787e1a264ce4eb649ed2015c7ff67899788eaf55e81",
-      (0.018579715898874027, 5.58859492844066e-06, 6.920575224000913e-13,
-       3.885780586188048e-16), 0, id="ground-4096"),
+      "c84adfbceae6ee6ec8e677544ff0b1c9c687f0ddc841cf07576b9472b42228fa",
+      (0.018579898376601345, 5.588868719763607e-06, 6.925016116099414e-13,
+       3.608224830031759e-16), 0, id="ground-4096"),
     pytest.param(GROUND, 65536, None,
-      "5151b958fb542406c6d42b3717178c3f510ae8008762c23eb414adf488ab04b5",
-      (0.017494323814340823, 3.6236367210451537e-06, 2.0242141296478167e-13,
-       4.2788038737140432e-16), 0, id="ground-65536"),
+      "0f1c5f75b651ba9a71cc01e67c2ece59c5fb28f0597ca26d3fe82b31949cddc6",
+      (0.017496187709147543, 3.6244390336781507e-06, 2.0242141296478167e-13,
+       4.2652513465579744e-16), 0, id="ground-65536"),
     pytest.param(GENERAL, 81, hermite_square_baseline(2),
       "aeb72a22bed6806399b2abf943eec7b58f9cd197b7d8038163ecc06041ba9632",
       (4.771089580550843, 0.3104437047155635, 0.0014540991594529373, 3.142459092941863e-08,

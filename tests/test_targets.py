@@ -334,6 +334,29 @@ def test_baseline_is_an_even_nonzero_polynomial_with_finite_coefficients(coef, m
             Baseline(Polynomial(coef))
 
 
+@pytest.mark.parametrize("coef", [[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0], [-1.0]],
+                         ids=["1-x^2", "x^2-1", "negative"])
+def test_baseline_refuses_a_phi_integral_that_is_not_positive(coef):
+    # b phi / m is no law for m = E b(Z) <= 0; 1 - x^2 and x^2 - 1 have m = 0, where
+    # a solve once divided by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MiwValidation, match=r"^a baseline's phi-integral m = E b\(Z\) "
+                                                r"must be positive, got -?[0-9.]+$"):
+            Baseline(Polynomial(coef))
+
+
+def test_every_shipped_baseline_has_a_positive_phi_integral():
+    # ground, Maxwell, hermite-sq k = 0..30 and monomial r = 0, 2, ..., 300 all
+    # build, normalized as the CLI takes them too
+    shipped = [ground_baseline(), maxwell_square_baseline(),
+               *(hermite_square_baseline(k) for k in range(31)),
+               *(monomial_baseline(r) for r in range(0, 301, 2))]
+    assert len(shipped) == 184
+    for bl in shipped:
+        assert bl.phi_integral > 0.0 and bl.normalized().phi_integral > 0.0
+
+
 def test_baseline_inverse_beyond_the_float_range_is_a_typed_error():
     with pytest.raises(MiwError, match="^cumulative baseline inverse out of range$"):
         ground_baseline().Binv(1e300)

@@ -20,8 +20,9 @@ run both commits with the same.
     python3 tools/cli_digests.py --check before.txt   # at the other
 
 ``--check FILE`` compares this checkout's lines with a saved run: it prints
-each label whose line differs, that the file lacks (extra) or that this run
-lacks (missing), then a count, and exits 1 if there is any, 0 otherwise.
+each label whose line differs, with which of its exit code, stdout and stderr
+changed, each label that the file lacks (extra) or that this run lacks
+(missing), then a count, and exits 1 if there is any, 0 otherwise.
 
 ``tests/data/cli_digests.txt`` pins the lines outside the workloads.  After a
 change that alters an output on purpose, regenerate it by dropping the lines
@@ -193,10 +194,17 @@ def lines(tmp: Path):
                 yield f"{' '.join(argv)} --out-path {shown}", code, out, err.encode()
 
 
+def _changed(before: str, after: str) -> str:
+    """Which of the exit code, stdout and stderr differ between two lines of one label."""
+    fields = zip(("exit code", "stdout", "stderr"), before.split("\t")[1:], after.split("\t")[1:])
+    return ", ".join(name for name, a, b in fields if a != b)
+
+
 def check(saved: dict, run: dict) -> int:
-    """Print the labels on which two runs disagree, and return how many there are."""
-    bad = [(f"differs: {label}" if label in saved else f"extra: {label}")
-           for label, line in run.items() if saved.get(label) != line]
+    """Print the labels on which two runs disagree, with what changed in each that
+    both have, and return how many there are."""
+    bad = [(f"differs: {label} ({_changed(saved[label], line)})" if label in saved
+            else f"extra: {label}") for label, line in run.items() if saved.get(label) != line]
     bad += [f"missing: {label}" for label in saved if label not in run]
     for line in bad:
         print(line)
