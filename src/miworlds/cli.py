@@ -26,7 +26,6 @@ from .solver import (
     GENERAL,
     GROUND,
     MAXWELL,
-    _baseline,
     configuration_json_pieces,
     solve_configuration,
     validate_properties,
@@ -90,19 +89,18 @@ def _write(pieces: Iterable[str], path: Optional[str]) -> None:
 
 
 def _solve(args):
-    """(baseline, solved configuration) of the --family and --n options; --k
-    and --r are read by the one family that takes each, and refused by the others."""
+    """The solved configuration of the --family and --n options; --k and --r
+    are read by the one family that takes each, and refused by the others."""
     fam, reads, build = _FAMILIES[args.family]
     for opt in ("k", "r"):
         if opt != reads and getattr(args, opt) is not None:
             raise MiwValidation(f"--{opt} does not apply to --family {args.family}")
     if reads is not None and getattr(args, reads) is None:
         raise MiwValidation(f"{args.family} requires --{reads}")
-    bl = _baseline(fam, None if reads is None else build(getattr(args, reads)))
-    return bl, solve_configuration(fam, args.n, baseline=bl)
+    return solve_configuration(fam, args.n, None if reads is None else build(getattr(args, reads)))
 
 
-def _cmd_solve(args, bl, cfg) -> Iterable[str]:
+def _cmd_solve(args, cfg) -> Iterable[str]:
     if args.out_format == "json":
         return chain(configuration_json_pieces(cfg), ["\n"])
     # each line is what _render writes for (n, x)
@@ -110,8 +108,8 @@ def _cmd_solve(args, bl, cfg) -> Iterable[str]:
     return chain(["n,x\n"], lines, [_comment("residuals", cfg.residuals)])
 
 
-def _cmd_verify(args, bl, cfg) -> Iterable[str]:
-    return _render(validate_properties(cfg, baseline=bl), args.out_format)
+def _cmd_verify(args, cfg) -> Iterable[str]:
+    return _render(validate_properties(cfg), args.out_format)
 
 
 def _report(args, cfg, report) -> Iterable[str]:
@@ -120,24 +118,25 @@ def _report(args, cfg, report) -> Iterable[str]:
     return _render(payload, args.out_format)
 
 
-def _cmd_energy(args, bl, cfg) -> Iterable[str]:
-    return _report(args, cfg, certify_minimizer(bl, cfg.points))
+def _cmd_energy(args, cfg) -> Iterable[str]:
+    return _report(args, cfg, certify_minimizer(cfg.baseline, cfg.points))
 
 
-def _cmd_density(args, bl, cfg) -> Iterable[str]:
+def _cmd_density(args, cfg) -> Iterable[str]:
     hist = histogram_density(cfg.points)
     # one row per gap, from the top gap down: left end, right end, coefficient
     gaps = zip(*(v[::-1].tolist() for v in (hist.x[:-1], hist.x[1:], hist.c)))
     rows = [("hist", *gap) for gap in gaps]
     span = cfg.points[0] - cfg.points[-1]
     xs = np.linspace(cfg.points[-1] - 0.05 * span, cfg.points[0] + 0.05 * span, 400)
-    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), bl.target_cdf_pdf(xs)[1].tolist()))
+    pdf = cfg.baseline.target_cdf_pdf(xs)[1]
+    rows += (("target", x, x, v) for x, v in zip(xs.tolist(), pdf.tolist()))
     table = [("kind", "x0", "x1", "value"), *rows]
     return _render(table, args.out_format, table)
 
 
-def _cmd_coupling(args, bl, cfg) -> Iterable[str]:
-    return _report(args, cfg, coupling_expectations(gzb_density(bl, cfg.points)))
+def _cmd_coupling(args, cfg) -> Iterable[str]:
+    return _report(args, cfg, coupling_expectations(gzb_density(cfg.baseline, cfg.points)))
 
 
 def _cmd_stein_check(args) -> Iterable[str]:
@@ -159,7 +158,7 @@ def _cmd_fixed_point(args) -> Iterable[str]:
 
 
 # subcommand: (function, default --out, whether it solves --family at --n); main
-# solves for a subcommand that does, and passes it the baseline and configuration
+# solves for a subcommand that does, and passes it the configuration
 _SUBCOMMANDS = {
     "solve": (_cmd_solve, "json", True),
     "verify": (_cmd_verify, "json", True),
@@ -208,7 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         func, _, solves = _SUBCOMMANDS[args.subcommand]
         # a subcommand returns its output's pieces after all of its numerical work
-        _write(func(args, *(_solve(args) if solves else ())), args.out_path)
+        _write(func(args, _solve(args)) if solves else func(args), args.out_path)
     except (MiwError, ValueError, MemoryError) as exc:
         code = exit_code(exc)
         kind = "numerical failure: " if code == 2 and isinstance(exc, MiwError) else ""

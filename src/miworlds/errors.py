@@ -1,5 +1,7 @@
 """The library's exceptions: one class for each outcome a caller tells apart."""
 
+__all__ = ["MiwError", "MiwValidation", "NonConvergence", "ResidualFailure"]
+
 
 class MiwError(Exception):
     """Base class for all library errors: a numerical failure (CLI exit code 2)."""

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MiwError, MiwValidation
 from .numerics import QUAD_ABS_TOL, QUAD_REL_TOL, integrate_adaptive, newton_bracketed
 from .solver import MAXWELL, _world_count, solve_configuration
-from .targets import cdf_pk, cdf_pk_integral, maxwell_square_baseline, pdf_pk
+from .targets import cdf_pk, cdf_pk_integral, pdf_pk
 from .zerobias import _check_decreasing, coupling_expectations, gzb_density
 
 __all__ = [
@@ -115,7 +115,7 @@ def measure_configuration(cfg) -> RateRow:
     """Distances and coupling terms for one solved Maxwell configuration."""
     if cfg.family != MAXWELL:  # the distances are to the Maxwell law p_1
         raise MiwValidation(f"rates measure a maxwell configuration, not a {cfg.family} one")
-    report = coupling_expectations(gzb_density(maxwell_square_baseline(), cfg.points))
+    report = coupling_expectations(gzb_density(cfg.baseline, cfg.points))
     dw = _dw_exact(cfg.points, 1)
     dk = kolmogorov(cfg.points, lambda x: cdf_pk(1, x))
     n = cfg.n_worlds  # at least 2: the solver and gzb_density reject fewer atoms

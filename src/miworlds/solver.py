@@ -72,9 +72,11 @@ class Configuration:
     family: str
     points: np.ndarray
     residuals: dict
+    baseline: Optional[Baseline] = None  # not in JSON: a general one read back has none
 
     def __post_init__(self):
-        _check_family(self.family)
+        if self.family != GENERAL or self.baseline is not None:
+            object.__setattr__(self, "baseline", _baseline(self.family, self.baseline))
         x = np.array(self.points, dtype=float)
         if not x.size:
             raise MiwValidation("a configuration needs at least one point")
@@ -94,11 +96,6 @@ class Configuration:
 _BASELINES = {GROUND: ground_baseline, MAXWELL: maxwell_square_baseline, GENERAL: None}
 
 
-def _check_family(family) -> None:
-    if not (isinstance(family, str) and family in _BASELINES):
-        raise MiwValidation(f"family must be ground, maxwell or general, got {family!r}")
-
-
 def _world_count(n_worlds) -> int:
     if not _is_integer(n_worlds):
         raise MiwValidation(f"the world count must be an integer, got {n_worlds!r}")
@@ -110,7 +107,8 @@ def _world_count(n_worlds) -> int:
 def _baseline(family: str, baseline: Optional[Baseline] = None) -> Baseline:
     """The one map from a family to its baseline: ground and Maxwell return their own
     and refuse one of another polynomial; the general family needs one."""
-    _check_family(family)
+    if not (isinstance(family, str) and family in _BASELINES):
+        raise MiwValidation(f"family must be ground, maxwell or general, got {family!r}")
     if family == GENERAL:
         if baseline is None:
             raise MiwValidation("general family requires a baseline")
@@ -292,23 +290,19 @@ def _defects(bl: Baseline, x: np.ndarray):
             variance)
 
 
-def solve_configuration(
-    family: str,
-    n_worlds: int,
-    baseline: Optional[Baseline] = None,
-    residual_tol: float = _RESIDUAL_TOL,
-) -> Configuration:
+def solve_configuration(family: str, n_worlds: int,
+                        baseline: Optional[Baseline] = None) -> Configuration:
     """Solve for the strictly decreasing zero-mean configuration.
 
     Raises :class:`MiwValidation` for a family or baseline it refuses, a world
     count that is not an integer of at least 2, or an odd N when b(0) = 0;
     :class:`NonConvergence` when Newton converges from no start, or a start's
-    inversion of the target CDF fails; and :class:`ResidualFailure`
-    when the mirrored configuration lands on a zero of b or misses the
-    recursion by more than ``residual_tol``.  Every message ends with
-    ``(family, N=n)``; a failure after Newton ends also with a summary of
-    the last run: its final max|G|, its iterations and the start it came
-    from.  A failed start has no summary, as no Newton run belongs to it.
+    inversion of the target CDF fails; and :class:`ResidualFailure` when the
+    mirrored configuration lands on a zero of b or misses the recursion by
+    more than 1e-9.  Every message ends with ``(family, N=n)``; a failure
+    after Newton ends also with a summary of the last run: its final max|G|,
+    its iterations and the start it came from.  A failed start has no
+    summary, as no Newton run belongs to it.
     """
     _world_count(n_worlds)
     bl = _baseline(family, baseline)
@@ -338,22 +332,20 @@ def solve_configuration(
                       "lands on a zero of the baseline")
     x = np.concatenate((first, [0.0] * (n_worlds % 2), -first[::-1]))
     residual, p1, symmetry, variance = _defects(bl, x)
-    if residual > residual_tol:
-        raise failure(ResidualFailure, f"recursion defect {residual:.3e} exceeds {residual_tol:g}")
+    if residual > _RESIDUAL_TOL:
+        raise failure(ResidualFailure, f"recursion defect {residual:.3e} exceeds {_RESIDUAL_TOL:g}")
     residuals = {"max_recursion_residual": residual, "mean_abs": p1 / n_worlds,
                  "symmetry_defect": symmetry}
     if variance is not None:
         residuals["variance_defect"] = variance
-    return Configuration(family=family, points=x, residuals=residuals)
+    return Configuration(family=family, points=x, residuals=residuals, baseline=bl)
 
 
-def validate_properties(cfg: Configuration, baseline: Optional[Baseline] = None) -> dict:
-    """Report the four structural defects plus growth diagnostics.
-
-    ``baseline`` is the general family's, as in ``solve_configuration``.
-    """
+def validate_properties(cfg: Configuration) -> dict:
+    """Report the four structural defects plus growth diagnostics against the
+    configuration's baseline, which a general one read from JSON must be given."""
     x, n = cfg.points, cfg.n_worlds
-    residual, p1, symmetry, variance = _defects(_baseline(cfg.family, baseline), x)
+    residual, p1, symmetry, variance = _defects(_baseline(cfg.family, cfg.baseline), x)
     return {
         "p1_zero_mean_defect": p1,
         "p2_variance_defect": variance,

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import hermite_e as herme
+from numpy.polynomial import polynomial as P
 
 from .errors import MiwError, MiwValidation
 from .numerics import newton_bracketed
@@ -113,9 +114,33 @@ def _inverse_stein_poly(f) -> np.ndarray:
     return R
 
 
+def _check_nonnegative(c: np.ndarray) -> None:
+    """Refuse the even polynomial b of coefficients ``c`` where it is negative.
+
+    b(x) = q(x^2), and with a positive top coefficient q is least on [0, inf)
+    at 0 or at a positive root of q'; q is evaluated at 0 and at the real part,
+    where positive, of every root of q', each against Horner's rounding bound
+    2 d eps sum |q_i| y^i of degree d (Higham 2002, eq. 5.3).
+    """
+    q = np.trim_zeros(c[::2], "b")
+    if q[-1] < 0.0:
+        raise MiwValidation(f"a baseline must be nonnegative, but its top coefficient "
+                            f"is {float(q[-1])!r}")
+    if np.count_nonzero(q) == 1:  # c x^r with c > 0
+        return
+    y = np.concatenate(([0.0], np.maximum(P.polyroots(P.polyder(q)).real, 0.0)))
+    v = P.polyval(y, q)
+    slack = 2 * (q.size - 1) * np.finfo(float).eps * P.polyval(y, np.abs(q))
+    if (v < -slack).any():
+        i = np.argmin(v + slack)
+        raise MiwValidation(f"a baseline must be nonnegative, but b({math.sqrt(y[i]):.6g}) "
+                            f"= {v[i]:.6g}")
+
+
 @dataclass(frozen=True)
 class Baseline:
-    """Even nonnegative polynomial baseline b of a target density b(x) phi(x).
+    """Even nonnegative polynomial baseline b of a target density b(x) phi(x);
+    a b that is negative anywhere on the real line is refused.
 
     ``b_poly`` is b in the power basis.  ``b``, ``db`` and ``B`` evaluate b,
     b' and the cumulative B(x) = int_0^x b, which is odd and strictly
@@ -161,6 +186,7 @@ class Baseline:
                                 f"exponent {top} is too large")
         if m <= 0.0:  # b phi / m is then no law; a b >= 0 other than 0 has m > 0
             raise MiwValidation(f"a baseline's phi-integral m = E b(Z) must be positive, got {m!r}")
+        _check_nonnegative(c)
         put(self, "phi_integral", m)
         put(self, "_zeros", np.array(self.zeros_of_b, dtype=float))
         self._zeros.flags.writeable = False

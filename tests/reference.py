@@ -15,6 +15,8 @@ floats one at a time from the left, the order the library's sums keep.
 route to the command line's line-by-line CSV writer.  ``coupling_terms_mpmath``
 takes the four coupling terms to 40 digits by mpmath, on a route that
 shares neither the density nor its quantile cells with the library.
+``newton_replay`` replays the solver's starts through its Newton iteration,
+for the record of a solve and for points that its recursion gate refuses.
 """
 
 import json
@@ -24,6 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from miworlds import solver
 from miworlds.numerics import TAIL_CUTOFF, integrate_adaptive
 from miworlds.zerobias import LAMBDA_1, LAMBDA_2, LAMBDA_3, LAMBDA_4, CouplingReport
 
@@ -64,6 +67,20 @@ def csv_text(rows: list, comment=None) -> str:
         label, values = comment
         text += f"# {label} " + json.dumps({k: format(v, ".17g") for k, v in values.items()}) + "\n"
     return text
+
+
+def newton_replay(bl, n: int):
+    """solver._starts replayed through solver._newton up to the first start that
+    converges, without the recursion gate.  Returns the mirrored points, the
+    start's name, how many starts were tried, the max|G| history and the number
+    of step halvings."""
+    for tried, (start, x0) in enumerate(solver._starts(bl, n), start=1):
+        first, history, backtracks, converged = solver._newton(x0, bl, 2.0 if n % 2 == 0 else 1.0)
+        if converged:
+            break
+    assert converged, f"Newton converged from none of {tried} starts"
+    points = np.concatenate((first, [0.0] * (n % 2), -first[::-1]))
+    return points, start, tried, tuple(history), backtracks
 
 
 def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:

@@ -157,7 +157,7 @@ def test_certificates_follow_the_exponent(r, c):
         rep = certify_minimizer(bl, cfg.points)
         bound = (r + 1) * (n - 1)
         assert cfg.residuals["variance_defect"] <= 1e-14 * bound
-        assert validate_properties(cfg, bl)["p2_variance_defect"] <= 1e-14 * bound
+        assert validate_properties(cfg)["p2_variance_defect"] <= 1e-14 * bound
         assert abs(rep.cauchy_schwarz_gap) <= 1e-14 * bound * bound
         assert rep.lower_bound == 2.0 * bound
         assert rep.uv_defect <= 1e-14 * rep.V

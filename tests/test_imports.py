@@ -1,6 +1,6 @@
 """Every module of the package and of the test suite reads each name it imports,
-the package reads every private name it defines, and it raises only what the
-CLI maps to an exit code.
+the package reads every private name it defines, the CLI imports only what the
+package exports, and the package raises only what the CLI maps to an exit code.
 
 No linter ships with the project, so these are the unused-import,
 unused-private-name and raised-class checks: stdlib ``ast`` scans.
@@ -103,6 +103,36 @@ def test_the_private_name_scan_flags_an_unread_name_only():
 def test_package_reads_every_private_name():
     sources = {f"src/miworlds/{p.name}": p.read_text() for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def unexported_imports(source: str, package: str) -> list:
+    """``module.name`` of each name that ``source``, a module of ``package``,
+    imports from a module of the package that does not list it in ``__all__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = f"{package}.{node.module}" if node.level else node.module
+        if not module.startswith(f"{package}."):
+            continue
+        exported = getattr(importlib.import_module(module), "__all__", ())
+        found += [f"{module}.{alias.name}" for alias in node.names
+                  if alias.name not in exported]
+    return found
+
+
+def test_the_export_scan_flags_private_and_unlisted_names():
+    # solver's module-level ``partial`` is public but not exported
+    source = ("from .solver import solve_configuration, _baseline, partial\n"
+              "from miworlds.targets import Baseline, _horner\n"
+              "from json import dumps\n")
+    assert unexported_imports(source, "miworlds") == [
+        "miworlds.solver._baseline", "miworlds.solver.partial", "miworlds.targets._horner"]
+
+
+def test_cli_imports_only_exported_names():
+    # the command line runs on the public API: nothing it imports is private
+    assert unexported_imports((ROOT / "src" / "miworlds" / "cli.py").read_text(), "miworlds") == []
 
 
 def raised_classes(source: str) -> list:

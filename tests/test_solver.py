@@ -40,7 +40,7 @@ from miworlds.targets import (
     monomial_baseline,
     normal_cdf,
 )
-from reference import left_sum
+from reference import left_sum, newton_replay
 
 SQRT_1_5 = math.sqrt(1.5)
 
@@ -133,11 +133,13 @@ def test_one_world_is_refused():
 
 def test_a_fixed_family_refuses_another_baseline(maxwell_configs):
     other = hermite_square_baseline(2)
-    with pytest.raises(MiwValidation, match=r"^the maxwell family's baseline has coefficients "
-                       r"\[0\.0, 0\.0, 1\.0\], not \[0\.5, 0\.0, -1\.0, 0\.0, 0\.5\]$"):
+    message = (r"^the maxwell family's baseline has coefficients "
+               r"\[0\.0, 0\.0, 1\.0\], not \[0\.5, 0\.0, -1\.0, 0\.0, 0\.5\]$")
+    with pytest.raises(MiwValidation, match=message):
         solve_configuration(MAXWELL, 8, baseline=other)
-    with pytest.raises(MiwValidation, match="^the maxwell family's baseline"):
-        validate_properties(maxwell_configs[8], other)
+    # a solved configuration takes no other baseline either
+    with pytest.raises(MiwValidation, match=message):
+        dataclasses.replace(maxwell_configs[8], baseline=other)
     with pytest.raises(MiwValidation, match="^the ground family's baseline"):
         solve_configuration(GROUND, 8, baseline=maxwell_square_baseline())
 
@@ -154,7 +156,8 @@ def test_a_fixed_family_takes_its_own_polynomial(family, baseline):
     cfg = solve_configuration(family, 8, baseline=baseline)
     ref = solve_configuration(family, 8)
     assert cfg.points.tobytes() == ref.points.tobytes()
-    assert validate_properties(cfg, baseline) == validate_properties(ref)
+    assert cfg.baseline is ref.baseline
+    assert validate_properties(cfg) == validate_properties(ref)
 
 
 @pytest.mark.parametrize("n", [2, 8, 22])
@@ -192,11 +195,11 @@ def test_variance_identity_follows_the_polynomial(bl, maxwell_configs):
     ref = maxwell_configs[22]
     assert cfg.residuals == ref.residuals
     assert cfg.residuals["variance_defect"] <= 1e-7 * 22
-    assert validate_properties(cfg, bl) == validate_properties(ref)
-    assert validate_properties(cfg, bl)["p2_variance_defect"] is not None
+    assert validate_properties(cfg) == validate_properties(ref)
+    assert validate_properties(cfg)["p2_variance_defect"] is not None
     other = solve_configuration(GENERAL, 22, baseline=hermite_square_baseline(2))
     assert "variance_defect" not in other.residuals
-    assert validate_properties(other, hermite_square_baseline(2))["p2_variance_defect"] is None
+    assert validate_properties(other)["p2_variance_defect"] is None
 
 
 @pytest.mark.parametrize("family, n, baseline", [
@@ -206,7 +209,7 @@ def test_variance_identity_follows_the_polynomial(bl, maxwell_configs):
 def test_solve_and_validate_report_the_same_defects(family, n, baseline):
     # one routine computes both reports: every shared defect agrees bit for bit
     cfg = solve_configuration(family, n, baseline=baseline)
-    rep, res = validate_properties(cfg, baseline), cfg.residuals
+    rep, res = validate_properties(cfg), cfg.residuals
     assert res["max_recursion_residual"] == rep["recursion_residual"]
     assert res["mean_abs"] == rep["p1_zero_mean_defect"] / n
     assert res["symmetry_defect"] == rep["p3_symmetry_defect"]
@@ -215,11 +218,17 @@ def test_solve_and_validate_report_the_same_defects(family, n, baseline):
 
 
 def test_validate_general_without_baseline_raises():
-    # the same lookup as solve_configuration, and the same message
-    cfg = solve_configuration(GENERAL, 21, baseline=hermite_square_baseline(2))
-    with pytest.raises(MiwValidation, match="general family requires a baseline"):
-        validate_properties(cfg)
-    assert validate_properties(cfg, hermite_square_baseline(2))["recursion_residual"] <= 1e-9
+    # a general configuration read from JSON holds no baseline until one is attached,
+    # and is refused with solve_configuration's message until then
+    bl = hermite_square_baseline(2)
+    cfg = solve_configuration(GENERAL, 21, baseline=bl)
+    assert cfg.baseline is bl
+    back = configuration_from_json(configuration_to_json(cfg))
+    assert back.baseline is None
+    with pytest.raises(MiwValidation, match="^general family requires a baseline$"):
+        validate_properties(back)
+    attached = dataclasses.replace(back, baseline=hermite_square_baseline(2))
+    assert json.dumps(validate_properties(attached)) == json.dumps(validate_properties(cfg))
 
 
 def test_validate_reports_increasing_violation():
@@ -328,9 +337,15 @@ def test_smallest_positive_point(maxwell_configs):
         assert cfg.points[n // 2 - 1] >= math.sqrt(3.0 / n)
 
 
-def test_residual_tolerance_enforced():
-    with pytest.raises(ResidualFailure):
-        solve_configuration(MAXWELL, 8, residual_tol=1e-18)
+def test_residual_tolerance_enforced(monkeypatch):
+    # the gate is Newton's own bound, 1e-9: a defect on it passes, one above it fails
+    monkeypatch.setattr(solver, "recursion_residual", lambda bl, points: 1e-9)
+    assert solve_configuration(MAXWELL, 8).residuals["max_recursion_residual"] == 1e-9
+    monkeypatch.setattr(solver, "recursion_residual", lambda bl, points: 2e-9)
+    with pytest.raises(ResidualFailure, match=r"^recursion defect 2\.000e-09 exceeds 1e-09 "
+                       r"\(maxwell, N=8\); Newton reached max\|G\| \S+ in \d+ iterations "
+                       r"from the quantile start$"):
+        solve_configuration(MAXWELL, 8)
 
 
 def test_json_roundtrip(maxwell_configs):
@@ -460,15 +475,15 @@ def test_configuration_array_is_the_read_only_points(family, n):
 ], ids=["maxwell-22", "maxwell-4096", "ground-3", "ground-1001", "monomial-4-100",
         "hermite-sq-2-81"])
 def test_array_and_points_routes_agree(family, n, baseline):
-    # a configuration read back from its JSON writes the same bytes and
-    # validates to the same report as the solver's own
+    # a configuration read back from its JSON writes the same bytes and, given
+    # the solve's baseline, validates to the same report as the solver's own
     cfg = solve_configuration(family, n, baseline=baseline)
     text = configuration_to_json(cfg)
-    report = json.dumps(validate_properties(cfg, baseline=baseline))
-    other = configuration_from_json(text)
+    report = json.dumps(validate_properties(cfg))
+    other = dataclasses.replace(configuration_from_json(text), baseline=cfg.baseline)
     assert other.points.tobytes() == cfg.points.tobytes()
     assert configuration_to_json(other) == text
-    assert json.dumps(validate_properties(other, baseline=baseline)) == report
+    assert json.dumps(validate_properties(other)) == report
     assert json.loads(report)["p1_zero_mean_defect"] == abs(left_sum(cfg.points.tolist()))
 
 
@@ -488,10 +503,12 @@ def test_int_points_load_and_validate_as_floats():
     pytest.param(GENERAL, 100, monomial_baseline(4).normalized(), id="monomial-4-100"),
 ])
 def test_json_roundtrip_keeps_every_field(family, n, baseline):
-    # a solved configuration holds what its JSON holds, and nothing more
+    # a solved configuration holds what its JSON holds and its baseline, which
+    # ground and Maxwell read back as their own and a general one as none
     cfg = solve_configuration(family, n, baseline=baseline)
     back = configuration_from_json(configuration_to_json(cfg))
-    for field in dataclasses.fields(cfg):
+    assert back.baseline is (None if family == GENERAL else cfg.baseline)
+    for field in dataclasses.fields(cfg)[:-1]:
         want, got = getattr(cfg, field.name), getattr(back, field.name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -507,7 +524,8 @@ def _assert_one_record(cfg, values):
     assert x.tolist() == [float(v) for v in values]
     assert cfg.n_worlds == x.size and type(cfg.n_worlds) is int
     assert cfg.shoot_param == x[0] and type(cfg.shoot_param) is float
-    assert [f.name for f in dataclasses.fields(cfg)] == ["family", "points", "residuals"]
+    assert [f.name for f in dataclasses.fields(cfg)] == ["family", "points", "residuals",
+                                                         "baseline"]
 
 
 def test_solved_and_loaded_configurations_hold_one_read_only_array():
@@ -676,20 +694,13 @@ def test_maxwell_65536_shoot_param_is_pinned():
     assert abs(Fraction(x1) - ref) <= Fraction(math.ulp(x1))
 
 
-def _replay_newton(cfg, baseline=None):
-    """Newton's record of a solve: solver._starts replayed through solver._newton
-    up to the first start that converges, whose mirrored points must be the
-    solve's.  Returns the start's name, how many starts were tried, the max|G|
-    history and the number of step halvings."""
-    n = cfg.n_worlds
-    bl = solver._baseline(cfg.family, baseline)
-    for tried, (start, x0) in enumerate(solver._starts(bl, n), start=1):
-        first, history, backtracks, converged = solver._newton(x0, bl, 2.0 if n % 2 == 0 else 1.0)
-        if converged:
-            break
-    mirrored = np.concatenate((first, [0.0] * (n % 2), -first[::-1]))
-    assert mirrored.tobytes() == cfg.points.tobytes()
-    return start, tried, tuple(history), backtracks
+def _replay_newton(cfg):
+    """Newton's record of a solve, whose replayed points must be the solve's: the
+    start's name, how many starts were tried, the max|G| history and the number
+    of step halvings."""
+    points, *record = newton_replay(cfg.baseline, cfg.n_worlds)
+    assert points.tobytes() == cfg.points.tobytes()
+    return tuple(record)
 
 
 def test_maxwell_4096_refines_in_few_shots(maxwell_configs):
@@ -756,12 +767,13 @@ def test_monomial_r4_n1000_shoot_param_is_pinned():
 def test_nodal_cell_counts_track_the_target(k, n):
     # For k >= 2 the recursion has many symmetric solutions; the one that
     # tracks p_k puts about N P_k(cell) worlds in each nodal cell of He_k.
-    # k=4 N=100 fails the 1e-9 residual gate by the evaluator's
-    # cancellation (see test_hermite_k4_n100_residual_gate), not by its points.
+    # Newton's points are taken without the gate: k=4 N=100 fails the 1e-9 residual
+    # gate by the evaluator's cancellation (see test_hermite_k4_n100_residual_gate),
+    # not by its points.
     bl = hermite_square_baseline(k)
-    cfg = solve_configuration(GENERAL, n, baseline=bl, residual_tol=1e-7)
+    points = newton_replay(bl, n)[0]
     zeros = np.array(bl.zeros_of_b)
-    counts = np.histogram(cfg.points, bins=np.concatenate(([-np.inf], zeros, [np.inf])))[0]
+    counts = np.histogram(points, bins=np.concatenate(([-np.inf], zeros, [np.inf])))[0]
     expected = n * np.diff(np.concatenate(([0.0], cdf_pk(k, zeros), [1.0])))
     assert np.max(np.abs(counts - expected)) <= 2.0
 
@@ -782,7 +794,7 @@ def test_newton_path_matches_closed_form_path():
 def test_solve_stats_count_every_shot():
     bl = hermite_square_baseline(2)
     cfg = solve_configuration(GENERAL, 21, baseline=bl)
-    start, tried, history, backtracks = _replay_newton(cfg, bl)
+    start, tried, history, backtracks = _replay_newton(cfg)
     assert len(history) - 1 >= 1
     assert all(b < a for a, b in zip(history, history[1:]))
     assert history[-1] <= 1e-12
@@ -907,7 +919,7 @@ def test_nodal_shift_start_solves_below_the_gate(k, n):
     # meets the gate
     bl = hermite_square_baseline(k)
     cfg = solve_configuration(GENERAL, n, baseline=bl)
-    assert _replay_newton(cfg, bl)[0] == "nodal-shift"
+    assert _replay_newton(cfg)[0] == "nodal-shift"
     x = [Fraction(v) for v in cfg.points.tolist()]
     B = bl.b_poly.integ().coef
     S, worst = Fraction(0), Fraction(0)
@@ -1117,7 +1129,7 @@ _PINNED_SOLVES = [
 def test_solved_points_keep_their_bits(family, n, baseline, sha256, history, backtracks):
     cfg = solve_configuration(family, n, baseline=baseline)
     assert hashlib.sha256(cfg.points.tobytes()).hexdigest() == sha256
-    assert _replay_newton(cfg, baseline)[2:] == (history, backtracks)
+    assert _replay_newton(cfg)[2:] == (history, backtracks)
 
 
 @pytest.mark.parametrize("baseline, n, error, message", [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -348,13 +349,32 @@ def test_baseline_refuses_a_phi_integral_that_is_not_positive(coef):
 
 def test_every_shipped_baseline_has_a_positive_phi_integral():
     # ground, Maxwell, hermite-sq k = 0..30 and monomial r = 0, 2, ..., 300 all
-    # build, normalized as the CLI takes them too
+    # build, normalized as the CLI takes them too, and pass the sign check with
+    # the coefficient bits they had before it
     shipped = [ground_baseline(), maxwell_square_baseline(),
                *(hermite_square_baseline(k) for k in range(31)),
                *(monomial_baseline(r) for r in range(0, 301, 2))]
     assert len(shipped) == 184
     for bl in shipped:
         assert bl.phi_integral > 0.0 and bl.normalized().phi_integral > 0.0
+    both = shipped + [bl.normalized() for bl in shipped]
+    digest = hashlib.sha256(b"".join(bl.b_poly.coef.tobytes() for bl in both)).hexdigest()
+    assert digest == "0cc981847e43d0db5f6e18fc1bc4d3383ffadccb8b8e52d353350db54a0aba0f"
+
+
+@pytest.mark.parametrize("coef, message", [
+    ([-1.0, 0.0, 2.0], r"b\(0\) = -1$"),
+    ([0.1, 0.0, -1.0, 0.0, 1.0], r"b\(0\.707107\) = -0\.15$"),
+    ([1.0, 0.0, -1e-3, 0.0, 1e-7], r"b\(70\.7107\) = -1\.5$"),
+    ([2.0, 0.0, -1.0], r"its top coefficient is -1\.0$"),
+], ids=["2x^2-1", "x^4-x^2+0.1", "1-1e-3x^2+1e-7x^4", "2-x^2"])
+def test_baseline_refuses_a_polynomial_that_goes_negative(coef, message):
+    # each has m = E b(Z) > 0, but b phi / m is no density: 2x^2 - 1 is negative on
+    # |x| < 0.71, the quartics at their minima x^2 = 1/2 and 5000, 2 - x^2 for large |x|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MiwValidation, match="^a baseline must be nonnegative, but " + message):
+            Baseline(Polynomial(coef))
 
 
 def test_baseline_inverse_beyond_the_float_range_is_a_typed_error():

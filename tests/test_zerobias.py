@@ -31,6 +31,7 @@ from reference import (
     coupling_terms_mpmath,
     coupling_two_sided,
     coupling_unique_midpoints,
+    newton_replay,
     step_cdf,
 )
 
@@ -177,9 +178,9 @@ def test_coupling_equals_the_two_sided_inversion(family, k, n, maxwell_configs):
     else:
         bl = (hermite_square_baseline(k) if family == "hermite-sq"
               else monomial_baseline(k).normalized())
-        # k=4 N=100 misses the 1e-9 residual gate by the residual's
+        # Newton's points without the gate: k=4 N=100 misses it by the residual's
         # cancellation, not by its points (test_hermite_k4_n100_residual_gate)
-        pts = solve_configuration(GENERAL, n, baseline=bl, residual_tol=1e-7).points
+        pts = newton_replay(bl, n)[0]
     density = gzb_density(bl, pts)
     assert coupling_expectations(density) == coupling_two_sided(density)
 
