@@ -65,29 +65,34 @@ def kolmogorov(points: Sequence[float], G: Callable) -> float:
 
 
 def _dw_exact(points: Sequence[float], k: int) -> float:
-    """Exact d_W between the uniform law on ``points`` and p_k.
+    """Exact d_W between the uniform law on ``points`` and p_k: the area below 0, and above
+    0 that of the negated atoms, as F_k(-x) = 1 - F_k(x); an exact mirror doubles the first."""
+    x = np.asarray(points, dtype=float)
+    below = _dw_below_zero(x, k)
+    return 2.0 * below if np.array_equal(x, -x[::-1]) else below + _dw_below_zero(-x[::-1], k)
 
-    On the gap above the j-th smallest atom the empirical CDF is j/N and
-    F_k crosses that level once, at c; the area is split at c and each side
-    taken from the antiderivative A_k.  The gap pieces telescope to
-    A_k(x_1) - A_k(x_N), which one adaptive quadrature of F_k re-derives as
-    a check on the closed forms.
+
+def _dw_below_zero(x: np.ndarray, k: int) -> float:
+    """int_{-inf}^0 |F_emp - F_k| for the uniform law on the decreasing atoms ``x``: on
+    the gap above the j-th smallest atom, up to 0 above the last one below 0, F_emp is
+    j/N and F_k crosses that level once, at c.  The area is split at c and each side
+    taken from the antiderivative A_k, small below 0.  The pieces telescope to
+    A_k(0) - A_k(x_N), which one adaptive quadrature of F_k checks.
     """
-    a = np.asarray(points, dtype=float)[::-1]
-    n = a.size
-    lo, hi = a[:-1], a[1:]
-    level = np.arange(1, n) / n
-    c = newton_bracketed(lambda x: (cdf_pk(k, x), pdf_pk(k, x)), level, lo, hi)
-    Aa, Ac = np.split(cdf_pk_integral(k, np.concatenate((a, c))), [n])
+    ends = np.append(x[x < 0.0][::-1], 0.0)
+    lo, hi = ends[:-1], ends[1:]
+    level = np.arange(1, ends.size) / x.size
+    # F_k < 1/2 below 0, so level 1/2 crosses at its gap's top, where p_1(0) = 0 is flat
+    c = newton_bracketed(lambda t: (cdf_pk(k, t), pdf_pk(k, t)), level,
+                         np.where(level == 0.5, hi, lo), hi)
+    Aa, Ac = np.split(cdf_pk_integral(k, np.concatenate((ends, c))), [ends.size])
     gaps = (level * (c - lo) - (Ac - Aa[:-1])) + ((Aa[1:] - Ac) - level * (hi - c))
     exact = float(Aa[-1] - Aa[0])
-    quad = integrate_adaptive(lambda x: cdf_pk(k, x), float(a[0]), float(a[-1]))
+    quad = integrate_adaptive(lambda t: cdf_pk(k, t), float(ends[0]), 0.0)
     if abs(quad - exact) > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(exact)):
-        raise MiwError(
-            f"int F_{k} over [{a[0]}, {a[-1]}]: quadrature {quad!r}, closed form {exact!r}"
-        )
-    tails = Aa[0] + (Aa[-1] - a[-1])
-    return float(tails + np.sum(gaps))
+        raise MiwError(f"int F_{k} over [{ends[0]}, 0.0]: quadrature {quad!r}, "
+                       f"closed form {exact!r}")
+    return float(Aa[0] + np.sum(gaps))
 
 
 def dk_dw_relation_check(dk: float, dw: float, C: float = MAXWELL_MODE_SUP) -> bool:

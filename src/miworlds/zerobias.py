@@ -112,10 +112,14 @@ def _check_decreasing(points: Sequence[float], at_least: int = 1) -> np.ndarray:
 def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
     """Generalized zero-bias density of the uniform law on the atoms."""
     x = _check_decreasing(atoms, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        bvals, Bx = (np.asarray(f(x), dtype=float) for f in (baseline.b, baseline.B))
+    bad = np.flatnonzero(~(np.isfinite(bvals) & np.isfinite(Bx)))
+    if bad.size:
+        raise MiwValidation(f"b or B is not finite at the atom {float(x[bad[0]])} (index {bad[0]})")
     worst = float(np.max(np.abs(x + x[::-1])))
     if worst > _SYMMETRY_TOL:
         raise MiwError(f"symmetry defect {worst:g} exceeds {_SYMMETRY_TOL:g}")
-    bvals = np.asarray(baseline.b(x), dtype=float)
     if np.any(bvals <= 0.0):
         raise MiwError("baseline vanishes at an atom")
     raw = np.cumsum(x / bvals)[:-1]
@@ -123,7 +127,6 @@ def gzb_density(baseline: Baseline, atoms: Sequence[float]) -> PiecewiseDensity:
         raw[x.size // 2 :] = raw[: (x.size - 1) // 2][::-1]
     if np.any(raw < 0.0):
         raise MiwError("partial sums x_i/b(x_i) must stay nonnegative")
-    Bx = np.asarray(baseline.B(x), dtype=float)
     masses = raw * (Bx[:-1] - Bx[1:])
     total = float(np.sum(masses))
     return _density(baseline, x, raw / total, masses / total, Bx)
@@ -160,27 +163,41 @@ class CouplingReport:
 
 
 def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
-    """Exact expectation terms under the comonotone (quantile) coupling.
+    """Exact expectation terms of the comonotone (quantile) coupling of W, uniform on the
+    density's breakpoints, and W* ~ ``density``: the lower half's, doubled on an exact
+    mirror, else added to the mirrored density's, which are the upper half's (b even, B odd)."""
+    x, c = density.x, density.c
+    if (x == 0.0).any():
+        raise MiwValidation("reciprocal terms undefined for an atom at zero")
+    mirror = np.array_equal(x, -x[::-1]) and np.array_equal(c, c[::-1])
+    median = 0.0 if mirror else density.quantile(0.5)  # where the two halves meet
+    lower = _lower_terms(density, median)
+    upper = lower if mirror else _lower_terms(PiecewiseDensity(
+        density.baseline, -x[::-1], c[::-1], 1.0 - density.cum[::-1], -density.Bx[::-1]), -median)
+    e_abs, e_wabs, e_inv, e_ratio = (lower + upper).tolist()
+    rhs = LAMBDA_1 * e_abs + LAMBDA_2 * e_wabs + LAMBDA_3 * e_inv + LAMBDA_4 * e_ratio
+    return CouplingReport(e_abs, e_wabs, e_inv, e_ratio, rhs)
 
-    W is uniform on the density's breakpoints, the atoms, and W* follows
-    ``density``; the unit interval is cut at both laws' levels, the atom
-    levels j/N and the gap levels ``cum``, in one merged grid.  On each cell
-    W is one atom a and W* runs over [x0, x1] inside one gap between
-    neighbouring atoms, so a is never strictly inside the cell.  At a gap
-    level x1 is that gap's breakpoint; B is inverted only at atom levels.
-    The cells are contiguous, and only the one across 0 is cut, so on each
-    piece a - x and x keep their signs; the baseline integrates b, x b and
+
+def _lower_terms(density: PiecewiseDensity, median: float) -> np.ndarray:
+    """E|W - W*|, E|W| |W - W*|, E|1/W - 1/W*| and E|W - W*| / |W| over the levels (0, 1/2].
+
+    Those are cut at both laws' levels, the atom levels j/N and the gap levels ``cum``,
+    in one merged grid.  On each cell W is one atom a and W* runs over [x0, x1] inside
+    one gap between neighbouring atoms, so a is never strictly inside the cell.  At a
+    gap level x1 is that gap's breakpoint, at 1/2 the ``median``; B is inverted only at
+    the other atom levels.  The cells are contiguous, and only the one across 0 is cut,
+    so on each piece a - x and x keep their signs; the baseline integrates b, x b and
     b/x over all pieces at once, in closed form.
     """
     atoms = density.x
-    if (atoms == 0.0).any():
-        raise MiwValidation("reciprocal terms undefined for an atom at zero")
     n = atoms.size
+    gaps = density.cum[1:][density.cum[1:] <= 0.5]
     # one stable merge: on a tie the gap level comes first and ends the
     # cell, and the atom level after it ends none
-    levels = np.concatenate((density.cum[1:], np.arange(1, n + 1) / n))
+    levels = np.concatenate((gaps, np.arange(1, (n + 1) // 2) / n, [0.5]))
     order = levels.argsort(kind="stable")
-    u, at_atom = levels[order], order >= n - 1
+    u, at_atom = levels[order], order >= gaps.size
     ends = (u > np.concatenate(([0.0], u[:-1]))).nonzero()[0]
     # the atom and gap levels below a cell's upper edge count its atom and gap
     ia = (at_atom.cumsum() - at_atom)[ends]
@@ -188,6 +205,7 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     a, c, x1 = atoms[ia], density.c[ig], atoms[ig + 1]
     inner = at_atom[ends]
     x1[inner] = density._within(u[ends[inner]], ig[inner])
+    x1[-1] = median
     # the cell edges, x0 of each the x1 below it; a cell across 0 is cut there
     x = np.concatenate(([atoms[0]], x1))
     cut = ((x[:-1] < 0.0) & (x[1:] > 0.0)).nonzero()[0]
@@ -199,12 +217,7 @@ def coupling_expectations(density: PiecewiseDensity) -> CouplingReport:
     e1 = np.bincount(cell, np.where(up, c[cell] * np.abs(a[cell] * ib - ixb), 0.0))
     e3 = np.bincount(cell, np.where(up, c[cell] * np.abs(ib / a[cell] - ibx), 0.0))
     abs_a = np.abs(a)
-    e_abs = float(e1.sum())
-    e_wabs = float((abs_a * e1).sum())
-    e_inv = float(e3.sum())
-    e_ratio = float((e1 / abs_a).sum())
-    rhs = LAMBDA_1 * e_abs + LAMBDA_2 * e_wabs + LAMBDA_3 * e_inv + LAMBDA_4 * e_ratio
-    return CouplingReport(e_abs, e_wabs, e_inv, e_ratio, rhs)
+    return np.array([e1.sum(), (abs_a * e1).sum(), e3.sum(), (e1 / abs_a).sum()])
 
 
 def fixed_point_defect() -> float:

@@ -8,7 +8,11 @@ route to the cells that ``coupling_expectations`` takes from one merge of
 the two laws' level grids; ``coupling_two_sided`` integrates them cut at 0
 and at the cell's atom.  ``coupling_unique_midpoints`` finds the same cells
 by ``np.unique`` of the levels and searches at the cell midpoints, and
-integrates two pieces per cell.  ``step_cdf`` is the CDF of the uniform
+integrates two pieces per cell.  Both take every level of (0, 1], where the
+library takes the levels up to 1/2 and gets the rest from the mirrored
+density.  ``dw_telescoped`` takes d_W over all atoms at once, where the library
+takes the atoms below 0 and those above 0 apart, and ``dw_maxwell_mpmath``
+takes it to 40 digits.  ``step_cdf`` is the CDF of the uniform
 law on a set of atoms, for the quadrature route to d_W.  ``left_sum`` adds
 floats one at a time from the left, the order the library's sums keep.
 ``csv_text`` builds a CSV table as one string from a list of dicts, a second
@@ -21,13 +25,15 @@ for the record of a solve and for points that its recursion gate refuses.
 
 import json
 import math
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from miworlds import solver
-from miworlds.numerics import TAIL_CUTOFF, integrate_adaptive
+from miworlds.numerics import TAIL_CUTOFF, integrate_adaptive, newton_bracketed
+from miworlds.targets import cdf_pk, cdf_pk_integral, pdf_pk
 from miworlds.zerobias import LAMBDA_1, LAMBDA_2, LAMBDA_3, LAMBDA_4, CouplingReport
 
 
@@ -81,6 +87,47 @@ def newton_replay(bl, n: int):
     assert converged, f"Newton converged from none of {tried} starts"
     points = np.concatenate((first, [0.0] * (n % 2), -first[::-1]))
     return points, start, tried, tuple(history), backtracks
+
+
+def dw_telescoped(points, k: int) -> float:
+    """d_W between the uniform law on the decreasing ``points`` and p_k over
+    all atoms at once: on the gap above the j-th smallest atom the empirical
+    CDF is j/N and F_k crosses that level once, at c; the area is split at c
+    and each side taken from the antiderivative A_k, so the gap pieces
+    telescope to A_k(x_1) - A_k(x_N)."""
+    a = np.asarray(points, dtype=float)[::-1]
+    n = a.size
+    lo, hi = a[:-1], a[1:]
+    level = np.arange(1, n) / n
+    c = newton_bracketed(lambda x: (cdf_pk(k, x), pdf_pk(k, x)), level, lo, hi)
+    Aa, Ac = np.split(cdf_pk_integral(k, np.concatenate((a, c))), [n])
+    gaps = (level * (c - lo) - (Ac - Aa[:-1])) + ((Aa[1:] - Ac) - level * (hi - c))
+    return float(Aa[0] + (Aa[-1] - a[-1]) + np.sum(gaps))
+
+
+def dw_maxwell_mpmath(points, dps: int = 40):
+    """d_W between the uniform law on the decreasing ``points`` and the Maxwell
+    law p_1 to ``dps`` digits, by mpmath: F_1 = Phi - x phi has the
+    antiderivative A_1 = x Phi + 2 phi, each gap's crossing of its level is
+    found by root search from the float crossing, and the pieces and both
+    tails are summed at that precision.  Returns an mpf."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        def F(x):
+            return mp.ncdf(x) - x * mp.npdf(x)
+
+        def A(x):
+            return x * mp.ncdf(x) + 2 * mp.npdf(x)
+
+        a = [mp.mpf(float(v)) for v in points][::-1]
+        n = len(a)
+        total = A(a[0]) + (A(a[-1]) - a[-1])
+        for j in range(1, n):
+            lo, hi, level = a[j - 1], a[j], mp.mpf(j) / n
+            c = mp.findroot(lambda x: F(x) - level, (lo, hi), solver="anderson")
+            total += level * (c - lo) - (A(c) - A(lo)) + (A(hi) - A(c)) - level * (hi - c)
+        return total
 
 
 def inverse_stein_operator(h: Callable[[float], float], x: float) -> float:
@@ -212,13 +259,15 @@ def coupling_terms_mpmath(points, b_coef, dps: int = 40) -> dict:
     built from its definition: S_n b(x) / Z on the gap (x_{n+1}, x_n], with
     S_n = sum_{i<=n} x_i / b(x_i) and b the polynomial of ascending
     coefficients ``b_coef``.  Its CDF is the closed form cum + c (B(x) - B(y))
-    on each gap, and its quantile at every level k/N is found by
-    ``mp.findroot``.  On each cell of the merged grid of the two laws'
-    levels, W is one atom a and W* runs over the cell's quantile range, so
-    E|W - W*|, E|W| |W - W*|, E|1/W - 1/W*| and E|W - W*| / |W| are
-    ``mp.quad`` integrals against the density, split at 0 and at a.  For
-    b(0) = 0 each piece's integrand is then a polynomial, which the
-    Gauss-Legendre rule integrates exactly.  Returns the four terms and
+    on each gap, the gap of a level is found by bisecting ``cum``, and its
+    quantile at every level k/N by Anderson's bracketing root search, or by
+    bisection where that fails at a flat root.  On each
+    cell of the merged grid of the two laws' levels, W is one atom a and W*
+    runs over the cell's quantile range, so E|W - W*|, E|W| |W - W*|,
+    E|1/W - 1/W*| and E|W - W*| / |W| are integrals against the density,
+    split at 0 and at a.  For b(0) = 0 each piece's integrand is then a
+    polynomial of degree at most deg b + 1, which the Gauss-Legendre rule of
+    deg b / 2 + 2 nodes integrates exactly.  Returns the four terms and
     rhs_bound = 6 e_abs + 7 e_wabs + 18 e_inv + 22 e_ratio, as mpf.
     """
     from mpmath import mp
@@ -246,7 +295,7 @@ def coupling_terms_mpmath(points, b_coef, dps: int = 40) -> dict:
 
         def gap(u):
             """The gap whose CDF range (cum_j, cum_{j+1}] holds the level u."""
-            return max(j for j in range(n - 1) if cum[j] < u or j == 0)
+            return min(max(bisect_left(cum, u) - 1, 0), n - 2)
 
         def quantile(u):
             j = gap(u)
@@ -254,11 +303,15 @@ def coupling_terms_mpmath(points, b_coef, dps: int = 40) -> dict:
                 return y[j + 1]
             if u <= cum[j]:
                 return y[j]
-            return mp.findroot(lambda x: cum[j] + c[j] * (B(x) - B(y[j])) - u,
-                               (y[j], y[j + 1]), solver="bisect")
+            f = lambda x: cum[j] + c[j] * (B(x) - B(y[j])) - u  # noqa: E731
+            try:
+                return mp.findroot(f, (y[j], y[j + 1]), solver="anderson")
+            except ValueError:  # a flat root, where b has a zero: bisection
+                return mp.findroot(f, (y[j], y[j + 1]), solver="bisect")
 
+        nodes = list(zip(*mp.gauss_quadrature(len(coef) // 2 + 2, "legendre")))
         levels = sorted(set([mp.mpf(k) / n for k in range(n + 1)] + cum[1:]))
-        terms = dict.fromkeys(("e_abs", "e_wabs", "e_inv", "e_ratio"), mp.zero)
+        terms = [mp.zero] * 4
         x_lo = quantile(levels[0])
         for u0, u1 in zip(levels[:-1], levels[1:]):
             um = (u0 + u1) / 2
@@ -267,16 +320,15 @@ def coupling_terms_mpmath(points, b_coef, dps: int = 40) -> dict:
             x_hi = quantile(u1)
             cuts = [x_lo] + sorted(t for t in {mp.zero, a} if x_lo < t < x_hi) + [x_hi]
             x_lo = x_hi
-            if cuts[-1] <= cuts[0]:
-                continue
-
-            def expect(f):
-                return mp.quad(lambda x: f(x) * c[j] * b(x), cuts, method="gauss-legendre")
-
-            terms["e_abs"] += expect(lambda x: abs(a - x))
-            terms["e_wabs"] += expect(lambda x: abs(a) * abs(a - x))
-            terms["e_inv"] += expect(lambda x: abs(1 / a - 1 / x))
-            terms["e_ratio"] += expect(lambda x: abs(a - x) / abs(a))
-        terms["rhs_bound"] = (6 * terms["e_abs"] + 7 * terms["e_wabs"]
-                              + 18 * terms["e_inv"] + 22 * terms["e_ratio"])
-        return terms
+            for p, q in zip(cuts[:-1], cuts[1:]):
+                half, mid = (q - p) / 2, (q + p) / 2
+                for t, w in nodes:
+                    x = mid + half * t
+                    weight, dist = w * half * c[j] * b(x), abs(a - x)
+                    terms[0] += weight * dist
+                    terms[1] += weight * abs(a) * dist
+                    terms[2] += weight * abs(1 / a - 1 / x)
+                    terms[3] += weight * dist / abs(a)
+        out = dict(zip(("e_abs", "e_wabs", "e_inv", "e_ratio"), terms))
+        out["rhs_bound"] = 6 * terms[0] + 7 * terms[1] + 18 * terms[2] + 22 * terms[3]
+        return out

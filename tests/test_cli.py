@@ -586,6 +586,39 @@ def test_digest_check_names_every_differing_label(monkeypatch, capsys):
     assert capsys.readouterr().out == "0 of 4 labels differ\n"
 
 
+def test_digest_compare_reports_how_far_each_field_moved(monkeypatch, capsys):
+    # tools/cli_digests.py --compare on two small outputs, JSON and CSV: the
+    # largest relative change of every numeric field, list positions and rows
+    # merged, a "# fit" line's quoted numbers included, text columns left out
+    import importlib.util
+    from pathlib import Path
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends its paths
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    before_json = '{"family": "maxwell", "e": 2.0, "rows": [{"d": 1.0}, {"d": 4.0}], "ok": true}'
+    after_json = '{"family": "maxwell", "e": 2.0, "rows": [{"d": 1.5}, {"d": 3.0}], "ok": true}'
+    assert digests.largest_changes(before_json, after_json) == {"e": 0.0, "rows.d": 0.5}
+    before_csv = 'family,N,dw\nmaxwell,8,0.5\nmaxwell,16,0.25\n# fit {"slope": "-1.0"}\n'
+    after_csv = 'family,N,dw\nmaxwell,8,0.5\nmaxwell,16,0.2\n# fit {"slope": "-1.25"}\n'
+    assert digests.largest_changes(before_csv, after_csv) == {
+        "N": 0.0, "dw": pytest.approx(0.2), "fit.slope": 0.25}
+    # a value that turns infinite changes without bound; a field that one side lacks, or
+    # whose count differs, changed shape
+    moved = digests.largest_changes('{"a": 1.0, "b": [1.0]}',
+                                    '{"a": Infinity, "b": [1.0, 2.0], "c": 0}')
+    assert moved == {"a": float("inf"), "b": None, "c": None}
+    saved = {"same": before_json.encode(), "json": before_json.encode(), "csv": before_csv.encode()}
+    run = {"same": before_json.encode(), "json": after_json.encode(), "csv": after_csv.encode()}
+    assert digests.compare(saved, run) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: json", "    e: 0", "    rows.d: 0.5",
+        "differs: csv", "    N: 0", "    dw: 0.2", "    fit.slope: 0.25",
+        "2 of 3 labels' stdout differ"]
+
+
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="the pinned digests cover --help, which argparse lays out "
                     "differently in other Python minor versions")

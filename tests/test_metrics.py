@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -15,9 +17,16 @@ from miworlds.metrics import (
     rate_sweep,
     wasserstein1,
 )
-from miworlds.solver import GENERAL, GROUND, MAXWELL, solve_configuration
+from miworlds.solver import (
+    GENERAL,
+    GROUND,
+    MAXWELL,
+    configuration_from_json,
+    configuration_to_json,
+    solve_configuration,
+)
 from miworlds.targets import cdf_pk, hermite_square_baseline
-from reference import step_cdf
+from reference import dw_maxwell_mpmath, dw_telescoped, step_cdf
 
 
 def test_wasserstein_identical():
@@ -104,9 +113,58 @@ def test_kolmogorov_zero_against_matching_continuous_cdf():
 
 
 def test_exact_dw_matches_mpmath_reference(sweep_rows):
-    # 40-digit mpmath evaluation of d_W(P_4096, Maxwell)
+    # d_W(P_4096, Maxwell) to 17 digits of reference.dw_maxwell_mpmath(points, dps=40),
+    # 5.893087756938825320248771e-4; the mirrored half reads 1.50e-11 off (relative),
+    # the route over all atoms read 5.77e-11
     assert sweep_rows[-1].N == 4096
-    assert sweep_rows[-1].dw == pytest.approx(5.8930877569e-4, rel=1e-9)
+    assert sweep_rows[-1].dw == pytest.approx(5.8930877569388253e-4, rel=3e-11)
+
+
+def test_exact_dw_matches_the_mpmath_route(maxwell_configs):
+    # at N = 64 the mirrored half reads 1.18e-14 off the 40-digit route (relative),
+    # and the route over all atoms read 2.06e-13
+    mpmath = pytest.importorskip("mpmath")
+    pts = maxwell_configs[64].points
+    ref = dw_maxwell_mpmath(pts)
+    assert abs(metrics._dw_exact(pts, 1) - ref) <= mpmath.mpf(1e-13) * ref
+
+
+def _no_mirrors():
+    maxwell = np.array(solve_configuration(MAXWELL, 64).points)
+    maxwell[3] += 1e-3
+    ground = np.array(solve_configuration(GROUND, 41).points)
+    shifted = ground.copy()
+    shifted[0] += 0.25
+    return {"maxwell-64": maxwell, "ground-41-shifted": shifted, "positive": (3.0, 2.0, 0.5),
+            "negative": (-0.5, -1.0, -2.5), "top-at-zero": (0.0, -1.0, -2.0), "one-atom": (0.7,),
+            # exact mirrors, the second with an atom at 0
+            "maxwell-8": solve_configuration(MAXWELL, 8).points, "ground-41": ground}
+
+
+@pytest.mark.parametrize("kind", ["maxwell-64", "ground-41-shifted", "positive", "negative",
+                                  "top-at-zero", "one-atom", "maxwell-8", "ground-41"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_dw_of_any_configuration_matches_the_route_over_all_atoms(kind, k):
+    # a configuration that is no exact mirror adds the area below 0 of its negated
+    # atoms; the worst difference from the telescoped route is 2.8e-13 (maxwell-64,
+    # whose own error there is about 2e-13), and from quadrature 4.4e-10
+    pts = _no_mirrors()[kind]
+    dw = metrics._dw_exact(pts, k)
+    assert dw == pytest.approx(dw_telescoped(pts, k), rel=3e-12)
+    quad = wasserstein1(step_cdf(pts), lambda x: cdf_pk(k, x), (-12.0, 12.0), jumps=pts)
+    assert dw == pytest.approx(quad, rel=1e-9)
+
+
+@pytest.mark.parametrize("v", [math.inf, 1e200], ids=["inf", "1e200"])
+def test_measure_refuses_atoms_where_b_or_B_is_not_finite(v):
+    # these once gave d_W 5e199 with every coupling term 0.0, or a failed quadrature
+    doc = json.loads(configuration_to_json(solve_configuration(MAXWELL, 4)))
+    doc["points"][0], doc["points"][-1] = v, -v
+    doc["shoot_param"] = v
+    cfg = configuration_from_json(json.dumps(doc))
+    message = rf"^b or B is not finite at the atom {re.escape(str(v))} \(index 0\)$"
+    with pytest.raises(MiwValidation, match=message):
+        measure_configuration(cfg)
 
 
 @pytest.mark.parametrize("n", [2, 22, 64])

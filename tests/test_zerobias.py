@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import asdict
 from functools import partial
@@ -37,6 +38,14 @@ from reference import (
 
 BL = maxwell_square_baseline()
 
+# relative tolerances of coupling_expectations against the reference routes,
+# each ten times the worst difference measured in its test (in parentheses)
+TWO_SIDED_REL = 6.2e-11  # (6.15e-12, e_inv of Maxwell N = 4096)
+UNIQUE_REL = 6.2e-11  # (6.15e-12, the same case)
+RANDOM_REL = 3.6e-14  # (3.55e-15)
+TIED_REL = 1.9e-15  # (1.89e-16)
+JITTER_REL = 2.8e-13  # (2.75e-14)
+
 
 def test_gzb_single_interval_maxwell():
     d = gzb_density(BL, (1.0, -1.0))
@@ -68,6 +77,15 @@ def test_gzb_guards():
     # symmetric within 1e-8 but not a mirror: -0.01 + 1e-9 outweighs 0.01 under the flat x^8
     with pytest.raises(MiwError, match="^partial sums x_i/b\\(x_i\\) must stay nonnegative$"):
         gzb_density(monomial_baseline(8).normalized(), (5.0, 0.01, -0.01 + 1e-9, -5.0))
+
+
+@pytest.mark.parametrize("v", [math.inf, 1e200], ids=["inf", "1e200"])
+def test_gzb_refuses_atoms_where_b_or_B_is_not_finite(v):
+    # b(inf) is inf * 0 in Horner's first step, and B(1e200) = 1e600 / 3 overflows:
+    # such a density had NaN masses, and a coupling of it certified nothing
+    message = rf"^b or B is not finite at the atom {re.escape(str(v))} \(index 0\)$"
+    with pytest.raises(MiwValidation, match=message):
+        gzb_density(BL, (v, 0.5, -0.5, -v))
 
 
 def test_gzb_quantile_inverts_cdf(maxwell_configs):
@@ -171,8 +189,10 @@ def test_coupling_matches_per_cell_values(n, maxwell_configs):
     ("hermite-sq", 2, 82), ("hermite-sq", 3, 40), ("hermite-sq", 4, 100), ("monomial", 4, 100),
 ])
 def test_coupling_equals_the_two_sided_inversion(family, k, n, maxwell_configs):
-    # the cells are contiguous, so one density quantile per cell edge gives,
-    # bit for bit, the cells that inverting both edges of each cell gave
+    # the cells are contiguous, so one density quantile per cell edge gives the
+    # cells that inverting both edges of each cell gave, and the two reference
+    # routes agree bit for bit; the mirrored half moves the terms by rounding,
+    # at most TWO_SIDED_REL / 10 over these cases
     if family == "maxwell":
         bl, pts = BL, maxwell_configs[n].points
     else:
@@ -182,7 +202,8 @@ def test_coupling_equals_the_two_sided_inversion(family, k, n, maxwell_configs):
         # cancellation, not by its points (test_hermite_k4_n100_residual_gate)
         pts = newton_replay(bl, n)[0]
     density = gzb_density(bl, pts)
-    assert coupling_expectations(density) == coupling_two_sided(density)
+    _assert_bit_identical(coupling_two_sided(density), coupling_unique_midpoints(density))
+    _assert_close(coupling_expectations(density), coupling_two_sided(density), TWO_SIDED_REL)
 
 
 @pytest.mark.parametrize("family, bl, n", [
@@ -204,6 +225,46 @@ def _assert_terms_match_mpmath(bl, pts):
     assert set(ref) == set(got)
     for key, value in ref.items():
         assert 0 < value < math.inf and abs(got[key] - value) <= 1e-12 * value, key
+
+
+def test_coupling_terms_at_n1024_match_the_mpmath_route(maxwell_configs):
+    # 40 digits at N = 1024, where the route over all levels read e_abs 6.62e-13,
+    # e_wabs 5.26e-13, e_inv 4.47e-13, e_ratio 3.62e-13 and rhs_bound 4.62e-13 off
+    # (relative), and the mirrored half reads 2.15e-13, 1.30e-14, 1.52e-13, 2.33e-13
+    # and 1.45e-13: each term is to be no farther off than the full route was
+    pytest.importorskip("mpmath")
+    full_route = {"e_abs": 6.62e-13, "e_wabs": 5.26e-13, "e_inv": 4.47e-13,
+                  "e_ratio": 3.62e-13, "rhs_bound": 4.62e-13}
+    pts = maxwell_configs[1024].points
+    got = asdict(coupling_expectations(gzb_density(BL, pts)))
+    ref = coupling_terms_mpmath(pts, BL.b_poly.coef)
+    for key, bound in full_route.items():
+        assert abs(got[key] - ref[key]) <= bound * ref[key], key
+
+
+def _no_mirror_densities():
+    maxwell = np.array(solve_configuration(MAXWELL, 64).points)
+    maxwell[3] += 5e-9  # within gzb_density's symmetry tolerance
+    bl = hermite_square_baseline(2)
+    hermite = np.array(solve_configuration(GENERAL, 82, baseline=bl).points)
+    hermite[10] -= 5e-9
+    normal = np.sort(np.random.default_rng(5).normal(size=50))[::-1]
+    return {"maxwell-64": gzb_density(BL, maxwell), "hermite-sq-2-82": gzb_density(bl, hermite),
+            "histogram-normal-50": histogram_density(normal),
+            "histogram-one-signed": histogram_density((3.0, 2.0, 1.0)),
+            "histogram-odd": histogram_density((2.0, 0.5, -0.3, -1.0, -2.5))}
+
+
+@pytest.mark.parametrize("kind", ["maxwell-64", "hermite-sq-2-82", "histogram-normal-50",
+                                  "histogram-one-signed", "histogram-odd"])
+def test_coupling_of_a_density_that_is_no_mirror_adds_both_halves(kind):
+    # near-mirrors and histograms on unsymmetric atoms take the upper half from the
+    # mirrored density, not by doubling; the worst difference from the reference
+    # routes is 1.65e-14 (Maxwell), and the two references agree bit for bit
+    density = _no_mirror_densities()[kind]
+    assert not np.array_equal(density.x, -density.x[::-1])
+    _assert_bit_identical(coupling_unique_midpoints(density), coupling_two_sided(density))
+    _assert_close(coupling_expectations(density), coupling_unique_midpoints(density), 1.7e-13)
 
 
 # symmetric atoms, none at 0, N = 2 (1 + len(gaps)) <= 12: the positive
@@ -233,6 +294,12 @@ def _assert_bit_identical(got: CouplingReport, want: CouplingReport):
         k: v.hex() for k, v in asdict(want).items()}
 
 
+def _assert_close(got: CouplingReport, want: CouplingReport, rel: float):
+    """Each term of ``got`` within ``rel`` of ``want``, relative; an infinite one equal."""
+    for key, value in asdict(want).items():
+        assert getattr(got, key) == pytest.approx(value, rel=rel, abs=0.0), key
+
+
 @pytest.mark.parametrize("family, k, n", [
     ("maxwell", None, 2), ("maxwell", None, 4), ("maxwell", None, 22), ("maxwell", None, 64),
     ("maxwell", None, 4096), ("hermite-sq", 2, 82), ("hermite-sq", 3, 40),
@@ -240,23 +307,28 @@ def _assert_bit_identical(got: CouplingReport, want: CouplingReport):
 ])
 def test_coupling_equals_the_unique_midpoint_route(family, k, n):
     # the merged level grid, the breakpoint at every gap level and one
-    # evaluation of each primitive per cell edge give, bit for bit, the
-    # report of np.unique, midpoint searches, the full quantile and two
-    # pieces per cell; hermite-sq k=2 has b(0) > 0 and an infinite e_inv
+    # evaluation of each primitive per cell edge give the report of np.unique,
+    # midpoint searches, the full quantile and two pieces per cell, up to the
+    # mirrored half's rounding (at most UNIQUE_REL / 10 over these cases); the
+    # two reference routes agree bit for bit; hermite-sq k=2 has b(0) > 0 and
+    # an infinite e_inv
     solve_family = {"maxwell": MAXWELL, "ground": GROUND}.get(family, GENERAL)
     bl = (BL if family == "maxwell" else ground_baseline() if family == "ground"
           else hermite_square_baseline(k) if family == "hermite-sq"
           else monomial_baseline(k).normalized())
     density = gzb_density(bl, solve_configuration(solve_family, n, baseline=bl).points)
-    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+    _assert_bit_identical(coupling_unique_midpoints(density), coupling_two_sided(density))
+    _assert_close(coupling_expectations(density), coupling_unique_midpoints(density), UNIQUE_REL)
 
 
 @given(*_RANDOM_ATOMS)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_coupling_equals_the_unique_midpoint_route_on_random_atoms(bl, inner, gaps):
-    # both level grids end at 1, and N = 2 has no other level: ties
+    # both level grids end at 1, and N = 2 has no other level: ties; the
+    # worst difference over these examples is RANDOM_REL / 10
     density = gzb_density(bl, _symmetric_atoms(inner, gaps))
-    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+    _assert_bit_identical(coupling_unique_midpoints(density), coupling_two_sided(density))
+    _assert_close(coupling_expectations(density), coupling_unique_midpoints(density), RANDOM_REL)
 
 
 @pytest.mark.parametrize("bl", [BL, ground_baseline(), hermite_square_baseline(2)],
@@ -268,7 +340,9 @@ def test_coupling_equals_the_unique_midpoint_route_on_tied_levels(bl):
     Bx = bl.B(x)
     density = _density(bl, x, masses / (Bx[:-1] - Bx[1:]), masses, Bx)
     assert np.array_equal(density.cum, [0, 1 / 8, 2 / 8, 3 / 8, 5 / 8, 6 / 8, 7 / 8, 1])
-    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+    _assert_bit_identical(coupling_unique_midpoints(density), coupling_two_sided(density))
+    # the worst difference over the three baselines is TIED_REL / 10
+    _assert_close(coupling_expectations(density), coupling_unique_midpoints(density), TIED_REL)
 
 
 @pytest.mark.parametrize("bl, n", [(BL, 64), (hermite_square_baseline(2), 82)],
@@ -276,18 +350,23 @@ def test_coupling_equals_the_unique_midpoint_route_on_tied_levels(bl):
 def test_coupling_equals_the_unique_midpoint_route_on_a_jittery_inversion(bl, n):
     # an inversion that is not monotone leaves cells whose upper edge falls
     # below their lower one; both routes count them as empty.  The jitter is
-    # a function of (u, i) alone, so both routes see the same edges.
+    # a function of (u, i) alone, so both routes see the same edges.  Above
+    # u = 1/2 it lowers the edges; below, it raises them by the mirror image,
+    # so the lower half that the library doubles mirrors the upper half; the
+    # worst difference is JITTER_REL / 10
     family = MAXWELL if bl is BL else GENERAL
     density = gzb_density(bl, solve_configuration(family, n, baseline=bl).points)
     within = density._within
 
     def jittery(u, i):
-        return within(u, i) - (density.x[i + 1] - density.x[i]) * np.sin(3e3 * u) ** 2
+        shift = (density.x[i + 1] - density.x[i]) * np.sin(3e3 * np.maximum(u, 1.0 - u)) ** 2
+        return within(u, i) - np.sign(u - 0.5) * shift
 
     object.__setattr__(density, "_within", jittery)
-    x1 = density.quantile(np.arange(1, n + 1) / n)
+    # the cell edges, at the merged levels of both laws
+    x1 = density.quantile(np.unique(np.concatenate((density.cum[1:], np.arange(1, n + 1) / n))))
     assert np.any(x1[1:] < x1[:-1])
-    _assert_bit_identical(coupling_expectations(density), coupling_unique_midpoints(density))
+    _assert_close(coupling_expectations(density), coupling_unique_midpoints(density), JITTER_REL)
 
 
 def test_general_quantile_of_no_levels_is_empty():
@@ -517,11 +596,15 @@ def test_ordering_check_matches_the_per_pair_loop(atoms):
     if len(atoms) >= 2:
         builders += [histogram_density, partial(gzb_density, ground_baseline())]
     for build in builders:
-        if _loop_says_decreasing(atoms):
-            with np.errstate(all="ignore"):  # subnormal gaps, infinite atoms
+        if not _loop_says_decreasing(atoms):
+            with pytest.raises(MiwError, match=r"^atoms not strictly decreasing at index \d+$"):
+                build(atoms)
+        elif getattr(build, "func", None) is gzb_density and not np.isfinite(atoms).all():
+            # ordered, but b is not finite at an infinite atom
+            with pytest.raises(MiwValidation, match="^b or B is not finite at the atom "):
                 build(atoms)
         else:
-            with pytest.raises(MiwError, match=r"^atoms not strictly decreasing at index \d+$"):
+            with np.errstate(all="ignore"):  # subnormal gaps, infinite atoms
                 build(atoms)
 
 

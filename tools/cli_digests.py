@@ -24,6 +24,19 @@ each label whose line differs, with which of its exit code, stdout and stderr
 changed, each label that the file lacks (extra) or that this run lacks
 (missing), then a count, and exits 1 if there is any, 0 otherwise.
 
+``--save DIR`` also writes each label's stdout to a file in DIR, listed by
+label in ``DIR/labels.json``.  ``--compare DIR`` compares this checkout's
+stdout with one saved that way: for each label whose stdout differs it prints
+the largest relative change, |after - before| / |before|, of
+every numeric field of the two outputs, read as JSON (a field is the path of
+object keys, list positions dropped) or as CSV (a field is a column, and a
+``# label {json}`` line adds its values under ``label``; any output that is
+not JSON is read as CSV).  A field that one side lacks, or that holds a
+different count of numbers, shows ``changed shape``.
+
+    python3 tools/cli_digests.py --save before/   # at one commit
+    python3 tools/cli_digests.py --compare before/   # at the other
+
 ``tests/data/cli_digests.txt`` pins the lines outside the workloads.  After a
 change that alters an output on purpose, regenerate it by dropping the lines
 that start with a workload name:
@@ -35,8 +48,11 @@ that start with a workload name:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
+import json
+import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -212,20 +228,105 @@ def check(saved: dict, run: dict) -> int:
     return len(bad)
 
 
+def numeric_fields(text: str) -> dict:
+    """Every number of a JSON or CSV output, as a list per field (see the module
+    docstring); booleans and text that is no number are left out."""
+    fields: dict = {}
+
+    def add(key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                add(f"{key}.{k}" if key else k, v)
+        elif isinstance(value, list):
+            for v in value:
+                add(key, v)
+        elif not isinstance(value, bool):
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                return
+            fields.setdefault(key, []).append(number)
+
+    try:
+        add("", json.loads(text))
+        return fields
+    except ValueError:
+        pass
+    rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    for row in rows[1:]:
+        for key, value in zip(rows[0], row):
+            add(key, value)
+    for line in text.splitlines():
+        label, _, doc = line[2:].partition(" ")
+        if line.startswith("# ") and doc.startswith("{"):
+            add(label, json.loads(doc))
+    return fields
+
+
+def _relative_change(a: float, b: float) -> float:
+    """|b - a| / |a|: 0 where b equals a (NaN for NaN), and inf where a is 0 or
+    either is not finite."""
+    if a == b or math.isnan(a) and math.isnan(b):
+        return 0.0
+    if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def largest_changes(before: str, after: str) -> dict:
+    """The largest relative change of each numeric field from ``before`` to
+    ``after``, or None for a field whose shape changed."""
+    old, new = numeric_fields(before), numeric_fields(after)
+    return {key: max(map(_relative_change, old[key], new[key]), default=0.0)
+            if len(old.get(key, ())) == len(new.get(key, ())) and key in old and key in new
+            else None for key in sorted(old.keys() | new.keys())}
+
+
+def compare(saved: dict, run: dict) -> int:
+    """Print, for each label whose stdout differs, the largest relative change of
+    every numeric field, and return how many labels differ."""
+    differ = [label for label in run if label in saved and saved[label] != run[label]]
+    for label in differ:
+        print(f"differs: {label}")
+        before, after = saved[label].decode(), run[label].decode()
+        for key, change in largest_changes(before, after).items():
+            print(f"    {key}: " + ("changed shape" if change is None else f"{change:.3g}"))
+    print(f"{len(differ)} of {len(saved.keys() & run.keys())} labels' stdout differ")
+    return len(differ)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Digests of the CLI's outputs.")
     parser.add_argument("--check", metavar="FILE", help="compare with a saved run")
+    parser.add_argument("--save", metavar="DIR", help="also write each label's stdout to DIR")
+    parser.add_argument("--compare", metavar="DIR",
+                        help="show how far each numeric field moved from stdout saved in DIR")
     args = parser.parse_args(argv)
-    run = {}
+    run, outs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, code, out, err in lines(Path(tmp)):
             run[label] = f"{label}\t{code}\t{_digest(out)}\t{_digest(err)}"
-            if args.check is None:
+            if args.save is not None or args.compare is not None:
+                outs[label] = out
+            if args.check is None and args.compare is None:
                 print(run[label])
-    if args.check is None:
-        return 0
-    saved = Path(args.check).read_text().splitlines()
-    return 1 if check({line.split("\t", 1)[0]: line for line in saved if line}, run) else 0
+    if args.save is not None:
+        save = Path(args.save)
+        save.mkdir(parents=True, exist_ok=True)
+        names = {label: f"{i:04d}.out" for i, label in enumerate(outs)}
+        for label, name in names.items():
+            (save / name).write_bytes(outs[label])
+        (save / "labels.json").write_text(json.dumps(names, indent=1) + "\n")
+    failed = False
+    if args.compare is not None:
+        saved_dir = Path(args.compare)
+        names = json.loads((saved_dir / "labels.json").read_text())
+        failed |= bool(compare({label: (saved_dir / name).read_bytes()
+                                for label, name in names.items()}, outs))
+    if args.check is not None:
+        saved = Path(args.check).read_text().splitlines()
+        failed |= bool(check({line.split("\t", 1)[0]: line for line in saved if line}, run))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
